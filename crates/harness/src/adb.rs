@@ -8,9 +8,9 @@
 
 use crate::{HarnessError, Result};
 use gaugenn_power::UsbSwitch;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// Mutable device state the benchmark asserts before running (§3.3:
 /// "WiFi and sensors are off, maximum screen timeout, etc").
@@ -41,12 +41,21 @@ impl Default for DeviceState {
 /// The shared device endpoint: file system + state + USB switch.
 #[derive(Debug, Clone)]
 pub struct DeviceEndpoint {
-    inner: Arc<Mutex<EndpointInner>>,
+    shared: Arc<Shared>,
+}
+
+#[derive(Debug)]
+struct Shared {
+    inner: Mutex<EndpointInner>,
+    /// Signalled when USB power is cut: the headless agent waits on it.
+    power_cut: Condvar,
 }
 
 #[derive(Debug)]
 struct EndpointInner {
-    files: BTreeMap<String, Vec<u8>>,
+    /// Flash contents. Shared so the device reads a file in place instead
+    /// of copying it out of the store.
+    files: BTreeMap<String, Arc<Vec<u8>>>,
     state: DeviceState,
     usb: UsbSwitch,
     reboots: u32,
@@ -62,39 +71,69 @@ impl DeviceEndpoint {
     /// A device plugged in over USB.
     pub fn new() -> Self {
         DeviceEndpoint {
-            inner: Arc::new(Mutex::new(EndpointInner {
-                files: BTreeMap::new(),
-                state: DeviceState::default(),
-                usb: UsbSwitch::new(),
-                reboots: 0,
-            })),
+            shared: Arc::new(Shared {
+                inner: Mutex::new(EndpointInner {
+                    files: BTreeMap::new(),
+                    state: DeviceState::default(),
+                    usb: UsbSwitch::new(),
+                    reboots: 0,
+                }),
+                power_cut: Condvar::new(),
+            }),
         }
+    }
+
+    /// The endpoint lock. A panic while holding it leaves plain data
+    /// behind, so a poisoned lock is recovered rather than propagated.
+    fn lock(&self) -> MutexGuard<'_, EndpointInner> {
+        self.shared
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Current USB switch state.
     pub fn usb(&self) -> UsbSwitch {
-        self.inner.lock().usb
+        self.lock().usb
     }
 
-    /// Cut USB power (and data).
+    /// Cut USB power (and data), waking an agent waiting for the cut.
     pub fn usb_power_off(&self) {
-        self.inner.lock().usb.power_off();
+        self.lock().usb.power_off();
+        self.shared.power_cut.notify_all();
     }
 
     /// Restore USB power and data.
     pub fn usb_power_restore(&self) {
-        self.inner.lock().usb.power_restore();
+        self.lock().usb.power_restore();
+    }
+
+    /// Block until USB power is off or `timeout` passes. Returns whether
+    /// the power is off.
+    pub fn wait_usb_power_off(&self, timeout: Duration) -> bool {
+        let (inner, _) = self
+            .shared
+            .power_cut
+            .wait_timeout_while(self.lock(), timeout, |inner| inner.usb.power_on)
+            .unwrap_or_else(PoisonError::into_inner);
+        !inner.usb.power_on
     }
 
     /// Device-side file read (not gated: the on-device script reads its
-    /// own storage).
+    /// own storage). Returns a copy; see [`DeviceEndpoint::open_local`]
+    /// for reading in place.
     pub fn read_local(&self, path: &str) -> Option<Vec<u8>> {
-        self.inner.lock().files.get(path).cloned()
+        self.open_local(path).map(|bytes| bytes.to_vec())
+    }
+
+    /// Device-side open: the stored bytes themselves, shared, not copied.
+    pub fn open_local(&self, path: &str) -> Option<Arc<Vec<u8>>> {
+        self.lock().files.get(path).cloned()
     }
 
     /// Device-side file write.
     pub fn write_local(&self, path: &str, bytes: Vec<u8>) {
-        self.inner.lock().files.insert(path.to_string(), bytes);
+        self.lock().files.insert(path.to_string(), Arc::new(bytes));
     }
 
     /// Hard-reboot the device: the watchdog's recovery action when an
@@ -103,7 +142,7 @@ impl DeviceEndpoint {
     /// the master must re-assert the benchmark state), and flash contents
     /// survive, exactly like power-cycling a real phone.
     pub fn hard_reboot(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.usb.power_restore();
         inner.state = DeviceState::default();
         inner.reboots += 1;
@@ -111,17 +150,17 @@ impl DeviceEndpoint {
 
     /// How many times the device has been hard-rebooted.
     pub fn reboots(&self) -> u32 {
-        self.inner.lock().reboots
+        self.lock().reboots
     }
 
     /// Device-side state snapshot.
     pub fn state(&self) -> DeviceState {
-        self.inner.lock().state.clone()
+        self.lock().state.clone()
     }
 
     /// Device-side state mutation.
     pub fn set_state(&self, f: impl FnOnce(&mut DeviceState)) {
-        f(&mut self.inner.lock().state);
+        f(&mut self.lock().state);
     }
 }
 
@@ -163,7 +202,7 @@ impl Adb {
     /// `adb shell rm`.
     pub fn rm(&self, path: &str) -> Result<()> {
         self.check_link()?;
-        self.endpoint.inner.lock().files.remove(path);
+        self.endpoint.lock().files.remove(path);
         Ok(())
     }
 

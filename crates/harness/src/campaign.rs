@@ -1,10 +1,12 @@
 //! Multi-device benchmark campaigns.
 //!
 //! The paper benchmarks hundreds of models across six devices. A campaign
-//! fans a job list out to one worker thread per device (each with its own
-//! master listener and USB switch), fed from a shared crossbeam channel —
-//! devices of different speeds naturally drain the queue at different
-//! rates, like the physical rack in Fig. 2.
+//! runs the whole job list on every device, one worker thread per device
+//! (each with its own master listener and USB switch), so devices of
+//! different speeds finish their sweeps at different times, like the
+//! physical rack in Fig. 2. The workers run under `std::thread::scope`
+//! and walk the caller's job list in place: a job's model bytes are
+//! copied once, by the adb push onto the device.
 //!
 //! Campaigns are built to survive a bad night on the rack: a panicking
 //! worker is isolated into per-job `Err` outcomes instead of tearing down
@@ -27,7 +29,6 @@
 use crate::device::DeviceAgent;
 use crate::job::{JobResult, JobSpec};
 use crate::master::{Master, MasterConfig};
-use crossbeam::channel;
 use gaugenn_soc::DeviceSpec;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -143,109 +144,105 @@ pub fn run_campaign(devices: &[DeviceSpec], jobs: &[Campaign]) -> Vec<CampaignRe
 }
 
 /// Run every job on every device. Returns exactly one result per
-/// (device, job) pair, whatever fails.
+/// (device, job) pair, whatever fails, minus the pairs
+/// [`CampaignConfig::completed`] names.
 ///
-/// Jobs are cloned per device (each device runs the full list, as in the
-/// paper's per-device sweeps); devices run in parallel threads.
+/// Each device runs the full list (as in the paper's per-device sweeps);
+/// devices run in parallel threads that borrow `jobs`.
 pub fn run_campaign_with(
     devices: &[DeviceSpec],
     jobs: &[Campaign],
     config: &CampaignConfig,
 ) -> Vec<CampaignResult> {
-    let budget = Arc::new(ProbationBudget::new(config.max_probation_devices));
-    let mut handles = Vec::new();
-    for spec in devices {
-        // gaugelint: channel-pair(campaign.jobs) — per-device job queue, fed here and drained by this device's worker thread
-        let (tx, rx) = channel::unbounded_named::<Campaign>("campaign.jobs");
-        for j in jobs {
-            // gaugelint: allow(unwrap-in-fault-path) — provably infallible: rx lives in this scope until after the loop, the channel cannot be closed yet
-            tx.send(j.clone()).expect("receiver alive");
+    let budget = &ProbationBudget::new(config.max_probation_devices);
+    let mut outs: Vec<Vec<CampaignResult>> = devices.iter().map(|_| Vec::new()).collect();
+    let panicked: Vec<bool> = std::thread::scope(|s| {
+        let workers: Vec<_> = devices
+            .iter()
+            .zip(&mut outs)
+            .map(|(spec, out)| s.spawn(move || device_worker(spec, jobs, config, budget, out)))
+            .collect();
+        workers.into_iter().map(|w| w.join().is_err()).collect()
+    });
+    for ((spec, out), panicked) in devices.iter().zip(&mut outs).zip(panicked) {
+        if !panicked {
+            continue;
         }
-        drop(tx);
-        let spec = spec.clone();
-        let config = config.clone();
-        let budget = Arc::clone(&budget);
-        let device_name = spec.name.to_string();
-        let worker = std::thread::spawn(move || device_worker(spec, rx, &config, &budget));
-        handles.push((device_name, worker, jobs.len()));
+        // A worker that panicked outside the per-job guard (a commit hook,
+        // say) still yields one Err per pair it had not yet emitted,
+        // keeping the devices×jobs invariant for downstream accounting.
+        // It emits pairs in job order, so those are the jobs after the
+        // first `out.len()` it did not skip.
+        let device = spec.name.to_string();
+        let emitted = out.len();
+        out.extend(
+            jobs.iter()
+                .filter(|job| !config.is_completed(&device, job))
+                .skip(emitted)
+                .map(|job| CampaignResult {
+                    device: device.clone(),
+                    job_id: job.spec.id,
+                    outcome: Err("device worker panicked".into()),
+                }),
+        );
     }
-    let mut all = Vec::new();
-    for (device, handle, n_jobs) in handles {
-        match handle.join() {
-            Ok(results) => all.extend(results),
-            // A worker that somehow panicked outside the per-job guard
-            // still yields one Err per job, keeping the devices×jobs
-            // invariant for downstream accounting.
-            Err(_) => all.extend((0..n_jobs).map(|_| CampaignResult {
-                device: device.clone(),
-                job_id: 0,
-                outcome: Err("device worker panicked".into()),
-            })),
-        }
-    }
-    all
+    outs.into_iter().flatten().collect()
 }
 
-/// The per-device worker loop: drain the queue, retrying transient
-/// failures and quarantining the device after too many consecutive ones.
+impl CampaignConfig {
+    /// Whether a previous (crashed) attempt already committed this pair.
+    fn is_completed(&self, device: &str, job: &Campaign) -> bool {
+        self.completed
+            .as_ref()
+            .is_some_and(|done| done.contains(&(device.to_string(), job.spec.id)))
+    }
+}
+
+/// The per-device worker loop: run the job list in order, retrying
+/// transient failures and quarantining the device after too many
+/// consecutive ones. Emits into `out` as it goes, so the results survive
+/// a panic in the worker.
 fn device_worker(
-    spec: DeviceSpec,
-    rx: channel::Receiver<Campaign>,
+    spec: &DeviceSpec,
+    jobs: &[Campaign],
     config: &CampaignConfig,
     budget: &ProbationBudget,
-) -> Vec<CampaignResult> {
+    out: &mut Vec<CampaignResult>,
+) {
     let device = spec.name.to_string();
-    let mut out = Vec::new();
-    let commit = |out: &mut Vec<CampaignResult>, result: CampaignResult| {
+    let mut commit = |result: CampaignResult| {
         if let Some(hook) = &config.on_commit {
             hook(&result);
         }
         out.push(result);
     };
-    let skip = |job: &Campaign| {
-        config
-            .completed
-            .as_ref()
-            .is_some_and(|done| done.contains(&(device.clone(), job.spec.id)))
-    };
+    // A previous (crashed) attempt already committed these pairs:
+    // resumed campaigns neither run nor re-emit them.
+    let queue = jobs.iter().filter(|job| !config.is_completed(&device, job));
     let master = match Master::with_config(config.master.clone()) {
         Ok(m) => m,
         Err(e) => {
             // No listener, no campaign: every queued job becomes a
             // structured failure instead of a silent disappearance.
             let err = format!("master bind failed: {e}");
-            while let Ok(job) = rx.recv() {
-                if skip(&job) {
-                    continue;
-                }
-                commit(
-                    &mut out,
-                    CampaignResult {
-                        device: device.clone(),
-                        job_id: job.spec.id,
-                        outcome: Err(err.clone()),
-                    },
-                );
+            for job in queue {
+                commit(CampaignResult {
+                    device: device.clone(),
+                    job_id: job.spec.id,
+                    outcome: Err(err.clone()),
+                });
             }
-            return out;
+            return;
         }
     };
-    let mut agent = DeviceAgent::new(spec);
-    // The agent polls on the same clock the master's watchdog runs on,
-    // so a campaign on a logical clock is fully time-reproducible.
-    agent.clock = config.master.clock.clone();
+    let mut agent = DeviceAgent::new(spec.clone());
     if let Some(script) = config.scripts.iter().find(|s| s.device == device) {
         agent.hang_jobs_remaining = script.hang_jobs;
     }
     let mut gate = ProbationGate::new(config.quarantine_after, config.probation_cooldown_ms);
     // Whether this device holds one of the fleet's probation slots.
     let mut holds_slot = false;
-    while let Ok(job) = rx.recv() {
-        if skip(&job) {
-            // A previous (crashed) attempt already committed this pair:
-            // resumed campaigns neither run nor re-emit it.
-            continue;
-        }
+    for job in queue {
         let verdict = gate.verdict(config.master.clock.now_ms());
         if matches!(verdict, GateVerdict::Quarantined) {
             let reason = if gate.probation_denied {
@@ -256,18 +253,15 @@ fn device_worker(
                     gate.strikes
                 )
             };
-            commit(
-                &mut out,
-                CampaignResult {
-                    device: device.clone(),
-                    job_id: job.spec.id,
-                    outcome: Err(reason),
-                },
-            );
+            commit(CampaignResult {
+                device: device.clone(),
+                job_id: job.spec.id,
+                outcome: Err(reason),
+            });
             continue;
         }
         let probing = matches!(verdict, GateVerdict::Probe);
-        let outcome = run_one_job(&master, &mut agent, &job, config.job_retries);
+        let outcome = run_one_job(&master, &mut agent, job, config.job_retries);
         let ok = outcome.is_ok();
         let was_quarantined = gate.quarantined_at.is_some();
         gate.record(config.master.clock.now_ms(), ok, probing);
@@ -285,16 +279,12 @@ fn device_worker(
             budget.release();
             holds_slot = false;
         }
-        commit(
-            &mut out,
-            CampaignResult {
-                device: device.clone(),
-                job_id: job.spec.id,
-                outcome,
-            },
-        );
+        commit(CampaignResult {
+            device: device.clone(),
+            job_id: job.spec.id,
+            outcome,
+        });
     }
-    out
 }
 
 /// Fleet-wide probation slot counter ([`CampaignConfig::max_probation_devices`]).
@@ -670,6 +660,40 @@ mod tests {
         assert_eq!(resumed.len(), 1);
         assert_eq!(resumed[0].job_id, 2);
         assert_eq!(committed.lock().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn panicked_worker_fails_its_unfinished_pairs_by_id() {
+        // A journal append that `expect`s panics inside the commit hook —
+        // outside the per-job guard — and takes the worker down on job 3.
+        // Job 1 was committed by an earlier attempt.
+        let devices = vec![device("Q845").unwrap()];
+        let jobs: Vec<Campaign> = (1..=4)
+            .map(|id| campaign(id, Task::MovementTracking, id))
+            .collect();
+        let config = CampaignConfig {
+            on_commit: Some(Arc::new(|r: &CampaignResult| {
+                assert_ne!(r.job_id, 3, "journal append failed");
+            })),
+            completed: Some(Arc::new(BTreeSet::from([("Q845".to_string(), 1u64)]))),
+            ..CampaignConfig::default()
+        };
+        let results = run_campaign_with(&devices, &jobs, &config);
+        // The completed pair is not re-emitted, the pair committed before
+        // the panic keeps its measurement, and the rest fail under their
+        // own ids.
+        let pairs: Vec<(u64, Option<&str>)> = results
+            .iter()
+            .map(|r| (r.job_id, r.outcome.as_ref().err().map(String::as_str)))
+            .collect();
+        assert_eq!(
+            pairs,
+            [
+                (2, None),
+                (3, Some("device worker panicked")),
+                (4, Some("device worker panicked")),
+            ]
+        );
     }
 
     #[test]

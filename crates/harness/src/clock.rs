@@ -1,13 +1,14 @@
-//! Injectable time source for the harness watchdogs.
+//! Injectable time source for the harness watchdog.
 //!
-//! The master's completion-wait deadline and the device agent's
-//! power-off poll both used to read `Instant::now()` directly, which
-//! made watchdog behaviour (how many poll iterations before a timeout,
-//! how much "time" a hung device burns) depend on host scheduling. A
-//! [`Clock`] decouples them: production runs keep the default
-//! [`WallClock`], tests inject a [`LogicalClock`] whose time advances
-//! only when someone sleeps on it, so a scripted hang times out after an
-//! exact, reproducible number of logical milliseconds.
+//! The master's completion wait carries a deadline on a [`Clock`] instead
+//! of reading `Instant::now()` directly, which would make watchdog
+//! behaviour (how much "time" a hung device burns) depend on host
+//! scheduling. Production runs keep the default [`WallClock`]; tests
+//! inject a [`LogicalClock`] whose time advances only when someone sleeps
+//! on it. The master blocks on the agent's exit instead of sleeping, so
+//! time is charged only when a watchdog deadline expires: a healthy job
+//! costs 0 logical ms and a scripted hang exactly `accept_timeout + 1`,
+//! however loaded the host is.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,6 +22,13 @@ pub trait Clock: fmt::Debug + Send + Sync {
     /// Let `ms` milliseconds pass (really, for a wall clock; logically,
     /// for a test clock — which must still yield so other threads run).
     fn sleep_ms(&self, ms: u64);
+    /// How long a watchdog with `ms` left on this clock may block on an
+    /// event before it must look at the clock again: `ms` of real time by
+    /// default, `None` (until the event) for a clock that does not move
+    /// while nobody sleeps on it.
+    fn wait_limit(&self, ms: u64) -> Option<Duration> {
+        Some(Duration::from_millis(ms))
+    }
 }
 
 /// The production clock: real time, anchored at first use.
@@ -72,6 +80,12 @@ impl Clock for LogicalClock {
         self.now.fetch_add(ms, Ordering::Relaxed);
         std::thread::yield_now();
     }
+
+    fn wait_limit(&self, _ms: u64) -> Option<Duration> {
+        // Blocking lets no logical time pass, so no deadline can expire
+        // during the wait: wait for the event itself.
+        None
+    }
 }
 
 #[cfg(test)]
@@ -94,6 +108,12 @@ mod tests {
         c.sleep_ms(5);
         c.advance(10);
         assert_eq!(c.now_ms(), 15);
+    }
+
+    #[test]
+    fn only_the_wall_clock_bounds_event_waits() {
+        assert_eq!(WallClock.wait_limit(50), Some(Duration::from_millis(50)));
+        assert_eq!(LogicalClock::new().wait_limit(50), None);
     }
 
     #[test]

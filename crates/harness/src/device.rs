@@ -6,7 +6,6 @@
 //! between; ④ turn WiFi on and notify the master over TCP.
 
 use crate::adb::DeviceEndpoint;
-use crate::clock::{Clock, WallClock};
 use crate::job::{JobResult, JobSpec};
 use crate::{HarnessError, Result};
 use gaugenn_dnn::exec::Executor;
@@ -17,7 +16,6 @@ use gaugenn_soc::thermal::ThermalState;
 use gaugenn_soc::DeviceSpec;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Conventional on-device paths.
@@ -41,10 +39,6 @@ pub struct DeviceAgent {
     /// — it returns without ever phoning the master back, so the master's
     /// watchdog must fire. Zero (the default) means behave normally.
     pub hang_jobs_remaining: u32,
-    /// Time source for the power-off poll deadline. Tests share a
-    /// [`LogicalClock`](crate::clock::LogicalClock) with the master so
-    /// watchdog interplay is reproducible.
-    pub clock: Arc<dyn Clock>,
 }
 
 impl DeviceAgent {
@@ -56,14 +50,14 @@ impl DeviceAgent {
             thermal: ThermalState::cool(),
             noise_seed: 0xD17E,
             hang_jobs_remaining: 0,
-            clock: Arc::new(WallClock),
         }
     }
 
     /// Run the headless benchmark loop once: wait for power-off, execute
     /// the pushed job, write results, notify `master_addr` over TCP.
     ///
-    /// Blocks until USB power is observed off or `poll_timeout` expires.
+    /// Blocks until USB power is cut or `poll_timeout` expires. Returns
+    /// `Ok` exactly when it phoned the master.
     pub fn run_headless(&mut self, master_addr: SocketAddr, poll_timeout: Duration) -> Result<()> {
         // Scripted hang: the agent dies silently — no completion message,
         // no result file — and the master's watchdog has to notice.
@@ -74,12 +68,8 @@ impl DeviceAgent {
             ));
         }
         // ① Wait until the USB power channel goes dark.
-        let deadline_ms = self.clock.now_ms() + poll_timeout.as_millis() as u64;
-        while self.endpoint.usb().power_on {
-            if self.clock.now_ms() > deadline_ms {
-                return Err(HarnessError::Device("usb power never went off".into()));
-            }
-            self.clock.sleep_ms(1);
+        if !self.endpoint.wait_usb_power_off(poll_timeout) {
+            return Err(HarnessError::Device("usb power never went off".into()));
         }
         // The measurement gate: exactly the physical constraint the YKUSH
         // exists to enforce.
@@ -90,7 +80,7 @@ impl DeviceAgent {
 
         let job_bytes = self
             .endpoint
-            .read_local(JOB_PATH)
+            .open_local(JOB_PATH)
             .ok_or_else(|| HarnessError::Device("no job pushed".into()))?;
         let job = JobSpec::from_text(&String::from_utf8_lossy(&job_bytes))?;
         let result = self.execute(&job);
@@ -117,10 +107,10 @@ impl DeviceAgent {
         let model_path = format!("{MODEL_DIR}/{}", job.model_file);
         let model_bytes = self
             .endpoint
-            .read_local(&model_path)
+            .open_local(&model_path)
             .ok_or_else(|| HarnessError::Device(format!("model not pushed: {model_path}")))?;
         // The device runs whatever bytes it was given — so it must parse
-        // and validate them like a real interpreter would.
+        // and validate them like a real interpreter would, in place.
         let graph = decode_model(&job.model_file, &model_bytes)?;
         let trace = trace_graph_batched(&graph, job.batch)
             .map_err(|e| HarnessError::Device(e.to_string()))?;
@@ -185,11 +175,8 @@ impl DeviceAgent {
 fn decode_model(file_name: &str, bytes: &[u8]) -> Result<gaugenn_dnn::Graph> {
     let validated = gaugenn_modelfmt::validate(file_name, bytes)
         .ok_or_else(|| HarnessError::Device(format!("'{file_name}' failed validation")))?;
-    gaugenn_modelfmt::decode(
-        validated.framework,
-        &[(file_name.to_string(), bytes.to_vec())],
-    )
-    .map_err(|e| HarnessError::Device(e.to_string()))
+    gaugenn_modelfmt::decode(validated.framework, &[(file_name.to_string(), bytes)])
+        .map_err(|e| HarnessError::Device(e.to_string()))
 }
 
 #[cfg(test)]

@@ -20,7 +20,8 @@
 //! * [`device`] — the device agent: state assertions, warm-up runs, timed
 //!   runs, completion notification.
 //! * [`master`] — single-device orchestration (the Fig. 3 workflow).
-//! * [`campaign`] — multi-device fan-out with crossbeam work queues.
+//! * [`campaign`] — multi-device fan-out: one scoped worker thread per
+//!   device, each walking the caller's job list in place.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,7 +8,11 @@
 //!
 //! Step ④ runs under a watchdog: an unattended rack cannot afford one hung
 //! phone to stall a multi-day campaign, so the completion wait carries a
-//! deadline. When it expires the master power-cycles the device through
+//! deadline. The master blocks until the agent thread signals that it has
+//! exited, then accepts the completion connection the agent opened on its
+//! way out; only an agent that exits without phoning home (or outlives
+//! the wait) leaves the master polling the listener until the deadline.
+//! When the deadline expires the master power-cycles the device through
 //! the USB switch, hard-reboots it, re-asserts the benchmark state and
 //! retries the job up to [`MasterConfig::attempts`] times before giving up
 //! with [`HarnessError::Timeout`]. Stale completion messages from a
@@ -20,6 +24,7 @@ use crate::clock::{Clock, WallClock};
 use crate::device::{DeviceAgent, JOB_PATH, MODEL_DIR, RESULT_PATH};
 use crate::job::{JobResult, JobSpec};
 use crate::{HarnessError, Result};
+use crossbeam::channel;
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -99,9 +104,8 @@ impl Master {
         job: &JobSpec,
         model_files: &[(String, Vec<u8>)],
     ) -> Result<JobResult> {
-        let attempts = self.config.attempts.max(1);
         let mut last = None;
-        for attempt in 1..=attempts {
+        for _ in 0..self.config.attempts.max(1) {
             match self.run_job_once(agent, job, model_files) {
                 Ok(r) => return Ok(r),
                 Err(e @ HarnessError::Timeout(_)) => {
@@ -112,7 +116,6 @@ impl Master {
                 }
                 Err(e) => return Err(e),
             }
-            let _ = attempt;
         }
         Err(last.unwrap_or_else(|| {
             HarnessError::Timeout(format!("job {} never completed", job.id))
@@ -133,8 +136,22 @@ impl Master {
         }
     }
 
-    /// Accept the completion connection under the watchdog deadline
-    /// (milliseconds on the configured clock).
+    /// Accept the completion connection of an agent that has exited after
+    /// phoning home. Its `connect` returned, so the handshake is complete
+    /// and the kernel has queued the connection on this listener (or is
+    /// about to): one blocking accept takes it without touching the clock.
+    fn accept_phoned_home(&self) -> Result<TcpStream> {
+        self.listener.set_nonblocking(false)?;
+        let accepted = self.listener.accept();
+        // The drain and the deadline poll both need a nonblocking listener.
+        self.listener.set_nonblocking(true)?;
+        Ok(accepted?.0)
+    }
+
+    /// The slow path: poll for the completion connection until the
+    /// watchdog deadline (milliseconds on the configured clock), charging
+    /// the clock 1 ms per empty poll. Only an agent that exited without
+    /// phoning home, or outlived the wait for its exit, ends up here.
     fn accept_with_deadline(&self, deadline_ms: u64) -> Result<TcpStream> {
         loop {
             match self.listener.accept() {
@@ -179,26 +196,40 @@ impl Master {
 
         // ② Launch the headless agent thread, then ③ cut USB power.
         let master_addr = self.addr;
+        let (done_tx, done_rx) = channel::unbounded_named::<bool>("harness.agent_done");
         let mut moved_agent = std::mem::replace(agent, DeviceAgent::new(agent.spec.clone()));
         let handle = std::thread::spawn(move || {
             let res = moved_agent.run_headless(master_addr, Duration::from_secs(10));
+            // Whether the agent phoned home; a hang exits without doing so.
+            let _ = done_tx.send(res.is_ok());
             (moved_agent, res)
         });
         endpoint.usb_power_off();
 
-        // ④ Wait for the completion message, under the watchdog.
-        let deadline_ms =
-            self.config.clock.now_ms() + self.config.accept_timeout.as_millis() as u64;
-        let stream = match self.accept_with_deadline(deadline_ms) {
+        // ④ Wait for the agent to exit, then for its completion message,
+        // all under the watchdog.
+        let clock = &self.config.clock;
+        let timeout_ms = self.config.accept_timeout.as_millis() as u64;
+        let deadline_ms = clock.now_ms() + timeout_ms;
+        let phoned_home = match clock.wait_limit(timeout_ms) {
+            Some(limit) => done_rx.recv_timeout(limit).ok(),
+            None => done_rx.recv().ok(),
+        };
+        let accepted = if phoned_home == Some(true) {
+            self.accept_phoned_home()
+        } else {
+            self.accept_with_deadline(deadline_ms)
+        };
+        let stream = match accepted {
             Ok(s) => s,
-            Err(timeout) => {
+            Err(e) => {
                 // Hung agent: restore power so the (possibly stuck) agent
                 // thread can unblock, recover it, and report the timeout.
                 endpoint.usb_power_restore();
                 if let Ok((returned_agent, _)) = handle.join() {
                     *agent = returned_agent;
                 }
-                return Err(timeout);
+                return Err(e);
             }
         };
         stream.set_read_timeout(Some(Duration::from_secs(30)))?;
@@ -336,9 +367,9 @@ mod tests {
 
     #[test]
     fn watchdog_on_logical_clock_is_time_reproducible() {
-        // With master and agent sharing a LogicalClock, a scripted hang
-        // consumes an exact number of logical milliseconds: the accept
-        // loop alone advances time, so each attempt burns deadline+1 ms.
+        // On a LogicalClock a scripted hang consumes an exact number of
+        // logical milliseconds: only the expired watchdog's accept poll
+        // advances time, so each attempt burns deadline+1 ms.
         let run = || {
             let clock = Arc::new(crate::clock::LogicalClock::new());
             let master = Master::with_config(MasterConfig {
@@ -348,7 +379,6 @@ mod tests {
             })
             .unwrap();
             let mut agent = DeviceAgent::new(device("Q855").unwrap());
-            agent.clock = clock.clone();
             agent.hang_jobs_remaining = u32::MAX;
             let files = model_files(Task::KeywordDetection, 8);
             let job = JobSpec::new(

@@ -49,15 +49,15 @@ pub fn encode(graph: &Graph) -> Result<ModelArtifact> {
 /// Decode from the file set; the `.caffemodel` part is authoritative and
 /// the `.prototxt`, when present, is cross-checked for layer-count
 /// agreement (a mismatched pair is how you catch mixed-up app assets).
-pub fn decode(files: &[(String, Vec<u8>)]) -> Result<Graph> {
+pub fn decode<B: AsRef<[u8]>>(files: &[(String, B)]) -> Result<Graph> {
     let model = files
         .iter()
         .find(|(n, _)| n.ends_with(".caffemodel"))
         .ok_or_else(|| err("missing .caffemodel part"))?;
-    let body = parse_caffemodel(&model.1)?;
+    let body = parse_caffemodel(model.1.as_ref())?;
     let graph = decode_graph(body)?;
     if let Some((_, proto)) = files.iter().find(|(n, _)| n.ends_with(".prototxt")) {
-        let text = String::from_utf8_lossy(proto);
+        let text = String::from_utf8_lossy(proto.as_ref());
         let declared = text.matches("layer {").count();
         if declared != graph.nodes.len() {
             return Err(err(format!(

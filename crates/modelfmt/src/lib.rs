@@ -119,8 +119,14 @@ pub fn encode(graph: &gaugenn_dnn::Graph, framework: Framework) -> Result<ModelA
 
 /// Decode a framework container back into a graph.
 ///
-/// For split formats, `files` must carry all parts (any order).
-pub fn decode(framework: Framework, files: &[(String, Vec<u8>)]) -> Result<gaugenn_dnn::Graph> {
+/// For split formats, `files` must carry all parts (any order). The bytes
+/// are decoded where they lie: any `AsRef<[u8]>` container works, so a
+/// caller holding borrowed or shared bytes need not copy them into a
+/// `Vec` first.
+pub fn decode<B: AsRef<[u8]>>(
+    framework: Framework,
+    files: &[(String, B)],
+) -> Result<gaugenn_dnn::Graph> {
     match framework {
         Framework::TfLite => tflite::decode(primary_bytes(files)?),
         Framework::Caffe => caffe::decode(files),
@@ -135,10 +141,10 @@ pub fn decode(framework: Framework, files: &[(String, Vec<u8>)]) -> Result<gauge
     }
 }
 
-fn primary_bytes(files: &[(String, Vec<u8>)]) -> Result<&[u8]> {
+fn primary_bytes<B: AsRef<[u8]>>(files: &[(String, B)]) -> Result<&[u8]> {
     files
         .first()
-        .map(|(_, b)| b.as_slice())
+        .map(|(_, b)| b.as_ref())
         .ok_or_else(|| FmtError::Wire("no files provided".into()))
 }
 

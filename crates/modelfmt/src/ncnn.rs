@@ -50,17 +50,19 @@ pub fn encode(graph: &Graph) -> Result<ModelArtifact> {
 
 /// Decode from the file set; the `.bin` part is authoritative, the
 /// `.param` part is validated for magic and layer-count agreement.
-pub fn decode(files: &[(String, Vec<u8>)]) -> Result<Graph> {
+pub fn decode<B: AsRef<[u8]>>(files: &[(String, B)]) -> Result<Graph> {
     let bin = files
         .iter()
         .find(|(n, _)| n.ends_with(".bin"))
-        .ok_or_else(|| err("missing .bin part"))?;
-    if bin.1.len() < 4 || &bin.1[..4] != BIN_MAGIC {
+        .ok_or_else(|| err("missing .bin part"))?
+        .1
+        .as_ref();
+    if bin.len() < 4 || &bin[..4] != BIN_MAGIC {
         return Err(err("bad bin magic"));
     }
-    let graph = decode_graph(&bin.1[4..])?;
+    let graph = decode_graph(&bin[4..])?;
     if let Some((_, param)) = files.iter().find(|(n, _)| n.ends_with(".param")) {
-        let text = String::from_utf8_lossy(param);
+        let text = String::from_utf8_lossy(param.as_ref());
         let mut lines = text.lines();
         if lines.next() != Some(PARAM_MAGIC) {
             return Err(err("bad param magic"));

@@ -1,15 +1,16 @@
 #!/usr/bin/env sh
-# Tier-1 verification: build + full test suite (see ROADMAP.md), the
-# concurrency suite re-run single-threaded (and again under each forced
-# pool scheduling mode), a double-repro persistent-cache determinism
-# check, the crash-recovery matrix (SIGKILL at each registered crash
-# point, then --resume must reproduce stdout byte-for-byte), a cache
-# compaction-under-pressure check, the query-serving determinism gate
-# (querybench streams must be byte-identical at every connection count),
-# the reactor gate (readiness-replay determinism plus sim/epoll digest
-# equality up to 256 connections), the client-reactor gate (lockstep
-# multi-connection replay pinned by name, sim crawls byte-stable across
-# runs, epoll/threaded/sim client transports rendering one report), the
+# Tier-1 verification: build + full test suite (see ROADMAP.md) plus the
+# harness crate's own tests, the concurrency suite re-run
+# single-threaded (and again under each forced pool scheduling mode), a
+# double-repro persistent-cache determinism check, the crash-recovery
+# matrix (SIGKILL at each registered crash point, then --resume must
+# reproduce stdout byte-for-byte), a cache compaction-under-pressure
+# check, the query-serving determinism gate (querybench streams must be
+# byte-identical at every connection count), the reactor gate
+# (readiness-replay determinism plus sim/epoll digest equality up to 256
+# connections), the client-reactor gate (lockstep multi-connection
+# replay pinned by name, sim crawls byte-stable across runs,
+# epoll/threaded/sim client transports rendering one report), the
 # gaugelint and lock-order gates, and workspace clippy.
 #
 # Works without network access: if the registry is unreachable, cargo is
@@ -34,6 +35,10 @@ verify() {
     mode="$1"
     run_cargo "$mode" build --release || return 1
     run_cargo "$mode" test -q || return 1
+    # The harness crate's own tests (watchdog recovery, quarantine and
+    # probation schedules on the logical clock) live outside the root
+    # package, so the plain `cargo test` above never runs them.
+    run_cargo "$mode" test -q -p gaugenn-harness || return 1
     # The concurrency suite exercises the sharded crawl pool and the
     # analysis pool's render determinism; re-run it with the test harness
     # single-threaded so pool determinism is also proven without

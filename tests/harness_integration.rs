@@ -6,16 +6,21 @@
 use gaugenn::core::pipeline::{Pipeline, PipelineConfig};
 use gaugenn::dnn::task::Task;
 use gaugenn::dnn::zoo::{build_for_task, SizeClass};
-use gaugenn::harness::campaign::{run_campaign, Campaign};
+use gaugenn::harness::campaign::{
+    run_campaign, run_campaign_with, Campaign, CampaignConfig, DeviceScript,
+};
+use gaugenn::harness::clock::{Clock, LogicalClock};
 use gaugenn::harness::device::DeviceAgent;
 use gaugenn::harness::job::JobSpec;
-use gaugenn::harness::master::Master;
+use gaugenn::harness::master::{Master, MasterConfig};
 use gaugenn::modelfmt::Framework;
 use gaugenn::playstore::corpus::Snapshot;
 use gaugenn::soc::sched::ThreadConfig;
 use gaugenn::soc::spec::{device, hdks};
 use gaugenn::soc::thermal::ThermalState;
 use gaugenn::soc::Backend;
+use std::sync::Arc;
+use std::time::Duration;
 
 fn cpu4() -> Backend {
     Backend::Cpu(ThreadConfig::unpinned(4))
@@ -160,4 +165,50 @@ fn verified_execution_of_extracted_model() {
     };
     let result = master.run_job(&mut agent, &job, &files).unwrap();
     assert_eq!(result.latencies_ms.len(), 2);
+}
+
+#[test]
+fn logical_time_is_charged_only_when_a_watchdog_expires() {
+    // On a LogicalClock a healthy job costs no logical time, however long
+    // the host takes to run it; a hung attempt costs exactly its watchdog
+    // deadline plus the 1 ms poll that saw the deadline pass.
+    let jobs: Vec<Campaign> = (1..=4u64)
+        .map(|id| {
+            let g = build_for_task(Task::MovementTracking, id, SizeClass::Small, true).graph;
+            let files = gaugenn::modelfmt::encode(&g, Framework::TfLite).unwrap().files;
+            Campaign {
+                spec: JobSpec {
+                    warmups: 1,
+                    runs: 4,
+                    ..JobSpec::new(id, files[0].0.clone(), cpu4())
+                },
+                files,
+            }
+        })
+        .collect();
+    let run = |hang_jobs: u32| {
+        let clock = Arc::new(LogicalClock::new());
+        let config = CampaignConfig {
+            master: MasterConfig {
+                accept_timeout: Duration::from_millis(50),
+                attempts: 1,
+                clock: clock.clone(),
+            },
+            job_retries: 0,
+            scripts: vec![DeviceScript {
+                device: "Q845".into(),
+                hang_jobs,
+            }],
+            ..CampaignConfig::default()
+        };
+        let results = run_campaign_with(&[device("Q845").unwrap()], &jobs, &config);
+        let ok: Vec<bool> = results.iter().map(|r| r.outcome.is_ok()).collect();
+        (ok, clock.now_ms())
+    };
+    assert_eq!(run(0), (vec![true; 4], 0), "healthy jobs charge nothing");
+    assert_eq!(
+        run(1),
+        (vec![false, true, true, true], 51),
+        "one hung attempt charges accept_timeout + 1 ms"
+    );
 }
