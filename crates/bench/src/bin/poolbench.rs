@@ -13,8 +13,8 @@
 //! the identical corpus. The sweep runs 2/4/8 workers by default and
 //! extends through 32/128/512 up to `--workers` when a larger fleet is
 //! requested — every worker holds one store connection, so the high end
-//! is a fan-in test of the serving loop selected with `--reactor`
-//! (default: `GAUGENN_REACTOR`, then the platform default).
+//! is a fan-in test of the serving loop selected with `--reactor
+//! epoll|sim` (default epoll).
 //!
 //! Besides wall time, each pooled run prints its per-worker byte
 //! imbalance (max worker bytes / mean worker bytes, 1.00 = perfectly
@@ -25,17 +25,15 @@
 //! `results/BENCH_net.json` aggregates.
 //!
 //! A second stage sweeps connections-per-worker (1 … `--connections`,
-//! default 256) on a fixed two-worker pool, once with the sequential
-//! blocking client and once with the non-blocking reactor client — the
-//! row pair that shows one worker thread multiplexing hundreds of
-//! in-flight connections (`peak_in_flight`) while still merging the
-//! byte-identical corpus.
+//! default 256) on a fixed two-worker pool, whose workers drive their
+//! connections as non-blocking lanes on the store's transport — the rows
+//! that show one worker thread multiplexing its in-flight connections
+//! (`peak_in_flight`) while still merging the byte-identical corpus.
 
 use gaugenn_bench::cli::{self, ArgSpec};
 use gaugenn_playstore::corpus::{generate, Snapshot};
 use gaugenn_playstore::crawler::Crawler;
 use gaugenn_playstore::pool::{CrawlPool, CrawlPoolConfig};
-use gaugenn_playstore::reactor::ReactorMode;
 use gaugenn_playstore::server::{ServerOptions, StoreServer};
 use gaugenn_sched::SchedMode;
 use gaugenn_bench::stats::Stopwatch;
@@ -49,9 +47,8 @@ struct PoolRun {
     imbalance: f64,
 }
 
-/// One pooled crawl at a fixed (client, connections-per-worker) point.
+/// One pooled crawl at a fixed connections-per-worker point.
 struct ConnRun {
-    client: &'static str,
     connections: usize,
     wall_ms: f64,
     speedup: f64,
@@ -135,43 +132,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Connection-scaling stage: a fixed two-worker pool, fanning each
-    // worker out over 1 … `--connections` multiplexed connections, first
-    // with the sequential blocking client (the baseline) and then with
-    // the non-blocking reactor client driving every lane from the one
+    // worker out over 1 … `--connections` lanes driven from the one
     // worker thread. The corpus must merge identically at every point.
     const CONN_WORKERS: usize = 2;
     let mut conn_runs: Vec<ConnRun> = Vec::new();
     eprintln!("  connections per worker ({CONN_WORKERS} workers):");
-    for client in [ReactorMode::Threaded, ReactorMode::Epoll] {
-        for &connections in &conn_counts(args.connections) {
-            let t = Stopwatch::start();
-            let pooled = CrawlPool::new(CrawlPoolConfig {
-                workers: CONN_WORKERS,
-                sched: SchedMode::Lpt,
-                sched_seed: seed,
-                connections_per_worker: connections,
-                reactor: Some(client),
-                ..CrawlPoolConfig::default()
-            })
-            .crawl_at(&endpoint)?;
-            let dt = t.elapsed();
-            assert_eq!(
-                pooled.outcome.apps, baseline.apps,
-                "pool must merge to the sequential corpus at every connection count"
-            );
-            let run = ConnRun {
-                client: pooled.reactor.name(),
-                connections,
-                wall_ms: dt.as_secs_f64() * 1e3,
-                speedup: t_seq.as_secs_f64() / dt.as_secs_f64(),
-                peak_in_flight: pooled.peak_in_flight,
-            };
-            eprintln!(
-                "    {:<8} x{connections:<4}: {:>8.1} ms  (speedup {:.2}x, peak in-flight {})",
-                run.client, run.wall_ms, run.speedup, run.peak_in_flight
-            );
-            conn_runs.push(run);
-        }
+    for &connections in &conn_counts(args.connections) {
+        let t = Stopwatch::start();
+        let pooled = CrawlPool::new(CrawlPoolConfig {
+            workers: CONN_WORKERS,
+            sched: SchedMode::Lpt,
+            sched_seed: seed,
+            connections_per_worker: connections,
+            ..CrawlPoolConfig::default()
+        })
+        .crawl_at(&endpoint)?;
+        let dt = t.elapsed();
+        assert_eq!(
+            pooled.outcome.apps, baseline.apps,
+            "pool must merge to the sequential corpus at every connection count"
+        );
+        let run = ConnRun {
+            connections,
+            wall_ms: dt.as_secs_f64() * 1e3,
+            speedup: t_seq.as_secs_f64() / dt.as_secs_f64(),
+            peak_in_flight: pooled.peak_in_flight,
+        };
+        eprintln!(
+            "    x{connections:<4}: {:>8.1} ms  (speedup {:.2}x, peak in-flight {})",
+            run.wall_ms, run.speedup, run.peak_in_flight
+        );
+        conn_runs.push(run);
     }
 
     if args.json {
@@ -195,10 +186,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (i, r) in conn_runs.iter().enumerate() {
             let comma = if i + 1 == conn_runs.len() { "" } else { "," };
             println!(
-                "    {{\"client\": \"{}\", \"workers\": 2, \"connections_per_worker\": {}, \
+                "    {{\"workers\": 2, \"connections_per_worker\": {}, \
                  \"reactor\": \"{reactor}\", \"wall_ms\": {:.1}, \"speedup\": {:.2}, \
                  \"peak_in_flight\": {}}}{comma}",
-                r.client, r.connections, r.wall_ms, r.speedup, r.peak_in_flight
+                r.connections, r.wall_ms, r.speedup, r.peak_in_flight
             );
         }
         println!("  ]");
@@ -217,11 +208,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 r.mode, r.workers, r.wall_ms, r.speedup, r.imbalance
             );
         }
-        println!("client    conns/worker   wall ms  speedup  peak in-flight");
+        println!("conns/worker   wall ms  speedup  peak in-flight");
         for r in &conn_runs {
             println!(
-                "{:<9} {:>12}  {:>8.1}  {:>6.2}x  {:>14}",
-                r.client, r.connections, r.wall_ms, r.speedup, r.peak_in_flight
+                "{:>12}  {:>8.1}  {:>6.2}x  {:>14}",
+                r.connections, r.wall_ms, r.speedup, r.peak_in_flight
             );
         }
     }

@@ -12,13 +12,10 @@
 //! query stream (model filters, range scans, app filters, stats) at
 //! increasing connection counts — 1 up to `--workers` (default 1024)
 //! concurrent connections, driven as non-blocking client state machines
-//! by a handful of reactor threads (hosts without epoll fall back to a
-//! blocking [`QueryClient`] driver pool with the identical request
-//! schedule). The store's serving loop is pinned with `--reactor
-//! threaded|epoll|sim` (default: `GAUGENN_REACTOR`, then the platform
-//! default); the resolved loop and the client path are recorded in the
-//! output so the threaded baseline and the event-driven sweeps are
-//! comparable rows of `results/BENCH_net.json`.
+//! by a handful of reactor threads. The store's serving loop is picked
+//! with `--reactor epoll|sim` (default epoll) and recorded in the output,
+//! so the sweeps per loop are comparable rows of
+//! `results/BENCH_net.json`.
 //!
 //! Each run reports QPS and p50/p99 latency — percentiles computed over
 //! the *merged* sample set of every client (see [`gaugenn_bench::stats`])
@@ -34,7 +31,6 @@
 //! `results/BENCH_query.json` / `results/BENCH_net.json`.
 //!
 //! [`CorpusIndex`]: gaugenn_index::CorpusIndex
-//! [`QueryClient`]: gaugenn_playstore::QueryClient
 //! [`StoreServer`]: gaugenn_playstore::StoreServer
 
 use gaugenn_apk::crc32::crc32;
@@ -52,9 +48,7 @@ use gaugenn_playstore::net::Endpoint;
 use gaugenn_playstore::proto::Response;
 use gaugenn_playstore::route::Route;
 use gaugenn_playstore::server::{ServerOptions, StoreServer};
-use gaugenn_playstore::{
-    drive_lanes, nonblocking_tcp_available, LaneJob, LaneOpts, LaneSpec, QueryClient,
-};
+use gaugenn_playstore::{drive_lanes, LaneJob, LaneOpts, LaneSpec};
 use gaugenn_bench::stats::Stopwatch;
 use std::time::Duration;
 
@@ -105,17 +99,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..ServerOptions::default()
         },
     )?;
-    // The loop the server actually runs (epoll falls back to threaded on
-    // hosts without epoll) — this is the `reactor` column of the output.
+    // The loop the server runs — the `reactor` column of the output.
     let reactor = server.mode().name();
-    // The load generator: non-blocking lane swarm wherever a substrate
-    // exists, the blocking driver pool otherwise.
-    let client = if swarm_capable(&server.endpoint()) {
-        "swarm"
-    } else {
-        "threaded"
-    };
-    eprintln!("  reactor: {reactor}, client: {client}");
+    eprintln!("  reactor: {reactor}");
     let mut runs: Vec<RunResult> = Vec::new();
     for &clients in &counts {
         let run = replay(&server.endpoint(), &queries, clients, seed)?;
@@ -171,7 +157,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  \"scale\": \"{scale:?}\",");
         println!("  \"seed\": {seed},");
         println!("  \"reactor\": \"{reactor}\",");
-        println!("  \"client\": \"{client}\",");
         println!("  \"queries\": {},", queries.len());
         println!("  \"digest\": \"{digest:08x}\",");
         println!("  \"runs\": [");
@@ -192,8 +177,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("}}");
     } else {
         println!(
-            "query serving — scale {scale:?}, seed {seed}, reactor {reactor}, \
-             client {client}, {} queries",
+            "query serving — scale {scale:?}, seed {seed}, reactor {reactor}, {} queries",
             queries.len()
         );
         println!("clients   wall ms       qps   p50 us   p99 us");
@@ -211,54 +195,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Cap on load-generator OS threads for the *blocking* fallback path.
-/// Connections above this count are multiplexed over the pool
-/// (wrk-style): the point of the high-count rows is the *server's*
-/// connection ceiling, and a thread per connection would measure the
-/// generator thrashing the scheduler instead of the loop under test.
-const MAX_DRIVERS: usize = 64;
-
-/// Reactor driver threads for the swarm path — the whole point of the
-/// non-blocking client is that a handful of threads holds every
-/// connection in flight simultaneously.
+/// Reactor driver threads — the whole point of the non-blocking client
+/// is that a handful of threads holds every connection in flight
+/// simultaneously.
 const SWARM_DRIVERS: usize = 8;
-
-/// One completed turn: (connection, stream index, response bytes, µs).
-type Turn = (usize, usize, Vec<u8>, f64);
-
-/// Whether this host can run the non-blocking swarm client against
-/// `endpoint` (sim endpoints always can; TCP needs epoll).
-fn swarm_capable(endpoint: &Endpoint) -> bool {
-    match endpoint {
-        Endpoint::Sim(_) => true,
-        Endpoint::Tcp(_) => nonblocking_tcp_available(),
-    }
-}
-
-/// Replay `queries` through `clients` concurrent connections. Query `i`
-/// goes to connection `i % clients`; responses are digested in stream
-/// order, so the digest is independent of completion order, and every
-/// connection's latency samples are merged before percentiles are
-/// taken.
-///
-/// The swarm path (the default wherever a non-blocking substrate
-/// exists) runs every connection as a [`LaneJob`] state machine:
-/// `SWARM_DRIVERS` reactor threads hold all `clients` connections in
-/// flight at once. Hosts without epoll fall back to the blocking driver
-/// pool, whose request-per-connection schedule — and therefore the
-/// response stream — is identical.
-fn replay(
-    endpoint: &Endpoint,
-    queries: &[Route],
-    clients: usize,
-    seed: u64,
-) -> Result<RunResult, Box<dyn std::error::Error>> {
-    if swarm_capable(endpoint) {
-        swarm_replay(endpoint, queries, clients, seed)
-    } else {
-        blocking_replay(endpoint, queries, clients, seed)
-    }
-}
 
 /// A swarm lane's route plan, stamping each turn with its stream index
 /// and wall-clock latency (latency timing lives here in the bench, not
@@ -295,8 +235,13 @@ impl LaneJob for TimedJob {
     }
 }
 
-/// The non-blocking replay: lanes over `SWARM_DRIVERS` reactor threads.
-fn swarm_replay(
+/// Replay `queries` through `clients` concurrent connections, run as
+/// [`LaneJob`] state machines over `SWARM_DRIVERS` reactor threads that
+/// hold every connection in flight at once. Query `i` goes to connection
+/// `i % clients`; responses are digested in stream order, so the digest
+/// is independent of completion order, and every connection's latency
+/// samples are merged before percentiles are taken.
+fn replay(
     endpoint: &Endpoint,
     queries: &[Route],
     clients: usize,
@@ -313,8 +258,7 @@ fn swarm_replay(
                 let endpoint = endpoint.clone();
                 scope.spawn(move || {
                     // Driver d owns connections d, d+D, …; connection c's
-                    // t-th query is stream index t * clients + c — the
-                    // same round-robin split the blocking pool walks.
+                    // t-th query is stream index t * clients + c.
                     let specs: Vec<LaneSpec<TimedJob>> = (d..clients)
                         .step_by(drivers)
                         .filter_map(|c| {
@@ -368,99 +312,7 @@ fn swarm_replay(
             }
         }
     }
-    finish(clients, responses, per_conn, t0)
-}
-
-/// The blocking fallback: a bounded driver pool walking its connections
-/// round-robin, one request/response turn each, so in-flight load is
-/// `min(clients, MAX_DRIVERS)` while connection state scales with
-/// `clients`.
-fn blocking_replay(
-    endpoint: &Endpoint,
-    queries: &[Route],
-    clients: usize,
-    seed: u64,
-) -> Result<RunResult, Box<dyn std::error::Error>> {
-    let n = queries.len();
-    let drivers = clients.min(MAX_DRIVERS);
-    let mut responses: Vec<Option<Vec<u8>>> = vec![None; n];
-    let mut per_conn: Vec<Vec<f64>> = vec![Vec::new(); clients];
-    let t0 = Stopwatch::start();
-    std::thread::scope(|scope| -> Result<(), String> {
-        let mut handles = Vec::new();
-        for d in 0..drivers {
-            let endpoint = endpoint.clone();
-            handles.push(scope.spawn(
-                move || -> Result<Vec<Turn>, String> {
-                    // Open every connection this driver owns up front —
-                    // the server holds all of them simultaneously.
-                    // Generous timeouts: with hundreds of peers
-                    // time-sharing the box a turn can legitimately wait
-                    // whole seconds — that's queueing (reported as
-                    // latency), not failure.
-                    let mut conns = Vec::new();
-                    for c in (d..clients).step_by(drivers) {
-                        let client = QueryClient::builder_at(endpoint.clone())
-                            .connection_id(c as u64)
-                            .jitter_seed(seed ^ c as u64)
-                            .timeouts(Duration::from_secs(30), Duration::from_secs(30))
-                            .build()
-                            .map_err(|e| format!("client {c}: {e}"))?;
-                        conns.push((c, client));
-                    }
-                    // Round-robin turns: connection c's t-th query is
-                    // stream index t * clients + c.
-                    let mut out = Vec::new();
-                    let mut turn = 0usize;
-                    loop {
-                        let mut progressed = false;
-                        for (c, client) in conns.iter_mut() {
-                            let i = turn * clients + *c;
-                            if i >= n {
-                                continue;
-                            }
-                            progressed = true;
-                            let route = &queries[i];
-                            let t = Stopwatch::start();
-                            let resp = client
-                                .raw(route)
-                                .map_err(|e| format!("query {i} ({}): {e}", route.wire_path()))?;
-                            let dt = t.elapsed().as_secs_f64() * 1e6;
-                            let mut bytes = resp.status.to_be_bytes().to_vec();
-                            bytes.extend_from_slice(&resp.body);
-                            out.push((*c, i, bytes, dt));
-                        }
-                        if !progressed {
-                            break;
-                        }
-                        turn += 1;
-                    }
-                    Ok(out)
-                },
-            ));
-        }
-        for handle in handles {
-            for (c, i, bytes, dt) in handle.join().expect("driver thread panicked")? {
-                responses[i] = Some(bytes);
-                per_conn[c].push(dt);
-            }
-        }
-        Ok(())
-    })?;
-    finish(clients, responses, per_conn, t0)
-}
-
-/// Shared tail of both replay paths: stamp the wall clock, digest the
-/// stream in order, merge every connection's samples into one
-/// percentile base.
-fn finish(
-    clients: usize,
-    responses: Vec<Option<Vec<u8>>>,
-    per_conn: Vec<Vec<f64>>,
-    t0: Stopwatch,
-) -> Result<RunResult, Box<dyn std::error::Error>> {
     let wall = t0.elapsed();
-    let n = responses.len();
     let mut all = Vec::new();
     for (i, r) in responses.into_iter().enumerate() {
         all.extend(r.unwrap_or_else(|| panic!("query {i} was never executed")));
@@ -538,10 +390,9 @@ fn stream(seed: u64, n: usize) -> Vec<Route> {
         .collect()
 }
 
-/// Stream length: enough that per-connection setup (connect, and a
-/// thread spawn per client) amortises away even at the top connection
-/// count — 16 queries per connection minimum — scaled down for the tiny
-/// corpus.
+/// Stream length: enough that per-connection setup (the connect)
+/// amortises away even at the top connection count — 16 queries per
+/// connection minimum — scaled down for the tiny corpus.
 fn query_count(scale: CorpusScale, max_clients: usize) -> usize {
     let base = match scale {
         CorpusScale::Tiny => 256,

@@ -8,13 +8,11 @@
 //! cargo run --release -p gaugenn-bench --bin repro -- --reactor sim --connections 64
 //! ```
 //!
-//! `--reactor` pins the store's serving loop *and* the pool's client
-//! transport (sim runs also print their schedule digest on stderr);
-//! `--connections` sets connections-per-worker for pooled crawls. Both
-//! are stdout-invariant — tables never change, only wall time.
-//!
-//! (The pre-flag positional spelling `repro small 1402 8 4` still works
-//! behind a stderr deprecation warning — see `gaugenn_bench::cli`.)
+//! `--reactor epoll|sim` picks the store's serving loop, and with it the
+//! pool's client transport (sim runs also print their schedule digest on
+//! stderr); `--connections` sets connections-per-worker for pooled
+//! crawls. Both are stdout-invariant — tables never change, only wall
+//! time. Flags are the only spelling (`gaugenn_bench::cli`).
 //!
 //! Output is the text form of Tables 1–4, Figs. 4–15 and the §4.2/§4.5/
 //! §6.1 statistics; `EXPERIMENTS.md` records a captured run.
@@ -80,10 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .workers(workers)
             .analysis_workers(analysis_workers)
             .connections_per_worker(args.connections)
+            .reactor(args.reactor)
             .resume(resume);
-        if let Some(mode) = args.reactor {
-            builder = builder.reactor(mode);
-        }
         if let Some(dir) = &cache_dir {
             builder = builder.analysis_cache_dir(dir.clone());
         }

@@ -1,9 +1,7 @@
 //! Shared flag parser for the bench binaries.
 //!
 //! Every bin (`repro`, `poolbench`, `analyzebench`, `crashbench`,
-//! `querybench`) historically grew its own positional-argument
-//! convention (`repro small 1402 8 4`, `crashbench --json tiny`). This
-//! module replaces them with one flag grammar:
+//! `querybench`) shares one flag grammar:
 //!
 //! ```text
 //! --scale tiny|small|paper   corpus scale
@@ -12,15 +10,13 @@
 //! --analysis-workers N       analysis pool workers         (where supported)
 //! --resume                   resume from the journal       (where supported)
 //! --json                     machine-readable JSON output  (where supported)
+//! --reactor epoll|sim        store serving loop            (where supported)
+//! --connections N            connections per crawl worker  (where supported)
 //! --help                     usage
 //! ```
 //!
-//! Both `--flag value` and `--flag=value` spellings are accepted. The
-//! old positional forms still parse — routed through the deprecated
-//! [`legacy_positional`] helper so gaugelint's `deprecated-api` rule
-//! flags any *new* caller — but print a deprecation warning on stderr.
-//! Warnings go to stderr only: stdout of every bin stays byte-identical
-//! whichever spelling invoked it.
+//! Both `--flag value` and `--flag=value` spellings are accepted. Any
+//! other token — a bare word or an unsupported flag — is an error.
 
 use gaugenn_playstore::corpus::CorpusScale;
 use gaugenn_playstore::reactor::ReactorMode;
@@ -90,40 +86,39 @@ pub struct BenchArgs {
     pub resume: bool,
     /// Emit machine-readable JSON.
     pub json: bool,
-    /// Pin the store's serving loop; `None` defers to `GAUGENN_REACTOR`
-    /// and the platform default.
-    pub reactor: Option<ReactorMode>,
+    /// The store's serving loop (default epoll).
+    pub reactor: ReactorMode,
     /// Connections per worker for the event-driven client (defaulted
     /// even for bins that ignore it).
     pub connections: usize,
 }
 
-/// Outcome of [`parse`]: the arguments plus how they were spelled.
+/// Outcome of [`parse`]: the arguments, or a request for help.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Parsed {
     /// The resolved arguments.
     pub args: BenchArgs,
     /// `--help` was requested; the caller should print [`help`] and exit 0.
     pub help: bool,
-    /// At least one positional (deprecated-form) argument was used.
-    pub positional_used: bool,
 }
 
 /// Parse `argv` (program name already stripped) against `spec`.
 ///
-/// Flags win over positionals when both are given. Errors are
-/// human-readable one-liners; callers print them with [`help`] and exit 2.
+/// Errors are human-readable one-liners; callers print them with
+/// [`help`] and exit 2.
 pub fn parse(spec: &ArgSpec, argv: &[String]) -> Result<Parsed, String> {
-    let mut flag_scale: Option<CorpusScale> = None;
-    let mut flag_seed: Option<u64> = None;
-    let mut flag_workers: Option<usize> = None;
+    let mut args = BenchArgs {
+        scale: spec.default_scale,
+        seed: spec.default_seed,
+        workers: spec.default_workers,
+        analysis_workers: 0,
+        resume: false,
+        json: false,
+        reactor: ReactorMode::default(),
+        connections: spec.default_connections,
+    };
     let mut flag_analysis: Option<usize> = None;
-    let mut flag_reactor: Option<ReactorMode> = None;
-    let mut flag_connections: Option<usize> = None;
-    let mut resume = false;
-    let mut json = false;
     let mut help = false;
-    let mut positionals: Vec<String> = Vec::new();
 
     let mut i = 0usize;
     while i < argv.len() {
@@ -143,94 +138,29 @@ pub fn parse(spec: &ArgSpec, argv: &[String]) -> Result<Parsed, String> {
         };
         match name {
             "--help" | "-h" => help = true,
-            "--scale" => flag_scale = Some(parse_scale(&value(&mut i)?)?),
-            "--seed" => flag_seed = Some(parse_num(name, &value(&mut i)?)?),
-            "--workers" if spec.takes_workers => {
-                flag_workers = Some(parse_num(name, &value(&mut i)?)?)
-            }
+            "--scale" => args.scale = parse_scale(&value(&mut i)?)?,
+            "--seed" => args.seed = parse_num(name, &value(&mut i)?)?,
+            "--workers" if spec.takes_workers => args.workers = parse_num(name, &value(&mut i)?)?,
             "--analysis-workers" if spec.takes_workers => {
                 flag_analysis = Some(parse_num(name, &value(&mut i)?)?)
             }
-            "--resume" if spec.takes_resume => resume = true,
-            "--json" if spec.takes_json => json = true,
+            "--resume" if spec.takes_resume => args.resume = true,
+            "--json" if spec.takes_json => args.json = true,
             "--connections" if spec.takes_connections => {
-                flag_connections = Some(parse_num(name, &value(&mut i)?)?)
+                args.connections = parse_num(name, &value(&mut i)?)?
             }
             "--reactor" if spec.takes_reactor => {
                 let v = value(&mut i)?;
-                flag_reactor = Some(ReactorMode::parse(&v).ok_or_else(|| {
-                    format!("unknown reactor '{v}' (expected threaded|epoll|sim)")
-                })?);
+                args.reactor = ReactorMode::parse(&v)
+                    .ok_or_else(|| format!("unknown reactor '{v}' (expected epoll|sim)"))?;
             }
-            _ if name.starts_with("--") => {
-                return Err(format!("unknown flag '{name}'"));
-            }
-            _ => positionals.push(tok.to_string()),
+            _ if name.starts_with("--") => return Err(format!("unknown flag '{name}'")),
+            _ => return Err(format!("unexpected argument '{tok}' (flags only)")),
         }
         i += 1;
     }
-
-    let mut args = BenchArgs {
-        scale: spec.default_scale,
-        seed: spec.default_seed,
-        workers: spec.default_workers,
-        analysis_workers: 0,
-        resume,
-        json,
-        reactor: flag_reactor,
-        connections: flag_connections.unwrap_or(spec.default_connections),
-    };
-    let mut pos_analysis: Option<usize> = None;
-    if !positionals.is_empty() {
-        #[allow(deprecated)]
-        // gaugelint: allow(deprecated-api) — the one sanctioned caller: flag parsing still honours the old spelling
-        legacy_positional(spec, &positionals, &mut args, &mut pos_analysis)?;
-    }
-    if let Some(s) = flag_scale {
-        args.scale = s;
-    }
-    if let Some(s) = flag_seed {
-        args.seed = s;
-    }
-    if let Some(w) = flag_workers {
-        args.workers = w;
-    }
-    args.analysis_workers = flag_analysis.or(pos_analysis).unwrap_or(args.workers);
-
-    Ok(Parsed {
-        args,
-        help,
-        positional_used: !positionals.is_empty(),
-    })
-}
-
-/// Parse the pre-flag positional spelling `scale [seed [workers
-/// [analysis_workers]]]` into `args`.
-#[deprecated(note = "positional bench arguments are superseded by --scale/--seed/--workers flags")]
-pub fn legacy_positional(
-    spec: &ArgSpec,
-    positionals: &[String],
-    args: &mut BenchArgs,
-    analysis_workers: &mut Option<usize>,
-) -> Result<(), String> {
-    let max = if spec.takes_workers { 4 } else { 2 };
-    if positionals.len() > max {
-        return Err(format!(
-            "too many positional arguments ({} given, at most {max} accepted)",
-            positionals.len()
-        ));
-    }
-    args.scale = parse_scale(&positionals[0])?;
-    if let Some(s) = positionals.get(1) {
-        args.seed = parse_num("seed", s)?;
-    }
-    if let Some(w) = positionals.get(2) {
-        args.workers = parse_num("workers", w)?;
-    }
-    if let Some(a) = positionals.get(3) {
-        *analysis_workers = Some(parse_num("analysis_workers", a)?);
-    }
-    Ok(())
+    args.analysis_workers = flag_analysis.unwrap_or(args.workers);
+    Ok(Parsed { args, help })
 }
 
 /// Parse a scale name, preserving the historic error message.
@@ -279,9 +209,7 @@ pub fn help(spec: &ArgSpec) -> String {
         out.push_str("  --json                    machine-readable JSON on stdout\n");
     }
     if spec.takes_reactor {
-        out.push_str(
-            "  --reactor threaded|epoll|sim  store serving loop (default: GAUGENN_REACTOR)\n",
-        );
+        out.push_str("  --reactor epoll|sim       store serving loop (default epoll)\n");
     }
     if spec.takes_connections {
         out.push_str(&format!(
@@ -290,13 +218,11 @@ pub fn help(spec: &ArgSpec) -> String {
         ));
     }
     out.push_str("  --help                    this text\n");
-    out.push_str("\nPositional forms (`scale [seed [workers [analysis_workers]]]`) are\ndeprecated but still accepted, with a warning on stderr.\n");
     out
 }
 
 /// Parse `std::env::args()`, printing help / errors and exiting as
-/// appropriate. The deprecation warning for positional spellings goes to
-/// stderr so stdout stays byte-identical.
+/// appropriate: 0 after `--help`, 2 after a parse error.
 pub fn parse_or_exit(spec: &ArgSpec) -> BenchArgs {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match parse(spec, &argv) {
@@ -304,13 +230,6 @@ pub fn parse_or_exit(spec: &ArgSpec) -> BenchArgs {
             if parsed.help {
                 print!("{}", help(spec));
                 std::process::exit(0);
-            }
-            if parsed.positional_used {
-                eprintln!(
-                    "warning: positional arguments are deprecated; \
-                     use --scale/--seed/--workers (see {} --help)",
-                    spec.bin
-                );
             }
             parsed.args
         }
@@ -345,7 +264,7 @@ mod tests {
     #[test]
     fn defaults_apply_with_no_arguments() {
         let p = parse(&spec(), &[]).unwrap();
-        assert!(!p.help && !p.positional_used);
+        assert!(!p.help);
         assert_eq!(p.args.scale, CorpusScale::Small);
         assert_eq!(p.args.seed, 1402);
         assert_eq!(p.args.workers, 4);
@@ -365,25 +284,9 @@ mod tests {
         assert_eq!(p.args.workers, 8);
         assert_eq!(p.args.analysis_workers, 8);
         assert!(p.args.resume && p.args.json);
-        assert!(!p.positional_used);
-    }
-
-    #[test]
-    fn positional_form_still_parses_and_is_marked_deprecated() {
-        let p = parse(&spec(), &argv(&["tiny", "7", "8", "2"])).unwrap();
-        assert!(p.positional_used);
-        assert_eq!(p.args.scale, CorpusScale::Tiny);
-        assert_eq!(p.args.seed, 7);
+        let p = parse(&spec(), &argv(&["--analysis-workers=2", "--workers", "8"])).unwrap();
         assert_eq!(p.args.workers, 8);
-        assert_eq!(p.args.analysis_workers, 2);
-    }
-
-    #[test]
-    fn flags_win_over_positionals() {
-        let p = parse(&spec(), &argv(&["tiny", "7", "--scale", "paper", "--seed=9"])).unwrap();
-        assert!(p.positional_used);
-        assert_eq!(p.args.scale, CorpusScale::Paper);
-        assert_eq!(p.args.seed, 9);
+        assert_eq!(p.args.analysis_workers, 2, "an explicit count beats the default");
     }
 
     #[test]
@@ -396,22 +299,21 @@ mod tests {
         assert!(unknown.contains("unknown flag"), "{unknown}");
         let missing = parse(&spec(), &argv(&["--seed"])).unwrap_err();
         assert!(missing.contains("needs a value"), "{missing}");
+        let bare = parse(&spec(), &argv(&["tiny", "7"])).unwrap_err();
+        assert_eq!(bare, "unexpected argument 'tiny' (flags only)");
     }
 
     #[test]
     fn reactor_flag_parses_every_mode_and_rejects_junk() {
-        assert_eq!(parse(&spec(), &argv(&[])).unwrap().args.reactor, None);
-        for (spelling, want) in [
-            ("threaded", ReactorMode::Threaded),
-            ("legacy", ReactorMode::Threaded),
-            ("epoll", ReactorMode::Epoll),
-            ("sim", ReactorMode::Sim),
-        ] {
+        assert_eq!(parse(&spec(), &argv(&[])).unwrap().args.reactor, ReactorMode::Epoll);
+        for (spelling, want) in [("epoll", ReactorMode::Epoll), ("sim", ReactorMode::Sim)] {
             let p = parse(&spec(), &argv(&["--reactor", spelling])).unwrap();
-            assert_eq!(p.args.reactor, Some(want), "{spelling}");
+            assert_eq!(p.args.reactor, want, "{spelling}");
         }
-        let err = parse(&spec(), &argv(&["--reactor", "uring"])).unwrap_err();
-        assert!(err.contains("unknown reactor"), "{err}");
+        for junk in ["threaded", "legacy", "uring"] {
+            let err = parse(&spec(), &argv(&["--reactor", junk])).unwrap_err();
+            assert!(err.contains("unknown reactor"), "{junk}: {err}");
+        }
     }
 
     #[test]
@@ -446,21 +348,11 @@ mod tests {
     }
 
     #[test]
-    fn positional_arity_is_bounded_by_spec() {
-        let plain = ArgSpec::new("plainbench", "no optional flags");
-        assert!(parse(&plain, &argv(&["tiny", "7"])).is_ok());
-        let err = parse(&plain, &argv(&["tiny", "7", "8"])).unwrap_err();
-        assert!(err.contains("too many positional"), "{err}");
-        let err = parse(&spec(), &argv(&["tiny", "7", "8", "2", "9"])).unwrap_err();
-        assert!(err.contains("too many positional"), "{err}");
-    }
-
-    #[test]
     fn help_flag_is_reported_not_fatal() {
         let p = parse(&spec(), &argv(&["--help"])).unwrap();
         assert!(p.help);
         let text = help(&spec());
-        for needle in ["--scale", "--seed", "--workers", "--resume", "--json", "deprecated"] {
+        for needle in ["--scale", "--seed", "--workers", "--resume", "--json", "--reactor"] {
             assert!(text.contains(needle), "help lacks {needle}");
         }
         let plain_text = help(&ArgSpec::new("plainbench", "no optional flags"));

@@ -88,20 +88,15 @@ pub struct PipelineConfig {
     /// the index is still built (and lands in the report) but stays
     /// in-memory.
     pub index_dir: Option<PathBuf>,
-    /// Which serving loop the store runs (`None` = the `GAUGENN_REACTOR`
-    /// environment variable, falling back to the platform default).
-    /// A pooled crawl (`workers > 1`) passes the same choice to the
-    /// [`CrawlPool`] as its *client* transport, so `epoll`/`sim` runs
-    /// are event-driven end to end. Never changes report content — the
-    /// crawler reaches a sim store through in-process pipes and a TCP
-    /// store through sockets, and the report is byte-identical either
-    /// way.
-    pub reactor: Option<ReactorMode>,
+    /// Which serving loop the store runs (default epoll). A pooled
+    /// crawl (`workers > 1`) drives its lanes on whatever the store's
+    /// endpoint is — epoll over TCP, the sim reactor in process — so
+    /// both runs are event-driven end to end. Never changes report
+    /// content: the report is byte-identical either way.
+    pub reactor: ReactorMode,
     /// Store connections each crawl worker multiplexes (pooled crawls
-    /// only; clamped to a minimum of 1). With a non-threaded
-    /// [`Self::reactor`] one worker thread drives all of them as
-    /// non-blocking lanes; the threaded baseline walks them
-    /// sequentially. Never changes report content.
+    /// only; clamped to a minimum of 1). One worker thread drives all
+    /// of them as non-blocking lanes. Never changes report content.
     pub connections_per_worker: usize,
 }
 
@@ -140,7 +135,7 @@ impl PipelineConfig {
             journal_dir: None,
             resume: false,
             index_dir: None,
-            reactor: None,
+            reactor: ReactorMode::default(),
             connections_per_worker: 1,
         }
     }
@@ -252,11 +247,11 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Pin the store's serving loop (threaded, epoll or sim) instead of
-    /// resolving it from `GAUGENN_REACTOR`. A pooled crawl runs its
-    /// client connections on the same substrate.
+    /// Pin the store's serving loop (epoll or sim) instead of the epoll
+    /// default. A pooled crawl runs its client connections on the same
+    /// substrate.
     pub fn reactor(mut self, mode: ReactorMode) -> PipelineConfigBuilder {
-        self.config.reactor = Some(mode);
+        self.config.reactor = mode;
         self
     }
 
@@ -597,7 +592,6 @@ impl Pipeline {
                     size_hints: self.config.crawl_size_hints.clone(),
                     resume: resume_cache,
                     connections_per_worker: self.config.connections_per_worker,
-                    reactor: self.config.reactor,
                 })
                 .crawl_at(&server.endpoint())?;
                 (pooled.outcome, Some(pooled.admission), pooled.workers)

@@ -380,14 +380,6 @@ fn rule_deprecated_api(ctx: &Ctx<'_>, out: &mut Vec<(&'static str, u32)>) {
         if lex.matches(i, &[I("Crawler"), P(':'), P(':'), I("connect"), P('(')]) {
             out.push(("deprecated-api", lex.line(i)));
         }
-        // The bench CLI's positional-argument helper: calling it is the
-        // deprecated act (`fn legacy_positional(` is its one definition,
-        // not a call).
-        if lex.matches(i, &[I("legacy_positional"), P('(')])
-            && lex.ident(i.wrapping_sub(1)) != Some("fn")
-        {
-            out.push(("deprecated-api", lex.line(i)));
-        }
     }
 }
 

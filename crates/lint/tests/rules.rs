@@ -183,36 +183,6 @@ fn old_school(addr: std::net::SocketAddr) {
     );
 }
 
-#[test]
-fn positional_cli_helper_calls_are_flagged_but_not_its_definition() {
-    let src = r#"
-pub fn legacy_positional(args: &[String]) -> Result<(), String> {
-    Ok(())
-}
-fn parse(args: &[String]) {
-    legacy_positional(args).unwrap();
-    cli::legacy_positional(args).unwrap();
-}
-"#;
-    assert_eq!(
-        rules_at("crates/bench/src/bin/newbench.rs", src),
-        vec![("deprecated-api", 6), ("deprecated-api", 7)]
-    );
-}
-
-#[test]
-fn sanctioned_positional_fallback_carries_a_suppression() {
-    let src = r#"
-fn parse(args: &[String]) {
-    // gaugelint: allow(deprecated-api) — flag parser keeps the old spelling alive
-    legacy_positional(args).unwrap();
-}
-"#;
-    let report = lint_source("crates/bench/src/cli.rs", src);
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
-    assert_eq!(report.suppressed, 1);
-}
-
 // ---------------------------------------------------------------- rule 5
 
 #[test]

@@ -12,13 +12,16 @@
 //!   structure (§4.5, §6.1), cloud-API usage (§6.4), obfuscated-model apps
 //!   and the hardware-acceleration adopters (§6.3).
 //! * [`proto`] — a small HTTP/1.0-flavoured wire protocol.
-//! * [`server`] — a TCP server that serves category listings, app
-//!   metadata, APKs (assembled on demand), OBBs and bundles; it honours
-//!   user-agent / locale / device-profile headers the way the real store
-//!   API shapes responses.
+//! * [`server`] — the store server: category listings, app metadata,
+//!   APKs (assembled on demand), OBBs and bundles, served from one
+//!   readiness loop ([`reactor`]: epoll over TCP, or the deterministic
+//!   sim loop in process); it honours user-agent / locale /
+//!   device-profile headers the way the real store API shapes responses.
 //! * [`crawler`] — the gaugeNN crawler client that walks categories and
 //!   downloads everything, mimicking "the web API calls made from the
-//!   Google Play store of a typical mobile device" (§3.1).
+//!   Google Play store of a typical mobile device" (§3.1). Its
+//!   single-connection `Crawler` is the synchronous client; [`pool`]
+//!   crawls at scale over non-blocking lanes ([`reactor_client`]).
 //!
 //! Ground truth (which app got which model) never crosses the wire in
 //! analysable form: the pipeline must re-derive every statistic from the
@@ -50,10 +53,9 @@ pub use crawler::{
 pub use net::{Endpoint, SimClientHandle, SimNet, SimStream, Transport};
 pub use pool::{CrawlPool, CrawlPoolConfig, PoolOutcome, WorkerReport};
 pub use query::{QueryClient, QueryClientBuilder, QuerySwarm, SwarmReplay};
-pub use reactor::{ReactorMode, Served, REACTOR_ENV};
+pub use reactor::{ReactorMode, Served};
 pub use reactor_client::{
-    drive_lanes, nonblocking_tcp_available, DriveReport, LaneJob, LaneOpts, LaneOutcome, LaneSpec,
-    RouteListJob,
+    drive_lanes, DriveReport, LaneJob, LaneOpts, LaneOutcome, LaneSpec, RouteListJob,
 };
 pub use route::Route;
 pub use server::{LockstepServer, ServerOptions, StoreServer};

@@ -1,10 +1,13 @@
 //! Sharded concurrent crawl pool.
 //!
 //! A [`CrawlPool`] partitions the store's category space across N worker
-//! threads. Each worker owns a private [`Crawler`] (its own connection,
-//! its own connection id, its own retry/backoff jitter stream). Which
-//! worker crawls which category is decided **before any worker thread
-//! starts** by the shared deterministic scheduler in [`gaugenn_sched`]:
+//! threads. Each worker drives its own block of store connections (own
+//! connection ids, own retry/backoff jitter streams) as non-blocking
+//! lanes over one readiness loop ([`drive_lanes`]); the transport follows
+//! the endpoint — kernel epoll for TCP, the deterministic sim reactor
+//! for sim. Which worker crawls which category is decided **before any
+//! worker thread starts** by the shared deterministic scheduler in
+//! [`gaugenn_sched`]:
 //!
 //! * [`SchedMode::Static`] reproduces the original `index % workers`
 //!   partition;
@@ -18,9 +21,9 @@
 //!
 //! Category sizes come from [`CrawlPoolConfig::size_hints`] when the
 //! caller has real byte counts (e.g. the previous snapshot's crawl of the
-//! same store), otherwise from a bootstrap probe that lists each category
-//! once on connection 0 and uses the listed app count as the catalog size
-//! estimate.
+//! same store), otherwise from a bootstrap probe: a synchronous
+//! [`Crawler`] on connection 0 lists each category once and uses the
+//! listed app count as the catalog size estimate.
 //!
 //! All workers share one [`AdmissionController`]: the fleet collectively
 //! respects a single store-wide rate limit, and a sustained 429/503 storm
@@ -53,7 +56,6 @@
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats};
 use crate::crawler::{CrawlOutcome, CrawlStats, CrawledApp, Crawler, CrawlerConfig, DropOut, RetryPolicy};
 use crate::net::Endpoint;
-use crate::reactor::ReactorMode;
 use crate::reactor_client::{drive_lanes, CrawlLaneJob, LaneOpts, LaneSpec};
 use crate::Result;
 use gaugenn_sched::{assign, SchedMode, WorkUnit};
@@ -87,22 +89,13 @@ pub struct CrawlPoolConfig {
     /// journal already holds (see
     /// [`crate::crawler::CrawlerBuilder::resume_cache`]).
     pub resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
-    /// Connections each worker multiplexes (clamped to a minimum of 1).
-    /// With the threaded client this many blocking connections are
-    /// driven *sequentially* per worker (the determinism baseline); with
-    /// a reactor client one worker thread drives them all concurrently
-    /// as non-blocking lanes. Lane `j` of worker `w` always announces
-    /// connection id `w·C + j + 1`, so the corpus and the merged
-    /// counters are byte-identical across client modes at any fixed
+    /// Connections each worker multiplexes (clamped to a minimum of 1):
+    /// one worker thread drives them all concurrently as non-blocking
+    /// lanes. Lane `j` of worker `w` always announces connection id
+    /// `w·C + j + 1`, so the corpus and the merged counters are
+    /// byte-identical across endpoints at any fixed
     /// `(workers, connections_per_worker)` topology.
     pub connections_per_worker: usize,
-    /// Client transport override. `None` resolves `GAUGENN_REACTOR` and
-    /// falls back to the threaded (blocking) client. Any non-threaded
-    /// choice runs the worker's connections as non-blocking lanes on the
-    /// substrate the endpoint dictates: kernel epoll for TCP (falling
-    /// back to threaded where epoll is unavailable), the deterministic
-    /// sim reactor for sim endpoints.
-    pub reactor: Option<ReactorMode>,
 }
 
 impl Default for CrawlPoolConfig {
@@ -117,7 +110,6 @@ impl Default for CrawlPoolConfig {
             size_hints: None,
             resume: None,
             connections_per_worker: 1,
-            reactor: None,
         }
     }
 }
@@ -163,13 +155,9 @@ pub struct PoolOutcome {
     pub workers: usize,
     /// Scheduling mode the shards were assigned under.
     pub sched: SchedMode,
-    /// Client transport the workers actually ran (after fallbacks):
-    /// `Threaded` for blocking connections, `Epoll`/`Sim` for
-    /// non-blocking lanes on the respective substrate.
-    pub reactor: ReactorMode,
-    /// Most connections any single worker held in flight at once —
-    /// `connections_per_worker` when the reactor client saturates, 1 on
-    /// the blocking baseline.
+    /// Most connections any single worker held in flight at once — at
+    /// most `connections_per_worker`, and at most the worker's category
+    /// count, since lanes are category-granular.
     pub peak_in_flight: usize,
 }
 
@@ -189,7 +177,7 @@ type WorkerYield = (Vec<CategoryShard>, CrawlStats, usize);
 /// Split one worker's shard across its connections round-robin (lane `j`
 /// takes positions `j, j+C, …`), preserving ascending category-index
 /// order within each lane so every lane walks its categories the way a
-/// dedicated blocking crawler would.
+/// dedicated synchronous [`Crawler`] would.
 fn lane_split(shard: &[usize], lanes: usize) -> Vec<Vec<usize>> {
     let mut out = vec![Vec::new(); lanes];
     for (pos, &idx) in shard.iter().enumerate() {
@@ -198,56 +186,9 @@ fn lane_split(shard: &[usize], lanes: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// The blocking client: drive this worker's lanes *sequentially*, one
-/// keep-alive connection each — the baseline every reactor mode must
-/// byte-match at the same `(workers, connections_per_worker)` topology.
-fn crawl_shard_blocking(
-    endpoint: &Endpoint,
-    config: &CrawlPoolConfig,
-    admission: &Arc<AdmissionController>,
-    categories: &[String],
-    w: usize,
-    lanes: &[Vec<usize>],
-) -> Result<WorkerYield> {
-    let conns = lanes.len();
-    let mut shards = Vec::new();
-    let mut stats = CrawlStats::default();
-    let mut active = 0usize;
-    for (j, lane) in lanes.iter().enumerate() {
-        // A single-connection worker keeps the historical eager dial even
-        // when idle; extra lanes only dial when they have work (parity
-        // with reactor lanes, which connect lazily).
-        if conns > 1 && lane.is_empty() {
-            continue;
-        }
-        let mut builder = Crawler::builder_at(endpoint.clone())
-            .config(config.crawler.clone())
-            .retry(config.retry.clone())
-            .connection_id((w * conns + j) as u64 + 1)
-            .admission(Arc::clone(admission));
-        if let Some(resume) = &config.resume {
-            builder = builder.resume_cache(Arc::clone(resume));
-        }
-        let mut crawler = builder.build()?;
-        if !lane.is_empty() {
-            active = 1;
-        }
-        for &index in lane {
-            let (apps, dropouts) = crawler.crawl_category(&categories[index]);
-            shards.push(CategoryShard {
-                index,
-                apps,
-                dropouts,
-            });
-        }
-        stats.merge(crawler.stats());
-    }
-    Ok((shards, stats, active))
-}
-
-/// The reactor client: one worker thread drives all its lanes
-/// concurrently as non-blocking state machines over one readiness loop.
-fn crawl_shard_lanes(
+/// One worker's crawl: its lanes run concurrently as non-blocking state
+/// machines over one readiness loop.
+fn crawl_shard(
     endpoint: &Endpoint,
     config: &CrawlPoolConfig,
     admission: &Arc<AdmissionController>,
@@ -338,36 +279,10 @@ impl CrawlPool {
     /// Connection 0 bootstraps the category list (and, in size-aware
     /// modes without size hints, probes each category's listing for a
     /// catalog size estimate); worker k then crawls the categories the
-    /// scheduler assigned to shard k on connection `k + 1`.
+    /// scheduler assigned to shard k on its lanes, connections
+    /// `k·C + 1 … k·C + C` for `C = connections_per_worker`.
     pub fn crawl(&self, addr: SocketAddr) -> Result<PoolOutcome> {
         self.crawl_at(&Endpoint::Tcp(addr))
-    }
-
-    /// The client transport this pool will actually run against
-    /// `endpoint`: the explicit override, else `GAUGENN_REACTOR`, else
-    /// the blocking baseline. A non-threaded choice is mapped onto the
-    /// substrate the endpoint supports — sim endpoints always get the
-    /// deterministic sim reactor, TCP endpoints get kernel epoll when the
-    /// platform has it and fall back to threaded otherwise.
-    fn resolve_reactor(&self, endpoint: &Endpoint) -> ReactorMode {
-        let wanted = self
-            .config
-            .reactor
-            .or_else(ReactorMode::from_env)
-            .unwrap_or(ReactorMode::Threaded);
-        if wanted == ReactorMode::Threaded {
-            return ReactorMode::Threaded;
-        }
-        match endpoint {
-            Endpoint::Sim(_) => ReactorMode::Sim,
-            Endpoint::Tcp(_) => {
-                if crate::reactor_client::nonblocking_tcp_available() {
-                    ReactorMode::Epoll
-                } else {
-                    ReactorMode::Threaded
-                }
-            }
-        }
     }
 
     /// Sweep the store reachable at `endpoint` — the [`Endpoint`]-generic
@@ -376,7 +291,6 @@ impl CrawlPool {
     pub fn crawl_at(&self, endpoint: &Endpoint) -> Result<PoolOutcome> {
         let workers = self.config.workers.max(1);
         let conns = self.config.connections_per_worker.max(1);
-        let mode = self.resolve_reactor(endpoint);
         let admission = Arc::new(AdmissionController::new(self.config.admission.clone()));
 
         let mut bootstrap = Crawler::builder_at(endpoint.clone())
@@ -401,13 +315,8 @@ impl CrawlPool {
                     let admission = &admission;
                     let categories = &categories[..];
                     let config = &self.config;
-                    scope.spawn(move || match mode {
-                        ReactorMode::Threaded => {
-                            crawl_shard_blocking(endpoint, config, admission, categories, w, &lanes)
-                        }
-                        ReactorMode::Epoll | ReactorMode::Sim => {
-                            crawl_shard_lanes(endpoint, config, admission, categories, w, &lanes)
-                        }
+                    scope.spawn(move || {
+                        crawl_shard(endpoint, config, admission, categories, w, &lanes)
                     })
                 })
                 .collect();
@@ -468,7 +377,6 @@ impl CrawlPool {
             admission: admission.stats(),
             workers,
             sched: self.config.sched,
-            reactor: mode,
             peak_in_flight,
         })
     }
@@ -588,72 +496,39 @@ mod tests {
         assert_eq!(fanned.outcome.apps, one.outcome.apps);
         assert_eq!(fanned.outcome.dropouts, one.outcome.dropouts);
         assert_eq!(fanned.outcome.stats, one.outcome.stats);
-        assert_eq!(fanned.reactor, ReactorMode::Threaded);
         assert_eq!(fanned.per_worker[1].connection_id, 4, "lane block w·C + 1");
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
-    fn epoll_lanes_match_the_blocking_baseline() {
-        let server = start_tiny();
+    fn epoll_and_sim_lanes_agree() {
         let config = CrawlPoolConfig {
             workers: 2,
             sched: SchedMode::Lpt,
             connections_per_worker: 4,
             ..CrawlPoolConfig::default()
         };
-        let threaded = CrawlPool::new(config.clone()).crawl(server.addr()).unwrap();
-        let epoll = CrawlPool::new(CrawlPoolConfig {
-            reactor: Some(ReactorMode::Epoll),
-            ..config
-        })
-        .crawl(server.addr())
-        .unwrap();
-        assert_eq!(epoll.reactor, ReactorMode::Epoll);
-        assert_eq!(epoll.outcome.apps, threaded.outcome.apps);
-        assert_eq!(epoll.outcome.dropouts, threaded.outcome.dropouts);
-        assert_eq!(epoll.outcome.stats, threaded.outcome.stats);
-        assert_eq!(epoll.per_worker, threaded.per_worker);
-        assert!(
-            epoll.peak_in_flight > 1,
-            "reactor worker multiplexes its lanes, got peak {}",
-            epoll.peak_in_flight
-        );
-        assert_eq!(threaded.peak_in_flight, 1, "blocking baseline is serial");
-    }
-
-    #[test]
-    fn sim_reactor_lanes_match_the_blocking_baseline() {
-        let corpus = generate(CorpusScale::Tiny, Snapshot::Y2021, 7);
-        let server = StoreServer::start_with(
-            corpus,
+        let tcp = start_tiny();
+        let epoll = CrawlPool::new(config.clone()).crawl(tcp.addr()).unwrap();
+        let sim_store = StoreServer::start_with(
+            generate(CorpusScale::Tiny, Snapshot::Y2021, 7),
             crate::server::ServerOptions {
-                reactor: Some(ReactorMode::Sim),
+                reactor: crate::reactor::ReactorMode::Sim,
                 ..Default::default()
             },
         )
         .unwrap();
-        let config = CrawlPoolConfig {
-            workers: 2,
-            sched: SchedMode::Lpt,
-            connections_per_worker: 4,
-            ..CrawlPoolConfig::default()
-        };
-        let threaded = CrawlPool::new(config.clone())
-            .crawl_at(&server.endpoint())
-            .unwrap();
-        let sim = CrawlPool::new(CrawlPoolConfig {
-            reactor: Some(ReactorMode::Sim),
-            ..config
-        })
-        .crawl_at(&server.endpoint())
-        .unwrap();
-        assert_eq!(sim.reactor, ReactorMode::Sim);
-        assert_eq!(sim.outcome.apps, threaded.outcome.apps);
-        assert_eq!(sim.outcome.dropouts, threaded.outcome.dropouts);
-        assert_eq!(sim.outcome.stats, threaded.outcome.stats);
-        assert_eq!(sim.per_worker, threaded.per_worker);
-        assert!(sim.peak_in_flight > 1, "got peak {}", sim.peak_in_flight);
+        let sim = CrawlPool::new(config).crawl_at(&sim_store.endpoint()).unwrap();
+        assert_eq!(sim.outcome.apps, epoll.outcome.apps);
+        assert_eq!(sim.outcome.dropouts, epoll.outcome.dropouts);
+        assert_eq!(sim.outcome.stats, epoll.outcome.stats);
+        assert_eq!(sim.per_worker, epoll.per_worker);
+        for (name, run) in [("epoll", &epoll), ("sim", &sim)] {
+            assert!(
+                run.peak_in_flight > 1,
+                "{name} worker multiplexes its lanes, got peak {}",
+                run.peak_in_flight
+            );
+        }
     }
 
     #[test]

@@ -149,9 +149,9 @@ impl QueryClient {
 /// connection `c` announces connection id `c` and jitters its backoff
 /// with `jitter_seed ^ c`. Because each lane's request history is then
 /// identical to the matching blocking client's, the response bytes *and*
-/// the per-connection resilience counters are byte-identical to the
-/// threaded baseline — calm or under chaos — while one driver thread
-/// holds every one of its lanes in flight at once.
+/// the per-connection resilience counters are byte-identical to a fleet
+/// of blocking [`QueryClient`]s — calm or under chaos — while one driver
+/// thread holds every one of its lanes in flight at once.
 pub struct QuerySwarm {
     endpoint: Endpoint,
     config: CrawlerConfig,
@@ -443,7 +443,7 @@ mod tests {
             ServerOptions {
                 chaos,
                 index: Some(synthetic_index()),
-                reactor: Some(crate::reactor::ReactorMode::Sim),
+                reactor: crate::reactor::ReactorMode::Sim,
                 ..ServerOptions::default()
             },
         )

@@ -21,10 +21,8 @@
 //! synchronously by the route table — so the code models it as the parse
 //! loop inside [`ConnSm::pump`] rather than a stored state.)
 //!
-//! Three loops implement the same serving contract:
+//! Two loops implement the same serving contract:
 //!
-//! * **threaded** — the legacy blocking path, kept as the measurable
-//!   baseline and the non-Linux fallback ([`ReactorMode::Threaded`]).
 //! * **epoll** — [`run_epoll_loop`]: kernel readiness over non-blocking
 //!   TCP, timer wheel on wall milliseconds for chaos stalls and idle
 //!   keep-alive reaping.
@@ -39,8 +37,8 @@
 //! The determinism contract: response *bytes* for a given request depend
 //! only on (corpus, index, chaos plan, request) — never on which loop or
 //! delivery order served it. That is what keeps the byte-identical report
-//! matrix intact across `GAUGENN_REACTOR` values; the sim digest
-//! additionally pins the *schedule* itself for replay tests.
+//! matrix intact across [`ReactorMode`]s; the sim digest additionally
+//! pins the *schedule* itself for replay tests.
 
 use crate::net::{SimConnHandle, SimNet};
 use crate::proto::{parse_request, Request};
@@ -51,25 +49,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Environment variable selecting the server's reactor:
-/// `threaded` | `epoll` | `sim`.
-pub const REACTOR_ENV: &str = "GAUGENN_REACTOR";
-
-/// Idle keep-alive reap deadline (epoll loop only — matches the 10 s read
-/// timeout the threaded path puts on each connection socket). The sim
-/// loop deliberately has no idle reaper: logical time there advances with
+/// Idle keep-alive reap deadline (epoll loop only). The sim loop
+/// deliberately has no idle reaper: logical time there advances with
 /// traffic, so an idle timer would close connections after N *events*
 /// rather than N seconds and make crawl reconnect counts
 /// interleaving-dependent.
 const IDLE_REAP_MS: u64 = 10_000;
 
 /// Which serving loop a [`crate::StoreServer`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ReactorMode {
-    /// Legacy thread-per-connection over blocking sockets.
-    Threaded,
-    /// Single-threaded epoll readiness loop over non-blocking TCP
-    /// (Linux; falls back to [`ReactorMode::Threaded`] elsewhere).
+    /// Single-threaded epoll readiness loop over non-blocking TCP. The
+    /// default; Linux only — elsewhere starting it fails with
+    /// [`io::ErrorKind::Unsupported`].
+    #[default]
     Epoll,
     /// Deterministic in-process reactor over simulated pipes; the server
     /// is reachable via [`crate::StoreServer::endpoint`] only (no TCP).
@@ -77,45 +70,19 @@ pub enum ReactorMode {
 }
 
 impl ReactorMode {
-    /// Parse a mode name (as used in `GAUGENN_REACTOR` and bench
-    /// `--reactor` flags). Accepts `threaded`/`thread`/`legacy`,
-    /// `epoll`, `sim`.
+    /// Parse a mode name (as used in the bench `--reactor` flag):
+    /// `epoll` or `sim`.
     pub fn parse(s: &str) -> Option<ReactorMode> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "threaded" | "thread" | "legacy" => Some(ReactorMode::Threaded),
             "epoll" => Some(ReactorMode::Epoll),
             "sim" => Some(ReactorMode::Sim),
             _ => None,
         }
     }
 
-    /// The mode requested by [`REACTOR_ENV`], if set to a valid name.
-    pub fn from_env() -> Option<ReactorMode> {
-        std::env::var(REACTOR_ENV).ok().and_then(|v| ReactorMode::parse(&v))
-    }
-
-    /// Platform default: epoll where the kernel offers it, threaded
-    /// elsewhere.
-    pub fn default_mode() -> ReactorMode {
-        if cfg!(target_os = "linux") {
-            ReactorMode::Epoll
-        } else {
-            ReactorMode::Threaded
-        }
-    }
-
-    /// Resolve the effective mode: an explicit option wins, then the
-    /// environment, then the platform default.
-    pub fn resolve(explicit: Option<ReactorMode>) -> ReactorMode {
-        explicit
-            .or_else(ReactorMode::from_env)
-            .unwrap_or_else(ReactorMode::default_mode)
-    }
-
     /// Stable lower-case name (bench JSON `reactor` column).
     pub fn name(self) -> &'static str {
         match self {
-            ReactorMode::Threaded => "threaded",
             ReactorMode::Epoll => "epoll",
             ReactorMode::Sim => "sim",
         }
@@ -133,7 +100,7 @@ pub enum Served {
     FrameThenClose(Vec<u8>),
     /// Close without writing a byte of this response (chaos reset).
     /// Responses already queued for earlier pipelined requests still
-    /// flush first — the blocking path had already written them.
+    /// flush first.
     Reset,
     /// Go silent for `ms` (logical ms under sim), then close. The client
     /// sees a read timeout or EOF, whichever lands first.
@@ -268,8 +235,8 @@ impl<T: NonBlockingIo> ConnSm<T> {
         loop {
             // Flush phase: responses already queued go out first, in
             // order — chaos close/stall decisions apply only after
-            // earlier pipelined responses are on the wire, matching the
-            // blocking path which wrote each frame before reading on.
+            // earlier pipelined responses are on the wire, as if each
+            // frame were written before the next request is read.
             while self.written < self.write_buf.len() {
                 match self.io.try_write(&self.write_buf[self.written..]) {
                     Ok(0) => return PumpOutcome::Close,
@@ -321,9 +288,8 @@ impl<T: NonBlockingIo> ConnSm<T> {
                     }
                     Ok(None) => break,
                     Err(_) => {
-                        // Malformed head: the blocking path errors out of
-                        // the connection; we close after flushing
-                        // whatever was already queued.
+                        // Malformed head: close after flushing whatever
+                        // was already queued.
                         self.close_after_flush = true;
                         break;
                     }
@@ -481,11 +447,24 @@ fn on_timer<T: NonBlockingIo>(
     }
 }
 
-/// The epoll readiness loop: one thread, every connection. Returns when
-/// `stop` is raised or the reactor fails fatally (callers fall back to
-/// the threaded path on construction errors before spawning this).
+/// A socket's descriptor as [`EpollReactor::register_fd`] takes it. Off
+/// Linux no epoll reactor can be built, so this is never reached there.
 #[cfg(target_os = "linux")]
+pub(crate) fn raw_fd(sock: &impl std::os::fd::AsRawFd) -> std::os::fd::RawFd {
+    sock.as_raw_fd()
+}
+
+#[cfg(not(target_os = "linux"))]
+pub(crate) fn raw_fd<S>(_sock: &S) -> mio::RawFd {
+    -1
+}
+
+/// The epoll readiness loop: one thread, every connection, on the
+/// reactor the caller built (so a construction error surfaces before
+/// the loop thread exists). Returns when `stop` is raised or the
+/// reactor fails fatally.
 pub(crate) fn run_epoll_loop<F>(
+    mut reactor: EpollReactor,
     listener: TcpListener,
     stop: Arc<AtomicBool>,
     mut serve: F,
@@ -493,10 +472,8 @@ pub(crate) fn run_epoll_loop<F>(
 where
     F: FnMut(&Request) -> Served,
 {
-    use std::os::fd::AsRawFd;
-    let mut reactor = EpollReactor::new()?;
     listener.set_nonblocking(true)?;
-    reactor.register_fd(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
+    reactor.register_fd(raw_fd(&listener), LISTENER, Interest::READABLE)?;
     let mut slab: Slab<TcpStream> = Slab::new();
     let mut wheel = TimerWheel::new();
     let mut events = Events::new();
@@ -527,7 +504,7 @@ where
                             {
                                 continue;
                             }
-                            let fd = stream.as_raw_fd();
+                            let fd = raw_fd(&stream);
                             let token = slab.insert(ConnSm::new(stream, now));
                             if reactor
                                 .register_fd(fd, token, Interest::READABLE)
@@ -567,7 +544,7 @@ where
 /// `run_sim_loop` body — poll, advance the logical clock, fire timers,
 /// dispatch readiness — so a single-threaded lockstep harness (the
 /// non-blocking crawl client's replay mode) can interleave server steps
-/// with client steps deterministically, while the threaded sim server
+/// with client steps deterministically, while a free-running sim server
 /// keeps its own loop thread by calling `step` until stopped.
 pub(crate) struct SimServerLoop<F> {
     net: SimNet,
@@ -794,8 +771,7 @@ mod tests {
     #[test]
     fn reset_flushes_earlier_responses_then_closes() {
         // Pipelined: first request answered, second hits a chaos reset.
-        // The first response must still reach the wire (the blocking path
-        // wrote it before reading the second request).
+        // The first response must still reach the wire.
         let stream = two_request_stream();
         let mut calls = 0;
         let mut sm = ConnSm::new(
@@ -870,19 +846,13 @@ mod tests {
     }
 
     #[test]
-    fn mode_parsing_and_resolution() {
+    fn mode_parsing_knows_only_the_two_loops() {
         assert_eq!(ReactorMode::parse("epoll"), Some(ReactorMode::Epoll));
         assert_eq!(ReactorMode::parse(" SIM \n"), Some(ReactorMode::Sim));
-        assert_eq!(ReactorMode::parse("legacy"), Some(ReactorMode::Threaded));
-        assert_eq!(ReactorMode::parse("uring"), None);
-        assert_eq!(
-            ReactorMode::resolve(Some(ReactorMode::Sim)),
-            ReactorMode::Sim,
-            "explicit mode beats env and default"
-        );
-        assert_eq!(ReactorMode::Epoll.name(), "epoll");
-        if cfg!(target_os = "linux") {
-            assert_eq!(ReactorMode::default_mode(), ReactorMode::Epoll);
+        for gone in ["threaded", "thread", "legacy", "uring"] {
+            assert_eq!(ReactorMode::parse(gone), None, "{gone}");
         }
+        assert_eq!(ReactorMode::default(), ReactorMode::Epoll);
+        assert_eq!(ReactorMode::Epoll.name(), "epoll");
     }
 }

@@ -1,13 +1,13 @@
 //! Non-blocking client connection state machines over the reactor.
 //!
-//! The blocking [`crate::crawler::Crawler`] parks one OS thread per
-//! connection: every read blocks until the store answers, so a pool
-//! worker drives exactly one in-flight request. This module is the
-//! client-side mirror of the server's `ConnSm`/`Served` split
-//! ([`crate::reactor`]): each connection is a [`ClientSm`] — a small
-//! state machine that owns a write buffer, an accumulating read buffer
-//! and the shared [`crate::crawler::RequestSm`] retry core — and a
-//! single driver thread ([`drive_lanes`]) multiplexes hundreds of them
+//! The synchronous [`crate::crawler::Crawler`] parks its thread on one
+//! connection: every read blocks until the store answers, so it holds
+//! exactly one request in flight. This module is the client-side mirror
+//! of the server's `ConnSm`/`Served` split ([`crate::reactor`]): each
+//! connection is a [`ClientSm`] — a small state machine that owns a
+//! write buffer, an accumulating read buffer and the shared
+//! [`crate::crawler::RequestSm`] retry core — and a single driver
+//! thread ([`drive_lanes`]) multiplexes hundreds of them
 //! over one readiness loop (kernel epoll for TCP endpoints, the seeded
 //! deterministic [`mio::SimReactor`] for in-process sim endpoints).
 //!
@@ -21,8 +21,8 @@
 //! backoff draw, admission charge and counter bump goes through the one
 //! shared `RequestSm`. A lane therefore produces the same
 //! [`CrawlStats`] on the same `(connection id, route)` history as a
-//! blocking crawler would — which is what lets the pool swap transports
-//! without changing a single merged byte.
+//! blocking crawler would — which is what keeps the single-connection
+//! `Crawler` the reference every pooled crawl must byte-match.
 //!
 //! Delays never block the driver: with [`RetryPolicy::real_sleep`] off
 //! (the default) backoff/throttle charges are accounted on the logical
@@ -37,6 +37,7 @@ use crate::crawler::{
     DropOut, RequestSm, RetryPolicy,
 };
 use crate::net::{Endpoint, SimClientHandle};
+use crate::reactor::raw_fd;
 use crate::proto::{
     finish_response_frame, response_frame_complete, write_request, ReadOutcome, Response,
 };
@@ -605,15 +606,6 @@ pub struct DriveReport {
     pub digest: u64,
 }
 
-/// Whether this host can drive non-blocking lanes against a TCP
-/// endpoint (sim endpoints always can, on their deterministic reactor).
-/// Callers that want the event-driven client with a graceful threaded
-/// fallback — the pool, the benches — probe this instead of letting
-/// [`drive_lanes`] fail.
-pub fn nonblocking_tcp_available() -> bool {
-    mio::EpollReactor::new().is_ok()
-}
-
 /// The readiness substrate a lane set runs on.
 enum ClientReactor {
     Epoll(mio::EpollReactor),
@@ -655,17 +647,6 @@ struct DriverCtx<'a> {
     tcp: bool,
 }
 
-#[cfg(target_os = "linux")]
-fn stream_fd(stream: &std::net::TcpStream) -> std::os::fd::RawFd {
-    use std::os::fd::AsRawFd;
-    stream.as_raw_fd()
-}
-
-#[cfg(not(target_os = "linux"))]
-fn stream_fd(_stream: &std::net::TcpStream) -> i32 {
-    -1
-}
-
 fn close_io<J>(lane: &mut ClientSm<J>, ctx: &mut DriverCtx<'_>, token: Token) {
     if let Some(mut io) = lane.io.take() {
         let _ = ctx.reactor.deregister(token);
@@ -690,7 +671,7 @@ fn open_io<J>(
     match (ctx.endpoint, &mut *ctx.reactor) {
         (Endpoint::Tcp(addr), ClientReactor::Epoll(ep)) => {
             let stream = mio::tcp_connect_nonblocking(*addr)?;
-            ep.register_fd(stream_fd(&stream), token, Interest::WRITABLE)?;
+            ep.register_fd(raw_fd(&stream), token, Interest::WRITABLE)?;
             lane.io = Some(ClientIo::Tcp(stream));
             lane.registered = Interest::WRITABLE;
             Ok(true)
@@ -988,7 +969,7 @@ fn on_lane_timer<J: LaneJob>(lane: &mut ClientSm<J>, ctx: &mut DriverCtx<'_>, to
 fn on_lane_event<J: LaneJob>(lane: &mut ClientSm<J>, ctx: &mut DriverCtx<'_>, token: Token) {
     if lane.phase == Phase::Connecting {
         let fd = match &lane.io {
-            Some(ClientIo::Tcp(s)) => stream_fd(s),
+            Some(ClientIo::Tcp(s)) => raw_fd(s),
             _ => {
                 // Sim lanes never park in Connecting.
                 pump_lane(lane, ctx, token, Step::Drive);
@@ -1015,16 +996,16 @@ fn on_lane_event<J: LaneJob>(lane: &mut ClientSm<J>, ctx: &mut DriverCtx<'_>, to
 /// loop — the non-blocking replacement for one-thread-per-connection.
 ///
 /// The substrate follows the endpoint: TCP endpoints run on kernel epoll
-/// (Linux; construction fails elsewhere so callers can fall back to the
-/// threaded path), sim endpoints on the seeded deterministic
-/// [`mio::SimReactor`]. With `server_step` the driver runs in *lockstep*
-/// against an in-process steppable sim server: each round first drains
-/// the server, then polls the client reactor with a zero timeout — no
-/// threads, no wall clock, so the full multi-connection schedule (event
-/// order included, witnessed by [`DriveReport::digest`]) replays
-/// bit-for-bit from the seed. Without it the server runs in its own
-/// thread and sim lanes park on a shared [`Parker`] that server writes
-/// notify.
+/// (Linux only; elsewhere the call fails with
+/// [`io::ErrorKind::Unsupported`]), sim endpoints on the seeded
+/// deterministic [`mio::SimReactor`]. With `server_step` the driver runs
+/// in *lockstep* against an in-process steppable sim server: each round
+/// first drains the server, then polls the client reactor with a zero
+/// timeout — no threads, no wall clock, so the full multi-connection
+/// schedule (event order included, witnessed by [`DriveReport::digest`])
+/// replays bit-for-bit from the seed. Without it the server runs in its
+/// own thread and sim lanes park on a shared [`Parker`] that server
+/// writes notify.
 ///
 /// Lanes are pumped eagerly before the first poll, so every lane's first
 /// request is on the wire (in flight) before any response is read —
@@ -1190,7 +1171,7 @@ mod tests {
             generate(CorpusScale::Tiny, Snapshot::Y2021, 7),
             ServerOptions {
                 chaos,
-                reactor: Some(ReactorMode::Sim),
+                reactor: ReactorMode::Sim,
                 ..ServerOptions::default()
             },
         )

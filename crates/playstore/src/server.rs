@@ -1,5 +1,5 @@
 //! The store server: serves category listings, app metadata, APKs, OBBs
-//! and bundles over TCP.
+//! and bundles over TCP (epoll) or in-process pipes (sim).
 //!
 //! APKs are assembled on demand; unique-model artifacts are memoised so
 //! duplicated models across apps are byte-identical (which is precisely
@@ -9,8 +9,8 @@ use crate::chaos::{FaultAction, FaultPlan};
 use crate::corpus::{AppSpec, StoreCorpus};
 use crate::net::{Endpoint, SimNet};
 use crate::proto::{
-    read_request, write_response, Request, Response, CONNECTION_ID_HEADER, CRC_HEADER,
-    FULL_CRC_HEADER, RANGE_START_HEADER,
+    write_response, Request, Response, CONNECTION_ID_HEADER, CRC_HEADER, FULL_CRC_HEADER,
+    RANGE_START_HEADER,
 };
 use crate::reactor::{ReactorMode, Served};
 use crate::route::Route;
@@ -20,11 +20,10 @@ use gaugenn_apk::bundle::{AssetPack, BundleBuilder, Delivery};
 use gaugenn_apk::obb::{build_obb, ObbKind};
 use gaugenn_index::{wire, CorpusIndex};
 use gaugenn_modelfmt::ModelArtifact;
-use mio::{Parker, SimReactor};
+use mio::{EpollReactor, Parker, SimReactor};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -45,11 +44,11 @@ pub struct ServerOptions {
     /// no locking is needed and responses cannot depend on request
     /// interleaving (the determinism contract).
     pub index: Option<Arc<CorpusIndex>>,
-    /// Serving loop override. `None` resolves via `GAUGENN_REACTOR`, then
-    /// the platform default (epoll on Linux, threaded elsewhere).
-    pub reactor: Option<ReactorMode>,
+    /// Serving loop. The default is epoll, which exists only on Linux;
+    /// elsewhere pass [`ReactorMode::Sim`].
+    pub reactor: ReactorMode,
     /// Seed for the sim reactor's delivery-order rotation (and thus its
-    /// event digest). Ignored by the other modes.
+    /// event digest). Ignored by epoll.
     pub reactor_seed: u64,
 }
 
@@ -126,9 +125,9 @@ impl StoreServer {
     }
 
     /// Start serving `corpus` with full [`ServerOptions`] (chaos plan,
-    /// corpus index for the `/query/*` routes, reactor selection).
+    /// corpus index for the `/query/*` routes, reactor selection). Off
+    /// Linux an epoll store fails with the reactor's `Unsupported` error.
     pub fn start_with(corpus: StoreCorpus, options: ServerOptions) -> Result<StoreServer> {
-        let mode = ReactorMode::resolve(options.reactor);
         let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
             corpus,
@@ -137,10 +136,9 @@ impl StoreServer {
             chaos: options.chaos,
             index: options.index,
         });
-        match mode {
+        match options.reactor {
             ReactorMode::Sim => Ok(Self::start_sim(shared, stop, options.reactor_seed)),
             ReactorMode::Epoll => Self::start_epoll(shared, stop),
-            ReactorMode::Threaded => Self::start_threaded(shared, stop),
         }
     }
 
@@ -170,20 +168,15 @@ impl StoreServer {
         }
     }
 
-    #[cfg(target_os = "linux")]
     fn start_epoll(shared: Arc<Shared>, stop: Arc<AtomicBool>) -> Result<StoreServer> {
-        // Probe epoll availability up front so a sandboxed kernel falls
-        // back to the threaded loop instead of dying on the loop thread.
-        if mio::EpollReactor::new().is_err() {
-            return Self::start_threaded(shared, stop);
-        }
+        let reactor = EpollReactor::new()?;
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         widen_backlog(&listener);
         let addr = listener.local_addr()?;
         let t_shared = Arc::clone(&shared);
         let t_stop = Arc::clone(&stop);
         let accept_thread = std::thread::spawn(move || {
-            let _ = crate::reactor::run_epoll_loop(listener, t_stop, move |req| {
+            let _ = crate::reactor::run_epoll_loop(reactor, listener, t_stop, move |req| {
                 serve_request(&t_shared, req)
             });
         });
@@ -199,61 +192,20 @@ impl StoreServer {
         })
     }
 
-    #[cfg(not(target_os = "linux"))]
-    fn start_epoll(shared: Arc<Shared>, stop: Arc<AtomicBool>) -> Result<StoreServer> {
-        Self::start_threaded(shared, stop)
-    }
-
-    fn start_threaded(shared: Arc<Shared>, stop: Arc<AtomicBool>) -> Result<StoreServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        widen_backlog(&listener);
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let t_stop = stop.clone();
-        let t_shared = shared.clone();
-        let accept_thread = std::thread::spawn(move || {
-            while !t_stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let conn_shared = t_shared.clone();
-                        let conn_stop = t_stop.clone();
-                        std::thread::spawn(move || {
-                            let _ = handle_connection(stream, &conn_shared, &conn_stop);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(StoreServer {
-            addr,
-            endpoint: Endpoint::Tcp(addr),
-            mode: ReactorMode::Threaded,
-            stop,
-            shared,
-            accept_thread: Some(accept_thread),
-            parker: None,
-            digest: None,
-        })
-    }
-
-    /// Address to point the crawler at. Only meaningful for TCP-backed
-    /// modes (threaded/epoll); sim servers are reachable via
-    /// [`StoreServer::endpoint`] alone.
+    /// Address to point the crawler at. Only meaningful for an epoll
+    /// store; sim servers are reachable via [`StoreServer::endpoint`]
+    /// alone.
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// The endpoint clients should dial — works across every reactor
-    /// mode, unlike [`StoreServer::addr`].
+    /// The endpoint clients should dial — works for both reactor modes,
+    /// unlike [`StoreServer::addr`].
     pub fn endpoint(&self) -> Endpoint {
         self.endpoint.clone()
     }
 
-    /// The serving loop this server actually runs (after fallbacks).
+    /// The serving loop this server runs.
     pub fn mode(&self) -> ReactorMode {
         self.mode
     }
@@ -371,8 +323,8 @@ fn frame_of(resp: &Response) -> Vec<u8> {
 }
 
 /// Answer one request: route dispatch, range resume, integrity header and
-/// the chaos decision, reduced to a [`Served`] verdict every serving loop
-/// (threaded, epoll, sim) executes identically. This is *the* place
+/// the chaos decision, reduced to a [`Served`] verdict both serving loops
+/// (epoll, sim) execute identically. This is *the* place
 /// response bytes are decided — which is what makes them a pure function
 /// of (corpus, index, chaos plan, request), independent of the loop and
 /// of event interleaving.
@@ -444,40 +396,6 @@ fn serve_request(shared: &Shared, req: &Request) -> Served {
             Served::Frame(frame_of(&resp))
         }
     }
-}
-
-fn handle_connection(stream: TcpStream, shared: &Shared, stop: &AtomicBool) -> Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    // Responses are written as several small frames; without TCP_NODELAY
-    // Nagle + delayed-ACK add ~40 ms to every request on loopback.
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = std::io::BufWriter::new(stream);
-    use std::io::Write;
-    while !stop.load(Ordering::Relaxed) {
-        let Some(req) = read_request(&mut reader)? else {
-            return Ok(()); // client closed keep-alive
-        };
-        match serve_request(shared, &req) {
-            Served::Frame(frame) => {
-                writer.write_all(&frame)?;
-                writer.flush()?;
-            }
-            Served::FrameThenClose(frame) => {
-                writer.write_all(&frame)?;
-                writer.flush()?;
-                return Ok(()); // close mid-frame
-            }
-            Served::Reset => return Ok(()), // close without a byte
-            Served::Stall { ms } => {
-                // Hold the socket silent, then close: the client sees a
-                // read timeout or an EOF mid-response, whichever first.
-                std::thread::sleep(Duration::from_millis(ms));
-                return Ok(());
-            }
-        }
-    }
-    Ok(())
 }
 
 fn route(shared: &Shared, req: &Request, route: &Route) -> Response {
@@ -607,6 +525,8 @@ mod tests {
     use super::*;
     use crate::corpus::{generate, CorpusScale, Snapshot};
     use crate::proto::{read_response, write_request};
+    use std::io::BufReader;
+    use std::net::TcpStream;
 
     fn start_tiny() -> StoreServer {
         let corpus = generate(CorpusScale::Tiny, Snapshot::Y2021, 7);

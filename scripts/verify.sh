@@ -9,9 +9,9 @@
 # byte-identical at every connection count), the reactor gate
 # (readiness-replay determinism plus sim/epoll digest equality up to 256
 # connections), the client-reactor gate (lockstep multi-connection
-# replay pinned by name, sim crawls byte-stable across runs,
-# epoll/threaded/sim client transports rendering one report), the
-# gaugelint and lock-order gates, and workspace clippy.
+# replay pinned by name, sim crawls byte-stable across runs, epoll and
+# sim transports rendering one report), the gaugelint and lock-order
+# gates, and workspace clippy.
 #
 # Works without network access: if the registry is unreachable, cargo is
 # retried in --offline mode (using whatever is already vendored/cached).
@@ -175,8 +175,7 @@ verify() {
     # The full pipeline over the non-blocking client: a sim-reactor
     # multi-connection crawl run twice must print byte-identical tables
     # (the free-running readiness schedule may differ — stdout must not),
-    # and the epoll and threaded client transports must render the same
-    # PipelineReport.
+    # and the epoll run must render the same PipelineReport.
     pool_out="target/verify-pool.$$"
     run_cargo "$mode" run --release -q -p gaugenn-bench --bin repro \
         -- --scale tiny --seed 1402 --workers 2 --reactor sim --connections 64 \
@@ -198,22 +197,14 @@ verify() {
     run_cargo "$mode" run --release -q -p gaugenn-bench --bin repro \
         -- --scale tiny --seed 1402 --workers 2 --reactor epoll --connections 64 \
         >"$pool_out.epoll.out" 2>/dev/null || return 1
-    run_cargo "$mode" run --release -q -p gaugenn-bench --bin repro \
-        -- --scale tiny --seed 1402 --workers 2 --reactor legacy \
-        >"$pool_out.threaded.out" 2>/dev/null || return 1
-    if ! cmp -s "$pool_out.epoll.out" "$pool_out.threaded.out"; then
-        echo "verify: epoll and threaded client transports rendered different reports" >&2
-        diff "$pool_out.epoll.out" "$pool_out.threaded.out" | head -20 >&2
-        return 1
-    fi
-    if ! cmp -s "$pool_out.sim1.out" "$pool_out.threaded.out"; then
-        echo "verify: sim and threaded client transports rendered different reports" >&2
-        diff "$pool_out.sim1.out" "$pool_out.threaded.out" | head -20 >&2
+    if ! cmp -s "$pool_out.sim1.out" "$pool_out.epoll.out"; then
+        echo "verify: sim and epoll transports rendered different reports" >&2
+        diff "$pool_out.sim1.out" "$pool_out.epoll.out" | head -20 >&2
         return 1
     fi
     rm -f "$pool_out.sim1.out" "$pool_out.sim1.err" \
         "$pool_out.sim2.out" "$pool_out.sim2.err" \
-        "$pool_out.epoll.out" "$pool_out.threaded.out"
+        "$pool_out.epoll.out"
     # The query gate again under the deterministic sim reactor and under
     # a forced epoll sweep to 256 connections. Each run asserts
     # byte-identical streams internally (including 256-conn == 1-conn);
@@ -221,8 +212,8 @@ verify() {
     # are a pure function of (index, stream), never of the serving loop
     # or the connection count, so the sim and epoll digests must agree.
     net_out="target/verify-net.$$"
-    GAUGENN_REACTOR=sim run_cargo "$mode" run --release -q -p gaugenn-bench \
-        --bin querybench -- --scale tiny --seed 1402 --workers 256 \
+    run_cargo "$mode" run --release -q -p gaugenn-bench \
+        --bin querybench -- --scale tiny --seed 1402 --workers 256 --reactor sim \
         >"$net_out.sim.out" 2>"$net_out.sim.err" || return 1
     run_cargo "$mode" run --release -q -p gaugenn-bench \
         --bin querybench -- --scale tiny --seed 1402 --workers 256 --reactor epoll \

@@ -4,9 +4,12 @@
 
 use gaugenn::playstore::chaos::{FaultPlan, FaultPlanConfig};
 use gaugenn::playstore::corpus::{generate, CorpusScale, Snapshot};
-use gaugenn::playstore::crawler::Crawler;
+use gaugenn::playstore::crawler::{CrawlOutcome, Crawler};
 use gaugenn::playstore::pool::{CrawlPool, CrawlPoolConfig};
-use gaugenn::playstore::server::StoreServer;
+use gaugenn::playstore::server::{ServerOptions, StoreServer};
+use gaugenn::playstore::{AdmissionConfig, AdmissionController, ReactorMode};
+use gaugenn::sched::SchedMode;
+use std::sync::Arc;
 
 #[test]
 fn parallel_crawlers_get_identical_corpora() {
@@ -104,107 +107,139 @@ fn eight_worker_chaos_crawl_is_deterministic() {
     );
 }
 
-#[test]
-fn crawl_outcome_matrix_across_clients_workers_and_connections() {
-    // The event-driven-client acceptance matrix: the merged corpus and
-    // drop-out ledger are byte-identical across client transports
-    // {threaded, epoll, sim}, worker counts {1, 4, 8} and
-    // connections-per-worker {1, 64, 256}, calm and chaotic — and at a
-    // fixed topology the *entire* PoolOutcome (summed resilience
-    // counters included) matches between the blocking client and the
-    // non-blocking lanes on the same endpoint.
-    use gaugenn::playstore::server::ServerOptions;
-    use gaugenn::playstore::{nonblocking_tcp_available, ReactorMode};
+/// A freshly started tiny store on the TCP (epoll) or sim endpoint, calm
+/// or under the suite's chaos plan. The plan keeps per-(connection,
+/// route) fault budgets inside the server, so every crawl that is
+/// compared runs against its own store with untouched budgets.
+fn fresh_store(sim: bool, chaos: bool) -> StoreServer {
+    let plan = chaos.then(|| {
+        FaultPlan::new(FaultPlanConfig {
+            seed: 0xD15EA5E,
+            fault_permille: 300,
+            ..FaultPlanConfig::default()
+        })
+    });
+    StoreServer::start_with(
+        generate(CorpusScale::Tiny, Snapshot::Y2021, 7),
+        ServerOptions {
+            chaos: plan,
+            reactor: if sim { ReactorMode::Sim } else { ReactorMode::Epoll },
+            ..ServerOptions::default()
+        },
+    )
+    .unwrap()
+}
 
-    // The chaos plan keeps per-(connection, route) fault budgets inside
-    // the server, so every matrix cell crawls a freshly started store —
-    // same corpus seed, same chaos seed, untouched budgets.
-    let crawl = |sim: bool, chaos: bool, client: ReactorMode, workers: usize, conns: usize| {
-        let plan = chaos.then(|| {
-            FaultPlan::new(FaultPlanConfig {
-                seed: 0xD15EA5E,
-                fault_permille: 300,
-                ..FaultPlanConfig::default()
+#[test]
+fn one_lane_pool_matches_two_blocking_crawlers() {
+    // The synchronous `Crawler` is the reference the pool's lanes are
+    // held to. A one-worker, one-connection LPT pool issues exactly what
+    // two crawlers sharing one admission controller would: connection 0
+    // fetches the categories and lists each one (the size probe), then
+    // connection 1 crawls them in index order. The whole outcome — apps,
+    // drop-outs and merged stats — must agree on both endpoints, calm
+    // and chaotic.
+    for sim in [false, true] {
+        for chaos in [false, true] {
+            let pooled = CrawlPool::new(CrawlPoolConfig {
+                workers: 1,
+                sched: SchedMode::Lpt,
+                ..CrawlPoolConfig::default()
             })
-        });
-        let server = StoreServer::start_with(
-            generate(CorpusScale::Tiny, Snapshot::Y2021, 7),
-            ServerOptions {
-                chaos: plan,
-                reactor: sim.then_some(ReactorMode::Sim),
-                ..ServerOptions::default()
-            },
-        )
-        .unwrap();
+            .crawl_at(&fresh_store(sim, chaos).endpoint())
+            .unwrap();
+
+            let store = fresh_store(sim, chaos);
+            let admission = Arc::new(AdmissionController::new(AdmissionConfig::default()));
+            let crawler = |id: u64| {
+                Crawler::builder_at(store.endpoint())
+                    .connection_id(id)
+                    .admission(Arc::clone(&admission))
+                    .build()
+                    .unwrap()
+            };
+            let mut prober = crawler(0);
+            let categories = prober.categories().unwrap();
+            for cat in &categories {
+                let _ = prober.list_category(cat);
+            }
+            let mut walker = crawler(1);
+            let (mut apps, mut dropouts) = (Vec::new(), Vec::new());
+            for cat in &categories {
+                let (a, d) = walker.crawl_category(cat);
+                apps.extend(a);
+                dropouts.extend(d);
+            }
+            let mut stats = prober.stats().clone();
+            stats.merge(walker.stats());
+            let reference = CrawlOutcome {
+                apps,
+                dropouts,
+                stats,
+            };
+            assert_eq!(reference.apps.len(), 52, "sim={sim} chaos={chaos}");
+            assert_eq!(chaos, reference.stats.retries > 0, "{:?}", reference.stats);
+            assert_eq!(pooled.outcome, reference, "sim={sim} chaos={chaos}");
+        }
+    }
+}
+
+#[test]
+fn crawl_outcome_matrix_across_endpoints_workers_and_connections() {
+    // The pool's acceptance matrix: the merged corpus and drop-out ledger
+    // are byte-identical across endpoints {tcp: epoll lanes, sim: sim
+    // lanes}, worker counts {1, 4, 8} and connections-per-worker
+    // {1, 64, 256}, calm and chaotic — and at a fixed topology the whole
+    // outcome (summed resilience counters included) matches between the
+    // two endpoints. Per-worker reports are not compared: which worker
+    // drains the last burst token is a race (see `PoolOutcome`).
+    let crawl = |sim: bool, chaos: bool, workers: usize, conns: usize| {
         CrawlPool::new(CrawlPoolConfig {
             workers,
             connections_per_worker: conns,
-            reactor: Some(client),
             ..CrawlPoolConfig::default()
         })
-        .crawl_at(&server.endpoint())
+        .crawl_at(&fresh_store(sim, chaos).endpoint())
         .unwrap()
     };
 
     for chaos in [false, true] {
-        let reference = crawl(false, chaos, ReactorMode::Threaded, 1, 1).outcome;
+        let reference = crawl(false, chaos, 1, 1).outcome;
         assert_eq!(reference.apps.len(), 52, "every app recovered (chaos={chaos})");
         assert!(reference.dropouts.is_empty(), "{:?}", reference.dropouts);
 
-        for (sim, clients) in [
-            (false, [ReactorMode::Threaded, ReactorMode::Epoll]),
-            (true, [ReactorMode::Threaded, ReactorMode::Sim]),
-        ] {
-            // At a fixed topology the blocking and non-blocking clients
-            // issue identical per-connection request schedules, so the
-            // whole outcome (stats included) must match the threaded
-            // run on the same endpoint.
-            let threaded_fixed = crawl(sim, chaos, ReactorMode::Threaded, 4, 64);
-            assert_eq!(threaded_fixed.peak_in_flight, 1, "blocking lanes run one at a time");
-            for client in clients {
-                let fixed = crawl(sim, chaos, client, 4, 64);
+        let fixed = [false, true].map(|sim| crawl(sim, chaos, 4, 64));
+        assert_eq!(
+            fixed[0].outcome, fixed[1].outcome,
+            "tcp and sim endpoints diverged at 4x64 (chaos={chaos})"
+        );
+        for (sim, run) in [false, true].into_iter().zip(&fixed) {
+            // Lanes really multiplex: they are category-granular, so the
+            // tiny corpus caps the peak at categories-per-worker — still
+            // well past one.
+            assert!(
+                run.peak_in_flight > 1,
+                "sim={sim} lanes must overlap, got peak {}",
+                run.peak_in_flight
+            );
+            let check = |outcome: &CrawlOutcome, workers: usize, conns: usize| {
                 assert_eq!(
-                    fixed.outcome, threaded_fixed.outcome,
-                    "client {client:?} diverged from the blocking baseline (chaos={chaos})"
+                    outcome.apps, reference.apps,
+                    "sim={sim} w={workers} c={conns} chaos={chaos}: corpus diverged"
                 );
-                if !matches!(fixed.reactor, ReactorMode::Threaded) {
-                    // The non-blocking client really multiplexes: lanes
-                    // are category-granular, so the tiny corpus caps the
-                    // peak at categories-per-worker — still well past the
-                    // blocking client's ceiling of one. (On hosts without
-                    // epoll the pool resolves back to Threaded and this
-                    // arm is skipped.)
-                    assert!(
-                        fixed.peak_in_flight > 1,
-                        "client {client:?} lanes must overlap, got peak {}",
-                        fixed.peak_in_flight
-                    );
-                }
-                for (workers, conns) in [(1usize, 1usize), (4, 64), (8, 256)] {
-                    let pooled = if (workers, conns) == (4, 64) {
-                        continue; // already crawled as `fixed` above
-                    } else {
-                        crawl(sim, chaos, client, workers, conns)
-                    };
-                    assert_eq!(
-                        pooled.outcome.apps, reference.apps,
-                        "client {client:?} w={workers} c={conns} chaos={chaos}: corpus diverged"
-                    );
-                    assert_eq!(
-                        pooled.outcome.dropouts, reference.dropouts,
-                        "client {client:?} w={workers} c={conns} chaos={chaos}: ledger diverged"
-                    );
-                }
                 assert_eq!(
-                    fixed.outcome.apps, reference.apps,
-                    "client {client:?} w=4 c=64 chaos={chaos}: corpus diverged"
+                    outcome.dropouts, reference.dropouts,
+                    "sim={sim} w={workers} c={conns} chaos={chaos}: ledger diverged"
                 );
+            };
+            check(&run.outcome, 4, 64);
+            for (workers, conns) in [(1, 1), (8, 256)] {
+                if sim || workers != 1 {
+                    // (tcp, 1, 1) is the reference itself.
+                    check(&crawl(sim, chaos, workers, conns).outcome, workers, conns);
+                }
             }
         }
-        assert!(
-            nonblocking_tcp_available() || cfg!(not(target_os = "linux")),
-            "linux hosts must drive non-blocking TCP lanes"
-        );
     }
 }
 

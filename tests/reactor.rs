@@ -7,7 +7,7 @@
 //!    reactor's FNV digest over every delivered `(round, token,
 //!    interest)` tuple. Same seed ⇒ same digest and byte-identical
 //!    responses.
-//! 2. **Loop equivalence** — threaded, epoll and sim serving loops all
+//! 2. **Loop equivalence** — the epoll and sim serving loops both
 //!    reduce a request to the same [`Served`] verdict, so response
 //!    streams (calm or chaotic) are byte-identical across loops.
 //! 3. **Torn-write robustness** — the reactor's incremental parser must
@@ -77,7 +77,7 @@ fn start(mode: ReactorMode, reactor_seed: u64, chaos: Option<FaultPlan>) -> Stor
         ServerOptions {
             chaos,
             index: Some(synthetic_index()),
-            reactor: Some(mode),
+            reactor: mode,
             reactor_seed,
         },
     )
@@ -197,31 +197,27 @@ fn chaos_plan() -> FaultPlan {
 }
 
 #[test]
-fn all_three_loops_serve_identical_bytes_calm_and_chaotic() {
-    let modes = [ReactorMode::Threaded, ReactorMode::Epoll, ReactorMode::Sim];
-    let calm: Vec<_> = modes
-        .iter()
-        .map(|&m| query_workload(&start(m, 1, None)))
-        .collect();
-    assert_eq!(calm[0], calm[1], "threaded vs epoll diverged (calm)");
-    assert_eq!(calm[0], calm[2], "threaded vs sim diverged (calm)");
-
-    let stormy: Vec<_> = modes
-        .iter()
-        .map(|&m| query_workload(&start(m, 1, Some(chaos_plan()))))
-        .collect();
-    assert_eq!(stormy[0], stormy[1], "threaded vs epoll diverged (chaos)");
-    assert_eq!(stormy[0], stormy[2], "threaded vs sim diverged (chaos)");
+fn epoll_and_sim_loops_serve_identical_bytes_calm_and_chaotic() {
+    let run = |mode, chaos: Option<FaultPlan>| query_workload(&start(mode, 1, chaos));
+    let calm = run(ReactorMode::Epoll, None);
+    assert_eq!(calm, run(ReactorMode::Sim, None), "epoll vs sim diverged (calm)");
+    let stormy = run(ReactorMode::Epoll, Some(chaos_plan()));
     assert_eq!(
-        calm[0], stormy[0],
+        stormy,
+        run(ReactorMode::Sim, Some(chaos_plan())),
+        "epoll vs sim diverged (chaos)"
+    );
+    assert_eq!(
+        calm, stormy,
         "chaos must only cost retries, never change response bytes"
     );
 }
 
 #[test]
 fn sim_pipeline_report_matches_the_other_loops() {
-    // The full crawl → extract → analyse pipeline, pinned to each loop:
-    // the rendered report must be byte-identical, chaos included.
+    // The full crawl → extract → analyse pipeline, pinned to each loop
+    // (epoll, sim): the rendered report must be byte-identical, chaos
+    // included.
     let run = |mode: ReactorMode, chaos: bool| {
         let mut builder =
             PipelineConfig::builder(CorpusScale::Tiny, Snapshot::Y2021, 99).reactor(mode);
@@ -239,10 +235,9 @@ fn sim_pipeline_report_matches_the_other_loops() {
             .expect("pipeline")
             .render_text()
     };
-    let baseline = run(ReactorMode::Threaded, false);
-    assert_eq!(baseline, run(ReactorMode::Epoll, false), "epoll calm");
+    let baseline = run(ReactorMode::Epoll, false);
     assert_eq!(baseline, run(ReactorMode::Sim, false), "sim calm");
-    let chaotic = run(ReactorMode::Threaded, true);
+    let chaotic = run(ReactorMode::Epoll, true);
     assert_eq!(chaotic, run(ReactorMode::Sim, true), "sim chaos");
     assert_eq!(
         baseline, chaotic,
