@@ -1,5 +1,5 @@
-//! `poolbench` — worker-count and scheduling-mode scaling for the
-//! sharded crawl pool.
+//! `poolbench` — worker-count and connection scaling for the sharded
+//! crawl pool.
 //!
 //! ```sh
 //! cargo run --release -p gaugenn-bench --bin poolbench            # small corpus
@@ -8,9 +8,8 @@
 //! ```
 //!
 //! Crawls one snapshot sequentially, then through [`CrawlPool`]s at
-//! several worker counts under each scheduling mode (static shards,
-//! deterministic LPT, planned stealing), verifying every run merges to
-//! the identical corpus. The sweep runs 2/4/8 workers by default and
+//! several worker counts, verifying every run merges to the identical
+//! corpus. The sweep runs 2/4/8 workers by default and
 //! extends through 32/128/512 up to `--workers` when a larger fleet is
 //! requested — every worker holds one store connection, so the high end
 //! is a fan-in test of the serving loop selected with `--reactor
@@ -18,9 +17,9 @@
 //!
 //! Besides wall time, each pooled run prints its per-worker byte
 //! imbalance (max worker bytes / mean worker bytes, 1.00 = perfectly
-//! balanced) — on a single-core host that planning metric, not wall
-//! time, is the honest scheduling comparison. EXPERIMENTS.md and
-//! `results/BENCH_sched.json` record a captured run; `--json` emits the
+//! balanced) — a deterministic measure of how well the scheduler's
+//! plan spread the catalog, where wall time on a small host is noise.
+//! EXPERIMENTS.md records captured runs; `--json` emits the
 //! machine-readable rows (with their `reactor` column) that
 //! `results/BENCH_net.json` aggregates.
 //!
@@ -35,12 +34,10 @@ use gaugenn_playstore::corpus::{generate, Snapshot};
 use gaugenn_playstore::crawler::Crawler;
 use gaugenn_playstore::pool::{CrawlPool, CrawlPoolConfig};
 use gaugenn_playstore::server::{ServerOptions, StoreServer};
-use gaugenn_sched::SchedMode;
 use gaugenn_bench::stats::Stopwatch;
 
-/// One pooled crawl at a fixed (mode, workers) point.
+/// One pooled crawl at a fixed worker count.
 struct PoolRun {
-    mode: &'static str,
     workers: usize,
     wall_ms: f64,
     speedup: f64,
@@ -65,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         default_connections: 256,
         ..ArgSpec::new(
             "poolbench",
-            "worker-count and scheduling-mode scaling for the sharded crawl pool",
+            "worker-count and connection scaling for the sharded crawl pool",
         )
     };
     let args = cli::parse_or_exit(&spec);
@@ -98,37 +95,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut runs: Vec<PoolRun> = Vec::new();
-    for mode in [SchedMode::Static, SchedMode::Lpt, SchedMode::Stealing] {
-        eprintln!("  mode {}:", mode.name());
-        for &workers in &counts {
-            let t = Stopwatch::start();
-            let pooled = CrawlPool::new(CrawlPoolConfig {
-                workers,
-                sched: mode,
-                sched_seed: seed,
-                ..CrawlPoolConfig::default()
-            })
-            .crawl_at(&endpoint)?;
-            let dt = t.elapsed();
-            assert_eq!(
-                pooled.outcome.apps, baseline.apps,
-                "pool must merge to the sequential corpus in every mode"
-            );
-            let run = PoolRun {
-                mode: mode.name(),
-                workers,
-                wall_ms: dt.as_secs_f64() * 1e3,
-                speedup: t_seq.as_secs_f64() / dt.as_secs_f64(),
-                imbalance: byte_imbalance(
-                    &pooled.per_worker.iter().map(|w| w.bytes).collect::<Vec<_>>(),
-                ),
-            };
-            eprintln!(
-                "    {workers} workers:  {:>8.1} ms  (speedup {:.2}x, byte imbalance {:.2})",
-                run.wall_ms, run.speedup, run.imbalance
-            );
-            runs.push(run);
-        }
+    for &workers in &counts {
+        let t = Stopwatch::start();
+        let pooled = CrawlPool::new(CrawlPoolConfig {
+            workers,
+            sched_seed: seed,
+            ..CrawlPoolConfig::default()
+        })
+        .crawl_at(&endpoint)?;
+        let dt = t.elapsed();
+        assert_eq!(
+            pooled.outcome.apps, baseline.apps,
+            "pool must merge to the sequential corpus at every worker count"
+        );
+        let run = PoolRun {
+            workers,
+            wall_ms: dt.as_secs_f64() * 1e3,
+            speedup: t_seq.as_secs_f64() / dt.as_secs_f64(),
+            imbalance: byte_imbalance(
+                &pooled.per_worker.iter().map(|w| w.bytes).collect::<Vec<_>>(),
+            ),
+        };
+        eprintln!(
+            "  {workers} workers:  {:>8.1} ms  (speedup {:.2}x, byte imbalance {:.2})",
+            run.wall_ms, run.speedup, run.imbalance
+        );
+        runs.push(run);
     }
 
     // Connection-scaling stage: a fixed two-worker pool, fanning each
@@ -141,7 +133,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let t = Stopwatch::start();
         let pooled = CrawlPool::new(CrawlPoolConfig {
             workers: CONN_WORKERS,
-            sched: SchedMode::Lpt,
             sched_seed: seed,
             connections_per_worker: connections,
             ..CrawlPoolConfig::default()
@@ -176,9 +167,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (i, r) in runs.iter().enumerate() {
             let comma = if i + 1 == runs.len() { "" } else { "," };
             println!(
-                "    {{\"mode\": \"{}\", \"workers\": {}, \"reactor\": \"{reactor}\", \
-                 \"wall_ms\": {:.1}, \"speedup\": {:.2}, \"byte_imbalance\": {:.2}}}{comma}",
-                r.mode, r.workers, r.wall_ms, r.speedup, r.imbalance
+                "    {{\"workers\": {}, \"reactor\": \"{reactor}\", \"wall_ms\": {:.1}, \
+                 \"speedup\": {:.2}, \"byte_imbalance\": {:.2}}}{comma}",
+                r.workers, r.wall_ms, r.speedup, r.imbalance
             );
         }
         println!("  ],");
@@ -201,11 +192,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             t_seq.as_secs_f64() * 1e3,
             runs.len()
         );
-        println!("mode      workers   wall ms  speedup  imbalance");
+        println!("workers   wall ms  speedup  imbalance");
         for r in &runs {
             println!(
-                "{:<9} {:>7}  {:>8.1}  {:>6.2}x  {:>8.2}",
-                r.mode, r.workers, r.wall_ms, r.speedup, r.imbalance
+                "{:>7}  {:>8.1}  {:>6.2}x  {:>8.2}",
+                r.workers, r.wall_ms, r.speedup, r.imbalance
             );
         }
         println!("conns/worker   wall ms  speedup  peak in-flight");

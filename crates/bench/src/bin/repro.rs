@@ -22,8 +22,9 @@
 //! the Feb 2020 snapshot's analyses (models shared across snapshots are
 //! loaded, not re-traced), and a repeated run is warm end to end. The
 //! persistent counters print on stderr only — stdout stays byte-identical
-//! with or without the cache. `GAUGENN_SCHED=static|lpt|stealing` picks
-//! the pool scheduling mode (also stdout-invariant).
+//! with or without the cache. `--workers` and `--analysis-workers` size
+//! the crawl and analysis pools, which both plan their shards
+//! longest-first (`gaugenn_sched`); stdout is invariant in both.
 //!
 //! Set `GAUGENN_JOURNAL_DIR=<dir>` to journal completed work units
 //! (crawled apps, the end-of-crawl marker, the probe verdict) as they

@@ -8,9 +8,8 @@
 //! [`gaugenn_playstore::pool::CrawlPool`]:
 //!
 //! 1. **Extraction** — work units are apps, sized by container bytes
-//!    (APK + OBBs + bundle), partitioned by the [`gaugenn_sched`]
-//!    scheduler ([`SchedMode::Lpt`] by default; `GAUGENN_SCHED`
-//!    overrides).
+//!    (APK + OBBs + bundle), partitioned longest-first by the
+//!    [`gaugenn_sched`] scheduler.
 //! 2. **Model analysis** — work units are the *individual model files*
 //!    found in phase 1, sized by their file bytes, scheduled the same
 //!    way. One model-dense app no longer straggles its shard: its models
@@ -18,9 +17,8 @@
 //!
 //! The merge walks apps (and their models) in corpus-index order, so the
 //! produced models, instances, index docs and counters are
-//! **byte-identical to the sequential run at any worker count and under
-//! any scheduling mode** — assignment moves wall-clock between workers,
-//! never content.
+//! **byte-identical to the sequential run at any worker count** —
+//! assignment moves wall-clock between workers, never content.
 //!
 //! # The content-addressed cache
 //!
@@ -51,8 +49,8 @@
 //! # Determinism
 //!
 //! * which worker analyses which unit is a pure function of `(unit
-//!   sizes, workers, mode, seed)`, all fixed before any thread starts —
-//!   no runtime work stealing, no shared queues;
+//!   sizes, workers)`, fixed before any thread starts — no runtime work
+//!   stealing, no shared queues;
 //! * the cache only memoises a pure function of the model bytes, so the
 //!   race for who computes a checksum first never changes *what* is
 //!   computed;
@@ -80,7 +78,7 @@ use gaugenn_dnn::graph::LayerKind;
 use gaugenn_dnn::trace::{trace_graph, TraceReport};
 use gaugenn_modelfmt::Framework;
 use gaugenn_playstore::crawler::CrawledApp;
-use gaugenn_sched::{assign, SchedMode, WorkUnit};
+use gaugenn_sched::{assign, WorkUnit};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,11 +95,8 @@ pub struct AnalysisConfig {
     /// default; `analyzebench` switches it off to measure what the cache
     /// buys (every instance then pays the full decode + trace).
     pub dedup_cache: bool,
-    /// How work units (apps in the extraction phase, model files in the
-    /// analysis phase) are partitioned across workers. Defaults to the
-    /// `GAUGENN_SCHED` environment variable (falling back to LPT).
-    pub sched: SchedMode,
-    /// Seed for the planned-steal sequence ([`SchedMode::Stealing`]).
+    /// Unread: the work plan takes no seed. Kept so existing struct
+    /// literals that set it still build.
     pub sched_seed: u64,
     /// Directory backing the [`ModelCache`] persistently across runs
     /// (see [`CacheStore`]). `None` keeps the cache in-memory only.
@@ -114,7 +109,6 @@ impl Default for AnalysisConfig {
         AnalysisConfig {
             workers: 1,
             dedup_cache: true,
-            sched: SchedMode::from_env(),
             sched_seed: 0,
             cache_dir: None,
         }
@@ -423,14 +417,6 @@ struct StageTimers {
     trace: Duration,
 }
 
-/// Size estimate for one crawled app: every container byte the
-/// extraction phase will walk.
-fn container_bytes(app: &CrawledApp) -> u64 {
-    app.apk.len() as u64
-        + app.obbs.iter().map(|(_, b)| b.len() as u64).sum::<u64>()
-        + app.bundle.as_ref().map_or(0, |b| b.len() as u64)
-}
-
 /// The scheduled analysis pool. See the module docs for the determinism
 /// contract.
 #[derive(Debug, Clone, Default)]
@@ -448,12 +434,9 @@ impl AnalysisPool {
     ///
     /// Work is partitioned by the deterministic scheduler in two phases
     /// (apps for extraction, model files for decode/trace); results merge
-    /// in corpus-index order, byte-identical at any worker count and
-    /// under any [`SchedMode`].
+    /// in corpus-index order, byte-identical at any worker count.
     pub fn analyse(&self, crawled: &[CrawledApp]) -> Result<AnalysisOutput> {
         let workers = self.config.workers.max(1);
-        let mode = self.config.sched;
-        let seed = self.config.sched_seed;
         let use_cache = self.config.dedup_cache;
         let store = if use_cache {
             self.config.cache_dir.as_deref().map(CacheStore::open)
@@ -470,10 +453,10 @@ impl AnalysisPool {
             .enumerate()
             .map(|(index, app)| WorkUnit {
                 index,
-                size: container_bytes(app),
+                size: app.bytes(),
             })
             .collect();
-        let app_plan = assign(&app_units, workers, mode, seed);
+        let app_plan = assign(&app_units, workers);
         let mut extractions: Vec<Option<Result<AppExtraction>>> =
             (0..crawled.len()).map(|_| None).collect();
         // Per-worker output: (corpus index, extraction) pairs plus the
@@ -536,7 +519,7 @@ impl AnalysisPool {
                 }
             }
         }
-        let model_plan = assign(&model_units, workers, mode, seed);
+        let model_plan = assign(&model_units, workers);
         let mut outcomes: Vec<Option<(String, ModelOutcome)>> =
             (0..model_units.len()).map(|_| None).collect();
         // Per-worker output: (unit sequence number, (checksum, outcome))
@@ -790,7 +773,7 @@ mod tests {
         let one = AnalysisPool::new(AnalysisConfig::with_workers(1))
             .analyse(&apps)
             .unwrap();
-        for workers in [2usize, 4, 8] {
+        for workers in [2usize, 3, 4, 8] {
             let n = AnalysisPool::new(AnalysisConfig::with_workers(workers))
                 .analyse(&apps)
                 .unwrap();
@@ -878,34 +861,6 @@ mod tests {
         let (hits, misses) = cache.counters();
         assert_eq!(misses, 10);
         assert_eq!(hits, 800 - 10);
-    }
-
-    #[test]
-    fn sched_mode_does_not_change_the_output() {
-        let apps = crawl_tiny();
-        let base = AnalysisPool::new(AnalysisConfig {
-            workers: 3,
-            sched: SchedMode::Static,
-            ..AnalysisConfig::default()
-        })
-        .analyse(&apps)
-        .unwrap();
-        for mode in [SchedMode::Lpt, SchedMode::Stealing] {
-            let out = AnalysisPool::new(AnalysisConfig {
-                workers: 3,
-                sched: mode,
-                sched_seed: 0xBEEF,
-                ..AnalysisConfig::default()
-            })
-            .analyse(&apps)
-            .unwrap();
-            assert_eq!(checksums(&out), checksums(&base), "{mode:?}");
-            assert_eq!(out.instances.len(), base.instances.len());
-            assert_eq!(out.stats.cache_hits, base.stats.cache_hits, "{mode:?}");
-            assert_eq!(out.stats.cache_misses, base.stats.cache_misses);
-            assert_eq!(out.composition.counts, base.composition.counts);
-            assert_eq!(out.failed_candidates, base.failed_candidates);
-        }
     }
 
     #[test]

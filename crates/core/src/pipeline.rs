@@ -21,7 +21,6 @@ use gaugenn_playstore::crawler::{
 use gaugenn_playstore::pool::{CrawlPool, CrawlPoolConfig};
 use gaugenn_playstore::reactor::ReactorMode;
 use gaugenn_playstore::server::{ServerOptions, StoreServer};
-use gaugenn_sched::SchedMode;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -58,14 +57,6 @@ pub struct PipelineConfig {
     /// [`AnalysisPool`] whose merged report is byte-identical to the
     /// sequential run at any worker count.
     pub analysis_workers: usize,
-    /// How both pools partition work across their fleets. Defaults to
-    /// the `GAUGENN_SCHED` environment variable (falling back to LPT);
-    /// never changes report content, only who does the work.
-    pub sched: SchedMode,
-    /// Per-category crawl-size hints in bytes (e.g. measured by a
-    /// previous snapshot) — passed to the crawl pool so size-aware modes
-    /// skip their bootstrap listing probe.
-    pub crawl_size_hints: Option<BTreeMap<String, u64>>,
     /// Directory for the persistent analysis cache. When set, a second
     /// run (or second snapshot) over the same directory attaches to
     /// already-computed model analyses instead of re-tracing them.
@@ -129,8 +120,6 @@ impl PipelineConfig {
             chaos: None,
             probe_device_profiles: true,
             analysis_workers: 1,
-            sched: SchedMode::from_env(),
-            crawl_size_hints: None,
             analysis_cache_dir: None,
             journal_dir: None,
             resume: false,
@@ -208,18 +197,6 @@ impl PipelineConfigBuilder {
     /// Offline-analysis worker threads (1 = sequential).
     pub fn analysis_workers(mut self, workers: usize) -> PipelineConfigBuilder {
         self.config.analysis_workers = workers;
-        self
-    }
-
-    /// Pool scheduling mode for both fleets.
-    pub fn sched(mut self, sched: SchedMode) -> PipelineConfigBuilder {
-        self.config.sched = sched;
-        self
-    }
-
-    /// Per-category crawl-size hints for size-aware scheduling.
-    pub fn crawl_size_hints(mut self, hints: BTreeMap<String, u64>) -> PipelineConfigBuilder {
-        self.config.crawl_size_hints = Some(hints);
         self
     }
 
@@ -587,9 +564,7 @@ impl Pipeline {
                     crawler: self.config.crawler.clone(),
                     retry: self.config.retry.clone(),
                     admission: self.config.admission.clone(),
-                    sched: self.config.sched,
                     sched_seed: self.config.seed,
-                    size_hints: self.config.crawl_size_hints.clone(),
                     resume: resume_cache,
                     connections_per_worker: self.config.connections_per_worker,
                 })
@@ -653,8 +628,6 @@ impl Pipeline {
         // reproduces the old sequential loop through the same code path).
         let analysed = AnalysisPool::new(AnalysisConfig {
             workers: self.config.analysis_workers,
-            sched: self.config.sched,
-            sched_seed: self.config.seed,
             cache_dir: self.config.analysis_cache_dir.clone(),
             ..AnalysisConfig::default()
         })

@@ -1,6 +1,6 @@
 //! Crash-fault injection matrix: really SIGKILL a child run at each
 //! registered crash point, resume it, and demand **byte-identical**
-//! stdout — at several workers × sched-mode combinations.
+//! stdout — at several crawl × analysis worker-count combinations.
 //!
 //! The child is this same test binary re-invoked with
 //! `GAUGENN_CRASH_CHILD` set, which turns the otherwise-inert
@@ -14,7 +14,6 @@
 
 use gaugenn_core::pipeline::{Pipeline, PipelineConfig, PipelineReport};
 use gaugenn_playstore::corpus::Snapshot;
-use gaugenn_sched::SchedMode;
 use std::collections::BTreeSet;
 use std::fs;
 use std::io::Write as _;
@@ -62,10 +61,6 @@ fn pipeline_child() {
     let mut cfg = PipelineConfig::tiny(Snapshot::Y2021, SEED);
     cfg.workers = env_usize("GAUGENN_CHILD_WORKERS", 1);
     cfg.analysis_workers = env_usize("GAUGENN_CHILD_ANALYSIS_WORKERS", 1);
-    cfg.sched = std::env::var("GAUGENN_CHILD_SCHED")
-        .ok()
-        .and_then(|s| SchedMode::parse(&s))
-        .unwrap_or(SchedMode::Lpt);
     cfg.journal_dir = Some(dir.join("journal"));
     cfg.analysis_cache_dir = Some(dir.join("cache"));
     cfg.resume = std::env::var("GAUGENN_CHILD_RESUME").is_ok();
@@ -96,32 +91,30 @@ fn killed_by_sigkill(status: std::process::ExitStatus) -> bool {
     status.signal() == Some(9)
 }
 
-fn baseline(workers: usize, analysis_workers: usize, sched: SchedMode) -> PipelineReport {
-    let mut cfg = PipelineConfig::tiny(Snapshot::Y2021, SEED);
-    cfg.workers = workers;
-    cfg.analysis_workers = analysis_workers;
-    cfg.sched = sched;
-    Pipeline::new(cfg).run().expect("baseline")
+/// The uninterrupted single-worker run every resumed child must match.
+fn baseline() -> PipelineReport {
+    Pipeline::new(PipelineConfig::tiny(Snapshot::Y2021, SEED))
+        .run()
+        .expect("baseline")
 }
 
 /// The tentpole matrix: SIGKILL at three registered points, at three
-/// workers × sched-mode shapes, resume each, and diff stdout bytes.
+/// (crawl workers, analysis workers) shapes, resume each, and diff
+/// stdout bytes.
 #[test]
 fn sigkill_matrix_resume_is_byte_identical() {
-    // render_text is worker- and sched-invariant by contract, so one
-    // reference serves the whole matrix (other tests pin the contract).
-    let reference = baseline(1, 1, SchedMode::Lpt).render_text();
-    let combos: [(usize, usize, &str); 3] =
-        [(1, 1, "lpt"), (4, 2, "static"), (2, 4, "stealing")];
+    // render_text is worker-invariant by contract, so one reference
+    // serves the whole matrix (other tests pin the contract).
+    let reference = baseline().render_text();
+    let combos: [(usize, usize); 3] = [(1, 1), (4, 2), (2, 4)];
     let points: [(&str, u64); 3] = [("post-crawl", 1), ("model-analysis", 2), ("cache-append", 2)];
-    for (workers, analysis_workers, sched) in combos {
+    for (workers, analysis_workers) in combos {
         for (point, nth) in points {
-            let dir = scratch(&format!("matrix-{workers}-{sched}-{point}"));
+            let dir = scratch(&format!("matrix-{workers}-{analysis_workers}-{point}"));
             fs::create_dir_all(&dir).unwrap();
             let shape = [
                 ("GAUGENN_CHILD_WORKERS", workers.to_string()),
                 ("GAUGENN_CHILD_ANALYSIS_WORKERS", analysis_workers.to_string()),
-                ("GAUGENN_CHILD_SCHED", sched.to_string()),
             ];
             let mut armed = shape.to_vec();
             armed.push(("GAUGENN_CRASH", format!("{point}:{nth}")));
@@ -129,7 +122,7 @@ fn sigkill_matrix_resume_is_byte_identical() {
             let status = spawn_child("pipeline", &dir, &armed);
             assert!(
                 killed_by_sigkill(status),
-                "{workers}w/{sched} {point}:{nth}: child must die by SIGKILL, got {status:?}"
+                "{workers}w/{analysis_workers}a {point}:{nth}: child must die by SIGKILL, got {status:?}"
             );
             assert!(
                 !dir.join("report.txt").exists(),
@@ -139,11 +132,11 @@ fn sigkill_matrix_resume_is_byte_identical() {
             let mut resume = shape.to_vec();
             resume.push(("GAUGENN_CHILD_RESUME", "1".to_string()));
             let status = spawn_child("pipeline", &dir, &resume);
-            assert!(status.success(), "{workers}w/{sched} {point}: resume failed");
+            assert!(status.success(), "{workers}w/{analysis_workers}a {point}: resume failed");
             let resumed = fs::read_to_string(dir.join("report.txt")).expect("resumed report");
             assert_eq!(
                 resumed, reference,
-                "{workers}w/{sched} {point}:{nth}: resumed stdout diverged"
+                "{workers}w/{analysis_workers}a {point}:{nth}: resumed stdout diverged"
             );
             let _ = fs::remove_dir_all(&dir);
         }
@@ -155,7 +148,7 @@ fn sigkill_matrix_resume_is_byte_identical() {
 /// record", never error, never diverge.
 #[test]
 fn corrupted_journal_never_errors_and_never_diverges() {
-    let reference = baseline(1, 1, SchedMode::Lpt).render_text();
+    let reference = baseline().render_text();
     let dir = scratch("corrupt");
     fs::create_dir_all(&dir).unwrap();
     let armed = [

@@ -261,6 +261,15 @@ pub struct CrawledApp {
     pub bundle: Option<Vec<u8>>,
 }
 
+impl CrawledApp {
+    /// Every container byte downloaded for the app: APK, OBBs and bundle.
+    pub fn bytes(&self) -> u64 {
+        (self.apk.len()
+            + self.obbs.iter().map(|(_, b)| b.len()).sum::<usize>()
+            + self.bundle.as_ref().map_or(0, |b| b.len())) as u64
+    }
+}
+
 /// One live keep-alive connection — a pair of cloned [`Transport`]
 /// handles over TCP or a sim pipe, depending on the dialled
 /// [`Endpoint`].

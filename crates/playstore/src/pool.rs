@@ -7,23 +7,13 @@
 //! the endpoint — kernel epoll for TCP, the deterministic sim reactor
 //! for sim. Which worker crawls which category is decided **before any
 //! worker thread starts** by the shared deterministic scheduler in
-//! [`gaugenn_sched`]:
+//! [`gaugenn_sched`], which assigns categories largest-catalog-first to
+//! the least-loaded worker, so one heavy category never straggles
+//! whatever shard its index happens to fall in.
 //!
-//! * [`SchedMode::Static`] reproduces the original `index % workers`
-//!   partition;
-//! * [`SchedMode::Lpt`] (the default) assigns categories
-//!   largest-catalog-first to the least-loaded worker, so one heavy
-//!   category no longer straggles whatever shard its index happens to
-//!   fall in;
-//! * [`SchedMode::Stealing`] rebalances the static partition with a
-//!   planned steal sequence that is a pure function of
-//!   `(seed, thief id, round)`.
-//!
-//! Category sizes come from [`CrawlPoolConfig::size_hints`] when the
-//! caller has real byte counts (e.g. the previous snapshot's crawl of the
-//! same store), otherwise from a bootstrap probe: a synchronous
-//! [`Crawler`] on connection 0 lists each category once and uses the
-//! listed app count as the catalog size estimate.
+//! Category sizes come from a bootstrap probe: a synchronous [`Crawler`]
+//! on connection 0 lists each category once and uses the listed app
+//! count as the catalog size estimate.
 //!
 //! All workers share one [`AdmissionController`]: the fleet collectively
 //! respects a single store-wide rate limit, and a sustained 429/503 storm
@@ -34,10 +24,10 @@
 //! The merged [`CrawlOutcome`] is assembled in category-index order, not
 //! completion order, so a chaos run with a fixed seed produces a
 //! byte-identical corpus and drop-out ledger no matter how the workers
-//! interleave — and no matter which scheduling mode assigned the shards:
+//! interleave — and no matter how the shards were assigned:
 //!
-//! * the assignment is computed up front from `(category sizes, workers,
-//!   mode, seed)` — no runtime work stealing, no shared queues — and each
+//! * the assignment is computed up front from `(category sizes,
+//!   workers)` — no runtime work stealing, no shared queues — and each
 //!   worker walks its shard in ascending category-index order;
 //! * chaos fault schedules cap transient faults per route and make
 //!   permanent faults connection-independent (see [`crate::chaos`]), so
@@ -58,7 +48,7 @@ use crate::crawler::{CrawlOutcome, CrawlStats, CrawledApp, Crawler, CrawlerConfi
 use crate::net::Endpoint;
 use crate::reactor_client::{drive_lanes, CrawlLaneJob, LaneOpts, LaneSpec};
 use crate::Result;
-use gaugenn_sched::{assign, SchedMode, WorkUnit};
+use gaugenn_sched::{assign, WorkUnit};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -75,16 +65,10 @@ pub struct CrawlPoolConfig {
     pub retry: RetryPolicy,
     /// Store-wide admission control shared by the whole fleet.
     pub admission: AdmissionConfig,
-    /// How categories are partitioned across workers. Defaults to the
-    /// `GAUGENN_SCHED` environment variable (falling back to LPT).
-    pub sched: SchedMode,
-    /// Seed for the planned-steal sequence ([`SchedMode::Stealing`] only).
+    /// Seeds each worker's sim-reactor lanes (worker `w` runs on
+    /// `sched_seed ^ w`); its only job, since the category plan takes no
+    /// seed. Ignored on TCP endpoints.
     pub sched_seed: u64,
-    /// Per-category catalog sizes in bytes, when the caller already knows
-    /// them (e.g. measured by the previous snapshot's crawl). When absent
-    /// and the mode is size-aware, the pool probes each category's listing
-    /// once on the bootstrap connection and uses the app count instead.
-    pub size_hints: Option<BTreeMap<String, u64>>,
     /// Resume cache shared by every worker: apps a replayed crash
     /// journal already holds (see
     /// [`crate::crawler::CrawlerBuilder::resume_cache`]).
@@ -105,9 +89,7 @@ impl Default for CrawlPoolConfig {
             crawler: CrawlerConfig::default(),
             retry: RetryPolicy::default(),
             admission: AdmissionConfig::default(),
-            sched: SchedMode::from_env(),
             sched_seed: 0,
-            size_hints: None,
             resume: None,
             connections_per_worker: 1,
         }
@@ -128,7 +110,7 @@ pub struct WorkerReport {
     /// Apps the worker crawled successfully.
     pub apps: usize,
     /// Bytes (APK + OBB + bundle) the worker pulled — the load-balance
-    /// metric `poolbench` compares across scheduling modes.
+    /// metric `poolbench` reports as byte imbalance per worker count.
     pub bytes: u64,
     /// Drop-outs the worker recorded.
     pub dropouts: usize,
@@ -144,7 +126,7 @@ pub struct WorkerReport {
 pub struct PoolOutcome {
     /// Merged corpus + drop-out ledger + summed stats, in deterministic
     /// category-index order — byte-identical to what the same seed
-    /// produces at any worker count and in any scheduling mode while the
+    /// produces at any worker count and connection fan-out while the
     /// breaker stays closed.
     pub outcome: CrawlOutcome,
     /// Per-worker diagnostics, in worker order.
@@ -153,8 +135,6 @@ pub struct PoolOutcome {
     pub admission: AdmissionStats,
     /// Worker count actually used.
     pub workers: usize,
-    /// Scheduling mode the shards were assigned under.
-    pub sched: SchedMode,
     /// Most connections any single worker held in flight at once — at
     /// most `connections_per_worker`, and at most the worker's category
     /// count, since lanes are category-granular.
@@ -233,10 +213,22 @@ fn crawl_shard(
     Ok((shards, stats, report.peak_in_flight))
 }
 
-fn app_bytes(app: &CrawledApp) -> u64 {
-    (app.apk.len()
-        + app.obbs.iter().map(|(_, b)| b.len()).sum::<usize>()
-        + app.bundle.as_ref().map_or(0, |b| b.len())) as u64
+/// Size estimates for the category units: a listing probe on the
+/// bootstrap connection counting each category's apps. A probe failure
+/// estimates 1 — the worker assigned the category will record the real
+/// drop-out itself.
+fn size_units(bootstrap: &mut Crawler, categories: &[String]) -> Vec<WorkUnit> {
+    categories
+        .iter()
+        .enumerate()
+        .map(|(index, cat)| WorkUnit {
+            index,
+            size: bootstrap
+                .list_category(cat)
+                .map(|apps| apps.len() as u64)
+                .unwrap_or(1),
+        })
+        .collect()
 }
 
 /// The sharded pool. See the module docs for the determinism contract.
@@ -251,36 +243,13 @@ impl CrawlPool {
         CrawlPool { config }
     }
 
-    /// Size estimates for the category units: caller-provided byte hints
-    /// when available, otherwise (for size-aware modes) a listing probe on
-    /// the bootstrap connection counting each category's apps. A probe
-    /// failure estimates 1 — the worker assigned the category will record
-    /// the real drop-out itself.
-    fn size_units(&self, bootstrap: &mut Crawler, categories: &[String]) -> Vec<WorkUnit> {
-        categories
-            .iter()
-            .enumerate()
-            .map(|(index, cat)| {
-                let size = match (&self.config.size_hints, self.config.sched) {
-                    (Some(hints), _) => hints.get(cat).copied().unwrap_or(1),
-                    (None, SchedMode::Static) => 0, // unused by the static partition
-                    (None, _) => bootstrap
-                        .list_category(cat)
-                        .map(|apps| apps.len() as u64)
-                        .unwrap_or(1),
-                };
-                WorkUnit { index, size }
-            })
-            .collect()
-    }
-
     /// Sweep the whole store at `addr` with the configured worker fleet.
     ///
-    /// Connection 0 bootstraps the category list (and, in size-aware
-    /// modes without size hints, probes each category's listing for a
-    /// catalog size estimate); worker k then crawls the categories the
-    /// scheduler assigned to shard k on its lanes, connections
-    /// `k·C + 1 … k·C + C` for `C = connections_per_worker`.
+    /// Connection 0 bootstraps the category list and probes each
+    /// category's listing for a catalog size estimate; worker k then
+    /// crawls the categories the scheduler assigned to shard k on its
+    /// lanes, connections `k·C + 1 … k·C + C` for
+    /// `C = connections_per_worker`.
     pub fn crawl(&self, addr: SocketAddr) -> Result<PoolOutcome> {
         self.crawl_at(&Endpoint::Tcp(addr))
     }
@@ -300,11 +269,11 @@ impl CrawlPool {
             .admission(admission.clone())
             .build()?;
         let categories = bootstrap.categories()?;
-        let units = self.size_units(&mut bootstrap, &categories);
+        let units = size_units(&mut bootstrap, &categories);
         let bootstrap_stats = bootstrap.stats().clone();
         drop(bootstrap);
 
-        let plan = assign(&units, workers, self.config.sched, self.config.sched_seed);
+        let plan = assign(&units, workers);
 
         let mut results: Vec<Result<WorkerYield>> = std::thread::scope(|scope| {
             let handles: Vec<_> = plan
@@ -350,7 +319,7 @@ impl CrawlPool {
                 apps: worker_shards.iter().map(|s| s.apps.len()).sum(),
                 bytes: worker_shards
                     .iter()
-                    .flat_map(|s| s.apps.iter().map(app_bytes))
+                    .flat_map(|s| s.apps.iter().map(CrawledApp::bytes))
                     .sum(),
                 dropouts: worker_shards.iter().map(|s| s.dropouts.len()).sum(),
                 stats: stats.clone(),
@@ -376,7 +345,6 @@ impl CrawlPool {
             per_worker,
             admission: admission.stats(),
             workers,
-            sched: self.config.sched,
             peak_in_flight,
         })
     }
@@ -392,10 +360,9 @@ mod tests {
         StoreServer::start(generate(CorpusScale::Tiny, Snapshot::Y2021, 7)).unwrap()
     }
 
-    fn with_mode(workers: usize, sched: SchedMode) -> CrawlPoolConfig {
+    fn with_workers(workers: usize) -> CrawlPoolConfig {
         CrawlPoolConfig {
             workers,
-            sched,
             ..CrawlPoolConfig::default()
         }
     }
@@ -405,13 +372,9 @@ mod tests {
         let server = start_tiny();
         let mut seq = Crawler::builder(server.addr()).build().unwrap();
         let sequential = seq.crawl_all().unwrap();
+        let categories = seq.categories().unwrap().len();
 
-        let pooled = CrawlPool::new(CrawlPoolConfig {
-            workers: 4,
-            ..CrawlPoolConfig::default()
-        })
-        .crawl(server.addr())
-        .unwrap();
+        let pooled = CrawlPool::new(with_workers(4)).crawl(server.addr()).unwrap();
 
         assert_eq!(pooled.workers, 4);
         assert_eq!(pooled.outcome.apps, sequential.apps, "same corpus, same order");
@@ -419,75 +382,25 @@ mod tests {
         assert_eq!(pooled.per_worker.len(), 4);
         let shard_apps: usize = pooled.per_worker.iter().map(|w| w.apps).sum();
         assert_eq!(shard_apps, pooled.outcome.apps.len());
+        let covered: usize = pooled.per_worker.iter().map(|w| w.categories).sum();
+        assert_eq!(covered, categories, "every category crawled once");
     }
 
     #[test]
     fn worker_count_does_not_change_the_corpus() {
         let server = start_tiny();
-        let one = CrawlPool::new(with_mode(1, SchedMode::Lpt))
-            .crawl(server.addr())
-            .unwrap();
-        let eight = CrawlPool::new(with_mode(8, SchedMode::Lpt))
-            .crawl(server.addr())
-            .unwrap();
+        let one = CrawlPool::new(with_workers(1)).crawl(server.addr()).unwrap();
+        let eight = CrawlPool::new(with_workers(8)).crawl(server.addr()).unwrap();
         assert_eq!(one.outcome.apps, eight.outcome.apps);
         assert_eq!(one.outcome.dropouts, eight.outcome.dropouts);
     }
 
     #[test]
-    fn sched_mode_does_not_change_the_corpus() {
-        let server = start_tiny();
-        let baseline = CrawlPool::new(with_mode(4, SchedMode::Static))
-            .crawl(server.addr())
-            .unwrap();
-        for sched in [SchedMode::Lpt, SchedMode::Stealing] {
-            let other = CrawlPool::new(with_mode(4, sched)).crawl(server.addr()).unwrap();
-            assert_eq!(other.outcome.apps, baseline.outcome.apps, "{sched:?}");
-            assert_eq!(other.outcome.dropouts, baseline.outcome.dropouts);
-            let covered: usize = other.per_worker.iter().map(|w| w.categories).sum();
-            let statically: usize = baseline.per_worker.iter().map(|w| w.categories).sum();
-            assert_eq!(covered, statically, "every category still crawled once");
-        }
-    }
-
-    #[test]
-    fn size_hints_suppress_the_listing_probe() {
-        let server = start_tiny();
-        // First crawl (static: no probe) measures real per-category bytes.
-        let first = CrawlPool::new(with_mode(2, SchedMode::Static))
-            .crawl(server.addr())
-            .unwrap();
-        let mut hints: BTreeMap<String, u64> = BTreeMap::new();
-        for app in &first.outcome.apps {
-            *hints.entry(app.meta.category.clone()).or_default() += app_bytes(app);
-        }
-        let probe_free = CrawlPool::new(CrawlPoolConfig {
-            workers: 4,
-            sched: SchedMode::Lpt,
-            size_hints: Some(hints),
-            ..CrawlPoolConfig::default()
-        })
-        .crawl(server.addr())
-        .unwrap();
-        assert_eq!(probe_free.outcome.apps, first.outcome.apps);
-        // With hints the bootstrap connection only fetches the category
-        // list, so the hinted LPT crawl pays no more requests than the
-        // static one.
-        assert_eq!(
-            probe_free.outcome.stats.requests,
-            first.outcome.stats.requests
-        );
-    }
-
-    #[test]
     fn extra_connections_do_not_change_the_corpus() {
         let server = start_tiny();
-        let one = CrawlPool::new(with_mode(2, SchedMode::Lpt))
-            .crawl(server.addr())
-            .unwrap();
+        let one = CrawlPool::new(with_workers(2)).crawl(server.addr()).unwrap();
         let fanned = CrawlPool::new(CrawlPoolConfig {
             workers: 2,
-            sched: SchedMode::Lpt,
             connections_per_worker: 3,
             ..CrawlPoolConfig::default()
         })
@@ -503,7 +416,6 @@ mod tests {
     fn epoll_and_sim_lanes_agree() {
         let config = CrawlPoolConfig {
             workers: 2,
-            sched: SchedMode::Lpt,
             connections_per_worker: 4,
             ..CrawlPoolConfig::default()
         };

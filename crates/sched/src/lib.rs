@@ -6,135 +6,38 @@
 //! worker processes its shard in ascending unit-index order, and the merge
 //! replays unit-index order. Because the merge ignores *who* produced a
 //! shard, the assignment only ever moves wall-clock time between workers —
-//! it can never change the merged output. That is what lets this crate
-//! offer three interchangeable policies:
+//! it can never change the merged output.
 //!
-//! * [`SchedMode::Static`] — the legacy `index % workers` partition.
-//!   Oblivious to size; one heavy unit straggles its shard.
-//! * [`SchedMode::Lpt`] — longest-processing-time-first: walk units in
-//!   (size descending, index ascending) order, always assigning to the
-//!   least-loaded worker (ties to the lowest worker id). Classic 4/3-OPT
-//!   makespan bound, and deterministic because every comparison has a
-//!   total order: sizes tie-break on unit index, loads on worker id.
-//! * [`SchedMode::Stealing`] — start from the static partition, then run a
-//!   bounded sequence of *planned* steals: each round the least-loaded
-//!   worker steals one unit from a victim picked by a pure function of
-//!   `(seed, thief id, round)` (see [`splitmix64`]). The plan is computed
-//!   before any worker runs, so unlike a runtime deque there is nothing
-//!   for thread timing to perturb — same inputs, same plan, every run.
-//!
-//! The mode is selected per pool config, defaulting to the `GAUGENN_SCHED`
-//! environment variable (`static` | `lpt` | `stealing`), falling back to
-//! LPT. `scripts/verify.sh` runs the determinism suite under both `static`
-//! and `lpt` to prove reports are byte-identical across modes.
+//! The one policy is longest-processing-time-first ([`assign`]): walk
+//! units in (size descending, index ascending) order, always assigning to
+//! the least-loaded worker (ties to the lowest worker id). It carries the
+//! classic 4/3-OPT makespan bound, and it is deterministic because every
+//! comparison has a total order: sizes tie-break on unit index, loads on
+//! worker id. There is no seed and no runtime queue — same inputs, same
+//! plan, every run.
 
 use std::collections::BTreeMap;
 
-/// How work units are partitioned across pool workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Legacy static partition: unit `index % workers`.
-    Static,
-    /// Longest-processing-time-first by size estimate.
-    Lpt,
-    /// Static partition rebalanced by deterministic planned steals.
-    Stealing,
-}
-
-impl SchedMode {
-    /// Parse a mode name as used by `GAUGENN_SCHED` and the bench CLIs.
-    pub fn parse(s: &str) -> Option<SchedMode> {
-        match s {
-            "static" => Some(SchedMode::Static),
-            "lpt" => Some(SchedMode::Lpt),
-            "stealing" => Some(SchedMode::Stealing),
-            _ => None,
-        }
-    }
-
-    /// Mode from the `GAUGENN_SCHED` environment variable; unset or
-    /// unrecognised values fall back to [`SchedMode::Lpt`].
-    pub fn from_env() -> SchedMode {
-        std::env::var("GAUGENN_SCHED")
-            .ok()
-            .as_deref()
-            .and_then(SchedMode::parse)
-            .unwrap_or(SchedMode::Lpt)
-    }
-
-    /// Stable lowercase name (round-trips through [`SchedMode::parse`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedMode::Static => "static",
-            SchedMode::Lpt => "lpt",
-            SchedMode::Stealing => "stealing",
-        }
-    }
-}
-
-impl Default for SchedMode {
-    fn default() -> Self {
-        SchedMode::from_env()
-    }
-}
-
 /// One schedulable unit: a stable identity (`index` — the corpus/category
 /// position the merge replays) and a cost estimate in arbitrary units
-/// (catalog bytes, model-file bytes, ...). A zero size is legal and sorts
-/// last under LPT.
+/// (listed app count, container bytes, ...). A zero size is legal and
+/// sorts last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkUnit {
     /// Merge-order identity; must be unique within one `assign` call.
     pub index: usize,
-    /// Size estimate driving LPT/stealing decisions.
+    /// Size estimate driving the assignment.
     pub size: u64,
 }
 
-/// SplitMix64 — the steal plan's only source of "randomness". A pure
-/// function of its seed, so the plan is reproducible by construction.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Cap on planned steal rounds, as a multiple of the unit count. Steals
-/// strictly reduce the thief/victim pairwise makespan, so the plan always
-/// terminates on its own; the cap only bounds pathological inputs.
-const STEAL_ROUND_FACTOR: usize = 4;
-
-/// Partition `units` across `workers` shards under `mode`.
+/// Partition `units` across `workers` shards, longest processing time
+/// first.
 ///
 /// Returns one `Vec` of unit indices per worker, each sorted ascending so
 /// workers process (and chaos fault schedules see) units in a stable
-/// order. Every unit index appears in exactly one shard. `seed` only
-/// influences [`SchedMode::Stealing`].
-pub fn assign(units: &[WorkUnit], workers: usize, mode: SchedMode, seed: u64) -> Vec<Vec<usize>> {
+/// order. Every unit index appears in exactly one shard.
+pub fn assign(units: &[WorkUnit], workers: usize) -> Vec<Vec<usize>> {
     let workers = workers.max(1);
-    let mut shards = match mode {
-        SchedMode::Static => assign_static(units, workers),
-        SchedMode::Lpt => assign_lpt(units, workers),
-        SchedMode::Stealing => assign_stealing(units, workers, seed),
-    };
-    for shard in &mut shards {
-        shard.sort_unstable();
-    }
-    shards
-}
-
-/// The legacy partition: the unit whose index is `i` goes to `i % workers`.
-fn assign_static(units: &[WorkUnit], workers: usize) -> Vec<Vec<usize>> {
-    let mut shards = vec![Vec::new(); workers];
-    for u in units {
-        shards[u.index % workers].push(u.index);
-    }
-    shards
-}
-
-/// Longest-processing-time-first with total-order tie-breaks.
-fn assign_lpt(units: &[WorkUnit], workers: usize) -> Vec<Vec<usize>> {
     let mut order: Vec<&WorkUnit> = units.iter().collect();
     // Size descending; equal sizes keep corpus order (index ascending) so
     // the sort key is a total order and the plan is input-determined.
@@ -146,48 +49,8 @@ fn assign_lpt(units: &[WorkUnit], workers: usize) -> Vec<Vec<usize>> {
         shards[w].push(u.index);
         load[w] += u.size;
     }
-    shards
-}
-
-/// Static partition rebalanced by a deterministic steal plan: each round
-/// the least-loaded worker (the thief) steals the largest profitable unit
-/// from a victim chosen by `splitmix64(seed ⊕ (thief << 32) ⊕ round)`
-/// among workers it can profitably steal from. "Profitable" means the
-/// steal strictly lowers `max(thief, victim)` load, so the plan can never
-/// cycle and stops on its own once no worker can improve the balance.
-fn assign_stealing(units: &[WorkUnit], workers: usize, seed: u64) -> Vec<Vec<usize>> {
-    let size_of: BTreeMap<usize, u64> = units.iter().map(|u| (u.index, u.size)).collect();
-    let mut shards = assign_static(units, workers);
-    let mut load: Vec<u64> = shards
-        .iter()
-        .map(|s| s.iter().map(|i| size_of[i]).sum())
-        .collect();
-
-    let max_rounds = units.len().saturating_mul(STEAL_ROUND_FACTOR);
-    for round in 0..max_rounds as u64 {
-        let thief = least_loaded(&load);
-        // A victim is eligible if handing over its largest stealable unit
-        // strictly improves the pairwise makespan: thief + size < victim.
-        let eligible: Vec<(usize, usize, u64)> = (0..workers)
-            .filter(|&v| v != thief)
-            .filter_map(|v| {
-                shards[v]
-                    .iter()
-                    .map(|i| (*i, size_of[i]))
-                    .filter(|&(_, sz)| load[thief] + sz < load[v] && sz > 0)
-                    .max_by_key(|&(i, sz)| (sz, std::cmp::Reverse(i)))
-                    .map(|(i, sz)| (v, i, sz))
-            })
-            .collect();
-        if eligible.is_empty() {
-            break;
-        }
-        let pick = splitmix64(seed ^ ((thief as u64) << 32) ^ round) as usize % eligible.len();
-        let (victim, unit, sz) = eligible[pick];
-        shards[victim].retain(|&i| i != unit);
-        shards[thief].push(unit);
-        load[victim] -= sz;
-        load[thief] += sz;
+    for shard in &mut shards {
+        shard.sort_unstable();
     }
     shards
 }
@@ -243,36 +106,38 @@ mod tests {
         all
     }
 
-    #[test]
-    fn static_matches_legacy_modulo_layout() {
-        let u = units(&[5, 1, 9, 2, 7]);
-        let shards = assign(&u, 2, SchedMode::Static, 0);
-        assert_eq!(shards, vec![vec![0, 2, 4], vec![1, 3]]);
+    /// The size-oblivious `index % workers` partition: the naive
+    /// reference LPT must never lose to.
+    fn modulo(units: &[WorkUnit], workers: usize) -> Vec<Vec<usize>> {
+        let mut shards = vec![Vec::new(); workers];
+        for u in units {
+            shards[u.index % workers].push(u.index);
+        }
+        shards
     }
 
     #[test]
-    fn every_mode_covers_every_unit_exactly_once() {
+    fn every_unit_is_covered_exactly_once() {
         let u = units(&[3, 0, 8, 8, 1, 400, 2, 2]);
-        for mode in [SchedMode::Static, SchedMode::Lpt, SchedMode::Stealing] {
-            for workers in [1usize, 2, 3, 8, 16] {
-                let shards = assign(&u, workers, mode, 42);
-                assert_eq!(shards.len(), workers);
-                assert_eq!(
-                    flat_sorted(&shards),
-                    (0..u.len()).collect::<Vec<_>>(),
-                    "{mode:?} x{workers}"
-                );
-            }
+        for workers in [1usize, 2, 3, 8, 16] {
+            let shards = assign(&u, workers);
+            assert_eq!(shards.len(), workers);
+            assert_eq!(
+                flat_sorted(&shards),
+                (0..u.len()).collect::<Vec<_>>(),
+                "x{workers}"
+            );
         }
     }
 
     #[test]
     fn lpt_beats_static_on_a_skewed_corpus() {
-        // One whale and a school of minnows: static parks the whale with
-        // whatever else shares its residue class; LPT isolates it.
+        // One whale and a school of minnows: the modulo partition parks
+        // the whale with whatever else shares its residue class; LPT
+        // isolates it.
         let u = units(&[100, 10, 10, 10, 100, 10, 10, 10]);
-        let st = assign(&u, 4, SchedMode::Static, 0);
-        let lpt = assign(&u, 4, SchedMode::Lpt, 0);
+        let st = modulo(&u, 4);
+        let lpt = assign(&u, 4);
         assert!(
             makespan(&u, &lpt) < makespan(&u, &st),
             "lpt {} vs static {}",
@@ -282,86 +147,46 @@ mod tests {
     }
 
     #[test]
-    fn stealing_never_worse_than_static() {
-        let u = units(&[512, 1, 1, 1, 300, 2, 9, 4, 4, 4, 128, 1]);
-        for workers in [2usize, 3, 4, 8] {
-            for seed in [0u64, 1, 0xD15EA5E] {
-                let st = assign(&u, workers, SchedMode::Static, seed);
-                let steal = assign(&u, workers, SchedMode::Stealing, seed);
-                assert!(
-                    makespan(&u, &steal) <= makespan(&u, &st),
-                    "x{workers} seed {seed}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn lpt_tie_break_is_stable() {
         // All-equal sizes: LPT must degrade to round-robin in index order,
         // not depend on sort internals.
         let u = units(&[7, 7, 7, 7, 7, 7]);
-        let shards = assign(&u, 3, SchedMode::Lpt, 0);
+        let shards = assign(&u, 3);
         assert_eq!(shards, vec![vec![0, 3], vec![1, 4], vec![2, 5]]);
     }
 
     #[test]
     fn assignment_is_reproducible() {
         let u = units(&[3, 141, 59, 26, 5, 35, 8, 97, 9, 3]);
-        for mode in [SchedMode::Static, SchedMode::Lpt, SchedMode::Stealing] {
-            let a = assign(&u, 4, mode, 99);
-            let b = assign(&u, 4, mode, 99);
-            assert_eq!(a, b, "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn steal_seed_changes_plan_not_coverage() {
-        let u = units(&[50, 1, 50, 1, 50, 1, 50, 1, 50, 1]);
-        let a = assign(&u, 4, SchedMode::Stealing, 1);
-        let b = assign(&u, 4, SchedMode::Stealing, 2);
-        assert_eq!(flat_sorted(&a), flat_sorted(&b));
+        assert_eq!(assign(&u, 4), assign(&u, 4));
     }
 
     #[test]
     fn shards_are_sorted_ascending() {
         let u = units(&[9, 8, 7, 6, 5, 4, 3, 2, 1]);
-        for mode in [SchedMode::Static, SchedMode::Lpt, SchedMode::Stealing] {
-            for shard in assign(&u, 3, mode, 7) {
-                assert!(shard.windows(2).all(|w| w[0] < w[1]), "{mode:?} {shard:?}");
-            }
+        for shard in assign(&u, 3) {
+            assert!(shard.windows(2).all(|w| w[0] < w[1]), "{shard:?}");
         }
-    }
-
-    #[test]
-    fn mode_names_round_trip() {
-        for mode in [SchedMode::Static, SchedMode::Lpt, SchedMode::Stealing] {
-            assert_eq!(SchedMode::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(SchedMode::parse("bogus"), None);
     }
 
     #[test]
     fn imbalance_of_perfect_split_is_one() {
         let u = units(&[5, 5, 5, 5]);
-        let shards = assign(&u, 4, SchedMode::Lpt, 0);
+        let shards = assign(&u, 4);
         assert!((imbalance(&u, &shards) - 1.0).abs() < 1e-9);
         assert_eq!(makespan(&u, &shards), 5);
     }
 
     proptest! {
         #[test]
-        fn prop_every_mode_is_a_permutation(
+        fn prop_assignment_is_a_permutation(
             sizes in proptest::collection::vec(0u64..10_000, 1..64),
             workers in 1usize..12,
-            seed in any::<u64>(),
         ) {
             let u = units(&sizes);
-            for mode in [SchedMode::Static, SchedMode::Lpt, SchedMode::Stealing] {
-                let shards = assign(&u, workers, mode, seed);
-                prop_assert_eq!(shards.len(), workers);
-                prop_assert_eq!(flat_sorted(&shards), (0..u.len()).collect::<Vec<_>>());
-            }
+            let shards = assign(&u, workers);
+            prop_assert_eq!(shards.len(), workers);
+            prop_assert_eq!(flat_sorted(&shards), (0..u.len()).collect::<Vec<_>>());
         }
 
         #[test]
@@ -370,8 +195,8 @@ mod tests {
             workers in 1usize..12,
         ) {
             let u = units(&sizes);
-            let st = assign(&u, workers, SchedMode::Static, 0);
-            let lpt = assign(&u, workers, SchedMode::Lpt, 0);
+            let st = modulo(&u, workers);
+            let lpt = assign(&u, workers);
             prop_assert!(makespan(&u, &lpt) <= makespan(&u, &st));
         }
     }

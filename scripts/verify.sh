@@ -1,17 +1,16 @@
 #!/usr/bin/env sh
 # Tier-1 verification: build + full test suite (see ROADMAP.md) plus the
 # harness crate's own tests, the concurrency suite re-run
-# single-threaded (and again under each forced pool scheduling mode), a
-# double-repro persistent-cache determinism check, the crash-recovery
-# matrix (SIGKILL at each registered crash point, then --resume must
-# reproduce stdout byte-for-byte), a cache compaction-under-pressure
-# check, the query-serving determinism gate (querybench streams must be
-# byte-identical at every connection count), the reactor gate
-# (readiness-replay determinism plus sim/epoll digest equality up to 256
-# connections), the client-reactor gate (lockstep multi-connection
-# replay pinned by name, sim crawls byte-stable across runs, epoll and
-# sim transports rendering one report), the gaugelint and lock-order
-# gates, and workspace clippy.
+# single-threaded, a double-repro persistent-cache determinism check,
+# the crash-recovery matrix (SIGKILL at each registered crash point,
+# then --resume must reproduce stdout byte-for-byte), a cache
+# compaction-under-pressure check, the query-serving determinism gate
+# (querybench streams must be byte-identical at every connection
+# count), the reactor gate (readiness-replay determinism plus sim/epoll
+# digest equality up to 256 connections), the client-reactor gate
+# (lockstep multi-connection replay pinned by name, sim crawls
+# byte-stable across runs, epoll and sim transports rendering one
+# report), the gaugelint and lock-order gates, and workspace clippy.
 #
 # Works without network access: if the registry is unreachable, cargo is
 # retried in --offline mode (using whatever is already vendored/cached).
@@ -49,13 +48,6 @@ verify() {
     run_cargo "$mode" test -q --test concurrency \
         analysis_worker_count_never_changes_the_report -- --test-threads=1 \
         || return 1
-    # Scheduling-mode determinism: the same suite must pass with the pool
-    # scheduler forced to static shards and to deterministic LPT — the
-    # mode may move wall time, never report bytes (DESIGN.md §11).
-    GAUGENN_SCHED=static run_cargo "$mode" test -q --test concurrency \
-        -- --test-threads=1 || return 1
-    GAUGENN_SCHED=lpt run_cargo "$mode" test -q --test concurrency \
-        -- --test-threads=1 || return 1
     # Persistent-cache determinism: two back-to-back repro runs against a
     # fresh cache directory must emit byte-identical stdout, and the
     # second must actually attach to the first's persisted analyses.

@@ -8,7 +8,6 @@ use gaugenn::playstore::crawler::{CrawlOutcome, Crawler};
 use gaugenn::playstore::pool::{CrawlPool, CrawlPoolConfig};
 use gaugenn::playstore::server::{ServerOptions, StoreServer};
 use gaugenn::playstore::{AdmissionConfig, AdmissionController, ReactorMode};
-use gaugenn::sched::SchedMode;
 use std::sync::Arc;
 
 #[test]
@@ -133,7 +132,7 @@ fn fresh_store(sim: bool, chaos: bool) -> StoreServer {
 #[test]
 fn one_lane_pool_matches_two_blocking_crawlers() {
     // The synchronous `Crawler` is the reference the pool's lanes are
-    // held to. A one-worker, one-connection LPT pool issues exactly what
+    // held to. A one-worker, one-connection pool issues exactly what
     // two crawlers sharing one admission controller would: connection 0
     // fetches the categories and lists each one (the size probe), then
     // connection 1 crawls them in index order. The whole outcome — apps,
@@ -143,7 +142,6 @@ fn one_lane_pool_matches_two_blocking_crawlers() {
         for chaos in [false, true] {
             let pooled = CrawlPool::new(CrawlPoolConfig {
                 workers: 1,
-                sched: SchedMode::Lpt,
                 ..CrawlPoolConfig::default()
             })
             .crawl_at(&fresh_store(sim, chaos).endpoint())
@@ -276,39 +274,34 @@ fn analysis_worker_count_never_changes_the_report() {
 }
 
 #[test]
-fn sched_mode_and_cache_state_never_change_the_report() {
-    // The scheduling tentpole's acceptance matrix: the deterministic text
-    // render is byte-identical across worker counts {1, 2, 8}, scheduling
-    // modes {static, lpt, stealing}, and cache states {cold, warm}. The
+fn worker_count_and_cache_state_never_change_the_report() {
+    // The deterministic text render is byte-identical across worker
+    // counts {1, 2, 8} for both pools and cache states {cold, warm}. The
     // first run against the cache directory populates it (cold); every
     // later one attaches to it (warm).
     use gaugenn::core::pipeline::{Pipeline, PipelineConfig};
-    use gaugenn::sched::SchedMode;
 
     let dir = std::env::temp_dir().join(format!("gaugenn-matrix-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let run = |workers: usize, mode: SchedMode, cached: bool| {
+    let run = |workers: usize, cached: bool| {
         let mut cfg = PipelineConfig::tiny(Snapshot::Y2021, 7);
         cfg.workers = workers;
         cfg.analysis_workers = workers;
-        cfg.sched = mode;
         cfg.analysis_cache_dir = cached.then(|| dir.clone());
         Pipeline::new(cfg).run().unwrap()
     };
-    let baseline = run(1, SchedMode::Static, false).render_text();
+    let baseline = run(1, false).render_text();
     let mut warm_hits = 0u64;
     for workers in [1usize, 2, 8] {
-        for mode in [SchedMode::Static, SchedMode::Lpt, SchedMode::Stealing] {
-            for cached in [false, true] {
-                let report = run(workers, mode, cached);
-                assert_eq!(
-                    report.render_text(),
-                    baseline,
-                    "workers={workers} mode={mode:?} cached={cached}"
-                );
-                if cached {
-                    warm_hits += report.analysis.persistent_hits;
-                }
+        for cached in [false, true] {
+            let report = run(workers, cached);
+            assert_eq!(
+                report.render_text(),
+                baseline,
+                "workers={workers} cached={cached}"
+            );
+            if cached {
+                warm_hits += report.analysis.persistent_hits;
             }
         }
     }
