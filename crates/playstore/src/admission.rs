@@ -8,41 +8,25 @@
 //!
 //! Both mechanisms run on a *logical* millisecond clock, like the
 //! crawler's backoff accounting: pacing charges and cool-downs are
-//! recorded (and advanced) rather than slept, so chaos tests stay fast
-//! and the controller's aggregate counters are reproducible. Callers that
-//! talk to a real endpoint can sleep the advertised waits
-//! ([`Admission::Granted::throttle_ms`] / retry-after) themselves — the
-//! crawler does exactly that when [`crate::crawler::RetryPolicy`] has
-//! `real_sleep` set.
+//! recorded (and advanced), never slept, so chaos tests stay fast and
+//! the controller's aggregate counters are reproducible. The waits a
+//! verdict advertises ([`Admission::Granted::throttle_ms`],
+//! [`Admission::Rejected::retry_after_ms`]) are what callers add to
+//! their [`crate::crawler::CrawlStats`].
 //!
 //! Determinism note: the merged totals (requests admitted, total pacing
 //! charge) are independent of worker interleaving, because each admit
 //! consumes exactly one token and pays a fixed charge once the bucket is
-//! dry. The breaker's consecutive-failure window *is* shared state, so
-//! when it actually opens, which worker gets rejected depends on thread
-//! scheduling — by default the determinism guarantee for concurrent chaos
-//! crawls therefore holds for any run in which the breaker stays closed
-//! (the default thresholds are far above what a bounded, per-route-limited
-//! fault plan can produce).
-//!
-//! # Deterministic open-breaker mode
-//!
-//! [`AdmissionConfig::deterministic_open`] extends the guarantee to storm
-//! scenarios. Instead of racing workers against a shared logical
-//! cool-down clock, each open of the breaker starts a new *epoch* with a
-//! fixed per-worker rejection budget of `ceil(cooldown_ms /
-//! retry_after_ms)`: a worker's first `budget` attempts in the epoch are
-//! rejected and every later attempt is admitted (the first worker to
-//! exhaust its budget becomes the half-open probe). A worker's verdict
-//! sequence is thus a pure function of its own attempt count within the
-//! epoch — workers that started paying keep paying even if another
-//! worker's probes already closed the breaker — so the aggregate
-//! rejection/admission totals cannot depend on thread interleaving.
-//! Callers identify themselves via [`AdmissionController::admit_for`]
-//! (the crawler passes its connection id).
+//! dry. The breaker's consecutive-failure window and its cool-down clock
+//! *are* shared state, so when it actually opens, which worker gets
+//! rejected depends on the order in which workers reach the controller.
+//! The determinism guarantee for concurrent chaos crawls therefore holds
+//! for any run in which the breaker stays closed (the default thresholds
+//! are far above what a bounded, per-route-limited fault plan can
+//! produce); a crawl that reaches the controller in one fixed order — a
+//! single connection, say — replays its breaker decisions exactly.
 
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 
 /// Tunables for the [`AdmissionController`].
 #[derive(Debug, Clone)]
@@ -64,11 +48,6 @@ pub struct AdmissionConfig {
     pub retry_after_ms: u64,
     /// Successful half-open probes required to close the breaker.
     pub success_threshold: u32,
-    /// Per-worker rejection budgets while the breaker is open (see the
-    /// module docs): totals stay interleaving-independent even through a
-    /// storm. Off by default — the legacy shared-clock cool-down remains
-    /// the single-caller behaviour.
-    pub deterministic_open: bool,
 }
 
 impl Default for AdmissionConfig {
@@ -84,7 +63,6 @@ impl Default for AdmissionConfig {
             cooldown_ms: 100,
             retry_after_ms: 20,
             success_threshold: 2,
-            deterministic_open: false,
         }
     }
 }
@@ -103,7 +81,7 @@ pub enum BreakerState {
 /// Verdict for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
-    /// Proceed, after accounting (or sleeping) the pacing charge.
+    /// Proceed, after accounting the pacing charge.
     Granted {
         /// Rate-limiter pacing charge, ms (0 while the burst lasts).
         throttle_ms: u64,
@@ -141,12 +119,6 @@ struct State {
     consecutive_failures: u32,
     open_until_ms: u64,
     half_open_successes: u32,
-    /// Open-epoch counter: bumped on every closed/half-open → open
-    /// transition so per-worker budgets reset for each storm.
-    open_epoch: u64,
-    /// worker id → (epoch the count belongs to, rejections paid in it).
-    /// Stale epochs reset lazily on the worker's next attempt.
-    open_paid: BTreeMap<u64, (u64, u32)>,
     stats: AdmissionStats,
 }
 
@@ -171,8 +143,6 @@ impl AdmissionController {
                 consecutive_failures: 0,
                 open_until_ms: 0,
                 half_open_successes: 0,
-                open_epoch: 0,
-                open_paid: BTreeMap::new(),
                 stats: AdmissionStats::default(),
             }),
         }
@@ -183,60 +153,13 @@ impl AdmissionController {
         &self.cfg
     }
 
-    /// Rejections a worker pays per open epoch in deterministic mode:
-    /// the cool-down expressed in whole retry-after waits.
-    fn open_budget(&self) -> u32 {
-        let per = self.cfg.retry_after_ms.max(1);
-        (self.cfg.cooldown_ms.div_ceil(per)).max(1) as u32
-    }
-
-    /// Rule on one request, anonymously (worker id 0). See
-    /// [`AdmissionController::admit_for`].
-    pub fn admit(&self) -> Admission {
-        self.admit_for(0)
-    }
-
-    /// Rule on one request from `worker`. Call before every attempt;
-    /// follow up with [`AdmissionController::report_success`] or
+    /// Rule on one request. Call before every attempt; follow up with
+    /// [`AdmissionController::report_success`] or
     /// [`AdmissionController::report_transient`] so the breaker sees the
-    /// outcome. The worker id only matters in deterministic-open mode,
-    /// where it keys the per-worker rejection budget.
-    pub fn admit_for(&self, worker: u64) -> Admission {
+    /// outcome.
+    pub fn admit(&self) -> Admission {
         let mut st = self.state.lock();
-        if self.cfg.deterministic_open {
-            // A worker participates in the budget protocol if the breaker
-            // is open or half-open (the storm is still in progress), or
-            // if it already started paying this epoch (it finishes its
-            // budget even after another worker's probes closed the
-            // breaker). That makes a worker's verdict sequence a pure
-            // function of its own attempt count within the epoch.
-            let epoch = st.open_epoch;
-            let budget = self.open_budget();
-            let paying = st
-                .open_paid
-                .get(&worker)
-                .is_some_and(|&(e, n)| e == epoch && n < budget);
-            if st.breaker != BreakerState::Closed || paying {
-                let entry = st.open_paid.entry(worker).or_insert((epoch, 0));
-                if entry.0 != epoch {
-                    *entry = (epoch, 0);
-                }
-                if entry.1 < budget {
-                    entry.1 += 1;
-                    st.stats.rejections += 1;
-                    return Admission::Rejected {
-                        retry_after_ms: self.cfg.retry_after_ms,
-                    };
-                }
-                // Budget paid in full: this worker's next attempt is the
-                // half-open probe (or a normal request if another worker
-                // already half-opened/closed the breaker).
-                if st.breaker == BreakerState::Open {
-                    st.breaker = BreakerState::HalfOpen;
-                    st.half_open_successes = 0;
-                }
-            }
-        } else if st.breaker == BreakerState::Open {
+        if st.breaker == BreakerState::Open {
             // Each rejection advances the logical clock; once the
             // cool-down point is reached the *next* caller becomes the
             // half-open probe.
@@ -297,7 +220,6 @@ impl AdmissionController {
         st.breaker = BreakerState::Open;
         st.open_until_ms = st.clock_ms + self.cfg.cooldown_ms;
         st.consecutive_failures = 0;
-        st.open_epoch += 1;
         st.stats.breaker_opens += 1;
     }
 
@@ -324,7 +246,6 @@ mod tests {
             cooldown_ms: 40,
             retry_after_ms: 20,
             success_threshold: 2,
-            deterministic_open: false,
         }
     }
 
@@ -401,81 +322,6 @@ mod tests {
         }
         assert_eq!(c.state(), BreakerState::Closed);
         assert_eq!(c.stats().breaker_opens, 0);
-    }
-
-    #[test]
-    fn deterministic_open_storm_totals_are_interleaving_independent() {
-        // Open the breaker, then storm it with 4 workers x 6 attempts in
-        // two very different interleavings: fully sequential, and fully
-        // threaded. With per-worker budgets (ceil(40/20) = 2 rejections
-        // each) the aggregate stats must match exactly.
-        let det = AdmissionConfig {
-            deterministic_open: true,
-            ..cfg()
-        };
-        let storm = |threaded: bool| -> AdmissionStats {
-            let c = AdmissionController::new(det.clone());
-            for _ in 0..3 {
-                c.admit_for(99);
-                c.report_transient();
-            }
-            assert_eq!(c.state(), BreakerState::Open);
-            if threaded {
-                let cref = &c;
-                std::thread::scope(|s| {
-                    for w in 0..4u64 {
-                        s.spawn(move || {
-                            for _ in 0..6 {
-                                cref.admit_for(w);
-                            }
-                        });
-                    }
-                });
-            } else {
-                for w in 0..4u64 {
-                    for _ in 0..6 {
-                        c.admit_for(w);
-                    }
-                }
-            }
-            c.stats()
-        };
-        let seq = storm(false);
-        let par = storm(true);
-        assert_eq!(seq, par, "storm totals must not depend on interleaving");
-        // Every worker pays exactly its 2-rejection budget and gets its
-        // remaining 4 attempts admitted.
-        assert_eq!(seq.rejections, 4 * 2);
-        assert_eq!(seq.admitted, 3 + 4 * 4);
-        assert_eq!(seq.breaker_opens, 1);
-    }
-
-    #[test]
-    fn deterministic_open_worker_verdicts_are_a_pure_function_of_attempts() {
-        let c = AdmissionController::new(AdmissionConfig {
-            deterministic_open: true,
-            ..cfg()
-        });
-        for _ in 0..3 {
-            c.admit_for(0);
-            c.report_transient();
-        }
-        // Worker 7: exactly budget (=2) rejections, then granted.
-        assert!(matches!(c.admit_for(7), Admission::Rejected { .. }));
-        assert!(matches!(c.admit_for(7), Admission::Rejected { .. }));
-        assert!(matches!(c.admit_for(7), Admission::Granted { .. }));
-        assert_eq!(c.state(), BreakerState::HalfOpen);
-        // Worker 8 arrives after the half-open transition but still pays
-        // its own budget before being admitted — its verdict sequence
-        // cannot depend on what worker 7 did first.
-        assert!(matches!(c.admit_for(8), Admission::Rejected { .. }));
-        assert!(matches!(c.admit_for(8), Admission::Rejected { .. }));
-        assert!(matches!(c.admit_for(8), Admission::Granted { .. }));
-        // A fresh storm starts a fresh epoch with fresh budgets.
-        c.report_transient(); // half-open probe failed: reopen
-        assert_eq!(c.state(), BreakerState::Open);
-        assert!(matches!(c.admit_for(7), Admission::Rejected { .. }));
-        assert_eq!(c.stats().breaker_opens, 2);
     }
 
     #[test]

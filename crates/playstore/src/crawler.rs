@@ -28,11 +28,10 @@
 //! one shared [`AdmissionController`] so the fleet respects one
 //! store-wide rate limit and circuit breaker.
 //!
-//! Backoff delays run on a logical clock by default: they are *recorded*
-//! in [`CrawlStats`] but not slept, preserving the repo's bit-for-bit
-//! determinism guarantee (DESIGN.md §6) and keeping chaos tests fast.
-//! Set [`RetryPolicy::real_sleep`] for wall-clock pacing against a real
-//! endpoint.
+//! Backoff delays, pacing charges and breaker waits run on a logical
+//! clock: they are *recorded* in [`CrawlStats`] and never slept,
+//! preserving the repo's bit-for-bit determinism guarantee (DESIGN.md
+//! §6) and keeping chaos tests fast.
 
 use crate::admission::{Admission, AdmissionController};
 use crate::chaos::{hash_str, splitmix64};
@@ -76,7 +75,8 @@ impl Default for CrawlerConfig {
 
 /// Retry policy for store requests: bounded attempts with exponential
 /// backoff and deterministic (seeded) jitter keyed on the connection id
-/// and the request route.
+/// and the request route. Backoff is accounted on the logical clock
+/// ([`CrawlStats::backoff_ms_total`]), never slept.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts per request (first try included). Must be ≥ 1.
@@ -87,10 +87,6 @@ pub struct RetryPolicy {
     pub max_backoff_ms: u64,
     /// Seed for the jitter draws.
     pub jitter_seed: u64,
-    /// Sleep the computed delays for real. Off by default: delays are
-    /// accounted on the logical clock ([`CrawlStats::backoff_ms_total`])
-    /// so chaos runs stay deterministic and fast.
-    pub real_sleep: bool,
 }
 
 impl Default for RetryPolicy {
@@ -100,7 +96,6 @@ impl Default for RetryPolicy {
             base_backoff_ms: 5,
             max_backoff_ms: 80,
             jitter_seed: 0x9A43E,
-            real_sleep: false,
         }
     }
 }
@@ -428,34 +423,16 @@ pub(crate) struct RequestSm {
     last: Option<StoreError>,
 }
 
-/// What to do after [`RequestSm::begin_attempt`].
-pub(crate) enum AttemptPrep {
-    /// Attempt started; backoff accounted. `delay_ms` is what a
-    /// real-sleep policy waits before proceeding to admission.
-    Backoff {
-        /// Backoff delay accounted for this retry (0 on attempt 1).
-        delay_ms: u64,
-    },
-    /// Every attempt consumed: the typed exhaustion error.
-    Exhausted(StoreError),
-}
-
 /// What to do after [`RequestSm::admit`].
 pub(crate) enum AdmitVerdict {
-    /// Admitted: issue the request. `throttle_ms` is the pacing charge a
-    /// real-sleep policy waits out before sending.
+    /// Admitted (any pacing charge already accounted): issue the request.
     Proceed {
         /// Byte offset to resume from, when a truncated prefix is held.
         range_start: Option<usize>,
-        /// Pacing charge already accounted in the stats.
-        throttle_ms: u64,
     },
-    /// Breaker open: the attempt is consumed without a request; wait and
-    /// begin the next attempt.
-    Rejected {
-        /// Breaker-advertised wait before the next attempt.
-        retry_after_ms: u64,
-    },
+    /// Breaker open: the attempt is consumed without a request (its
+    /// retry-after already accounted); begin the next attempt.
+    Rejected,
 }
 
 /// What [`RequestSm::absorb`] decided about one attempt's outcome.
@@ -498,15 +475,16 @@ impl RequestSm {
     }
 
     /// Begin the next attempt: consume one attempt slot, bump the retry
-    /// counter and account the backoff delay (attempt 2 onwards).
+    /// counter and account the backoff delay (attempt 2 onwards). Fails
+    /// with the typed exhaustion error once every attempt is consumed.
     pub(crate) fn begin_attempt(
         &mut self,
         retry: &RetryPolicy,
         connection_id: u64,
         stats: &mut CrawlStats,
-    ) -> AttemptPrep {
+    ) -> Result<()> {
         if self.attempt >= self.max {
-            return AttemptPrep::Exhausted(StoreError::RetriesExhausted {
+            return Err(StoreError::RetriesExhausted {
                 path: self.wire.clone(),
                 attempts: self.max,
                 last: self
@@ -516,32 +494,28 @@ impl RequestSm {
             });
         }
         self.attempt += 1;
-        let mut delay = 0;
         if self.attempt > 1 {
             stats.retries += 1;
-            delay = retry.backoff_ms(connection_id, &self.key, self.attempt - 1);
-            stats.backoff_ms_total += delay;
+            stats.backoff_ms_total += retry.backoff_ms(connection_id, &self.key, self.attempt - 1);
         }
-        AttemptPrep::Backoff { delay_ms: delay }
+        Ok(())
     }
 
-    /// Store-wide admission: pay the pacing charge, or fail fast
-    /// (consuming this attempt) while the breaker is open. On admission
-    /// the request counter is bumped and the resume offset fixed.
+    /// Store-wide admission: account the pacing charge, or fail fast
+    /// (consuming this attempt and accounting the breaker's retry-after)
+    /// while the breaker is open. On admission the request counter is
+    /// bumped and the resume offset fixed.
     pub(crate) fn admit(
         &mut self,
         admission: Option<&AdmissionController>,
-        connection_id: u64,
         stats: &mut CrawlStats,
     ) -> AdmitVerdict {
-        let mut throttle = 0;
         if let Some(ctrl) = admission {
-            match ctrl.admit_for(connection_id) {
+            match ctrl.admit() {
                 Admission::Granted { throttle_ms } => {
                     if throttle_ms > 0 {
                         stats.throttled += 1;
                         stats.throttle_ms_total += throttle_ms;
-                        throttle = throttle_ms;
                     }
                 }
                 Admission::Rejected { retry_after_ms } => {
@@ -550,7 +524,7 @@ impl RequestSm {
                     self.last = Some(StoreError::CircuitOpen {
                         path: self.key.clone(),
                     });
-                    return AdmitVerdict::Rejected { retry_after_ms };
+                    return AdmitVerdict::Rejected;
                 }
             }
         }
@@ -562,7 +536,6 @@ impl RequestSm {
         };
         AdmitVerdict::Proceed {
             range_start: self.range_start,
-            throttle_ms: throttle,
         }
     }
 
@@ -763,7 +736,7 @@ impl CrawlerBuilder {
             conn: None,
             stats: CrawlStats::default(),
         };
-        c.dial()?;
+        c.conn = Some(c.dial()?);
         Ok(c)
     }
 }
@@ -806,19 +779,15 @@ impl Crawler {
         self.connection_id
     }
 
-    fn dial(&mut self) -> Result<()> {
+    /// Dial a fresh keep-alive stream.
+    fn dial(&self) -> Result<Conn> {
         let stream = self
             .endpoint
             .dial(self.connect_timeout, self.read_timeout)?;
-        let reader = BufReader::new(stream.try_clone_box()?);
-        if self.conn.is_some() {
-            self.stats.reconnects += 1;
-        }
-        self.conn = Some(Conn {
-            reader,
+        Ok(Conn {
+            reader: BufReader::new(stream.try_clone_box()?),
             writer: stream,
-        });
-        Ok(())
+        })
     }
 
     /// Drop the keep-alive stream: after any mid-response error the old
@@ -831,18 +800,19 @@ impl Crawler {
     /// One raw request/response exchange on the current stream. With
     /// `range_start`, asks the server to serve the body from that offset.
     fn exchange(&mut self, wire_path: &str, range_start: Option<usize>) -> Result<ReadOutcome> {
-        if self.conn.is_none() {
-            self.dial()?;
-            // A fresh dial replaces a previously-invalidated stream; the
-            // reconnect counter is bumped in `dial` only when a stream
-            // existed before, so count invalidated re-dials here.
-            self.stats.reconnects += 1;
-        }
+        let conn = match &mut self.conn {
+            Some(conn) => conn,
+            None => {
+                // The first stream is dialled by `build`, so every dial
+                // here replaces an invalidated one: a reconnect.
+                let fresh = self.dial()?;
+                self.stats.reconnects += 1;
+                self.conn.insert(fresh)
+            }
+        };
         let conn_id = self.connection_id.to_string();
         let range = range_start.map(|n| n.to_string());
         let headers = request_headers(&self.config, conn_id.as_str(), range.as_deref());
-        // gaugelint: allow(unwrap-in-fault-path) — provably infallible: ensure_connected() above either filled self.conn or returned Err
-        let conn = self.conn.as_mut().expect("dialled above");
         write_request(&mut conn.writer, wire_path, &headers)?;
         let outcome = read_response_resumable(&mut conn.reader)?;
         if let ReadOutcome::Complete(resp) = &outcome {
@@ -874,34 +844,11 @@ impl Crawler {
     fn request_inner(&mut self, route: &Route, resumable: bool) -> Result<Response> {
         let mut sm = RequestSm::new(route, resumable, self.retry.max_attempts);
         loop {
-            match sm.begin_attempt(&self.retry, self.connection_id, &mut self.stats) {
-                AttemptPrep::Exhausted(e) => return Err(e),
-                AttemptPrep::Backoff { delay_ms } => {
-                    if self.retry.real_sleep && delay_ms > 0 {
-                        std::thread::sleep(Duration::from_millis(delay_ms));
-                    }
-                }
-            }
-            let range_start = match sm.admit(
-                self.admission.as_deref(),
-                self.connection_id,
-                &mut self.stats,
-            ) {
-                AdmitVerdict::Rejected { retry_after_ms } => {
-                    if self.retry.real_sleep {
-                        std::thread::sleep(Duration::from_millis(retry_after_ms));
-                    }
-                    continue;
-                }
-                AdmitVerdict::Proceed {
-                    range_start,
-                    throttle_ms,
-                } => {
-                    if self.retry.real_sleep && throttle_ms > 0 {
-                        std::thread::sleep(Duration::from_millis(throttle_ms));
-                    }
-                    range_start
-                }
+            sm.begin_attempt(&self.retry, self.connection_id, &mut self.stats)?;
+            let AdmitVerdict::Proceed { range_start } =
+                sm.admit(self.admission.as_deref(), &mut self.stats)
+            else {
+                continue;
             };
             let result = self.exchange(sm.wire_path(), range_start);
             match sm.absorb(result, self.admission.as_deref(), &mut self.stats) {

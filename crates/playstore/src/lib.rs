@@ -52,7 +52,7 @@ pub use crawler::{
 };
 pub use net::{Endpoint, SimClientHandle, SimNet, SimStream, Transport};
 pub use pool::{CrawlPool, CrawlPoolConfig, PoolOutcome, WorkerReport};
-pub use query::{QueryClient, QueryClientBuilder, QuerySwarm, SwarmReplay};
+pub use query::{QueryClient, QueryClientBuilder};
 pub use reactor::{ReactorMode, Served};
 pub use reactor_client::{
     drive_lanes, DriveReport, LaneJob, LaneOpts, LaneOutcome, LaneSpec, RouteListJob,

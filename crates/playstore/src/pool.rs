@@ -44,9 +44,9 @@
 //! reports are explicitly diagnostic.
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats};
-use crate::crawler::{CrawlOutcome, CrawlStats, CrawledApp, Crawler, CrawlerConfig, DropOut, RetryPolicy};
+use crate::crawler::{CrawlOutcome, CrawlStats, CrawledApp, Crawler, CrawlerConfig, RetryPolicy};
 use crate::net::Endpoint;
-use crate::reactor_client::{drive_lanes, CrawlLaneJob, LaneOpts, LaneSpec};
+use crate::reactor_client::{drive_lanes, CrawlLaneJob, LaneOpts, LaneShard, LaneSpec};
 use crate::Result;
 use gaugenn_sched::{assign, WorkUnit};
 use std::collections::BTreeMap;
@@ -141,18 +141,11 @@ pub struct PoolOutcome {
     pub peak_in_flight: usize,
 }
 
-/// One worker's crawl of one category, tagged with the category's global
-/// index so shards merge deterministically.
-struct CategoryShard {
-    index: usize,
-    apps: Vec<CrawledApp>,
-    dropouts: Vec<DropOut>,
-}
-
-/// What one worker hands back to the merge: its shards, its summed
-/// connection stats (lane order), and the most connections it held in
-/// flight at once.
-type WorkerYield = (Vec<CategoryShard>, CrawlStats, usize);
+/// What one worker hands back to the merge: its category shards (each
+/// tagged with the category's global index so shards merge
+/// deterministically), its summed connection stats (lane order), and
+/// the most connections it held in flight at once.
+type WorkerYield = (Vec<LaneShard>, CrawlStats, usize);
 
 /// Split one worker's shard across its connections round-robin (lane `j`
 /// takes positions `j, j+C, …`), preserving ascending category-index
@@ -202,13 +195,7 @@ fn crawl_shard(
     let mut stats = CrawlStats::default();
     for o in outcomes {
         stats.merge(&o.stats);
-        for s in o.job.into_shards() {
-            shards.push(CategoryShard {
-                index: s.index,
-                apps: s.apps,
-                dropouts: s.dropouts,
-            });
-        }
+        shards.extend(o.job.into_shards());
     }
     Ok((shards, stats, report.peak_in_flight))
 }
@@ -307,7 +294,7 @@ impl CrawlPool {
         // category-index order for the corpus itself.
         let mut per_worker = Vec::with_capacity(workers);
         let mut merged_stats = bootstrap_stats;
-        let mut all_shards: Vec<CategoryShard> = Vec::with_capacity(categories.len());
+        let mut all_shards: Vec<LaneShard> = Vec::with_capacity(categories.len());
         let mut peak_in_flight = 0usize;
         for (w, res) in results.drain(..).enumerate() {
             let (worker_shards, stats, worker_peak) = res?;

@@ -8,6 +8,14 @@
 //! resets or throttles query connections is survived the same way crawl
 //! traffic survives it.
 //!
+//! Many concurrent query connections need no client of their own: drive
+//! them as non-blocking lanes with [`crate::reactor_client::drive_lanes`]
+//! and any [`crate::reactor_client::LaneJob`] (querybench runs its own
+//! timed job that way). A lane puts the same bytes on the wire, reads
+//! the same answers and keeps the same [`CrawlStats`] as a
+//! `QueryClient` built with its connection id and retry policy that
+//! issues the same routes to an identical store.
+//!
 //! Construction mirrors [`Crawler::builder`]:
 //!
 //! ```no_run
@@ -26,7 +34,6 @@
 use crate::crawler::{Crawler, CrawlerBuilder, CrawlerConfig, CrawlStats, RetryPolicy};
 use crate::net::Endpoint;
 use crate::proto::Response;
-use crate::reactor_client::{drive_lanes, LaneOpts, LaneSpec, RouteListJob};
 use crate::route::Route;
 use crate::{Result, StoreError};
 use gaugenn_index::wire::{parse_apps, parse_models, parse_stats, AppRow, ModelRow};
@@ -139,201 +146,12 @@ impl QueryClient {
     }
 }
 
-/// A fleet of non-blocking query connections multiplexed over a handful
-/// of reactor-driven threads — the event-driven counterpart of opening
-/// `connections` blocking [`QueryClient`]s.
-///
-/// The swarm replays a route stream with the same round-robin discipline
-/// the blocking load generators use: stream index `i` is issued by
-/// connection `i % connections` as its `⌊i / connections⌋`-th request,
-/// connection `c` announces connection id `c` and jitters its backoff
-/// with `jitter_seed ^ c`. Because each lane's request history is then
-/// identical to the matching blocking client's, the response bytes *and*
-/// the per-connection resilience counters are byte-identical to a fleet
-/// of blocking [`QueryClient`]s — calm or under chaos — while one driver
-/// thread holds every one of its lanes in flight at once.
-pub struct QuerySwarm {
-    endpoint: Endpoint,
-    config: CrawlerConfig,
-    retry: RetryPolicy,
-    connections: usize,
-    drivers: usize,
-    jitter_seed: u64,
-    connect_timeout: Duration,
-    read_timeout: Duration,
-    sim_seed: u64,
-}
-
-/// What a [`QuerySwarm`] replay produced.
-pub struct SwarmReplay {
-    /// Per-query outcomes, in stream order (`responses[i]` answers
-    /// `routes[i]` no matter which connection carried it).
-    pub responses: Vec<Result<Response>>,
-    /// Resilience counters merged over every connection, in connection
-    /// order — equal to the sum over the matching blocking clients.
-    pub stats: CrawlStats,
-    /// Connections held in flight simultaneously, summed over the driver
-    /// threads (each driver's lanes really are concurrently in flight on
-    /// its reactor; drivers run in parallel threads).
-    pub peak_in_flight: usize,
-}
-
-impl QuerySwarm {
-    /// A swarm of `connections` lanes against `endpoint`, multiplexed
-    /// over at most 8 driver threads by default.
-    pub fn new(endpoint: Endpoint, connections: usize) -> QuerySwarm {
-        QuerySwarm {
-            endpoint,
-            config: CrawlerConfig::default(),
-            retry: RetryPolicy::default(),
-            connections: connections.max(1),
-            drivers: 8,
-            jitter_seed: 0,
-            connect_timeout: Duration::from_secs(2),
-            read_timeout: Duration::from_secs(2),
-            sim_seed: 0,
-        }
-    }
-
-    /// Use a specific client configuration (user-agent, locale, device
-    /// profile).
-    pub fn config(mut self, config: CrawlerConfig) -> QuerySwarm {
-        self.config = config;
-        self
-    }
-
-    /// Use a specific retry policy (each lane re-seeds its jitter with
-    /// `jitter_seed ^ connection_id` on top of it).
-    pub fn retry(mut self, retry: RetryPolicy) -> QuerySwarm {
-        self.retry = retry;
-        self
-    }
-
-    /// Driver threads to multiplex the lanes over (clamped to at least 1
-    /// and at most the connection count).
-    pub fn drivers(mut self, drivers: usize) -> QuerySwarm {
-        self.drivers = drivers.max(1);
-        self
-    }
-
-    /// Base of the per-connection backoff jitter seeds, mirroring
-    /// [`QueryClientBuilder::jitter_seed`] on each blocking client.
-    pub fn jitter_seed(mut self, seed: u64) -> QuerySwarm {
-        self.jitter_seed = seed;
-        self
-    }
-
-    /// Set connect/read timeouts (TCP lanes only; sim lanes run on the
-    /// logical clock).
-    pub fn timeouts(mut self, connect: Duration, read: Duration) -> QuerySwarm {
-        self.connect_timeout = connect;
-        self.read_timeout = read;
-        self
-    }
-
-    /// Seed for sim-reactor event delivery (each driver re-seeds with
-    /// `seed ^ driver_index`).
-    pub fn sim_seed(mut self, seed: u64) -> QuerySwarm {
-        self.sim_seed = seed;
-        self
-    }
-
-    /// Replay `routes` through the swarm and reassemble the responses in
-    /// stream order.
-    pub fn replay(&self, routes: &[Route]) -> Result<SwarmReplay> {
-        let conns = self.connections;
-        let drivers = self.drivers.min(conns);
-        // Driver d owns lanes d, d+D, …; lane c owns stream indices
-        // c, c+C, … — the blocking generators' round-robin split.
-        let mut plans: Vec<Vec<LaneSpec<RouteListJob>>> = (0..drivers).map(|_| Vec::new()).collect();
-        for c in 0..conns {
-            let lane_routes: Vec<(Route, bool)> = routes
-                .iter()
-                .skip(c)
-                .step_by(conns)
-                .map(|r| (r.clone(), false))
-                .collect();
-            if lane_routes.is_empty() {
-                continue;
-            }
-            plans[c % drivers].push(LaneSpec {
-                connection_id: c as u64,
-                retry: RetryPolicy {
-                    jitter_seed: self.jitter_seed ^ c as u64,
-                    ..self.retry.clone()
-                },
-                job: RouteListJob::new(lane_routes),
-            });
-        }
-        let mut harvested = std::thread::scope(|scope| {
-            let handles: Vec<_> = plans
-                .into_iter()
-                .enumerate()
-                .map(|(d, specs)| {
-                    let opts = LaneOpts {
-                        config: self.config.clone(),
-                        admission: None,
-                        connect_timeout: self.connect_timeout,
-                        read_timeout: self.read_timeout,
-                        sim_seed: self.sim_seed ^ d as u64,
-                    };
-                    let endpoint = &self.endpoint;
-                    scope.spawn(move || drive_lanes(endpoint, specs, &opts, None))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(res) => res,
-                    Err(_) => Err(StoreError::Protocol(
-                        "query swarm driver panicked mid-stream".into(),
-                    )),
-                })
-                .collect::<Vec<_>>()
-        });
-
-        let mut responses: Vec<Option<Result<Response>>> =
-            routes.iter().map(|_| None).collect();
-        let mut stats = CrawlStats::default();
-        let mut peak_in_flight = 0usize;
-        let mut outcomes = Vec::with_capacity(conns);
-        for res in harvested.drain(..) {
-            let (lanes, report) = res?;
-            peak_in_flight += report.peak_in_flight;
-            outcomes.extend(lanes);
-        }
-        outcomes.sort_by_key(|o| o.connection_id);
-        for outcome in outcomes {
-            let c = outcome.connection_id as usize;
-            stats.merge(&outcome.stats);
-            for (t, result) in outcome.job.into_results().into_iter().enumerate() {
-                responses[t * conns + c] = Some(result);
-            }
-        }
-        let responses = responses
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.unwrap_or_else(|| {
-                    Err(StoreError::Protocol(format!(
-                        "query {i} was never executed (lane skipped)"
-                    )))
-                })
-            })
-            .collect();
-        Ok(SwarmReplay {
-            responses,
-            stats,
-            peak_in_flight,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chaos::{FaultKind, FaultPlan, FaultPlanConfig};
     use crate::corpus::{generate, CorpusScale, Snapshot};
+    use crate::reactor_client::{drive_lanes, LaneOpts, LaneSpec, RouteListJob};
     use crate::server::{ServerOptions, StoreServer};
     use gaugenn_index::{AppDoc, AppSnap, CorpusIndex, ModelDoc};
     use gaugenn_modelfmt::Framework;
@@ -466,71 +284,79 @@ mod tests {
         routes
     }
 
-    #[test]
-    fn swarm_matches_a_fleet_of_blocking_clients() {
-        let server = start_indexed_sim(None);
+    /// Replay the query stream over 4 lanes of one poll loop (stream
+    /// index `i` on connection `i % 4`, jitter seed `99 ^ c`) against one
+    /// store, and over 4 blocking clients with the same ids and seeds
+    /// against an identical one. Responses and merged counters must
+    /// agree; returns the response bodies in stream order.
+    fn assert_query_lanes_match_blocking(chaos: Option<FaultPlanConfig>) -> Vec<Vec<u8>> {
         let routes = query_stream();
         let conns = 4usize;
-        let replay = QuerySwarm::new(server.endpoint(), conns)
-            .drivers(2)
-            .jitter_seed(99)
-            .replay(&routes)
-            .unwrap();
-        assert_eq!(replay.responses.len(), routes.len());
-        assert!(
-            replay.peak_in_flight >= conns,
-            "every lane in flight at once, got {}",
-            replay.peak_in_flight
-        );
-        let mut blocking_stats = CrawlStats::default();
-        for c in 0..conns {
-            let mut client = QueryClient::builder_at(server.endpoint())
+        let plans: Vec<Vec<Route>> = (0..conns)
+            .map(|c| routes.iter().skip(c).step_by(conns).cloned().collect())
+            .collect();
+        let retry = |c: usize| RetryPolicy {
+            jitter_seed: 99 ^ c as u64,
+            ..RetryPolicy::default()
+        };
+        let lane_store = start_indexed_sim(chaos.clone().map(FaultPlan::new));
+        let specs = plans
+            .iter()
+            .enumerate()
+            .map(|(c, plan)| LaneSpec {
+                connection_id: c as u64,
+                retry: retry(c),
+                job: RouteListJob::new(plan.iter().map(|r| (r.clone(), false)).collect()),
+            })
+            .collect();
+        let (outcomes, report) =
+            drive_lanes(&lane_store.endpoint(), specs, &LaneOpts::default(), None).unwrap();
+        assert_eq!(report.peak_in_flight, conns, "every lane in flight at once");
+
+        let blocking_store = start_indexed_sim(chaos.clone().map(FaultPlan::new));
+        let mut bodies = vec![Vec::new(); routes.len()];
+        let (mut lane_stats, mut blocking_stats) = (CrawlStats::default(), CrawlStats::default());
+        for (c, outcome) in outcomes.into_iter().enumerate() {
+            let mut client = QueryClient::builder_at(blocking_store.endpoint())
                 .connection_id(c as u64)
-                .jitter_seed(99 ^ c as u64)
+                .retry(retry(c))
                 .build()
                 .unwrap();
-            for (t, route) in routes.iter().skip(c).step_by(conns).enumerate() {
+            let results = outcome.job.into_results();
+            assert_eq!(results.len(), plans[c].len());
+            for (t, (route, got)) in plans[c].iter().zip(results).enumerate() {
                 let want = client.raw(route).unwrap();
-                let got = replay.responses[t * conns + c].as_ref().unwrap();
+                let got = got.unwrap();
                 assert_eq!(got.status, want.status, "{route}");
                 assert_eq!(got.body, want.body, "{route}");
+                bodies[t * conns + c] = got.body;
             }
+            lane_stats.merge(&outcome.stats);
             blocking_stats.merge(client.transport_stats());
         }
-        assert_eq!(replay.stats, blocking_stats, "counters match the fleet");
+        assert_eq!(lane_stats, blocking_stats, "counters match the fleet");
+        if chaos.is_some() {
+            assert!(
+                lane_stats.retries + lane_stats.reconnects > 0,
+                "chaos must actually have fired: {lane_stats:?}"
+            );
+        }
+        bodies
     }
 
     #[test]
-    fn swarm_absorbs_chaos_byte_identically() {
-        let plan = FaultPlan::new(FaultPlanConfig {
+    fn query_lanes_match_a_fleet_of_blocking_clients() {
+        let calm = assert_query_lanes_match_blocking(None);
+        let chaotic = assert_query_lanes_match_blocking(Some(FaultPlanConfig {
             seed: 11,
             fault_permille: 400,
             kinds: vec![FaultKind::Reset, FaultKind::TransientStatus],
             max_faults_per_route: 2,
             ..FaultPlanConfig::default()
-        });
-        let calm = start_indexed_sim(None);
-        let stormy = start_indexed_sim(Some(plan));
-        let routes = query_stream();
-        let want = QuerySwarm::new(calm.endpoint(), 3)
-            .drivers(2)
-            .replay(&routes)
-            .unwrap();
-        let got = QuerySwarm::new(stormy.endpoint(), 3)
-            .drivers(2)
-            .replay(&routes)
-            .unwrap();
-        for (i, (a, b)) in want.responses.iter().zip(&got.responses).enumerate() {
-            assert_eq!(
-                a.as_ref().unwrap().body,
-                b.as_ref().unwrap().body,
-                "query {i} diverged under chaos"
-            );
-        }
-        let st = &got.stats;
-        assert!(
-            st.retries + st.reconnects > 0,
-            "chaos must actually have fired: {st:?}"
+        }));
+        assert_eq!(
+            calm, chaotic,
+            "chaos under the retry budget changes no byte"
         );
     }
 

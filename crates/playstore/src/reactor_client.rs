@@ -4,12 +4,13 @@
 //! connection: every read blocks until the store answers, so it holds
 //! exactly one request in flight. This module is the client-side mirror
 //! of the server's `ConnSm`/`Served` split ([`crate::reactor`]): each
-//! connection is a [`ClientSm`] — a small state machine that owns a
-//! write buffer, an accumulating read buffer and the shared
-//! [`crate::crawler::RequestSm`] retry core — and a single driver
-//! thread ([`drive_lanes`]) multiplexes hundreds of them
-//! over one readiness loop (kernel epoll for TCP endpoints, the seeded
-//! deterministic [`mio::SimReactor`] for in-process sim endpoints).
+//! connection is a [`ClientSm`] lane whose `LaneState` owns the
+//! request in flight (the shared [`crate::crawler::RequestSm`] retry
+//! core) together with the transport carrying it, beside a reused write
+//! buffer and an accumulating read buffer, and a single driver thread
+//! ([`drive_lanes`]) multiplexes hundreds of lanes over one readiness
+//! loop (kernel epoll for TCP endpoints, the seeded deterministic
+//! [`mio::SimReactor`] for in-process sim endpoints).
 //!
 //! Determinism and parity both fall out of sharing the exact same
 //! building blocks as the blocking path: requests are framed by
@@ -24,17 +25,17 @@
 //! blocking crawler would — which is what keeps the single-connection
 //! `Crawler` the reference every pooled crawl must byte-match.
 //!
-//! Delays never block the driver: with [`RetryPolicy::real_sleep`] off
-//! (the default) backoff/throttle charges are accounted on the logical
-//! clock exactly as the blocking path does, and with it on they are
-//! armed on the loop's [`mio::TimerWheel`] instead of `thread::sleep`,
-//! so one lane waiting out a 429 never stalls its neighbours.
+//! Nothing in a lane waits except on I/O: backoff, pacing charges and
+//! breaker retry-afters are accounted on the logical clock exactly as
+//! the blocking path does, so attempt prep, admission and framing run
+//! straight through inside one pump, and the loop's
+//! [`mio::TimerWheel`] holds only connect and read deadlines.
 
 use crate::admission::AdmissionController;
 use crate::crawler::{
-    obb_entry, parse_app_meta, parse_listing, request_headers, verify_body_crc, AppMeta,
-    AttemptPrep, AttemptVerdict, AdmitVerdict, CrawlStage, CrawlStats, CrawledApp, CrawlerConfig,
-    DropOut, RequestSm, RetryPolicy,
+    obb_entry, parse_app_meta, parse_listing, request_headers, verify_body_crc, AdmitVerdict,
+    AppMeta, AttemptVerdict, CrawlStage, CrawlStats, CrawledApp, CrawlerConfig, DropOut, RequestSm,
+    RetryPolicy,
 };
 use crate::net::{Endpoint, SimClientHandle};
 use crate::reactor::raw_fd;
@@ -78,7 +79,7 @@ pub trait LaneJob {
 }
 
 /// The simplest job: replay a fixed route list in order and keep every
-/// outcome. What the query swarm and the in-flight scaling tests drive.
+/// outcome. What the lockstep and in-flight scaling tests drive.
 #[derive(Debug, Default)]
 pub struct RouteListJob {
     routes: Vec<(Route, bool)>,
@@ -186,14 +187,18 @@ pub(crate) struct CrawlLaneJob {
     page_size: usize,
     resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
     state: CrawlJobState,
-    /// Cursor into `cats`.
+    /// Cursor into `cats`: the open category.
     ci: usize,
     /// Listing accumulator for the category being paged.
     listing: Vec<String>,
     listing_start: usize,
-    /// Packages of the current category, and the cursor into them.
+    /// Packages of the open category, and the cursor into them.
     pkgs: Vec<String>,
     pi: usize,
+    /// The open category's crawled apps and drop-outs, pushed as its
+    /// shard when the walk leaves it.
+    apps: Vec<CrawledApp>,
+    dropouts: Vec<DropOut>,
     shards: Vec<LaneShard>,
 }
 
@@ -213,6 +218,8 @@ impl CrawlLaneJob {
             listing_start: 0,
             pkgs: Vec::new(),
             pi: 0,
+            apps: Vec::new(),
+            dropouts: Vec::new(),
             shards: Vec::new(),
         }
     }
@@ -226,38 +233,29 @@ impl CrawlLaneJob {
         &self.cats[self.ci].1
     }
 
-    fn dropout(&mut self, package: String, stage: CrawlStage, error: &StoreError) {
-        let shard = self
-            .shards
-            .last_mut()
-            // gaugelint: allow(unwrap-in-fault-path) — provably infallible: NextCategory pushes the shard before any route of that category is issued
-            .expect("a shard is opened before any request of its category");
-        shard.dropouts.push(DropOut {
-            package,
-            stage,
-            error: error.to_string(),
+    /// Leave the open category: push its shard and move on to the next.
+    fn close_category(&mut self) {
+        self.shards.push(LaneShard {
+            index: self.cats[self.ci].0,
+            apps: std::mem::take(&mut self.apps),
+            dropouts: std::mem::take(&mut self.dropouts),
         });
+        self.ci += 1;
+        self.state = CrawlJobState::NextCategory;
     }
 
-    fn finish_app(&mut self, meta: AppMeta, apk: Vec<u8>, obbs: Vec<(String, Vec<u8>)>, bundle: Option<Vec<u8>>) {
-        let shard = self
-            .shards
-            .last_mut()
-            // gaugelint: allow(unwrap-in-fault-path) — provably infallible: NextCategory pushes the shard before any route of that category is issued
-            .expect("a shard is opened before any request of its category");
-        shard.apps.push(CrawledApp {
-            meta,
-            apk,
-            obbs,
-            bundle,
-        });
+    fn finish_app(&mut self, app: CrawledApp) {
+        self.apps.push(app);
         self.pi += 1;
         self.state = CrawlJobState::NextApp;
     }
 
     fn app_dropout(&mut self, stage: CrawlStage, error: &StoreError) {
-        let pkg = self.pkgs[self.pi].clone();
-        self.dropout(pkg, stage, error);
+        self.dropouts.push(DropOut {
+            package: self.pkgs[self.pi].clone(),
+            stage,
+            error: error.to_string(),
+        });
         self.pi += 1;
         self.state = CrawlJobState::NextApp;
     }
@@ -272,11 +270,6 @@ impl LaneJob for CrawlLaneJob {
                         self.state = CrawlJobState::Done;
                         return None;
                     }
-                    self.shards.push(LaneShard {
-                        index: self.cats[self.ci].0,
-                        apps: Vec::new(),
-                        dropouts: Vec::new(),
-                    });
                     self.listing.clear();
                     self.listing_start = 0;
                     self.state = CrawlJobState::PageReady;
@@ -292,22 +285,14 @@ impl LaneJob for CrawlLaneJob {
                 }
                 CrawlJobState::NextApp => {
                     if self.pi == self.pkgs.len() {
-                        self.ci += 1;
-                        self.state = CrawlJobState::NextCategory;
+                        self.close_category();
                         continue;
                     }
                     let pkg = self.pkgs[self.pi].clone();
                     if let Some(app) = self.resume.as_ref().and_then(|r| r.get(&pkg)) {
                         let app = app.clone();
                         stats.journal_restores += 1;
-                        let shard = self
-                            .shards
-                            .last_mut()
-                            // gaugelint: allow(unwrap-in-fault-path) — provably infallible: NextCategory pushes the shard before any route of that category is issued
-                            .expect("a shard is opened before any request of its category");
-                        shard.apps.push(app);
-                        self.pi += 1;
-                        self.state = CrawlJobState::NextApp;
+                        self.finish_app(app);
                         continue;
                     }
                     self.state = CrawlJobState::AwaitMeta;
@@ -366,10 +351,12 @@ impl LaneJob for CrawlLaneJob {
                     }
                 }
                 Err(e) => {
-                    let cat = self.category().to_string();
-                    self.dropout(format!("category:{cat}"), CrawlStage::Listing, &e);
-                    self.ci += 1;
-                    self.state = CrawlJobState::NextCategory;
+                    self.dropouts.push(DropOut {
+                        package: format!("category:{}", self.category()),
+                        stage: CrawlStage::Listing,
+                        error: e.to_string(),
+                    });
+                    self.close_category();
                 }
             },
             CrawlJobState::AwaitMeta => match result {
@@ -391,7 +378,12 @@ impl LaneJob for CrawlLaneJob {
                             obbs: Vec::new(),
                         };
                     } else {
-                        self.finish_app(meta, apk, Vec::new(), None);
+                        self.finish_app(CrawledApp {
+                            meta,
+                            apk,
+                            obbs: Vec::new(),
+                            bundle: None,
+                        });
                     }
                 }
                 Err(e) => self.app_dropout(CrawlStage::Apk, &e),
@@ -402,13 +394,23 @@ impl LaneJob for CrawlLaneJob {
                     if meta.has_bundle {
                         self.state = CrawlJobState::PendingBundle { meta, apk, obbs };
                     } else {
-                        self.finish_app(meta, apk, obbs, None);
+                        self.finish_app(CrawledApp {
+                            meta,
+                            apk,
+                            obbs,
+                            bundle: None,
+                        });
                     }
                 }
                 Err(e) => self.app_dropout(CrawlStage::Obb, &e),
             },
             CrawlJobState::AwaitBundle { meta, apk, obbs } => match result {
-                Ok(resp) => self.finish_app(meta, apk, obbs, Some(resp.body)),
+                Ok(resp) => self.finish_app(CrawledApp {
+                    meta,
+                    apk,
+                    obbs,
+                    bundle: Some(resp.body),
+                }),
                 Err(e) => self.app_dropout(CrawlStage::Bundle, &e),
             },
             _ => unreachable!("on_result delivered with no request outstanding"),
@@ -451,60 +453,55 @@ impl ClientIo {
             ClientIo::Sim(h) => h.close(),
         }
     }
+
+    /// How a non-blocking connect ended: the TCP socket's pending error,
+    /// drained once the reactor first reports it writable. A sim pipe is
+    /// connected the moment it is created.
+    fn connect_result(&self) -> io::Result<()> {
+        match self {
+            ClientIo::Tcp(s) => mio::take_socket_error(raw_fd(s)),
+            ClientIo::Sim(_) => Ok(()),
+        }
+    }
 }
 
-/// Where a lane is between driver wake-ups. Blocked states only —
-/// transient decisions (attempt prep, admission, building the request
-/// frame) run to completion inside one pump.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// No request outstanding (between jobs steps).
-    Idle,
-    /// Waiting out a retry backoff on the timer wheel.
-    Backoff,
-    /// Waiting out a breaker-advertised retry-after on the timer wheel.
-    BreakerWait,
-    /// Waiting out an admission pacing charge on the timer wheel.
-    ThrottleWait,
+/// One attempt on the wire: the request's retry core and the transport
+/// carrying it.
+struct Flight {
+    sm: RequestSm,
+    io: ClientIo,
+}
+
+/// Where a lane is between driver wake-ups. The in-flight variants own
+/// the request they serve and its transport, so a lane can neither read
+/// without a request nor write without a connection.
+enum LaneState {
+    /// No request outstanding: holds the kept-alive transport, if any.
+    /// A lane starts here and passes through it between requests; a
+    /// pump never parks it here.
+    Idle(Option<ClientIo>),
     /// TCP connect in flight; the reactor reports writability when the
     /// handshake settles.
-    Connecting,
+    Connecting(Flight),
     /// Request frame partially written; waiting for send-buffer room.
-    Writing,
+    Writing(Flight),
     /// Accumulating the response frame; waiting for bytes.
-    Reading,
+    Reading(Flight),
     /// The job returned `None`; the lane is done.
     Finished,
 }
 
-/// Which decision a pump resumes at (set by the event or timer that woke
-/// the lane).
-#[derive(Debug, Clone, Copy)]
-enum Step {
-    /// Ask the job for the next request.
-    TakeJob,
-    /// Begin the next attempt (backoff accounting).
-    Begin,
-    /// Run admission and build the request frame.
-    Admit,
-    /// Connect if needed, then write.
-    Send,
-    /// Continue the in-flight I/O (write/read) for the current phase.
-    Drive,
-}
-
-/// One connection lane: a [`LaneJob`] plan, the shared [`RequestSm`]
-/// retry core, and the non-blocking transport buffers. The client-side
-/// mirror of the server's `ConnSm`.
+/// One connection lane: a [`LaneJob`] plan, its counters, the
+/// [`LaneState`] holding whatever is in flight, and transport buffers
+/// reused across requests. The client-side mirror of the server's
+/// `ConnSm`.
 struct ClientSm<J> {
     job: J,
     connection_id: u64,
     conn_id_str: String,
     retry: RetryPolicy,
     stats: CrawlStats,
-    phase: Phase,
-    sm: Option<RequestSm>,
-    io: Option<ClientIo>,
+    state: LaneState,
     write_buf: Vec<u8>,
     written: usize,
     read_buf: Vec<u8>,
@@ -523,9 +520,7 @@ impl<J: LaneJob> ClientSm<J> {
             conn_id_str: connection_id.to_string(),
             retry,
             stats: CrawlStats::default(),
-            phase: Phase::Idle,
-            sm: None,
-            io: None,
+            state: LaneState::Idle(None),
             write_buf: Vec::new(),
             written: 0,
             read_buf: Vec::new(),
@@ -535,7 +530,16 @@ impl<J: LaneJob> ClientSm<J> {
     }
 
     fn in_flight(&self) -> bool {
-        matches!(self.phase, Phase::Connecting | Phase::Writing | Phase::Reading)
+        matches!(
+            self.state,
+            LaneState::Connecting(_) | LaneState::Writing(_) | LaneState::Reading(_)
+        )
+    }
+
+    /// Move the state out for a pump to transform; the lane reads as
+    /// finished until the pump parks it again.
+    fn take_state(&mut self) -> LaneState {
+        std::mem::replace(&mut self.state, LaneState::Finished)
     }
 }
 
@@ -548,7 +552,7 @@ pub struct LaneSpec<J> {
     /// Connection id: announced to the server, folded into backoff
     /// jitter, and the key of this connection's chaos schedule.
     pub connection_id: u64,
-    /// Retry/backoff policy (per lane, so swarms can vary jitter seeds).
+    /// Retry/backoff policy (per lane, so lanes can vary jitter seeds).
     pub retry: RetryPolicy,
     /// The request plan.
     pub job: J,
@@ -647,22 +651,39 @@ struct DriverCtx<'a> {
     tcp: bool,
 }
 
-fn close_io<J>(lane: &mut ClientSm<J>, ctx: &mut DriverCtx<'_>, token: Token) {
-    if let Some(mut io) = lane.io.take() {
+impl DriverCtx<'_> {
+    /// (Re-)arm a TCP lane's read deadline; sim lanes run on the logical
+    /// clock, where a stalled peer always ends in a close.
+    fn arm_read_deadline(&mut self, token: Token) {
+        if self.tcp {
+            let read_ms = self.opts.read_timeout.as_millis().max(1) as u64;
+            self.wheel.arm(token, self.now + read_ms);
+        }
+    }
+}
+
+fn close_io<J>(
+    lane: &mut ClientSm<J>,
+    ctx: &mut DriverCtx<'_>,
+    token: Token,
+    io: Option<ClientIo>,
+) {
+    if let Some(mut io) = io {
         let _ = ctx.reactor.deregister(token);
         io.shutdown();
         lane.registered = Interest::NONE;
     }
 }
 
-/// Open the lane's transport. `Ok(true)` means a TCP handshake is in
-/// flight (the lane parks in [`Phase::Connecting`] until the reactor
-/// reports writability); `Ok(false)` means the transport is ready now.
+/// Open the lane's transport. The flag is `true` when a TCP handshake is
+/// in flight (the lane parks in [`LaneState::Connecting`] until the
+/// reactor reports writability) and `false` when the transport is ready
+/// now.
 fn open_io<J>(
     lane: &mut ClientSm<J>,
     ctx: &mut DriverCtx<'_>,
     token: Token,
-) -> std::result::Result<bool, StoreError> {
+) -> Result<(ClientIo, bool)> {
     if lane.connected_before {
         lane.stats.reconnects += 1;
     } else {
@@ -672,9 +693,8 @@ fn open_io<J>(
         (Endpoint::Tcp(addr), ClientReactor::Epoll(ep)) => {
             let stream = mio::tcp_connect_nonblocking(*addr)?;
             ep.register_fd(raw_fd(&stream), token, Interest::WRITABLE)?;
-            lane.io = Some(ClientIo::Tcp(stream));
             lane.registered = Interest::WRITABLE;
-            Ok(true)
+            Ok((ClientIo::Tcp(stream), true))
         }
         (Endpoint::Sim(net), ClientReactor::Sim(sr)) => {
             let handle = net.connect_nonblocking();
@@ -682,9 +702,8 @@ fn open_io<J>(
                 handle.watch(Arc::clone(p));
             }
             sr.register(token, Arc::new(handle.clone()), Interest::NONE);
-            lane.io = Some(ClientIo::Sim(handle));
             lane.registered = Interest::NONE;
-            Ok(false)
+            Ok((ClientIo::Sim(handle), false))
         }
         _ => Err(StoreError::Protocol(
             "lane endpoint does not match the reactor substrate".into(),
@@ -692,242 +711,220 @@ fn open_io<J>(
     }
 }
 
-/// Resolve one attempt's transport outcome through the shared retry
-/// core and report where the pump should resume.
+/// Resolve one attempt's outcome through the shared retry core, closing
+/// `io` when the outcome desynced it. Returns the request when it must
+/// be attempted again; otherwise the job has its result.
 fn absorb<J: LaneJob>(
     lane: &mut ClientSm<J>,
     ctx: &mut DriverCtx<'_>,
     token: Token,
+    mut sm: RequestSm,
+    io: &mut Option<ClientIo>,
     result: Result<ReadOutcome>,
-) -> Step {
+) -> Option<RequestSm> {
     ctx.wheel.cancel(token);
     lane.read_buf.clear();
-    // gaugelint: allow(unwrap-in-fault-path) — provably infallible: absorb is only reached while a RequestSm is in flight
-    let mut sm = lane.sm.take().expect("a request is in flight");
     match sm.absorb(result, ctx.opts.admission.as_deref(), &mut lane.stats) {
         AttemptVerdict::Done(resp) => {
             lane.job.on_result(Ok(resp));
-            Step::TakeJob
+            None
         }
         AttemptVerdict::Fatal { error, invalidate } => {
             if invalidate {
-                close_io(lane, ctx, token);
+                close_io(lane, ctx, token, io.take());
             }
             lane.job.on_result(Err(error));
-            Step::TakeJob
+            None
         }
         AttemptVerdict::Retry { invalidate } => {
             if invalidate {
-                close_io(lane, ctx, token);
+                close_io(lane, ctx, token, io.take());
             }
-            lane.sm = Some(sm);
-            Step::Begin
+            Some(sm)
         }
     }
 }
 
-/// Finish an accumulated response buffer the way the blocking exchange
-/// would have (replay through the blocking parser, then the integrity
-/// check) and absorb the outcome.
-fn finish_frame<J: LaneJob>(
+/// Put the next attempt of `sm` on the wire, straight through: begin it
+/// (backoff accounting), pass admission, frame the request and dial if
+/// the lane holds no transport. Breaker rejections and failed dials
+/// consume attempts without reaching the wire. Returns the state the
+/// attempt starts in, or [`LaneState::Idle`] once the request resolved
+/// without one.
+fn attempt<J: LaneJob>(
     lane: &mut ClientSm<J>,
     ctx: &mut DriverCtx<'_>,
     token: Token,
-    io_err: Option<io::Error>,
-) -> Step {
-    // gaugelint: allow(unwrap-in-fault-path) — provably infallible: finish_frame is only reached from Phase::Reading, which always has a RequestSm
-    let wire = lane.sm.as_ref().expect("a request is in flight").wire_path().to_string();
-    let result = finish_response_frame(&lane.read_buf, io_err).and_then(|outcome| {
-        if let ReadOutcome::Complete(resp) = &outcome {
-            verify_body_crc(resp, &wire)?;
-        }
-        Ok(outcome)
-    });
-    absorb(lane, ctx, token, result)
-}
-
-/// Drive one lane as far as it can go without blocking, starting at
-/// `start`. On return the lane is parked in a blocked [`Phase`] (or
-/// [`Phase::Finished`]); the caller settles reactor interest afterwards.
-fn pump_lane<J: LaneJob>(
-    lane: &mut ClientSm<J>,
-    ctx: &mut DriverCtx<'_>,
-    token: Token,
-    start: Step,
-) {
-    let mut step = start;
+    mut sm: RequestSm,
+    mut io: Option<ClientIo>,
+) -> LaneState {
     loop {
-        match step {
-            Step::TakeJob => {
-                lane.phase = Phase::Idle;
-                match lane.job.next_request(&mut lane.stats) {
-                    None => {
-                        close_io(lane, ctx, token);
-                        ctx.wheel.cancel(token);
-                        lane.phase = Phase::Finished;
-                        return;
-                    }
-                    Some((route, resumable)) => {
-                        lane.sm = Some(RequestSm::new(&route, resumable, lane.retry.max_attempts));
-                        step = Step::Begin;
-                    }
-                }
+        if let Err(e) = sm.begin_attempt(&lane.retry, lane.connection_id, &mut lane.stats) {
+            lane.job.on_result(Err(e));
+            return LaneState::Idle(io);
+        }
+        let AdmitVerdict::Proceed { range_start } =
+            sm.admit(ctx.opts.admission.as_deref(), &mut lane.stats)
+        else {
+            continue;
+        };
+        lane.write_buf.clear();
+        lane.written = 0;
+        let range = range_start.map(|n| n.to_string());
+        let headers = request_headers(&ctx.opts.config, &lane.conn_id_str, range.as_deref());
+        // Framing into a Vec cannot fail; an error would still go
+        // through the retry core rather than panic.
+        let opened = match write_request(&mut lane.write_buf, sm.wire_path(), &headers) {
+            Ok(()) => match io.take() {
+                Some(kept) => Ok((kept, false)),
+                None => open_io(lane, ctx, token),
+            },
+            Err(e) => Err(e),
+        };
+        match opened {
+            Ok((io, true)) => {
+                let connect_ms = ctx.opts.connect_timeout.as_millis().max(1) as u64;
+                ctx.wheel.arm(token, ctx.now + connect_ms);
+                return LaneState::Connecting(Flight { sm, io });
             }
-            Step::Begin => {
-                // gaugelint: allow(unwrap-in-fault-path) — provably infallible: Begin is only entered with a RequestSm installed
-                let sm = lane.sm.as_mut().expect("a request is in flight");
-                match sm.begin_attempt(&lane.retry, lane.connection_id, &mut lane.stats) {
-                    AttemptPrep::Exhausted(e) => {
-                        lane.sm = None;
-                        lane.job.on_result(Err(e));
-                        step = Step::TakeJob;
-                    }
-                    AttemptPrep::Backoff { delay_ms } => {
-                        if lane.retry.real_sleep && delay_ms > 0 {
-                            ctx.wheel.arm(token, ctx.now + delay_ms);
-                            lane.phase = Phase::Backoff;
-                            return;
-                        }
-                        step = Step::Admit;
-                    }
-                }
-            }
-            Step::Admit => {
-                // gaugelint: allow(unwrap-in-fault-path) — provably infallible: Admit is only entered with a RequestSm installed
-                let sm = lane.sm.as_mut().expect("a request is in flight");
-                match sm.admit(
-                    ctx.opts.admission.as_deref(),
-                    lane.connection_id,
-                    &mut lane.stats,
-                ) {
-                    AdmitVerdict::Rejected { retry_after_ms } => {
-                        if lane.retry.real_sleep && retry_after_ms > 0 {
-                            ctx.wheel.arm(token, ctx.now + retry_after_ms);
-                            lane.phase = Phase::BreakerWait;
-                            return;
-                        }
-                        step = Step::Begin;
-                    }
-                    AdmitVerdict::Proceed {
-                        range_start,
-                        throttle_ms,
-                    } => {
-                        lane.write_buf.clear();
-                        lane.written = 0;
-                        let range = range_start.map(|n| n.to_string());
-                        let headers =
-                            request_headers(&ctx.opts.config, &lane.conn_id_str, range.as_deref());
-                        if let Err(e) = write_request(&mut lane.write_buf, sm.wire_path(), &headers)
-                        {
-                            // Unreachable for a Vec sink; routed through the
-                            // retry core anyway so nothing panics.
-                            step = absorb(lane, ctx, token, Err(e));
-                            continue;
-                        }
-                        if lane.retry.real_sleep && throttle_ms > 0 {
-                            ctx.wheel.arm(token, ctx.now + throttle_ms);
-                            lane.phase = Phase::ThrottleWait;
-                            return;
-                        }
-                        step = Step::Send;
-                    }
-                }
-            }
-            Step::Send => {
-                if lane.io.is_none() {
-                    match open_io(lane, ctx, token) {
-                        Ok(true) => {
-                            let connect_ms = ctx.opts.connect_timeout.as_millis().max(1) as u64;
-                            ctx.wheel.arm(token, ctx.now + connect_ms);
-                            lane.phase = Phase::Connecting;
-                            return;
-                        }
-                        Ok(false) => {}
-                        Err(e) => {
-                            step = absorb(lane, ctx, token, Err(e));
-                            continue;
-                        }
-                    }
-                }
-                lane.phase = Phase::Writing;
-                step = Step::Drive;
-            }
-            Step::Drive => match lane.phase {
-                Phase::Writing => {
-                    // gaugelint: allow(unwrap-in-fault-path) — provably infallible: Writing always has a transport (opened in Send)
-                    let io = lane.io.as_mut().expect("writing lane has a transport");
-                    let mut result = None;
-                    while lane.written < lane.write_buf.len() {
-                        match io.try_write(&lane.write_buf[lane.written..]) {
-                            Ok(0) => {
-                                result = Some(Err(io::Error::new(
-                                    io::ErrorKind::WriteZero,
-                                    "failed to write whole buffer",
-                                )
-                                .into()));
-                                break;
-                            }
-                            Ok(n) => lane.written += n,
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                            Err(e) => {
-                                result = Some(Err(e.into()));
-                                break;
-                            }
-                        }
-                    }
-                    match result {
-                        Some(r) => step = absorb(lane, ctx, token, r),
-                        None => {
-                            lane.read_buf.clear();
-                            lane.phase = Phase::Reading;
-                            if ctx.tcp {
-                                let read_ms = ctx.opts.read_timeout.as_millis().max(1) as u64;
-                                ctx.wheel.arm(token, ctx.now + read_ms);
-                            }
-                        }
-                    }
-                }
-                Phase::Reading => {
-                    let io_err = loop {
-                        if response_frame_complete(&lane.read_buf) {
-                            break None;
-                        }
-                        let mut chunk = [0u8; READ_CHUNK];
-                        // gaugelint: allow(unwrap-in-fault-path) — provably infallible: Reading always has a transport (opened in Send)
-                        let io = lane.io.as_mut().expect("reading lane has a transport");
-                        match io.try_read(&mut chunk) {
-                            Ok(0) => break None,
-                            Ok(n) => {
-                                lane.read_buf.extend_from_slice(&chunk[..n]);
-                                if ctx.tcp {
-                                    let read_ms =
-                                        ctx.opts.read_timeout.as_millis().max(1) as u64;
-                                    ctx.wheel.arm(token, ctx.now + read_ms);
-                                }
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                            Err(e) => break Some(e),
-                        }
-                    };
-                    step = finish_frame(lane, ctx, token, io_err);
-                }
-                _ => return,
+            Ok((io, false)) => return LaneState::Writing(Flight { sm, io }),
+            Err(e) => match absorb(lane, ctx, token, sm, &mut io, Err(e)) {
+                Some(retry) => sm = retry,
+                None => return LaneState::Idle(io),
             },
         }
     }
 }
 
-/// Settle this lane's reactor interest to match its parked phase.
-fn settle_lane<J>(lane: &mut ClientSm<J>, reactor: &mut ClientReactor, token: Token) {
-    if lane.io.is_none() {
-        return;
+/// Resolve an attempt that reached the wire and carry on: the lane goes
+/// idle (keeping the transport unless the outcome desynced it) or starts
+/// the request's next attempt.
+fn conclude<J: LaneJob>(
+    lane: &mut ClientSm<J>,
+    ctx: &mut DriverCtx<'_>,
+    token: Token,
+    flight: Flight,
+    result: Result<ReadOutcome>,
+) -> LaneState {
+    let mut io = Some(flight.io);
+    match absorb(lane, ctx, token, flight.sm, &mut io, result) {
+        Some(sm) => attempt(lane, ctx, token, sm, io),
+        None => LaneState::Idle(io),
     }
-    let desired = match lane.phase {
-        Phase::Connecting | Phase::Writing => Interest::WRITABLE,
-        Phase::Reading => Interest::READABLE,
-        _ => Interest::NONE,
+}
+
+/// Finish an accumulated response buffer the way the blocking exchange
+/// would have (replay through the blocking parser, then the integrity
+/// check) and conclude the attempt.
+fn finish_frame<J: LaneJob>(
+    lane: &mut ClientSm<J>,
+    ctx: &mut DriverCtx<'_>,
+    token: Token,
+    flight: Flight,
+    io_err: Option<io::Error>,
+) -> LaneState {
+    let result = finish_response_frame(&lane.read_buf, io_err).and_then(|outcome| {
+        if let ReadOutcome::Complete(resp) = &outcome {
+            verify_body_crc(resp, flight.sm.wire_path())?;
+        }
+        Ok(outcome)
+    });
+    conclude(lane, ctx, token, flight, result)
+}
+
+/// Push the rest of the request frame: `Ok(true)` once it is all
+/// written, `Ok(false)` when the socket would block.
+fn write_frame(io: &mut ClientIo, buf: &[u8], written: &mut usize) -> io::Result<bool> {
+    while *written < buf.len() {
+        match io.try_write(&buf[*written..]) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole buffer",
+                ))
+            }
+            Ok(n) => *written += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
+}
+
+/// Drive one lane from `state` as far as it can go without blocking and
+/// park it: in flight on I/O, or finished. The caller settles reactor
+/// interest afterwards.
+fn pump_lane<J: LaneJob>(
+    lane: &mut ClientSm<J>,
+    ctx: &mut DriverCtx<'_>,
+    token: Token,
+    mut state: LaneState,
+) {
+    loop {
+        state = match state {
+            LaneState::Idle(io) => match lane.job.next_request(&mut lane.stats) {
+                Some((route, resumable)) => {
+                    let sm = RequestSm::new(&route, resumable, lane.retry.max_attempts);
+                    attempt(lane, ctx, token, sm, io)
+                }
+                None => {
+                    close_io(lane, ctx, token, io);
+                    ctx.wheel.cancel(token);
+                    LaneState::Finished
+                }
+            },
+            LaneState::Writing(mut flight) => {
+                match write_frame(&mut flight.io, &lane.write_buf, &mut lane.written) {
+                    Ok(true) => {
+                        lane.read_buf.clear();
+                        ctx.arm_read_deadline(token);
+                        LaneState::Reading(flight)
+                    }
+                    Ok(false) => {
+                        lane.state = LaneState::Writing(flight);
+                        return;
+                    }
+                    Err(e) => conclude(lane, ctx, token, flight, Err(e.into())),
+                }
+            }
+            LaneState::Reading(mut flight) => {
+                let io_err = loop {
+                    if response_frame_complete(&lane.read_buf) {
+                        break None;
+                    }
+                    let mut chunk = [0u8; READ_CHUNK];
+                    match flight.io.try_read(&mut chunk) {
+                        Ok(0) => break None,
+                        Ok(n) => {
+                            lane.read_buf.extend_from_slice(&chunk[..n]);
+                            ctx.arm_read_deadline(token);
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                            lane.state = LaneState::Reading(flight);
+                            return;
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(e) => break Some(e),
+                    }
+                };
+                finish_frame(lane, ctx, token, flight, io_err)
+            }
+            parked @ (LaneState::Connecting(_) | LaneState::Finished) => {
+                lane.state = parked;
+                return;
+            }
+        };
+    }
+}
+
+/// Settle this lane's reactor interest to match its parked state.
+fn settle_lane<J>(lane: &mut ClientSm<J>, reactor: &mut ClientReactor, token: Token) {
+    let desired = match &lane.state {
+        LaneState::Connecting(_) | LaneState::Writing(_) => Interest::WRITABLE,
+        LaneState::Reading(_) => Interest::READABLE,
+        LaneState::Idle(Some(_)) => Interest::NONE,
+        LaneState::Idle(None) | LaneState::Finished => return,
     };
     if desired != lane.registered {
         let _ = reactor.set_interest(token, desired);
@@ -935,61 +932,36 @@ fn settle_lane<J>(lane: &mut ClientSm<J>, reactor: &mut ClientReactor, token: To
     }
 }
 
-/// A timer fired for this lane: resume the pump at the decision the
-/// deadline was guarding.
+/// A deadline fired for this lane: a connect or read that took too long
+/// fails its attempt.
 fn on_lane_timer<J: LaneJob>(lane: &mut ClientSm<J>, ctx: &mut DriverCtx<'_>, token: Token) {
-    match lane.phase {
-        Phase::Backoff => pump_lane(lane, ctx, token, Step::Admit),
-        Phase::BreakerWait => pump_lane(lane, ctx, token, Step::Begin),
-        Phase::ThrottleWait => pump_lane(lane, ctx, token, Step::Send),
-        Phase::Connecting => {
-            let step = absorb(
-                lane,
-                ctx,
-                token,
-                Err(io::Error::new(io::ErrorKind::TimedOut, "connect timed out").into()),
-            );
-            pump_lane(lane, ctx, token, step);
+    let (flight, what) = match lane.take_state() {
+        LaneState::Connecting(flight) => (flight, "connect timed out"),
+        LaneState::Reading(flight) => (flight, "client read timed out"),
+        other => {
+            lane.state = other;
+            return;
         }
-        Phase::Reading => {
-            let step = absorb(
-                lane,
-                ctx,
-                token,
-                Err(io::Error::new(io::ErrorKind::TimedOut, "client read timed out").into()),
-            );
-            pump_lane(lane, ctx, token, step);
-        }
-        _ => {}
-    }
+    };
+    let timed_out = io::Error::new(io::ErrorKind::TimedOut, what);
+    let state = conclude(lane, ctx, token, flight, Err(timed_out.into()));
+    pump_lane(lane, ctx, token, state);
 }
 
 /// An I/O event woke this lane: settle the connect handshake if one is
 /// in flight, then continue the lane's I/O.
 fn on_lane_event<J: LaneJob>(lane: &mut ClientSm<J>, ctx: &mut DriverCtx<'_>, token: Token) {
-    if lane.phase == Phase::Connecting {
-        let fd = match &lane.io {
-            Some(ClientIo::Tcp(s)) => raw_fd(s),
-            _ => {
-                // Sim lanes never park in Connecting.
-                pump_lane(lane, ctx, token, Step::Drive);
-                return;
-            }
-        };
-        match mio::take_socket_error(fd) {
+    let state = match lane.take_state() {
+        LaneState::Connecting(flight) => match flight.io.connect_result() {
             Ok(()) => {
                 ctx.wheel.cancel(token);
-                lane.phase = Phase::Writing;
-                pump_lane(lane, ctx, token, Step::Drive);
+                LaneState::Writing(flight)
             }
-            Err(e) => {
-                let step = absorb(lane, ctx, token, Err(e.into()));
-                pump_lane(lane, ctx, token, step);
-            }
-        }
-        return;
-    }
-    pump_lane(lane, ctx, token, Step::Drive);
+            Err(e) => conclude(lane, ctx, token, flight, Err(e.into())),
+        },
+        other => other,
+    };
+    pump_lane(lane, ctx, token, state);
 }
 
 /// Drive a set of [`ClientSm`] lanes to completion over one readiness
@@ -1053,7 +1025,8 @@ pub fn drive_lanes<J: LaneJob>(
             tcp,
         };
         for (i, lane) in lanes.iter_mut().enumerate() {
-            pump_lane(lane, &mut ctx, Token(i), Step::TakeJob);
+            let state = lane.take_state();
+            pump_lane(lane, &mut ctx, Token(i), state);
         }
     }
     for (i, lane) in lanes.iter_mut().enumerate() {
@@ -1063,7 +1036,7 @@ pub fn drive_lanes<J: LaneJob>(
     loop {
         let in_flight = lanes.iter().filter(|l| l.in_flight()).count();
         report.peak_in_flight = report.peak_in_flight.max(in_flight);
-        if lanes.iter().all(|l| l.phase == Phase::Finished) {
+        if lanes.iter().all(|l| matches!(l.state, LaneState::Finished)) {
             break;
         }
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
-# Tier-1 verification: build + full test suite (see ROADMAP.md) plus the
-# harness crate's own tests, the concurrency suite re-run
-# single-threaded, a double-repro persistent-cache determinism check,
-# the crash-recovery matrix (SIGKILL at each registered crash point,
-# then --resume must reproduce stdout byte-for-byte), a cache
+# Tier-1 verification: build + full test suite (see ROADMAP.md; the
+# root manifest's default-members make both cover every workspace
+# crate) plus the concurrency suite re-run single-threaded, a
+# double-repro persistent-cache determinism check, the crash-recovery
+# matrix (SIGKILL at each registered crash point, then --resume must
+# reproduce stdout byte-for-byte), a cache
 # compaction-under-pressure check, the query-serving determinism gate
 # (querybench streams must be byte-identical at every connection
 # count), the reactor gate (readiness-replay determinism plus sim/epoll
@@ -34,10 +35,6 @@ verify() {
     mode="$1"
     run_cargo "$mode" build --release || return 1
     run_cargo "$mode" test -q || return 1
-    # The harness crate's own tests (watchdog recovery, quarantine and
-    # probation schedules on the logical clock) live outside the root
-    # package, so the plain `cargo test` above never runs them.
-    run_cargo "$mode" test -q -p gaugenn-harness || return 1
     # The concurrency suite exercises the sharded crawl pool and the
     # analysis pool's render determinism; re-run it with the test harness
     # single-threaded so pool determinism is also proven without
@@ -74,8 +71,6 @@ verify() {
     # Crash-fault injection (DESIGN.md §12): the child-process matrix
     # that really SIGKILLs a run at each registered crash point, pinned
     # by name so a rename cannot silently skip the gate.
-    run_cargo "$mode" test -q -p gaugenn-core --test failure_injection \
-        || return 1
     run_cargo "$mode" test -q -p gaugenn-core --test failure_injection \
         sigkill_matrix_resume_is_byte_identical || return 1
     # Repro-level crash matrix: kill the real repro binary at three
@@ -225,13 +220,12 @@ verify() {
     fi
     rm -f "$net_out.sim.out" "$net_out.sim.err" \
         "$net_out.epoll.out" "$net_out.epoll.err"
-    # gaugelint gate (DESIGN.md §10, §15): the in-repo invariant checker
-    # must pass its fixture suites (lexical rules, workspace semantics,
-    # CLI acceptance), then the whole-workspace semantic pass must come
-    # back clean against the committed baseline — twice, with both the
-    # findings JSON and the channel wait-for graph byte-identical across
-    # runs (the lint's own determinism contract).
-    run_cargo "$mode" test -q -p lint || return 1
+    # gaugelint gate (DESIGN.md §10, §15): with its fixture suites
+    # (lexical rules, workspace semantics, CLI acceptance) already run
+    # by the full test suite above, the whole-workspace semantic pass
+    # must come back clean against the committed baseline — twice, with
+    # both the findings JSON and the channel wait-for graph
+    # byte-identical across runs (the lint's own determinism contract).
     lint_out="target/verify-lint.$$"
     run_cargo "$mode" run -q -p lint -- --format json \
         --baseline results/lint_baseline.json --waitfor "$lint_out.wf1.json" \

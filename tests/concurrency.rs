@@ -137,18 +137,25 @@ fn one_lane_pool_matches_two_blocking_crawlers() {
     // fetches the categories and lists each one (the size probe), then
     // connection 1 crawls them in index order. The whole outcome — apps,
     // drop-outs and merged stats — must agree on both endpoints, calm
-    // and chaotic.
+    // and chaotic, and through a storm that opens the breaker: with a
+    // failure threshold of 2 the chaos plan's transient statuses trip it,
+    // so rejected attempts run the lanes' breaker path.
     for sim in [false, true] {
-        for chaos in [false, true] {
+        for (chaos, storm) in [(false, false), (true, false), (true, true)] {
+            let mut admission = AdmissionConfig::default();
+            if storm {
+                admission.failure_threshold = 2;
+            }
             let pooled = CrawlPool::new(CrawlPoolConfig {
                 workers: 1,
+                admission: admission.clone(),
                 ..CrawlPoolConfig::default()
             })
             .crawl_at(&fresh_store(sim, chaos).endpoint())
             .unwrap();
 
             let store = fresh_store(sim, chaos);
-            let admission = Arc::new(AdmissionController::new(AdmissionConfig::default()));
+            let admission = Arc::new(AdmissionController::new(admission));
             let crawler = |id: u64| {
                 Crawler::builder_at(store.endpoint())
                     .connection_id(id)
@@ -175,9 +182,20 @@ fn one_lane_pool_matches_two_blocking_crawlers() {
                 dropouts,
                 stats,
             };
-            assert_eq!(reference.apps.len(), 52, "sim={sim} chaos={chaos}");
-            assert_eq!(chaos, reference.stats.retries > 0, "{:?}", reference.stats);
-            assert_eq!(pooled.outcome, reference, "sim={sim} chaos={chaos}");
+            if storm {
+                assert!(
+                    reference.stats.breaker_rejections > 0,
+                    "the storm must open the breaker: {:?}",
+                    reference.stats
+                );
+            } else {
+                assert_eq!(reference.apps.len(), 52, "sim={sim} chaos={chaos}");
+                assert_eq!(chaos, reference.stats.retries > 0, "{:?}", reference.stats);
+            }
+            assert_eq!(
+                pooled.outcome, reference,
+                "sim={sim} chaos={chaos} storm={storm}"
+            );
         }
     }
 }
