@@ -196,7 +196,7 @@ impl Master {
 
         // ② Launch the headless agent thread, then ③ cut USB power.
         let master_addr = self.addr;
-        let (done_tx, done_rx) = channel::unbounded_named::<bool>("harness.agent_done");
+        let (done_tx, done_rx) = channel::unbounded::<bool>();
         let mut moved_agent = std::mem::replace(agent, DeviceAgent::new(agent.spec.clone()));
         let handle = std::thread::spawn(move || {
             let res = moved_agent.run_headless(master_addr, Duration::from_secs(10));

@@ -32,9 +32,6 @@ pub struct Edge {
     pub file: String,
     /// Line of the call site.
     pub line: u32,
-    /// First identifier of each top-level argument (`None` for literal
-    /// or complex arguments) — consumed by the channel endpoint pass.
-    pub args: Vec<Option<String>>,
 }
 
 /// The workspace call graph.
@@ -87,7 +84,6 @@ struct RawCall {
     quals: Vec<String>,
     name: String,
     method: bool,
-    args: Vec<Option<String>>,
 }
 
 /// Build the call graph across every parsed file. `lexed` maps the same
@@ -131,7 +127,6 @@ pub fn build(graph: &ItemGraph, lexed: &BTreeMap<String, Lexed>) -> CallGraph {
                     callee,
                     file: file.clone(),
                     line: raw.line,
-                    args: raw.args.clone(),
                 });
             }
         }
@@ -249,7 +244,6 @@ fn extract_calls(lex: &Lexed, owner: &[Option<usize>]) -> Vec<RawCall> {
                             quals: Vec::new(),
                             name: name.to_string(),
                             method: true,
-                            args: extract_args(lex, open),
                         });
                     }
                 }
@@ -298,7 +292,6 @@ fn extract_calls(lex: &Lexed, owner: &[Option<usize>]) -> Vec<RawCall> {
             quals,
             name: name.to_string(),
             method: false,
-            args: extract_args(lex, open),
         });
     }
     out
@@ -326,52 +319,6 @@ fn after_turbofish(lex: &Lexed, i: usize) -> Option<usize> {
         return None;
     }
     Some(i)
-}
-
-/// First identifier of each top-level argument of the call whose `(` is
-/// at `open`.
-fn extract_args(lex: &Lexed, open: usize) -> Vec<Option<String>> {
-    let n = lex.toks.len();
-    let mut args = Vec::new();
-    let mut depth = 0i32;
-    let mut j = open;
-    let mut start = open + 1;
-    while j < n {
-        match lex.punct(j) {
-            Some('(') | Some('[') | Some('{') => depth += 1,
-            Some(')') | Some(']') | Some('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    if j > start {
-                        args.push(first_arg_ident(lex, start, j));
-                    }
-                    break;
-                }
-            }
-            Some(',') if depth == 1 => {
-                args.push(first_arg_ident(lex, start, j));
-                start = j + 1;
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    args
-}
-
-/// First identifier of an argument slice, skipping `&`/`mut`/`move`/`*`
-/// and closure pipes — `&rx`, `move || f(rx)` both yield their first
-/// meaningful name.
-fn first_arg_ident(lex: &Lexed, start: usize, end: usize) -> Option<String> {
-    for k in start..end {
-        if let Some(id) = lex.ident(k) {
-            if matches!(id, "mut" | "move") {
-                continue;
-            }
-            return Some(id.to_string());
-        }
-    }
-    None
 }
 
 /// Transitive closure helper: every fn reachable from `roots` following

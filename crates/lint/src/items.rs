@@ -34,9 +34,6 @@ pub struct FnItem {
     /// Token index range of the body, `[open_brace, close_brace]`
     /// inclusive; `None` for bodyless trait declarations.
     pub body: Option<(usize, usize)>,
-    /// Parameter names in declaration order (`self` receivers included
-    /// as `"self"`); used to propagate channel endpoints through calls.
-    pub params: Vec<String>,
     /// Entirely inside test code (`#[cfg(test)]` / `tests/` file)?
     pub is_test: bool,
 }
@@ -305,7 +302,6 @@ pub fn parse_file(graph: &mut ItemGraph, path: &str, lex: &Lexed, test_mask: &[b
                     file: path.to_string(),
                     line: lex.line(i),
                     body,
-                    params: parse_params(lex, i + 2, n),
                     is_test: test_mask.get(i).copied().unwrap_or(false),
                 });
                 items.fn_ids.push(id);
@@ -316,77 +312,6 @@ pub fn parse_file(graph: &mut ItemGraph, path: &str, lex: &Lexed, test_mask: &[b
         }
     }
     graph.files.insert(path.to_string(), items);
-}
-
-/// Parse the parameter-name list of a `fn` whose name ends just before
-/// token `from` (the signature's `(` is the next `(` at angle depth 0).
-/// Each parameter contributes the first identifier of its pattern —
-/// enough for the by-name endpoint propagation; destructuring patterns
-/// degrade to their first binding.
-fn parse_params(lex: &Lexed, from: usize, n: usize) -> Vec<String> {
-    let mut i = from;
-    let mut angle = 0i32;
-    while i < n {
-        match lex.punct(i) {
-            Some('<') => angle += 1,
-            Some('>') if !matches!(lex.punct(i.wrapping_sub(1)), Some('-') | Some('=')) => {
-                angle -= 1
-            }
-            Some('(') if angle <= 0 => break,
-            Some('{') | Some(';') => return Vec::new(),
-            _ => {}
-        }
-        i += 1;
-    }
-    if i >= n {
-        return Vec::new();
-    }
-    let mut params = Vec::new();
-    let mut depth = 0i32;
-    let mut start = i + 1;
-    let mut j = i;
-    while j < n {
-        match lex.punct(j) {
-            Some('(') | Some('[') | Some('{') | Some('<') => depth += 1,
-            Some(')') | Some(']') | Some('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    if j > start {
-                        params.push(first_param_ident(lex, start, j));
-                    }
-                    break;
-                }
-            }
-            Some('>') if !matches!(lex.punct(j.wrapping_sub(1)), Some('-') | Some('=')) => {
-                depth -= 1
-            }
-            Some(',') if depth == 1 => {
-                params.push(first_param_ident(lex, start, j));
-                start = j + 1;
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    params
-}
-
-/// First binding identifier of a parameter slice (skipping `&`, `mut`,
-/// lifetimes); empty string when the pattern has none (e.g. `_: u32`).
-fn first_param_ident(lex: &Lexed, start: usize, end: usize) -> String {
-    for k in start..end {
-        if let Some(id) = lex.ident(k) {
-            if id == "mut" {
-                continue;
-            }
-            return id.to_string();
-        }
-        // Stop at the type separator: everything after `:` is a type.
-        if lex.punct(k) == Some(':') {
-            break;
-        }
-    }
-    String::new()
 }
 
 /// Collect `use` imports: `use a::b::c;`, `use a::{b, c as d};`,

@@ -14,9 +14,7 @@ pub enum TokKind {
     Punct,
     /// Numeric literal.
     Num,
-    /// String literal (regular, raw, or byte). The literal's inner text
-    /// is retained (the channel inventory reads `unbounded_named("…")`
-    /// names from it); no rule ever pattern-matches inside it.
+    /// String literal (regular, raw, or byte).
     Str,
     /// Character literal.
     CharLit,
@@ -29,8 +27,7 @@ pub enum TokKind {
 pub struct Tok {
     /// Kind of token.
     pub kind: TokKind,
-    /// Token text (the inner text for string literals, empty for char
-    /// literals).
+    /// Token text (empty for string and char literals).
     pub text: String,
     /// 1-based source line.
     pub line: u32,
@@ -57,15 +54,6 @@ pub enum Directive {
         line: u32,
         /// Severed taint categories (`clock`, `seed`).
         kinds: Vec<String>,
-    },
-    /// `// gaugelint: channel-pair(name) — reason`. Names the channel
-    /// created on this line so its cross-crate send/recv pairing is a
-    /// documented contract (and the wait-for graph uses the name).
-    ChannelPair {
-        /// Line the comment sits on.
-        line: u32,
-        /// The documented pairing name.
-        name: String,
     },
     /// A comment mentioning gaugelint that could not be parsed — always
     /// reported, so a typo'd suppression cannot silently not work.
@@ -190,7 +178,7 @@ pub fn lex(src: &str) -> Lexed {
         if let Some((next, crossed)) = try_string(&chars, i) {
             out.toks.push(Tok {
                 kind: TokKind::Str,
-                text: string_inner(&chars[i..next]),
+                text: String::new(),
                 line,
             });
             line += crossed;
@@ -262,25 +250,6 @@ pub fn lex(src: &str) -> Lexed {
         i += 1;
     }
     out
-}
-
-/// The inner text of a lexed string literal (prefix, hashes, and quotes
-/// stripped). Escapes are left as written — the only consumer is the
-/// channel inventory, which reads plain identifiers out of
-/// `unbounded_named("…")`.
-fn string_inner(lit: &[char]) -> String {
-    let mut a = 0usize;
-    while a < lit.len() && (lit[a] == 'b' || lit[a] == 'r' || lit[a] == '#') {
-        a += 1;
-    }
-    let mut b = lit.len();
-    while b > a && lit[b - 1] == '#' {
-        b -= 1;
-    }
-    let body = &lit[a..b];
-    let body = body.strip_prefix(&['"']).unwrap_or(body);
-    let body = body.strip_suffix(&['"']).unwrap_or(body);
-    body.iter().collect()
 }
 
 /// Try to lex a string literal at `i`. Returns `(index after literal,
@@ -374,7 +343,6 @@ fn try_char_literal(chars: &[char], i: usize) -> Option<(usize, u32)> {
 /// ```text
 /// // gaugelint: allow(rule-a, rule-b) — reason
 /// // gaugelint: deterministic-via(clock|seed) — reason
-/// // gaugelint: channel-pair(name) — reason
 /// ```
 fn parse_directive(comment: &str, line: u32) -> Option<Directive> {
     let at = comment.find("gaugelint")?;
@@ -390,20 +358,6 @@ fn parse_directive(comment: &str, line: u32) -> Option<Directive> {
         "deterministic-via" => {
             if items.iter().all(|k| k == "clock" || k == "seed") {
                 Some(Directive::DeterministicVia { line, kinds: items })
-            } else {
-                Some(Directive::Malformed { line })
-            }
-        }
-        "channel-pair" => {
-            let ok = items.len() == 1
-                && items[0]
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'));
-            if ok {
-                Some(Directive::ChannelPair {
-                    line,
-                    name: items.into_iter().next().expect("len checked"),
-                })
             } else {
                 Some(Directive::Malformed { line })
             }

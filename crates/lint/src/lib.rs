@@ -12,9 +12,7 @@
 //! * a **semantic pass** ([`lint_workspace`], DESIGN.md §15) — an item
 //!   graph and name-resolved call graph over every workspace file, on
 //!   which determinism *taint* propagates transitively from known sinks
-//!   ([`taint`]), channel endpoints are inventoried and paired across
-//!   crates ([`channels`]), and a machine-readable channel wait-for
-//!   graph is emitted for the runtime deadlock detector.
+//!   ([`taint`]).
 //!
 //! # Suppressions
 //!
@@ -24,7 +22,6 @@
 //! ```text
 //! // gaugelint: allow(wall-clock) — reason for the exception
 //! // gaugelint: deterministic-via(clock) — reason the source is injected
-//! // gaugelint: channel-pair(name) — reason the pairing is intended
 //! ```
 //!
 //! `deterministic-via(clock|seed)` both severs the taint edge/sink on
@@ -35,7 +32,6 @@
 //! suppressed — a typo'd allow can never silently disable a rule.
 
 pub mod callgraph;
-pub mod channels;
 pub mod items;
 pub mod lexer;
 mod rules;
@@ -43,8 +39,8 @@ pub mod taint;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Every rule gaugelint knows, in documentation order. The final four
-/// before `bad-suppression` are semantic (workspace-pass) rules;
+/// Every rule gaugelint knows, in documentation order.
+/// `nondeterministic-reach` is the semantic (workspace-pass) rule;
 /// `bad-suppression` is the meta-rule for broken `allow(...)` directives.
 pub const RULES: &[&str] = &[
     "hashmap-iter-order",
@@ -52,6 +48,7 @@ pub const RULES: &[&str] = &[
     "unwrap-in-fault-path",
     "deprecated-api",
     "lock-across-send",
+    "nested-lock",
     "seed-from-entropy",
     "float-accum-order",
     "relaxed-ordering-in-report",
@@ -59,9 +56,6 @@ pub const RULES: &[&str] = &[
     "literal-duration-in-retry",
     "blocking-call-in-reactor",
     "nondeterministic-reach",
-    "channel-orphan-sender",
-    "channel-orphan-receiver",
-    "channel-unpaired-cross-crate",
     "bad-suppression",
 ];
 
@@ -76,7 +70,7 @@ pub struct Finding {
     pub line: u32,
     /// Trimmed source line, truncated to ~120 chars.
     pub snippet: String,
-    /// Semantic-pass detail (taint call chain, channel pairing info).
+    /// Semantic-pass detail (the taint call chain).
     pub detail: Option<String>,
 }
 
@@ -99,8 +93,6 @@ pub struct WorkspaceReport {
     pub suppressed_findings: Vec<Finding>,
     /// Number of files linted.
     pub files: usize,
-    /// The channel wait-for graph as deterministic JSON.
-    pub waitfor_json: String,
 }
 
 /// Per-file pass internals shared by [`lint_source`] and
@@ -168,9 +160,6 @@ fn file_pass(path: &str, src: &str, lex: &lexer::Lexed) -> FilePass {
                     allow.entry(*line).or_default().insert(rule.to_string());
                 }
             }
-            lexer::Directive::ChannelPair { .. } => {
-                // Consumed by the channel inventory; no lexical effect.
-            }
         }
     }
 
@@ -211,7 +200,7 @@ pub fn lint_source(path: &str, src: &str) -> FileReport {
 }
 
 /// Lint the whole workspace: the lexical pass over every file plus the
-/// semantic pass (item graph → call graph → taint + channels) across all
+/// semantic pass (item graph → call graph → taint) across all
 /// of them. `files` are `(repo-relative path, source)` pairs.
 pub fn lint_workspace(files: &[(String, String)]) -> WorkspaceReport {
     let mut out = WorkspaceReport {
@@ -272,31 +261,6 @@ pub fn lint_workspace(files: &[(String, String)]) -> WorkspaceReport {
             out.findings.push(f);
         }
     }
-
-    // Channel pairing + wait-for graph.
-    let chan = channels::run(&graph, &cg, &lexed);
-    for c in &chan.findings {
-        let snippet = sources
-            .get(c.file.as_str())
-            .map(|src| snippet_of(&src.lines().collect::<Vec<_>>(), c.line))
-            .unwrap_or_default();
-        let f = Finding {
-            rule: c.rule,
-            file: c.file.clone(),
-            line: c.line,
-            snippet,
-            detail: Some(c.detail.clone()),
-        };
-        if allows
-            .get(c.file.as_str())
-            .is_some_and(|a| allowed(a, c.line, c.rule))
-        {
-            out.suppressed_findings.push(f);
-        } else {
-            out.findings.push(f);
-        }
-    }
-    out.waitfor_json = chan.waitfor_json;
 
     out.findings
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));

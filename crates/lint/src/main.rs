@@ -2,9 +2,9 @@
 //!
 //! Walks the given roots (default `crates tests`) for `.rs` files —
 //! skipping `target/`, `vendor/`, `fixtures/`, and `.git/` — runs the
-//! whole-workspace pass (lexical rules + item-graph taint + channel
-//! pairing), prints findings, and exits non-zero if anything
-//! unsuppressed (and not baselined) was found.
+//! whole-workspace pass (lexical rules + item-graph taint), prints
+//! findings, and exits non-zero if anything unsuppressed (and not
+//! baselined) was found.
 //!
 //! Flags:
 //!
@@ -15,7 +15,6 @@
 //! * `--baseline <file>` — a previous `--format json` run; only findings
 //!   *beyond* the baseline (per `rule|path|snippet` key count) fail the
 //!   run.
-//! * `--waitfor <file>` — write the channel wait-for graph JSON here.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -24,7 +23,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut format = "human".to_string();
     let mut baseline: Option<String> = None;
-    let mut waitfor: Option<String> = None;
     let mut roots: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -40,13 +38,6 @@ fn main() -> ExitCode {
                 Some(v) => baseline = Some(v),
                 None => {
                     eprintln!("gaugelint: --baseline needs a file");
-                    return ExitCode::from(2);
-                }
-            },
-            "--waitfor" => match args.next() {
-                Some(v) => waitfor = Some(v),
-                None => {
-                    eprintln!("gaugelint: --waitfor needs a file");
                     return ExitCode::from(2);
                 }
             },
@@ -79,13 +70,6 @@ fn main() -> ExitCode {
     }
 
     let report = lint::lint_workspace(&sources);
-
-    if let Some(path) = &waitfor {
-        if let Err(e) = std::fs::write(path, &report.waitfor_json) {
-            eprintln!("gaugelint: cannot write wait-for graph {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
 
     // Baseline filter: a finding fails the run only when its
     // `rule|path|snippet` key occurs more often than in the baseline.

@@ -98,7 +98,7 @@ pub(crate) fn run_all(ctx: &Ctx<'_>) -> Vec<(&'static str, u32)> {
     rule_wall_clock(ctx, &mut out);
     rule_unwrap_in_fault_path(ctx, &mut out);
     rule_deprecated_api(ctx, &mut out);
-    rule_lock_across_send(ctx, &mut out);
+    rule_lock_guards(ctx, &mut out);
     rule_seed_from_entropy(ctx, &mut out);
     rule_float_accum_order(ctx, &mut out);
     rule_relaxed_ordering_in_report(ctx, &mut out);
@@ -109,8 +109,8 @@ pub(crate) fn run_all(ctx: &Ctx<'_>) -> Vec<(&'static str, u32)> {
 }
 
 /// The per-token test mask for a file, path classification included —
-/// shared with the semantic pass (test fns are exempt from taint and
-/// channel-pairing findings, same as from the lexical rules).
+/// shared with the semantic pass (test fns are exempt from taint
+/// findings, same as from the lexical rules).
 pub(crate) fn test_mask_for(path: &str, lex: &Lexed) -> Vec<bool> {
     let norm = path.replace('\\', "/");
     let whole = norm.split('/').any(|c| c == "tests");
@@ -433,19 +433,31 @@ fn rule_blocking_call_in_reactor(ctx: &Ctx<'_>, out: &mut Vec<(&'static str, u32
     }
 }
 
-/// Rule `lock-across-send`: calling `.send(…)` while a lock guard from a
-/// `let g = ….lock()/.read()/.write()` binding is still live. Holding a
-/// lock across a channel send invites lock-order inversions with the
-/// receiver (the runtime `lock-order-check` feature catches the dynamic
-/// version; this catches it in review). A binding stops being a guard at
-/// `drop(g)` or when its scope closes; chains that extract a value
-/// (`….lock().unwrap().clone()`) are not guards.
-fn rule_lock_across_send(ctx: &Ctx<'_>, out: &mut Vec<(&'static str, u32)>) {
+/// Rules `lock-across-send` and `nested-lock`, emitted by one guard scan.
+/// A guard is a `let g = ….lock()/.read()/.write()` binding whose
+/// statement ends in nothing but `?`, `.unwrap(…)`, `.unwrap_or_else(…)`
+/// or `.expect(…)`, so the shim's guards and std's poison-wrapped ones
+/// count alike. It is live from the end of its statement until `drop(g)`
+/// or until its scope closes; chains that extract a value
+/// (`….lock().unwrap().clone()`) are not guards. While a guard is live:
+///
+/// * `lock-across-send` — a `.send(…)`. Holding a lock across a channel
+///   send invites lock-order inversions with the receiver.
+/// * `nested-lock` — another no-argument `.lock()`/`.read()`/`.write()`,
+///   relocking the same lock included. Two threads taking two locks in
+///   opposite orders deadlock; a thread relocking its own mutex deadlocks
+///   alone.
+///
+/// The scan is lexical and sees one function body at a time: a guard held
+/// across a call into a function that locks is not reported.
+fn rule_lock_guards(ctx: &Ctx<'_>, out: &mut Vec<(&'static str, u32)>) {
     let lex = ctx.lex;
     let n = lex.toks.len();
     struct Guard {
         name: String,
         depth: i32,
+        /// Token index of the binding statement's `;`.
+        live_from: usize,
     }
     let mut depth = 0i32;
     let mut guards: Vec<Guard> = Vec::new();
@@ -465,13 +477,12 @@ fn rule_lock_across_send(ctx: &Ctx<'_>, out: &mut Vec<(&'static str, u32)>) {
                 j += 1;
             }
             if let Some(name) = lex.ident(j) {
-                if let Some(after) = guard_acquisition(lex, j + 1) {
-                    if statement_tail_is_guard(lex, after) {
-                        guards.push(Guard {
-                            name: name.to_string(),
-                            depth,
-                        });
-                    }
+                if let Some(end) = guard_acquisition(lex, j + 1).and_then(|k| guard_end(lex, k)) {
+                    guards.push(Guard {
+                        name: name.to_string(),
+                        depth,
+                        live_from: end,
+                    });
                 }
             }
         }
@@ -483,21 +494,32 @@ fn rule_lock_across_send(ctx: &Ctx<'_>, out: &mut Vec<(&'static str, u32)>) {
                 guards.retain(|g| g.name != name);
             }
         }
-        if lex.punct(i) == Some('.')
-            && lex.ident(i + 1) == Some("send")
-            && lex.punct(i + 2) == Some('(')
-            && !ctx.in_test(i)
-            && !guards.is_empty()
-        {
-            out.push(("lock-across-send", lex.line(i + 1)));
+        if !ctx.in_test(i) && guards.iter().any(|g| g.live_from < i) {
+            if lex.matches(i, &[P('.'), I("send"), P('(')]) {
+                out.push(("lock-across-send", lex.line(i + 1)));
+            }
+            if is_lock_call(lex, i) {
+                out.push(("nested-lock", lex.line(i + 1)));
+            }
         }
         i += 1;
     }
 }
 
-/// Scan a `let` initialiser for a no-argument `.lock()`/`.read()`/`.write()`
-/// call before the statement's `;`. Returns the token index just past the
-/// call's `()` on a match.
+/// Is token `k` the `.` of a no-argument `.lock()`/`.read()`/`.write()`?
+fn is_lock_call(lex: &Lexed, k: usize) -> bool {
+    lex.punct(k) == Some('.')
+        && matches!(
+            lex.ident(k + 1),
+            Some("lock") | Some("read") | Some("write")
+        )
+        && lex.punct(k + 2) == Some('(')
+        && lex.punct(k + 3) == Some(')')
+}
+
+/// Scan a `let` initialiser for a lock call ([`is_lock_call`]) before the
+/// statement's `;`. Returns the token index just past the call's `()` on
+/// a match.
 fn guard_acquisition(lex: &Lexed, from: usize) -> Option<usize> {
     let n = lex.toks.len();
     let mut k = from;
@@ -508,11 +530,7 @@ fn guard_acquisition(lex: &Lexed, from: usize) -> Option<usize> {
         if matches!(lex.punct(k), Some(';') | Some('{') | Some('|')) {
             return None;
         }
-        if lex.punct(k) == Some('.')
-            && matches!(lex.ident(k + 1), Some("lock") | Some("read") | Some("write"))
-            && lex.punct(k + 2) == Some('(')
-            && lex.punct(k + 3) == Some(')')
-        {
+        if is_lock_call(lex, k) {
             return Some(k + 4);
         }
         k += 1;
@@ -521,23 +539,28 @@ fn guard_acquisition(lex: &Lexed, from: usize) -> Option<usize> {
 }
 
 /// After the lock call, the binding is a guard only if the rest of the
-/// statement is just `?`/`.unwrap(…)`/`.expect(…)` chained to the `;` —
-/// any other method call extracts a value and releases the temporary.
-fn statement_tail_is_guard(lex: &Lexed, mut k: usize) -> bool {
+/// statement is just `?`/`.unwrap(…)`/`.unwrap_or_else(…)`/`.expect(…)`
+/// chained to the `;` — any other method call extracts a value and
+/// releases the temporary. Returns the index of that `;`.
+fn guard_end(lex: &Lexed, mut k: usize) -> Option<usize> {
     let n = lex.toks.len();
     while k < n {
         if lex.punct(k) == Some(';') {
-            return true;
+            return Some(k);
         }
         if lex.punct(k) == Some('?') {
             k += 1;
             continue;
         }
         if lex.punct(k) == Some('.')
-            && matches!(lex.ident(k + 1), Some("unwrap") | Some("expect"))
+            && matches!(
+                lex.ident(k + 1),
+                Some("unwrap") | Some("unwrap_or_else") | Some("expect")
+            )
             && lex.punct(k + 2) == Some('(')
         {
-            // Skip to the matching `)` (expect carries a message).
+            // Skip to the matching `)` (expect carries a message,
+            // unwrap_or_else a closure).
             let mut depth = 0i32;
             let mut m = k + 2;
             while m < n {
@@ -556,9 +579,9 @@ fn statement_tail_is_guard(lex: &Lexed, mut k: usize) -> bool {
             k = m + 1;
             continue;
         }
-        return false;
+        return None;
     }
-    false
+    None
 }
 
 /// Rule `seed-from-entropy`: RNGs must be seeded from configuration, not

@@ -113,35 +113,6 @@ fn json_format_is_stable_across_runs_and_baseline_waives_known_findings() {
 }
 
 #[test]
-fn waitfor_artifact_is_written_and_deterministic() {
-    let root = fixture_root("waitfor");
-    let src = root.join("crates/app/src");
-    fs::write(
-        src.join("lib.rs"),
-        "pub mod clockmod;\n\
-         pub fn pump() {\n\
-         \x20   // gaugelint: channel-pair(cli.jobs) — drained below\n\
-         \x20   let (tx, rx) = crossbeam::channel::unbounded::<u32>();\n\
-         \x20   tx.send(1).ok();\n\
-         \x20   while rx.recv().is_ok() {}\n\
-         }\n",
-    )
-    .expect("rewrite lib.rs");
-    fs::write(src.join("clockmod.rs"), "pub fn quiet() -> u64 { 3 }\n").expect("clockmod");
-    let app = root.join("crates/app");
-    let wf1 = root.join("wf1.json");
-    let wf2 = root.join("wf2.json");
-    let first = run_lint(&["--waitfor", wf1.to_str().unwrap(), app.to_str().unwrap()]);
-    let second = run_lint(&["--waitfor", wf2.to_str().unwrap(), app.to_str().unwrap()]);
-    assert_eq!(first.status.code(), Some(0));
-    assert_eq!(second.status.code(), Some(0));
-    let g1 = fs::read_to_string(&wf1).expect("waitfor written");
-    let g2 = fs::read_to_string(&wf2).expect("waitfor written twice");
-    assert_eq!(g1, g2, "wait-for graph must be byte-identical across runs");
-    assert!(g1.contains("\"name\": \"cli.jobs\""), "{g1}");
-}
-
-#[test]
 fn malformed_flags_exit_2() {
     let out = run_lint(&["--format", "yaml"]);
     assert_eq!(out.status.code(), Some(2));

@@ -222,23 +222,93 @@ fn extracted(m: &std::sync::Mutex<u32>, tx: &Sender<u32>) {
 
 #[test]
 fn lock_across_send_counts_std_guards_and_is_suppressible() {
-    let src = r#"
-fn pump(m: &std::sync::Mutex<u32>, tx: &Sender<u32>) {
-    let g = m.lock().unwrap();
+    // Both std guard spellings: the plain unwrap, and the poison-recovering
+    // `unwrap_or_else` the workspace's std locks use.
+    for (tail, unsuppressed) in [
+        (".unwrap()", vec!["unwrap-in-fault-path"]),
+        (".unwrap_or_else(|e| e.into_inner())", vec![]),
+    ] {
+        let src = format!(
+            r#"
+fn pump(m: &std::sync::Mutex<u32>, tx: &Sender<u32>) {{
+    let g = m.lock(){tail};
     // gaugelint: allow(lock-across-send) — receiver never locks m
     tx.send(*g).ok();
-}
-"#;
-    let report = lint_source("crates/harness/src/x.rs", src);
-    // The fault-path unwrap on line 3 still reports; the send is silenced.
-    assert_eq!(
-        report.findings.iter().map(|f| f.rule).collect::<Vec<_>>(),
-        vec!["unwrap-in-fault-path"]
-    );
-    assert_eq!(report.suppressed, 1);
+}}
+"#
+        );
+        let report = lint_source("crates/harness/src/x.rs", &src);
+        // A fault-path unwrap on line 3 still reports; the send is silenced.
+        assert_eq!(
+            report.findings.iter().map(|f| f.rule).collect::<Vec<_>>(),
+            unsuppressed,
+            "{tail}"
+        );
+        assert_eq!(report.suppressed, 1, "{tail}");
+    }
 }
 
 // ---------------------------------------------------------------- rule 6
+
+#[test]
+fn second_lock_while_a_guard_is_live_is_flagged() {
+    let src = r#"
+fn shim(a: &parking_lot::Mutex<u32>, b: &parking_lot::Mutex<u32>) -> u32 {
+    let ga = a.lock();
+    let gb = b.lock();
+    *ga + *gb
+}
+fn std_guard(a: &std::sync::Mutex<u32>, b: &std::sync::RwLock<u32>) -> u32 {
+    let ga = a.lock().unwrap_or_else(|e| e.into_inner());
+    *ga + *b.read().unwrap()
+}
+"#;
+    assert_eq!(
+        rules_at("crates/analysis/src/x.rs", src),
+        vec![("nested-lock", 4), ("nested-lock", 9)]
+    );
+}
+
+#[test]
+fn lock_after_scope_exit_or_drop_and_io_under_a_guard_are_clean() {
+    let src = r#"
+fn scoped(a: &parking_lot::Mutex<u32>, b: &parking_lot::RwLock<u32>) -> u32 {
+    let v = {
+        let g = a.lock();
+        *g
+    };
+    v + *b.write()
+}
+fn dropped(a: &parking_lot::Mutex<u32>) -> u32 {
+    let g = a.lock();
+    let v = *g;
+    drop(g);
+    v + *a.lock()
+}
+fn io(m: &std::sync::Mutex<[u8; 64]>, stream: &mut std::net::TcpStream) -> usize {
+    let mut buf = m.lock().unwrap_or_else(|e| e.into_inner());
+    stream.read(&mut buf[..]).unwrap_or(0)
+}
+"#;
+    assert!(rules("crates/analysis/src/x.rs", src).is_empty());
+}
+
+#[test]
+fn nested_lock_is_suppressible_with_a_reason() {
+    let src = r#"
+fn transfer(a: &parking_lot::Mutex<u32>, b: &parking_lot::Mutex<u32>) {
+    let mut ga = a.lock();
+    // gaugelint: allow(nested-lock) — every caller takes a before b
+    let mut gb = b.lock();
+    *gb += std::mem::take(&mut *ga);
+}
+"#;
+    let report = lint_source("crates/analysis/src/x.rs", src);
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    assert_eq!(report.suppressed, 1);
+}
+
+// ---------------------------------------------------------------- rule 7
 
 #[test]
 fn entropy_seeding_is_flagged() {
@@ -268,7 +338,7 @@ fn seeded_rngs_are_clean() {
     assert!(rules("crates/core/src/x.rs", src).is_empty());
 }
 
-// ---------------------------------------------------------------- rule 7
+// ---------------------------------------------------------------- rule 8
 
 #[test]
 fn float_accumulation_over_hash_iteration_is_flagged_in_analysis() {
@@ -295,7 +365,7 @@ fn entropy(counts: &BTreeMap<char, f64>) -> f64 {
     assert!(rules("crates/analysis/src/stats.rs", src).is_empty());
 }
 
-// ---------------------------------------------------------------- rule 8
+// ---------------------------------------------------------------- rule 9
 
 #[test]
 fn relaxed_ordering_is_flagged_in_report_crates() {
@@ -341,7 +411,7 @@ fn bump(scratch: &AtomicU64) {
     assert_eq!(report.suppressed, 1);
 }
 
-// ---------------------------------------------------------------- rule 9
+// --------------------------------------------------------------- rule 10
 
 #[test]
 fn todo_and_unimplemented_are_flagged_outside_tests() {
@@ -365,7 +435,7 @@ mod tests {
     );
 }
 
-// --------------------------------------------------------------- rule 10
+// --------------------------------------------------------------- rule 11
 
 #[test]
 fn duration_literals_in_retry_paths_are_flagged() {
@@ -422,7 +492,7 @@ fn retry_handshake() {
     assert_eq!(report.suppressed, 1);
 }
 
-// --------------------------------------------------------------- rule 11
+// --------------------------------------------------------------- rule 12
 
 #[test]
 fn blocking_calls_in_the_reactor_are_flagged() {

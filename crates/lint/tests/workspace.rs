@@ -1,8 +1,7 @@
 //! Fixture tests for the whole-workspace semantic pass: determinism
-//! taint over the call graph, channel endpoint pairing, and the wait-for
-//! graph. Fixtures are in-memory `(path, source)` pairs — the paths
-//! matter (crate keys, module paths, and test masking all derive from
-//! them), the disk does not.
+//! taint over the call graph. Fixtures are in-memory `(path, source)`
+//! pairs — the paths matter (crate keys, module paths, and test masking
+//! all derive from them), the disk does not.
 
 use lint::{lint_workspace, WorkspaceReport};
 
@@ -205,177 +204,16 @@ fn entropy_seeding_taints_the_analysis_crate() {
     assert!(taint[0].detail.as_deref().unwrap().contains("(seed)"));
 }
 
-// ------------------------------------------------------------- channels
-
-#[test]
-fn orphan_sender_is_reported() {
-    let r = ws(&[(
-        "crates/app/src/lib.rs",
-        r#"
-pub fn produce() {
-    let (tx, _rx) = crossbeam::channel::unbounded::<u32>();
-    tx.send(1).ok();
-}
-"#,
-    )]);
-    assert_eq!(rules_of(&r), vec!["channel-orphan-sender"], "{:?}", r.findings);
-    assert_eq!(r.findings[0].line, 3);
-}
-
-#[test]
-fn orphan_receiver_is_reported() {
-    let r = ws(&[(
-        "crates/app/src/lib.rs",
-        r#"
-pub fn starve() -> Option<u32> {
-    let (_tx, rx) = crossbeam::channel::unbounded::<u32>();
-    rx.recv().ok()
-}
-"#,
-    )]);
-    assert_eq!(rules_of(&r), vec!["channel-orphan-receiver"], "{:?}", r.findings);
-}
-
-/// A channel whose receiver is handed to another crate must carry a
-/// `channel-pair` annotation at the creation.
-#[test]
-fn cross_crate_channel_without_pairing_is_reported() {
-    let files = [
-        (
-            "crates/app/src/lib.rs",
-            r#"
-use gaugenn_worker::drain;
-pub fn fan_out() {
-    let (tx, rx) = crossbeam::channel::unbounded::<u32>();
-    tx.send(1).ok();
-    drain(rx);
-}
-"#,
-        ),
-        (
-            "crates/worker/src/lib.rs",
-            "use crossbeam::channel::Receiver;\npub fn drain(rx: Receiver<u32>) { while rx.recv().is_ok() {} }\n",
-        ),
-    ];
-    let r = ws(&files);
-    assert_eq!(
-        rules_of(&r),
-        vec!["channel-unpaired-cross-crate"],
-        "{:?}",
-        r.findings
-    );
-    let d = r.findings[0].detail.as_deref().unwrap();
-    assert!(d.contains("send: app") && d.contains("recv: worker"), "{d}");
-}
-
-#[test]
-fn channel_pair_annotation_documents_the_crossing() {
-    let files = [
-        (
-            "crates/app/src/lib.rs",
-            r#"
-use gaugenn_worker::drain;
-pub fn fan_out() {
-    // gaugelint: channel-pair(app.jobs) — worker crate drains the job queue
-    let (tx, rx) = crossbeam::channel::unbounded::<u32>();
-    tx.send(1).ok();
-    drain(rx);
-}
-"#,
-        ),
-        (
-            "crates/worker/src/lib.rs",
-            "use crossbeam::channel::Receiver;\npub fn drain(rx: Receiver<u32>) { while rx.recv().is_ok() {} }\n",
-        ),
-    ];
-    let r = ws(&files);
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-    // The documented name becomes the channel's identity in the graph.
-    assert!(r.waitfor_json.contains("\"name\": \"app.jobs\""));
-}
-
-/// The same-crate worker-queue shape (the harness campaign pattern) is
-/// fine without any annotation.
-#[test]
-fn same_crate_send_recv_pair_passes() {
-    let r = ws(&[(
-        "crates/app/src/lib.rs",
-        r#"
-pub fn pump() {
-    let (tx, rx) = crossbeam::channel::unbounded::<u32>();
-    tx.send(1).ok();
-    worker(rx);
-}
-fn worker(rx: crossbeam::channel::Receiver<u32>) { while rx.recv().is_ok() {} }
-"#,
-    )]);
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-}
-
-/// Endpoints travel through clones and aliases.
-#[test]
-fn cloned_endpoints_still_count() {
-    let r = ws(&[(
-        "crates/app/src/lib.rs",
-        r#"
-pub fn pump() {
-    let (tx, rx) = crossbeam::channel::unbounded::<u32>();
-    let tx2 = tx.clone();
-    tx2.send(1).ok();
-    let moved = rx;
-    while moved.recv().is_ok() {}
-}
-"#,
-    )]);
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-}
-
-// ------------------------------------------------------- wait-for graph
-
-/// A fn that receives from one channel while (transitively) sending on
-/// another contributes a wait edge send-channel → recv-channel.
-#[test]
-fn waitfor_graph_records_send_while_receiving() {
-    let r = ws(&[(
-        "crates/app/src/lib.rs",
-        r#"
-pub fn stage_two() {
-    // gaugelint: channel-pair(stage.in) — fed by stage one
-    let (txi, rxi) = crossbeam::channel::unbounded::<u32>();
-    // gaugelint: channel-pair(stage.out) — drained by stage three
-    let (txo, rxo) = crossbeam::channel::unbounded::<u32>();
-    txi.send(1).ok();
-    while let Ok(v) = rxi.recv() {
-        txo.send(v).ok();
-    }
-    while rxo.recv().is_ok() {}
-}
-"#,
-    )]);
-    assert!(
-        r.waitfor_json.contains("\"from\": \"stage.out\", \"to\": \"stage.in\""),
-        "{}",
-        r.waitfor_json
-    );
-}
-
-/// Two identical runs emit byte-identical findings and wait-for graphs.
+/// Two identical runs emit byte-identical findings.
 #[test]
 fn workspace_pass_is_deterministic() {
-    let files = [
-        (
-            "crates/app/src/lib.rs",
-            "pub fn render_a() -> u64 { h() }\nfn h() -> u64 { std::time::SystemTime::now().elapsed().map(|d| d.as_secs()).unwrap_or(0) }\n",
-        ),
-        (
-            "crates/app/src/chan.rs",
-            "pub fn produce() { let (tx, _rx) = crossbeam::channel::unbounded::<u32>(); tx.send(1).ok(); }\n",
-        ),
-    ];
+    let files = [(
+        "crates/app/src/lib.rs",
+        "pub fn render_a() -> u64 { h() }\nfn h() -> u64 { std::time::SystemTime::now().elapsed().map(|d| d.as_secs()).unwrap_or(0) }\n",
+    )];
     let a = ws(&files);
     let b = ws(&files);
     assert_eq!(a.findings, b.findings);
-    assert_eq!(a.waitfor_json, b.waitfor_json);
 }
 
 // ------------------------------------------------------------ self-lint

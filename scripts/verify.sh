@@ -11,7 +11,7 @@
 # digest equality up to 256 connections), the client-reactor gate
 # (lockstep multi-connection replay pinned by name, sim crawls
 # byte-stable across runs, epoll and sim transports rendering one
-# report), the gaugelint and lock-order gates, and workspace clippy.
+# report), the gaugelint gate, and workspace clippy.
 #
 # Works without network access: if the registry is unreachable, cargo is
 # retried in --offline mode (using whatever is already vendored/cached).
@@ -224,40 +224,21 @@ verify() {
     # (lexical rules, workspace semantics, CLI acceptance) already run
     # by the full test suite above, the whole-workspace semantic pass
     # must come back clean against the committed baseline — twice, with
-    # both the findings JSON and the channel wait-for graph
-    # byte-identical across runs (the lint's own determinism contract).
+    # the findings JSON byte-identical across runs (the lint's own
+    # determinism contract).
     lint_out="target/verify-lint.$$"
     run_cargo "$mode" run -q -p lint -- --format json \
-        --baseline results/lint_baseline.json --waitfor "$lint_out.wf1.json" \
-        crates tests >"$lint_out.1.json" || return 1
+        --baseline results/lint_baseline.json crates tests \
+        >"$lint_out.1.json" || return 1
     run_cargo "$mode" run -q -p lint -- --format json \
-        --baseline results/lint_baseline.json --waitfor "$lint_out.wf2.json" \
-        crates tests >"$lint_out.2.json" || return 1
+        --baseline results/lint_baseline.json crates tests \
+        >"$lint_out.2.json" || return 1
     if ! cmp -s "$lint_out.1.json" "$lint_out.2.json"; then
         echo "verify: gaugelint findings JSON differs between identical runs" >&2
         diff "$lint_out.1.json" "$lint_out.2.json" | head -20 >&2
         return 1
     fi
-    if ! cmp -s "$lint_out.wf1.json" "$lint_out.wf2.json"; then
-        echo "verify: gaugelint wait-for graph differs between identical runs" >&2
-        diff "$lint_out.wf1.json" "$lint_out.wf2.json" | head -20 >&2
-        return 1
-    fi
-    rm -f "$lint_out.1.json" "$lint_out.2.json" \
-        "$lint_out.wf1.json" "$lint_out.wf2.json"
-    # Runtime lock-order deadlock detector: the vendored parking_lot's own
-    # detector suite, then the concurrency suite re-run with every lock in
-    # the build graph order-checked (single-threaded, so a detected cycle
-    # panics one test instead of wedging the harness), then the channel
-    # wait-for detector's regression suite (mutual-recv cycles must panic
-    # with both sites before blocking; detector state is process-global,
-    # hence single-threaded).
-    run_cargo "$mode" test -q -p parking_lot --features lock-order-check \
-        || return 1
-    run_cargo "$mode" test -q --test concurrency --features lock-order-check \
-        -- --test-threads=1 || return 1
-    run_cargo "$mode" test -q --test chan_deadlock --features lock-order-check \
-        -- --test-threads=1 || return 1
+    rm -f "$lint_out.1.json" "$lint_out.2.json"
     # Workspace-wide clippy gate (kept after the repo went warning-clean).
     if run_cargo "$mode" clippy --version >/dev/null 2>&1; then
         run_cargo "$mode" clippy --workspace --all-targets -- -D warnings \

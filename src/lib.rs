@@ -21,10 +21,6 @@
 //! assert!(report.dataset.total_models > 0);
 //! ```
 
-// Re-exported so integration suites can assert the `lock-order-check`
-// feature actually reached the vendored crate (feature unification).
-pub use parking_lot;
-
 pub use gaugenn_analysis as analysis;
 pub use gaugenn_apk as apk;
 pub use gaugenn_core as core;

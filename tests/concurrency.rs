@@ -429,15 +429,3 @@ fn campaign_results_content_deterministic_across_runs() {
     };
     assert_eq!(collect(), collect(), "device threads race only in ordering");
 }
-
-/// The `lock-order-check` feature must reach the vendored `parking_lot`
-/// through feature unification — otherwise `scripts/verify.sh`'s armed
-/// run of this suite would silently test nothing extra.
-#[test]
-fn lock_order_mode_matches_build() {
-    assert_eq!(
-        gaugenn::parking_lot::lock_order_check_enabled(),
-        cfg!(feature = "lock-order-check"),
-        "gaugenn/lock-order-check must arm parking_lot/lock-order-check"
-    );
-}
