@@ -77,8 +77,9 @@ use gaugenn_analysis::optim::{inspect, ModelOptim};
 use gaugenn_dnn::graph::LayerKind;
 use gaugenn_dnn::trace::{trace_graph, TraceReport};
 use gaugenn_modelfmt::Framework;
-use gaugenn_playstore::crawler::CrawledApp;
+use gaugenn_playstore::crawler::{AppMeta, CrawledApp};
 use gaugenn_sched::{assign, WorkUnit};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -435,7 +436,19 @@ impl AnalysisPool {
     /// Work is partitioned by the deterministic scheduler in two phases
     /// (apps for extraction, model files for decode/trace); results merge
     /// in corpus-index order, byte-identical at any worker count.
-    pub fn analyse(&self, crawled: &[CrawledApp]) -> Result<AnalysisOutput> {
+    ///
+    /// The corpus comes by value or by reference. Owned apps
+    /// (`analyse(apps)`) move into the phase-1 worker that extracts
+    /// them, which drops each app's APK, OBB and bundle bytes as soon as
+    /// the app is extracted: a container and its extracted model files
+    /// are never both held for the rest of the run. Borrowed apps
+    /// (`analyse(&apps)`) leave the caller's bytes in place. Either way
+    /// the merge reads only the app metadata, and the output is the same.
+    pub fn analyse<A>(&self, crawled: impl IntoIterator<Item = A>) -> Result<AnalysisOutput>
+    where
+        A: Borrow<CrawledApp> + Send,
+    {
+        let crawled: Vec<A> = crawled.into_iter().collect();
         let workers = self.config.workers.max(1);
         let use_cache = self.config.dedup_cache;
         let store = if use_cache {
@@ -453,19 +466,36 @@ impl AnalysisPool {
             .enumerate()
             .map(|(index, app)| WorkUnit {
                 index,
-                size: app.bytes(),
+                size: app.borrow().bytes(),
             })
             .collect();
         let app_plan = assign(&app_units, workers);
+        let metas: Vec<AppMeta> = crawled
+            .iter()
+            .map(|app| app.borrow().meta.clone())
+            .collect();
         let mut extractions: Vec<Option<Result<AppExtraction>>> =
             (0..crawled.len()).map(|_| None).collect();
+        // Each app moves into the shard that extracts it.
+        let shards: Vec<Vec<(usize, A)>> = {
+            let mut pending: Vec<Option<A>> = crawled.into_iter().map(Some).collect();
+            app_plan
+                .iter()
+                .map(|shard| {
+                    shard
+                        .iter()
+                        .map(|&i| (i, pending[i].take().expect("the plan names every app once")))
+                        .collect()
+                })
+                .collect()
+        };
         // Per-worker output: (corpus index, extraction) pairs plus the
         // worker's extraction timer.
         type ExtractShard = (Vec<(usize, Result<AppExtraction>)>, Duration);
         let phase1: Vec<ExtractShard> =
             std::thread::scope(|scope| {
-                let handles: Vec<_> = app_plan
-                    .iter()
+                let handles: Vec<_> = shards
+                    .into_iter()
                     .map(|shard| {
                         scope.spawn(move || {
                             let mut spent = Duration::default();
@@ -475,10 +505,13 @@ impl AnalysisPool {
                             // is below any corpus index it skips — the
                             // merge aborts at the lowest-index error and
                             // never reads a skipped slot.
-                            for &i in shard {
+                            for (i, app) in shard {
                                 let t0 = Instant::now(); // gaugelint: deterministic-via(clock) — stage timers are diagnostics, never rendered into the deterministic report
-                                let ext = extract_app(&crawled[i]).map_err(CoreError::from);
+                                let ext = extract_app(app.borrow()).map_err(CoreError::from);
                                 spent += t0.elapsed();
+                                // An owned app's containers go now; a
+                                // borrowed one stays with its caller.
+                                drop(app);
                                 crashpoint::hit(CrashPoint::AppExtract);
                                 let failed = ext.is_err();
                                 out.push((i, ext));
@@ -576,7 +609,7 @@ impl AnalysisPool {
         }
 
         // Merge in corpus-index order, replicating the sequential loop.
-        let mut apps: Vec<AppExtraction> = Vec::with_capacity(crawled.len());
+        let mut apps: Vec<AppExtraction> = Vec::with_capacity(metas.len());
         let mut models: Vec<ModelRecord> = Vec::new();
         let mut model_index: BTreeMap<String, usize> = BTreeMap::new();
         let mut model_apps: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
@@ -587,17 +620,17 @@ impl AnalysisPool {
         let mut models_outside_apk = 0usize;
 
         let mut seq = 0usize;
-        for (i, app) in crawled.iter().enumerate() {
+        for (i, meta) in metas.iter().enumerate() {
             let extraction = extractions[i]
                 .take()
                 .expect("every app before the first error is extracted")?;
             failed_candidates += extraction.failed_candidates;
             models_outside_apk += extraction.models_outside_apk();
             index.insert(doc([
-                ("package", app.meta.package.as_str().into()),
-                ("category", app.meta.category.as_str().into()),
-                ("downloads", app.meta.downloads.into()),
-                ("rating", (app.meta.rating as f64).into()),
+                ("package", meta.package.as_str().into()),
+                ("category", meta.category.as_str().into()),
+                ("downloads", meta.downloads.into()),
+                ("rating", (meta.rating as f64).into()),
                 ("is_ml", extraction.is_ml_app().into()),
                 ("has_models", (!extraction.models.is_empty()).into()),
                 ("uses_cloud", (!extraction.cloud.is_empty()).into()),
@@ -767,26 +800,30 @@ mod tests {
         out.models.iter().map(|m| m.checksum.as_str()).collect()
     }
 
+    fn assert_same_output(got: &AnalysisOutput, want: &AnalysisOutput, what: &str) {
+        assert_eq!(checksums(got), checksums(want), "{what}");
+        assert_eq!(got.instances.len(), want.instances.len(), "{what}");
+        assert_eq!(got.failed_candidates, want.failed_candidates, "{what}");
+        assert_eq!(got.composition.counts, want.composition.counts, "{what}");
+        assert_eq!(got.index.len(), want.index.len(), "{what}");
+        assert_eq!(got.stats.cache_hits, want.stats.cache_hits, "{what}");
+        assert_eq!(got.stats.cache_misses, want.stats.cache_misses, "{what}");
+    }
+
     #[test]
     fn worker_count_does_not_change_the_output() {
         let apps = crawl_tiny();
         let one = AnalysisPool::new(AnalysisConfig::with_workers(1))
             .analyse(&apps)
             .unwrap();
-        for workers in [2usize, 3, 4, 8] {
-            let n = AnalysisPool::new(AnalysisConfig::with_workers(workers))
-                .analyse(&apps)
-                .unwrap();
-            assert_eq!(checksums(&n), checksums(&one), "{workers} workers");
-            assert_eq!(n.instances.len(), one.instances.len());
-            assert_eq!(n.failed_candidates, one.failed_candidates);
-            assert_eq!(n.composition.counts, one.composition.counts);
-            assert_eq!(n.index.len(), one.index.len());
-            assert_eq!(
-                n.stats.cache_hits, one.stats.cache_hits,
-                "{workers} workers"
-            );
-            assert_eq!(n.stats.cache_misses, one.stats.cache_misses);
+        for workers in [1usize, 2, 3, 4, 8] {
+            let pool = AnalysisPool::new(AnalysisConfig::with_workers(workers));
+            let borrowed = pool.analyse(&apps).unwrap();
+            assert_same_output(&borrowed, &one, &format!("{workers} workers"));
+            // By value, the pool frees each app's containers once it is
+            // extracted; the output must not notice.
+            let owned = pool.analyse(apps.clone()).unwrap();
+            assert_same_output(&owned, &borrowed, &format!("{workers} workers, owned"));
         }
     }
 

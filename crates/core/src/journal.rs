@@ -35,7 +35,7 @@
 
 use gaugenn_apk::crc32::crc32;
 use gaugenn_playstore::crawler::{AppMeta, CrawlStage, CrawlStats, CrawledApp, DropOut};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -203,12 +203,15 @@ const TAG_PROBE: u8 = 3;
 
 /// The pipeline's typed view of one run's journal: replayed state from
 /// a previous (killed) attempt plus append methods for this attempt's
-/// completed units.
+/// completed units. Recorded apps are written to the file, not kept:
+/// only replayed apps hold their container bytes in memory.
 #[derive(Debug)]
 pub struct RunJournal {
     journal: Journal,
     /// Replayed apps by package, with their corpus sequence number.
     apps: BTreeMap<String, (u64, CrawledApp)>,
+    /// Every package already in the journal file, replayed or recorded.
+    recorded: BTreeSet<String>,
     /// Replayed end-of-crawl marker: the full drop-out ledger and stats.
     crawl_done: Option<(Vec<DropOut>, CrawlStats)>,
     /// Replayed probe verdict (`None` = not journaled).
@@ -239,6 +242,7 @@ impl RunJournal {
         }
         RunJournal {
             journal,
+            recorded: apps.keys().cloned().collect(),
             apps,
             crawl_done,
             probe,
@@ -279,14 +283,13 @@ impl RunJournal {
     }
 
     /// Journal one crawled app at corpus position `seq` (skipping
-    /// packages already durable from the replayed attempt).
+    /// packages already in the file). Only the package name is kept.
     pub fn record_app(&mut self, seq: u64, app: &CrawledApp) {
-        if self.apps.contains_key(&app.meta.package) {
+        if self.recorded.contains(&app.meta.package) {
             return;
         }
         self.journal.append(&encode_app(seq, app));
-        self.apps
-            .insert(app.meta.package.clone(), (seq, app.clone()));
+        self.recorded.insert(app.meta.package.clone());
     }
 
     /// Journal the end-of-crawl marker.
@@ -639,6 +642,26 @@ mod tests {
         assert_eq!(*d, dropouts);
         assert_eq!(*s, sample_stats());
         assert_eq!(j.probe(), Some(Some(true)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recording_keeps_package_names_not_containers() {
+        let dir = tmp("names");
+        let key = run_key("tiny", "y2021", 7);
+        let mut j = RunJournal::open(&dir, "run.gnjl", key, false);
+        j.record_app(0, &sample_app("com.a", 1));
+        assert_eq!(j.replayed_app_count(), 0, "recorded, not replayed");
+        assert!(j.apps_in_order().is_empty());
+        let len = fs::metadata(j.path()).unwrap().len();
+        j.record_app(0, &sample_app("com.a", 1));
+        assert_eq!(fs::metadata(j.path()).unwrap().len(), len, "recorded twice");
+        drop(j);
+        // A replayed package counts as already in the file.
+        let mut j = RunJournal::open(&dir, "run.gnjl", key, true);
+        assert_eq!(j.replayed_app_count(), 1);
+        j.record_app(0, &sample_app("com.a", 1));
+        assert_eq!(fs::metadata(j.path()).unwrap().len(), len, "replayed");
         let _ = fs::remove_dir_all(&dir);
     }
 

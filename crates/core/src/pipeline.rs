@@ -590,7 +590,11 @@ impl Pipeline {
             j.record_crawl_done(&outcome.dropouts, &outcome.stats);
         }
         crashpoint::hit(CrashPoint::PostCrawl);
-        let crawled = &outcome.apps;
+        let CrawlOutcome {
+            apps: crawled,
+            dropouts,
+            stats: crawl_stats,
+        } = outcome;
 
         // §4.2 probe: re-download a sample of ML-app APKs with a
         // three-generations-older device profile and compare bytes.
@@ -623,9 +627,14 @@ impl Pipeline {
         if let Some(j) = run_journal.as_mut() {
             j.record_probe(device_profile_invariant);
         }
+        // Nothing is journaled after the probe; a resumed run's replayed
+        // apps go with the journal.
+        drop(run_journal);
 
         // Offline stage: fan the corpus over the analysis pool (1 worker
         // reproduces the old sequential loop through the same code path).
+        // The pool consumes the crawl, freeing each app's containers once
+        // the app is extracted; the probe above was the last reader.
         let analysed = AnalysisPool::new(AnalysisConfig {
             workers: self.config.analysis_workers,
             cache_dir: self.config.analysis_cache_dir.clone(),
@@ -679,7 +688,7 @@ impl Pipeline {
             xnnpack_apps: apps.iter().filter(|a| a.uses_xnnpack).count(),
             snpe_apps: apps.iter().filter(|a| a.uses_snpe).count(),
             on_device_training_apps: apps.iter().filter(|a| a.uses_on_device_training).count(),
-            download_dropouts: outcome.dropouts.len(),
+            download_dropouts: dropouts.len(),
             device_profile_invariant,
         };
 
@@ -694,8 +703,8 @@ impl Pipeline {
             apps,
             index,
             composition,
-            dropouts: outcome.dropouts,
-            crawl_stats: outcome.stats,
+            dropouts,
+            crawl_stats,
             admission,
             workers,
             crawl_replayed,

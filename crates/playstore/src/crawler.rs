@@ -343,7 +343,10 @@ pub(crate) fn finish_body(
         .ok_or_else(|| {
             StoreError::Protocol(format!("{wire}: ranged response missing {FULL_CRC_HEADER}"))
         })?;
+    // The prefix never holds more than the full body, so an exact
+    // reservation leaves the stitched body without slack.
     let mut stitched = std::mem::take(prefix);
+    stitched.reserve_exact(resp.body.len());
     stitched.extend_from_slice(&resp.body);
     if format!("{:08x}", crc32(&stitched)) != want {
         return Err(StoreError::Integrity { path: wire.into() });
@@ -601,6 +604,7 @@ impl RequestSm {
                     });
                     if self.range_start.is_some() && echoed {
                         // The suffix continues our prefix.
+                        self.prefix.reserve_exact(received.len());
                         self.prefix.extend_from_slice(&received);
                     } else {
                         // A fresh body from byte 0 (first attempt, or
@@ -1193,6 +1197,7 @@ mod tests {
             "resume must go through the range path: {:?}",
             c.stats()
         );
+        assert_eq!(got.capacity(), got.len(), "stitched body carries no slack");
     }
 
     #[test]

@@ -307,6 +307,14 @@ pub fn read_response(r: &mut BufReader<impl Read>) -> Result<Response> {
 
 /// Read a response, preserving a truncated body prefix instead of
 /// discarding it — the raw material for range-request resume.
+///
+/// The body's first reservation is at most 1 MiB. After that it grows
+/// geometrically, but never past the declared `Content-Length`: a
+/// complete body's `capacity()` equals its `len()`, and a truncated
+/// prefix holds no more than the declared length. A hostile declared
+/// length therefore costs allocation in proportion to the bytes that
+/// actually arrive, and a downloaded container carries no slack for as
+/// long as the crawl holds it.
 pub fn read_response_resumable(r: &mut BufReader<impl Read>) -> Result<ReadOutcome> {
     let mut line = String::new();
     if r.read_line(&mut line)? == 0 {
@@ -343,7 +351,14 @@ pub fn read_response_resumable(r: &mut BufReader<impl Read>) -> Result<ReadOutco
                     expected_len: len,
                 })
             }
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
+            Ok(n) => {
+                if body.capacity() - body.len() < n {
+                    // `want` caps `n`, so `body.len() + n <= len`.
+                    let target = (body.capacity() * 2).max(body.len() + n).min(len);
+                    body.reserve_exact(target - body.len());
+                }
+                body.extend_from_slice(&chunk[..n]);
+            }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => {
                 // A timeout/reset mid-body: whatever arrived is still a
@@ -572,6 +587,51 @@ mod tests {
         match read_response_resumable(&mut BufReader::new(Cursor::new(buf))).unwrap() {
             ReadOutcome::Complete(resp) => assert_eq!(resp.body, body),
             other => panic!("expected complete, got {other:?}"),
+        }
+    }
+
+    /// A 1.5 MiB response frame: past the 1 MiB first reservation and
+    /// short of its doubling.
+    fn large_frame() -> (Vec<u8>, Vec<u8>, usize) {
+        let body: Vec<u8> = (0..3u32 << 19).map(|i| (i % 251) as u8).collect();
+        let mut buf = Vec::new();
+        write_response(&mut buf, &Response::ok(body.clone())).unwrap();
+        let header_end = buf.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+        (body, buf, header_end)
+    }
+
+    #[test]
+    fn complete_body_capacity_is_its_length() {
+        let (body, buf, _) = large_frame();
+        match read_response_resumable(&mut BufReader::new(Cursor::new(buf))).unwrap() {
+            ReadOutcome::Complete(resp) => {
+                assert_eq!(resp.body, body);
+                assert_eq!(resp.body.capacity(), resp.body.len());
+            }
+            other => panic!("expected complete, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn truncated_prefix_capacity_stays_within_the_declared_length() {
+        let (body, mut buf, header_end) = large_frame();
+        let cut = 5 << 18; // 1.25 MiB: the body has grown once
+        buf.truncate(header_end + cut);
+        match read_response_resumable(&mut BufReader::new(Cursor::new(buf))).unwrap() {
+            ReadOutcome::Truncated {
+                received,
+                expected_len,
+                ..
+            } => {
+                assert_eq!(expected_len, body.len());
+                assert_eq!(received, body[..cut]);
+                assert!(
+                    received.capacity() <= expected_len,
+                    "capacity {} over declared {expected_len}",
+                    received.capacity()
+                );
+            }
+            other => panic!("expected truncation, got {other:?}"),
         }
     }
 
