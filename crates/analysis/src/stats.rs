@@ -255,6 +255,18 @@ mod tests {
         assert_eq!(e.median(), 2.0);
         assert_eq!(e.quantile(1.0), 4.0);
         assert_eq!(e.quantile(0.25), 1.0);
+
+        // Nearest rank: quantile q is the ceil(n*q)-th smallest sample.
+        let e = Ecdf::new((0..1000).map(f64::from).collect());
+        assert_eq!(e.quantile(0.0), 0.0);
+        assert_eq!(e.quantile(0.5), 499.0);
+        assert_eq!(e.quantile(0.99), 989.0);
+        assert_eq!(e.quantile(1.0), 999.0);
+
+        let one = Ecdf::new(vec![42.0]);
+        assert_eq!(one.len(), 1);
+        assert_eq!(one.median(), 42.0);
+        assert_eq!(one.quantile(0.99), 42.0);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! so the sweeps per loop are comparable rows of
 //! `results/BENCH_net.json`.
 //!
-//! Each run reports QPS and p50/p99 latency — percentiles computed over
-//! the *merged* sample set of every client (see [`gaugenn_bench::stats`])
-//! so the tail is a corpus property, not a per-client average — plus a
+//! Each run reports QPS and p50/p99 latency — nearest-rank quantiles of
+//! one [`Ecdf`] over every client's samples, so the tail is a corpus
+//! property, not a per-client average — plus a
 //! crc32 digest over every response byte in stream order: the digest
 //! must be identical at every connection count — the ranking-determinism
 //! contract of DESIGN.md §13 — and the run aborts if it is not. A final
@@ -31,11 +31,13 @@
 //! `results/BENCH_query.json` / `results/BENCH_net.json`.
 //!
 //! [`CorpusIndex`]: gaugenn_index::CorpusIndex
+//! [`Ecdf`]: gaugenn_analysis::stats::Ecdf
 //! [`StoreServer`]: gaugenn_playstore::StoreServer
 
+use gaugenn_analysis::stats::Ecdf;
 use gaugenn_apk::crc32::crc32;
 use gaugenn_bench::cli::{self, ArgSpec};
-use gaugenn_bench::stats;
+use gaugenn_bench::stats::Stopwatch;
 use gaugenn_core::pipeline::{Pipeline, PipelineConfig};
 use gaugenn_dnn::task::Task;
 use gaugenn_index::{AppQuery, ModelQuery};
@@ -49,7 +51,6 @@ use gaugenn_playstore::proto::Response;
 use gaugenn_playstore::route::Route;
 use gaugenn_playstore::server::{ServerOptions, StoreServer};
 use gaugenn_playstore::{drive_lanes, LaneJob, LaneOpts, LaneSpec};
-use gaugenn_bench::stats::Stopwatch;
 use std::time::Duration;
 
 /// One measured replay of the stream at a fixed connection count.
@@ -240,7 +241,7 @@ impl LaneJob for TimedJob {
 /// hold every connection in flight at once. Query `i` goes to connection
 /// `i % clients`; responses are digested in stream order, so the digest
 /// is independent of completion order, and every connection's latency
-/// samples are merged before percentiles are taken.
+/// samples land in one ECDF before quantiles are taken.
 fn replay(
     endpoint: &Endpoint,
     queries: &[Route],
@@ -250,7 +251,7 @@ fn replay(
     let n = queries.len();
     let drivers = clients.min(SWARM_DRIVERS);
     let mut responses: Vec<Option<Vec<u8>>> = vec![None; n];
-    let mut per_conn: Vec<Vec<f64>> = vec![Vec::new(); clients];
+    let mut latencies_us: Vec<f64> = Vec::with_capacity(n);
     let t0 = Stopwatch::start();
     let harvested: Vec<Result<_, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..drivers)
@@ -302,13 +303,12 @@ fn replay(
     for res in harvested {
         let (outcomes, _report) = res?;
         for o in outcomes {
-            let c = o.connection_id as usize;
             if let Some(reason) = o.job.failed {
                 return Err(reason.into());
             }
             for (i, bytes, dt) in o.job.done {
                 responses[i] = Some(bytes);
-                per_conn[c].push(dt);
+                latencies_us.push(dt);
             }
         }
     }
@@ -317,13 +317,13 @@ fn replay(
     for (i, r) in responses.into_iter().enumerate() {
         all.extend(r.unwrap_or_else(|| panic!("query {i} was never executed")));
     }
-    let latencies_us = stats::merge_samples(per_conn);
+    let latencies = Ecdf::new(latencies_us);
     Ok(RunResult {
         clients,
         wall_ms: wall.as_secs_f64() * 1e3,
         qps: n as f64 / wall.as_secs_f64(),
-        p50_us: stats::percentile(&latencies_us, 50.0),
-        p99_us: stats::percentile(&latencies_us, 99.0),
+        p50_us: latencies.quantile(0.5),
+        p99_us: latencies.quantile(0.99),
         digest: crc32(&all),
     })
 }

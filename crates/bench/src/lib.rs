@@ -1,44 +1,13 @@
-//! # gaugenn-bench — benchmark harness
+//! # gaugenn-bench — the command-line surface
 //!
-//! Two Criterion bench suites plus the `repro` binary:
-//!
-//! * `benches/paper_artefacts.rs` — one benchmark per paper table/figure;
-//!   each bench times the experiment's computation and prints the
-//!   regenerated rows once, so `cargo bench` doubles as a results run.
-//! * `benches/substrates.rs` — hot-path microbenchmarks of the substrate
-//!   crates (checksums, containers, codecs, the reference executor, the
-//!   latency model).
 //! * `src/bin/repro.rs` — regenerates every table and figure at a chosen
 //!   corpus scale (`tiny` / `small` / `paper`); `EXPERIMENTS.md` is its
 //!   output.
-
-use gaugenn_core::pipeline::{Pipeline, PipelineConfig, PipelineReport};
-use gaugenn_playstore::corpus::{CorpusScale, Snapshot};
-use std::sync::OnceLock;
+//! * `src/bin/{poolbench,analyzebench,crashbench,querybench}.rs` — the
+//!   crawl-pool, analysis-pool, crash-recovery and query-serving sweeps.
+//!
+//! Per-layer timings of the substrates and the artefact renders come
+//! from `perfbench`'s traced run, not from this crate.
 
 pub mod cli;
 pub mod stats;
-
-/// Shared Small-scale reports for the artefact benches (built once per
-/// bench binary).
-pub fn shared_reports() -> &'static (PipelineReport, PipelineReport) {
-    static CELL: OnceLock<(PipelineReport, PipelineReport)> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let seed = 1402;
-        let r20 = Pipeline::new(PipelineConfig::with_scale(
-            CorpusScale::Small,
-            Snapshot::Y2020,
-            seed,
-        ))
-        .run()
-        .expect("2020 pipeline");
-        let r21 = Pipeline::new(PipelineConfig::with_scale(
-            CorpusScale::Small,
-            Snapshot::Y2021,
-            seed,
-        ))
-        .run()
-        .expect("2021 pipeline");
-        (r20, r21)
-    })
-}

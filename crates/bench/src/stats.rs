@@ -1,13 +1,6 @@
-//! Latency statistics shared by the bench binaries.
-//!
-//! The bench clients each collect their own latency samples; percentiles
-//! are only meaningful over the *merged* corpus of samples. Computing a
-//! p99 per client and averaging (or taking percentiles over a
-//! partially-sorted concatenation) understates the tail whenever load is
-//! uneven across clients — the slowest client's samples dominate the
-//! true p99 but are diluted by per-client aggregation. [`merge_samples`]
-//! makes the merge explicit and [`percentile`] demands sorted input, so
-//! the corpus-wide tail is computed exactly once, from every sample.
+//! The bench bins' wall clock. Latency percentiles come from
+//! [`gaugenn_analysis::stats::Ecdf`], the same nearest-rank rule that
+//! renders the paper's latency ECDFs.
 
 /// The bench crate's single audited wall-clock read. Every bench bin
 /// times through a `Stopwatch` instead of ad-hoc `Instant::now()` pairs,
@@ -32,91 +25,5 @@ impl Stopwatch {
     /// Elapsed milliseconds as `f64` (the bins' reporting unit).
     pub fn ms(&self) -> f64 {
         self.elapsed().as_secs_f64() * 1e3
-    }
-}
-
-/// Merge per-client latency sample vectors into one ascending-sorted
-/// corpus. NaNs are dropped (a NaN latency is a harness bug, not a
-/// measurement) so the sort is total.
-pub fn merge_samples(per_client: Vec<Vec<f64>>) -> Vec<f64> {
-    let mut all: Vec<f64> = per_client
-        .into_iter()
-        .flatten()
-        .filter(|v| !v.is_nan())
-        .collect();
-    all.sort_by(|a, b| a.partial_cmp(b).expect("NaNs filtered above"));
-    all
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice: index
-/// `round((len - 1) * p / 100)`. Empty input yields 0.0.
-///
-/// # Panics
-///
-/// Debug-asserts that the input is sorted — callers must go through
-/// [`merge_samples`] (or sort themselves) first; percentiles over an
-/// unsorted merge are the bug this module exists to prevent.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    debug_assert!(
-        sorted.windows(2).all(|w| w[0] <= w[1]),
-        "percentile() input must be ascending-sorted"
-    );
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn percentiles_pin_a_known_distribution() {
-        // 0,1,...,999: nearest-rank lands exactly on round(999 * p/100).
-        let sorted: Vec<f64> = (0..1000).map(f64::from).collect();
-        assert_eq!(percentile(&sorted, 0.0), 0.0);
-        assert_eq!(percentile(&sorted, 50.0), 500.0);
-        assert_eq!(percentile(&sorted, 99.0), 989.0);
-        assert_eq!(percentile(&sorted, 100.0), 999.0);
-    }
-
-    #[test]
-    fn merged_tail_differs_from_any_per_client_tail() {
-        // A fast client (0..900, all under 900) and a slow client whose
-        // 100 samples are all >= 9000. The corpus p99 must surface the
-        // slow client's samples; the fast client's own p99 misses them
-        // entirely — the exact failure mode of per-client percentiles.
-        let fast: Vec<f64> = (0..900).map(f64::from).collect();
-        let slow: Vec<f64> = (0..100).map(|i| 9000.0 + f64::from(i)).collect();
-        let fast_p99 = percentile(&fast, 99.0);
-        let merged = merge_samples(vec![fast, slow]);
-        assert_eq!(merged.len(), 1000);
-        assert_eq!(percentile(&merged, 99.0), 9089.0);
-        assert!(fast_p99 < 900.0);
-    }
-
-    #[test]
-    fn merge_sorts_interleaved_client_streams() {
-        let merged = merge_samples(vec![vec![5.0, 1.0], vec![4.0, 2.0], vec![3.0]]);
-        assert_eq!(merged, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert!(merge_samples(vec![]).is_empty());
-        assert_eq!(percentile(&[], 99.0), 0.0);
-    }
-
-    #[test]
-    fn nans_are_dropped_not_sorted() {
-        let merged = merge_samples(vec![vec![2.0, f64::NAN, 1.0]]);
-        assert_eq!(merged, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn singleton_and_small_sets_are_stable() {
-        assert_eq!(percentile(&[42.0], 50.0), 42.0);
-        assert_eq!(percentile(&[42.0], 99.0), 42.0);
-        let two = [1.0, 2.0];
-        assert_eq!(percentile(&two, 0.0), 1.0);
-        assert_eq!(percentile(&two, 100.0), 2.0);
     }
 }

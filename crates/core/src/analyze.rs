@@ -704,7 +704,7 @@ impl AnalysisPool {
         let stats = AnalysisStats {
             workers,
             apps: apps.len(),
-            instances: cache_hits + cache_misses,
+            instances: model_units.len() as u64,
             cache_hits,
             cache_misses,
             unique_analysed: models.len() as u64,
@@ -862,6 +862,7 @@ mod tests {
         assert_eq!(checksums(&uncached), checksums(&cached));
         assert_eq!(uncached.failed_candidates, cached.failed_candidates);
         assert_eq!(uncached.stats.cache_hits, 0, "no cache, no hits");
+        assert_eq!(uncached.stats.instances, cached.stats.instances);
     }
 
     #[test]

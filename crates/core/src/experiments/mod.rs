@@ -35,18 +35,3 @@ pub mod offline;
 pub mod offload;
 pub mod runtime;
 pub mod whatif;
-
-use crate::pipeline::{ModelRecord, PipelineReport};
-use gaugenn_modelfmt::Framework;
-
-/// Models usable by a runtime experiment on a given framework set.
-pub fn models_for_frameworks<'r>(
-    report: &'r PipelineReport,
-    frameworks: &[Framework],
-) -> Vec<&'r ModelRecord> {
-    report
-        .models
-        .iter()
-        .filter(|m| frameworks.contains(&m.framework))
-        .collect()
-}

@@ -13,7 +13,7 @@ use gaugenn_dnn::task::Task;
 use gaugenn_power::monsoon::PowerMonitor;
 use gaugenn_power::{measure_inference, sustained_run};
 use gaugenn_soc::sched::ThreadConfig;
-use gaugenn_soc::spec::{all_devices, hdks, phones, DeviceSpec};
+use gaugenn_soc::spec::{all_devices, hdks, DeviceSpec};
 use gaugenn_soc::thermal::ThermalState;
 use gaugenn_soc::Backend;
 
@@ -405,16 +405,6 @@ impl Tab4 {
             t.render()
         )
     }
-}
-
-/// Convenience: the three phones + three HDKs.
-pub fn all_table1_devices() -> Vec<DeviceSpec> {
-    all_devices()
-}
-
-/// Convenience: phones only.
-pub fn phone_devices() -> Vec<DeviceSpec> {
-    phones()
 }
 
 #[cfg(test)]

@@ -326,14 +326,6 @@ impl Graph {
             .collect()
     }
 
-    /// Shape of the first input node, if any.
-    pub fn primary_input_shape(&self) -> Option<&Shape> {
-        self.nodes.iter().find_map(|n| match &n.kind {
-            LayerKind::Input { shape, .. } => Some(shape),
-            _ => None,
-        })
-    }
-
     /// Number of layers excluding inputs.
     pub fn layer_count(&self) -> usize {
         self.nodes

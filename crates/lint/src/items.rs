@@ -69,24 +69,6 @@ pub struct ItemGraph {
     pub files: BTreeMap<String, FileItems>,
 }
 
-impl ItemGraph {
-    /// The innermost `fn` whose body span contains token `tok` of `file`.
-    pub fn enclosing_fn(&self, file: &str, tok: usize) -> Option<usize> {
-        let items = self.files.get(file)?;
-        let mut best: Option<usize> = None;
-        let mut best_span = usize::MAX;
-        for &id in &items.fn_ids {
-            if let Some((open, close)) = self.fns[id].body {
-                if open <= tok && tok <= close && close - open < best_span {
-                    best_span = close - open;
-                    best = Some(id);
-                }
-            }
-        }
-        best
-    }
-}
-
 /// Normalized crate key for a repo-relative path: the component after the
 /// *last* `crates/` (so fixture trees nested under `crates/lint/tests/…`
 /// resolve to the fixture's own crate), `tests` for root integration

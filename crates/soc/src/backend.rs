@@ -76,15 +76,6 @@ impl Backend {
         }
     }
 
-    /// Thread configuration when executing on the CPU pool.
-    pub fn thread_config(&self) -> Option<ThreadConfig> {
-        match self {
-            Backend::Cpu(c) | Backend::Xnnpack(c) => Some(*c),
-            Backend::Snpe(SnpeTarget::Cpu) => Some(ThreadConfig::unpinned(4)),
-            _ => None,
-        }
-    }
-
     /// Kernel quality multiplier on achievable utilisation (1.0 = the
     /// baseline CPU kernels). Fitted to §6.3's measured ratios: XNNPACK
     /// 1.03× faster; NNAPI 0.49× (unoptimised vendor NN drivers); SNPE-CPU

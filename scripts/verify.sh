@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 verification: build + full test suite (see ROADMAP.md; the
 # root manifest's default-members make both cover every workspace
-# crate) plus the concurrency suite re-run single-threaded, a
+# crate) plus the perfbench lockfile gate, the concurrency suite
+# re-run single-threaded, a
 # double-repro persistent-cache determinism check, the crash-recovery
 # matrix (SIGKILL at each registered crash point, then --resume must
 # reproduce stdout byte-for-byte), a cache
@@ -34,6 +35,13 @@ run_cargo() {
 verify() {
     mode="$1"
     run_cargo "$mode" build --release || return 1
+    # perfbench is a workspace of its own, and BENCHMARK.json runs it
+    # without --locked, so a manifest edit that changes its dependency
+    # closure would silently rewrite perfbench/Cargo.lock on the next
+    # benchmark run. Resolving it --locked here fails instead and
+    # writes nothing.
+    run_cargo "$mode" tree --locked --manifest-path perfbench/Cargo.toml \
+        >/dev/null || return 1
     run_cargo "$mode" test -q || return 1
     # The concurrency suite exercises the sharded crawl pool and the
     # analysis pool's render determinism; re-run it with the test harness
