@@ -14,13 +14,14 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Checksum of a serialised model (all of its files; caffe and ncnn split
 /// graph and weights, and "we perform an md5 checksum on both the model
 /// and weights" — §4.5 footnote 6). The files are streamed through the
-/// block hasher in path order, never concatenated.
-pub fn model_checksum(files: &[(String, Vec<u8>)]) -> String {
-    let mut sorted: Vec<&(String, Vec<u8>)> = files.iter().collect();
+/// block hasher in path order, never concatenated. Any byte container
+/// works: owned, borrowed or shared.
+pub fn model_checksum<B: AsRef<[u8]>>(files: &[(String, B)]) -> String {
+    let mut sorted: Vec<&(String, B)> = files.iter().collect();
     sorted.sort_by(|a, b| a.0.cmp(&b.0));
     let mut h = Md5::new();
     for (_, bytes) in sorted {
-        h.update(bytes);
+        h.update(bytes.as_ref());
     }
     h.finalize_hex()
 }

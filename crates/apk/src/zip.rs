@@ -20,6 +20,13 @@ const LOCAL_SIG: u32 = 0x0403_4B50; // PK\x03\x04
 const CENTRAL_SIG: u32 = 0x0201_4B50; // PK\x01\x02
 const EOCD_SIG: u32 = 0x0605_4B50; // PK\x05\x06
 const VERSION: u16 = 20;
+/// Fixed part of a local file header (the name follows).
+const LOCAL_HEADER_LEN: usize = 30;
+/// Fixed part of a central directory record (the name, extra field and
+/// comment follow), so also the least room one record can take.
+const CENTRAL_RECORD_LEN: usize = 46;
+/// End-of-central-directory record without its trailing comment.
+const EOCD_LEN: usize = 22;
 
 /// One file inside an archive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,14 +69,21 @@ impl ZipWriter {
         self.entries.is_empty()
     }
 
-    /// Serialise to the ZIP wire format.
+    /// Serialise to the ZIP wire format. Each entry's CRC-32 is computed
+    /// once, for its local header, and reused in its central record; the
+    /// output is allocated at its exact final length.
     pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut central = Vec::new();
-        let mut offsets = Vec::with_capacity(self.entries.len());
+        let names: usize = self.entries.iter().map(|e| e.name.len()).sum();
+        let data: usize = self.entries.iter().map(|e| e.data.len()).sum();
+        let total = self.entries.len() * (LOCAL_HEADER_LEN + CENTRAL_RECORD_LEN)
+            + 2 * names
+            + data
+            + EOCD_LEN;
+        let mut out = Vec::with_capacity(total);
+        let mut central = Vec::with_capacity(self.entries.len());
         for e in &self.entries {
-            offsets.push(out.len() as u32);
             let crc = crc32(&e.data);
+            central.push((out.len() as u32, crc));
             // Local file header.
             put_u32(&mut out, LOCAL_SIG);
             put_u16(&mut out, VERSION); // version needed
@@ -86,29 +100,27 @@ impl ZipWriter {
             out.extend_from_slice(&e.data);
         }
         let central_start = out.len() as u32;
-        for (e, &off) in self.entries.iter().zip(&offsets) {
-            let crc = crc32(&e.data);
-            put_u32(&mut central, CENTRAL_SIG);
-            put_u16(&mut central, VERSION); // version made by
-            put_u16(&mut central, VERSION); // version needed
-            put_u16(&mut central, 0); // flags
-            put_u16(&mut central, 0); // method
-            put_u16(&mut central, 0); // time
-            put_u16(&mut central, 0); // date
-            put_u32(&mut central, crc);
-            put_u32(&mut central, e.data.len() as u32);
-            put_u32(&mut central, e.data.len() as u32);
-            put_u16(&mut central, e.name.len() as u16);
-            put_u16(&mut central, 0); // extra
-            put_u16(&mut central, 0); // comment
-            put_u16(&mut central, 0); // disk number
-            put_u16(&mut central, 0); // internal attrs
-            put_u32(&mut central, 0); // external attrs
-            put_u32(&mut central, off);
-            central.extend_from_slice(e.name.as_bytes());
+        for (e, &(off, crc)) in self.entries.iter().zip(&central) {
+            put_u32(&mut out, CENTRAL_SIG);
+            put_u16(&mut out, VERSION); // version made by
+            put_u16(&mut out, VERSION); // version needed
+            put_u16(&mut out, 0); // flags
+            put_u16(&mut out, 0); // method
+            put_u16(&mut out, 0); // time
+            put_u16(&mut out, 0); // date
+            put_u32(&mut out, crc);
+            put_u32(&mut out, e.data.len() as u32);
+            put_u32(&mut out, e.data.len() as u32);
+            put_u16(&mut out, e.name.len() as u16);
+            put_u16(&mut out, 0); // extra
+            put_u16(&mut out, 0); // comment
+            put_u16(&mut out, 0); // disk number
+            put_u16(&mut out, 0); // internal attrs
+            put_u32(&mut out, 0); // external attrs
+            put_u32(&mut out, off);
+            out.extend_from_slice(e.name.as_bytes());
         }
-        let central_len = central.len() as u32;
-        out.extend_from_slice(&central);
+        let central_len = out.len() as u32 - central_start;
         // End of central directory.
         put_u32(&mut out, EOCD_SIG);
         put_u16(&mut out, 0); // disk
@@ -118,6 +130,7 @@ impl ZipWriter {
         put_u32(&mut out, central_len);
         put_u32(&mut out, central_start);
         put_u16(&mut out, 0); // comment len
+        debug_assert_eq!(out.len(), total);
         out
     }
 }
@@ -139,6 +152,14 @@ impl ZipArchive {
         let count = r.u16()? as usize;
         let _cd_len = r.u32()?;
         let cd_start = r.u32()? as usize;
+        // Every central record takes at least its fixed part, so a count
+        // the bytes before the EOCD cannot hold is a lie; reject it before
+        // reserving room for it.
+        if count > eocd.saturating_sub(cd_start) / CENTRAL_RECORD_LEN {
+            return Err(ApkError::Malformed(format!(
+                "{count} central records cannot fit before the end record"
+            )));
+        }
 
         let mut entries = Vec::with_capacity(count);
         let mut c = Reader::new(bytes, cd_start);
@@ -235,11 +256,11 @@ fn read_local(bytes: &[u8], off: usize, name: &str, size: usize) -> Result<Vec<u
 /// Scan backwards for the EOCD signature (the record has a variable-length
 /// trailing comment, so the spec mandates a backwards search).
 fn find_eocd(bytes: &[u8]) -> Result<usize> {
-    if bytes.len() < 22 {
+    if bytes.len() < EOCD_LEN {
         return Err(ApkError::Malformed("too short for a zip".into()));
     }
-    let min = bytes.len().saturating_sub(22 + u16::MAX as usize);
-    let mut i = bytes.len() - 22;
+    let min = bytes.len().saturating_sub(EOCD_LEN + u16::MAX as usize);
+    let mut i = bytes.len() - EOCD_LEN;
     loop {
         if u32::from_le_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]) == EOCD_SIG {
             return Ok(i);
@@ -378,5 +399,51 @@ mod tests {
         w.add("assets/big.bin", payload.clone()).unwrap();
         let a = ZipArchive::parse(&w.finish()).unwrap();
         assert_eq!(a.get("assets/big.bin"), Some(payload.as_slice()));
+    }
+
+    #[test]
+    fn archive_bytes_are_pinned() {
+        // One CRC pass per entry and an exact reservation must not move a
+        // byte of the wire format.
+        let mut w = ZipWriter::new();
+        w.add("AndroidManifest.xml", b"package: name='com.example'".to_vec())
+            .unwrap();
+        w.add(
+            "assets/model.tflite",
+            (0..300u32).map(|i| (i * 7 % 256) as u8).collect(),
+        )
+        .unwrap();
+        w.add("lib/arm64-v8a/libtflite.so", vec![0x7F, b'E', b'L', b'F'])
+            .unwrap();
+        w.add("empty", vec![]).unwrap();
+        let bytes = w.finish();
+        assert_eq!(bytes.len(), 795);
+        assert_eq!(bytes.capacity(), bytes.len(), "reserved exactly");
+        assert_eq!(crc32(&bytes), 0xb187_0da6);
+        assert_eq!(ZipArchive::parse(&bytes).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn declared_count_beyond_the_central_directory_is_rejected() {
+        // A bare end record declaring 65,535 entries: no central record
+        // fits in front of it, so parsing fails before reserving any.
+        let mut eocd = Vec::new();
+        put_u32(&mut eocd, EOCD_SIG);
+        put_u16(&mut eocd, 0);
+        put_u16(&mut eocd, 0);
+        put_u16(&mut eocd, u16::MAX);
+        put_u16(&mut eocd, u16::MAX);
+        put_u32(&mut eocd, 0);
+        put_u32(&mut eocd, 0);
+        put_u16(&mut eocd, 0);
+        assert_eq!(eocd.len(), 22);
+        match ZipArchive::parse(&eocd) {
+            Err(ApkError::Malformed(why)) => assert!(why.contains("65535"), "{why}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        // One real record still parses when exactly one is declared.
+        let mut w = ZipWriter::new();
+        w.add("x", vec![1]).unwrap();
+        assert_eq!(ZipArchive::parse(&w.finish()).unwrap().len(), 1);
     }
 }

@@ -6,16 +6,12 @@
 //! cargo run --release -p gaugenn-bench --bin analyzebench -- --scale tiny
 //! ```
 //!
-//! Crawls one snapshot once, then analyses it several ways: sequentially
-//! with the content-addressed cache disabled (every instance pays the
-//! full decode + trace — the pre-cache behaviour for duplicated and
-//! undecodable models), through [`AnalysisPool`]s of 1/2/4/8 workers
-//! with the cache on, and finally cold vs warm against a persistent
-//! on-disk [`CacheStore`]. Every run must produce the identical model
-//! list; wall time, speedup over the uncached baseline, cache hit rate,
-//! the scheduler's planned byte imbalance over the app containers and
-//! persistent hit rate are printed. EXPERIMENTS.md records captured
-//! runs.
+//! Crawls one snapshot once, then analyses it several ways: through
+//! [`AnalysisPool`]s of 1/2/4/8 workers, and finally cold vs warm
+//! against a persistent on-disk [`CacheStore`]. Every run must produce
+//! the identical model list; wall time, speedup over the 1-worker row,
+//! cache hit rate and persistent hit rate are printed. EXPERIMENTS.md
+//! records captured runs.
 //!
 //! [`CacheStore`]: gaugenn_core::cachestore::CacheStore
 
@@ -24,7 +20,6 @@ use gaugenn_core::analyze::{AnalysisConfig, AnalysisPool};
 use gaugenn_playstore::corpus::{generate, Snapshot};
 use gaugenn_playstore::crawler::Crawler;
 use gaugenn_playstore::server::StoreServer;
-use gaugenn_sched::{assign, imbalance, WorkUnit};
 use gaugenn_bench::stats::Stopwatch;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -45,46 +40,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let t0 = Stopwatch::start();
-    let baseline = AnalysisPool::new(AnalysisConfig {
-        workers: 1,
-        dedup_cache: false,
-        ..AnalysisConfig::default()
-    })
-    .analyse(&crawled)?;
+    let baseline = AnalysisPool::new(AnalysisConfig::with_workers(1)).analyse(&crawled)?;
     let t_base = t0.elapsed();
     let sums: Vec<&str> = baseline.models.iter().map(|m| m.checksum.as_str()).collect();
     println!(
-        "  sequential, no cache: {:>8.1} ms  ({} instances, {} unique models)",
+        "  1 worker:  {:>8.1} ms  ({} instances, {} unique models, hit rate {:.1}%)",
         t_base.as_secs_f64() * 1e3,
         baseline.instances.len(),
-        baseline.models.len()
+        baseline.models.len(),
+        baseline.stats.cache_hit_rate() * 100.0
     );
 
-    // Wall time is noisy on small hosts, so each row also prints the
-    // extraction phase's planned byte imbalance over the app containers
-    // (max shard bytes / mean shard bytes) — the quantity the scheduler
-    // optimises, and a pure function of the corpus and the worker count.
-    let app_units: Vec<WorkUnit> = crawled
-        .iter()
-        .enumerate()
-        .map(|(index, app)| WorkUnit {
-            index,
-            size: app.bytes(),
-        })
-        .collect();
-    for workers in [1usize, 2, 4, 8] {
+    for workers in [2usize, 4, 8] {
         let t = Stopwatch::start();
         let out = AnalysisPool::new(AnalysisConfig::with_workers(workers)).analyse(&crawled)?;
         let dt = t.elapsed();
         let got: Vec<&str> = out.models.iter().map(|m| m.checksum.as_str()).collect();
-        assert_eq!(got, sums, "pool must merge to the sequential model list");
+        assert_eq!(got, sums, "pool must merge to the 1-worker model list");
         println!(
-            "  {workers} worker(s), cached:  {:>8.1} ms  (speedup {:.2}x, hit rate {:.1}%, \
-             planned byte imbalance {:.2})",
+            "  {workers} workers: {:>8.1} ms  (speedup {:.2}x)",
             dt.as_secs_f64() * 1e3,
             t_base.as_secs_f64() / dt.as_secs_f64(),
-            out.stats.cache_hit_rate() * 100.0,
-            imbalance(&app_units, &assign(&app_units, workers))
         );
     }
 

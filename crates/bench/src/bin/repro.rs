@@ -23,8 +23,9 @@
 //! loaded, not re-traced), and a repeated run is warm end to end. The
 //! persistent counters print on stderr only — stdout stays byte-identical
 //! with or without the cache. `--workers` and `--analysis-workers` size
-//! the crawl and analysis pools, which both plan their shards
-//! longest-first (`gaugenn_sched`); stdout is invariant in both.
+//! the crawl and analysis pools: the crawl pool plans its category
+//! shards longest-first (`gaugenn_sched`), and the analysis workers take
+//! apps as the crawl lands them; stdout is invariant in both.
 //!
 //! Set `GAUGENN_JOURNAL_DIR=<dir>` to journal completed work units
 //! (crawled apps, the end-of-crawl marker, the probe verdict) as they

@@ -2,23 +2,28 @@
 //!
 //! The paper's offline stage (§4–§6: extraction, DAG decode, FLOPs/params
 //! tracing, md5 + per-layer checksumming) used to run as one sequential
-//! loop over the crawled corpus. [`AnalysisPool`] fans it out over N
-//! worker threads in two scheduled phases sharing the
-//! size-aware-assignment + ordered-merge discipline of
-//! [`gaugenn_playstore::pool::CrawlPool`]:
+//! loop over the crawled corpus. [`AnalysisPool`] runs it on N worker
+//! threads fed through one bounded handoff:
 //!
-//! 1. **Extraction** — work units are apps, sized by container bytes
-//!    (APK + OBBs + bundle), partitioned longest-first by the
-//!    [`gaugenn_sched`] scheduler.
-//! 2. **Model analysis** — work units are the *individual model files*
-//!    found in phase 1, sized by their file bytes, scheduled the same
-//!    way. One model-dense app no longer straggles its shard: its models
-//!    spread across the fleet.
+//! * **Streaming.** The core, `AnalysisPool::stream`, runs a producer —
+//!   in [`crate::pipeline::Pipeline::run`], the crawl — on the calling
+//!   thread while the workers take each app it feeds as it lands. A
+//!   worker extracts the app, drops its containers at once and analyses
+//!   every model it found. [`AnalysisPool::analyse`] is the same core
+//!   fed from a finished corpus.
+//! * **Bounded.** The handoff holds at most a constant few apps; a
+//!   producer that gets further ahead waits. So only a few containers
+//!   are alive at a time, however large the corpus.
+//! * **Shared bytes.** Found models take their bytes from one content
+//!   table: every instance of one content holds the first sighting's
+//!   allocation and md5, so each distinct model is copied and
+//!   checksummed once.
 //!
-//! The merge walks apps (and their models) in corpus-index order, so the
-//! produced models, instances, index docs and counters are
-//! **byte-identical to the sequential run at any worker count** —
-//! assignment moves wall-clock between workers, never content.
+//! Every app arrives tagged with its corpus sequence number, and the
+//! merge walks apps (and their models) in that order, so the produced
+//! models, instances, index docs and counters are **byte-identical to
+//! the sequential run at any worker count and any arrival order** —
+//! which worker takes which app moves wall-clock, never content.
 //!
 //! # The content-addressed cache
 //!
@@ -48,10 +53,10 @@
 //!
 //! # Determinism
 //!
-//! * which worker analyses which unit is a pure function of `(unit
-//!   sizes, workers)`, fixed before any thread starts — no runtime work
-//!   stealing, no shared queues;
-//! * the cache only memoises a pure function of the model bytes, so the
+//! * which worker takes which app is a race for the handoff, and does
+//!   not matter: results are keyed by corpus sequence number;
+//! * the content table and the cache only memoise pure functions of the
+//!   model bytes, so the
 //!   race for who computes a checksum first never changes *what* is
 //!   computed;
 //! * cache hit/miss totals are interleaving-independent (misses = unique
@@ -67,24 +72,30 @@
 //! deterministic text render.
 
 use crate::cachestore::CacheStore;
+use crate::content::ContentTable;
 use crate::crashpoint::{self, CrashPoint};
-use crate::extract::{extract_app, AppExtraction};
+use crate::extract::{extract_with, AppExtraction};
 use crate::{CoreError, Result};
 use gaugenn_analysis::classify::{classify_graph, Classification, LayerComposition};
-use gaugenn_analysis::dedup::{layer_checksums, model_checksum};
+use gaugenn_analysis::dedup::layer_checksums;
 use gaugenn_analysis::etl::{doc, Index};
 use gaugenn_analysis::optim::{inspect, ModelOptim};
 use gaugenn_dnn::graph::LayerKind;
 use gaugenn_dnn::trace::{trace_graph, TraceReport};
 use gaugenn_modelfmt::Framework;
 use gaugenn_playstore::crawler::{AppMeta, CrawledApp};
-use gaugenn_sched::{assign, WorkUnit};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Capacity of the handoff between the producer and the workers: the
+/// most fed apps waiting for a worker. A producer that gets this far
+/// ahead waits, so container bytes stay bounded by these apps plus one
+/// per worker and one per crawl connection.
+const HANDOFF_APPS: usize = 4;
 
 /// Tunables for an [`AnalysisPool`].
 #[derive(Debug, Clone)]
@@ -92,16 +103,11 @@ pub struct AnalysisConfig {
     /// Worker threads. Clamped to a minimum of 1; 1 reproduces the old
     /// sequential loop through the same code path.
     pub workers: usize,
-    /// Content-addressed dedup cache in front of decode/trace. On by
-    /// default; `analyzebench` switches it off to measure what the cache
-    /// buys (every instance then pays the full decode + trace).
-    pub dedup_cache: bool,
-    /// Unread: the work plan takes no seed. Kept so existing struct
-    /// literals that set it still build.
+    /// Unread: nothing in the analysis is seeded. Kept so existing
+    /// struct literals that set it still build.
     pub sched_seed: u64,
     /// Directory backing the [`ModelCache`] persistently across runs
     /// (see [`CacheStore`]). `None` keeps the cache in-memory only.
-    /// Ignored when `dedup_cache` is off.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -109,7 +115,6 @@ impl Default for AnalysisConfig {
     fn default() -> Self {
         AnalysisConfig {
             workers: 1,
-            dedup_cache: true,
             sched_seed: 0,
             cache_dir: None,
         }
@@ -117,7 +122,7 @@ impl Default for AnalysisConfig {
 }
 
 impl AnalysisConfig {
-    /// Config with `workers` threads and the cache enabled.
+    /// Config with `workers` threads.
     pub fn with_workers(workers: usize) -> AnalysisConfig {
         AnalysisConfig {
             workers,
@@ -312,9 +317,12 @@ pub struct AnalysisStats {
     pub persistent_hits: u64,
     /// Outcomes offered to the persistent store for write-back.
     pub persistent_stores: u64,
-    /// Wall-clock in app extraction across all workers, microseconds.
+    /// Wall-clock in app extraction across all workers, content table
+    /// excluded, microseconds.
     pub extract_us: u64,
-    /// Wall-clock computing whole-model checksums, microseconds.
+    /// Wall-clock in the content table — keying and comparing every
+    /// instance, copying and md5-hashing each first sighting —
+    /// microseconds.
     pub checksum_us: u64,
     /// Wall-clock in graph decode, microseconds.
     pub decode_us: u64,
@@ -418,8 +426,31 @@ struct StageTimers {
     trace: Duration,
 }
 
-/// The scheduled analysis pool. See the module docs for the determinism
-/// contract.
+impl StageTimers {
+    fn add(&mut self, other: &StageTimers) {
+        self.extract += other.extract;
+        self.checksum += other.checksum;
+        self.decode += other.decode;
+        self.trace += other.trace;
+    }
+}
+
+/// One app through the offline stage: its store metadata, its
+/// extraction, and each found model's checksum with its cached outcome,
+/// in [`AppExtraction::models`] order.
+struct AnalysedApp {
+    meta: AppMeta,
+    extraction: AppExtraction,
+    outcomes: Vec<(String, ModelOutcome)>,
+}
+
+/// What the workers share besides the handoff.
+struct Shared {
+    table: ContentTable,
+    cache: ModelCache,
+}
+
+/// The analysis pool. See the module docs for the determinism contract.
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisPool {
     config: AnalysisConfig,
@@ -431,317 +462,290 @@ impl AnalysisPool {
         AnalysisPool { config }
     }
 
-    /// Analyse a crawled corpus with the configured worker fleet.
-    ///
-    /// Work is partitioned by the deterministic scheduler in two phases
-    /// (apps for extraction, model files for decode/trace); results merge
-    /// in corpus-index order, byte-identical at any worker count.
+    /// Analyse a crawled corpus with the configured worker fleet: the
+    /// streaming core (see the module docs) fed from the corpus in order.
     ///
     /// The corpus comes by value or by reference. Owned apps
-    /// (`analyse(apps)`) move into the phase-1 worker that extracts
-    /// them, which drops each app's APK, OBB and bundle bytes as soon as
-    /// the app is extracted: a container and its extracted model files
-    /// are never both held for the rest of the run. Borrowed apps
-    /// (`analyse(&apps)`) leave the caller's bytes in place. Either way
-    /// the merge reads only the app metadata, and the output is the same.
+    /// (`analyse(apps)`) move into the worker that extracts them, which
+    /// drops each app's APK, OBB and bundle bytes as soon as the app is
+    /// extracted. Borrowed apps (`analyse(&apps)`) leave the caller's
+    /// bytes in place. The output is the same either way.
     pub fn analyse<A>(&self, crawled: impl IntoIterator<Item = A>) -> Result<AnalysisOutput>
     where
         A: Borrow<CrawledApp> + Send,
     {
-        let crawled: Vec<A> = crawled.into_iter().collect();
+        let ((), out) = self.stream(|feed| {
+            for (seq, app) in crawled.into_iter().enumerate() {
+                feed(seq as u64, app);
+            }
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// The analysis core. Runs `produce` on the calling thread while the
+    /// worker fleet extracts and analyses every app it feeds, as each one
+    /// arrives. `produce` calls the feed with each app and its corpus
+    /// sequence number, from any thread, in any order; the feed blocks
+    /// while `HANDOFF_APPS` apps are already waiting. Once `produce`
+    /// returns, the workers drain the handoff and the results merge in
+    /// sequence order, byte-identical at any worker count.
+    ///
+    /// Returns what `produce` returned beside the merged output. An error
+    /// from `produce` wins; otherwise the first extraction or trace error
+    /// in sequence order fails the run.
+    pub(crate) fn stream<A, T>(
+        &self,
+        produce: impl FnOnce(&(dyn Fn(u64, A) + Sync)) -> Result<T>,
+    ) -> Result<(T, AnalysisOutput)>
+    where
+        A: Borrow<CrawledApp> + Send,
+    {
         let workers = self.config.workers.max(1);
-        let use_cache = self.config.dedup_cache;
-        let store = if use_cache {
-            self.config.cache_dir.as_deref().map(CacheStore::open)
-        } else {
-            None
+        let store = self.config.cache_dir.as_deref().map(CacheStore::open);
+        let shared = Shared {
+            table: ContentTable::new(),
+            cache: ModelCache::with_store(store.clone()),
         };
-        let store_handle = store.clone();
-        let cache = ModelCache::with_store(store);
-        let mut timers = StageTimers::default();
+        let (tx, rx) = mpsc::sync_channel::<(u64, A)>(HANDOFF_APPS);
+        // Only the workers hold the receiving end, so once every worker
+        // is gone (finished or panicked) the feed stops blocking and
+        // drops what it is handed.
+        let rx = Arc::new(Mutex::new(rx));
 
-        // Phase 1 — extraction. Units are apps, sized by container bytes.
-        let app_units: Vec<WorkUnit> = crawled
-            .iter()
-            .enumerate()
-            .map(|(index, app)| WorkUnit {
-                index,
-                size: app.borrow().bytes(),
-            })
-            .collect();
-        let app_plan = assign(&app_units, workers);
-        let metas: Vec<AppMeta> = crawled
-            .iter()
-            .map(|app| app.borrow().meta.clone())
-            .collect();
-        let mut extractions: Vec<Option<Result<AppExtraction>>> =
-            (0..crawled.len()).map(|_| None).collect();
-        // Each app moves into the shard that extracts it.
-        let shards: Vec<Vec<(usize, A)>> = {
-            let mut pending: Vec<Option<A>> = crawled.into_iter().map(Some).collect();
-            app_plan
-                .iter()
-                .map(|shard| {
-                    shard
-                        .iter()
-                        .map(|&i| (i, pending[i].take().expect("the plan names every app once")))
-                        .collect()
+        type WorkerYield = (Vec<(u64, Result<AnalysedApp>)>, StageTimers);
+        let (produced, yields): (Result<T>, Vec<WorkerYield>) = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let rx = Arc::clone(&rx);
+                    let shared = &shared;
+                    scope.spawn(move || {
+                        let mut t = StageTimers::default();
+                        let mut done = Vec::new();
+                        loop {
+                            let next = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
+                            let Ok((seq, app)) = next else {
+                                break;
+                            };
+                            done.push((seq, analyse_app(app, shared, &mut t)));
+                        }
+                        (done, t)
+                    })
                 })
-                .collect()
-        };
-        // Per-worker output: (corpus index, extraction) pairs plus the
-        // worker's extraction timer.
-        type ExtractShard = (Vec<(usize, Result<AppExtraction>)>, Duration);
-        let phase1: Vec<ExtractShard> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .into_iter()
-                    .map(|shard| {
-                        scope.spawn(move || {
-                            let mut spent = Duration::default();
-                            let mut out = Vec::new();
-                            // Shards are ascending, so everything this
-                            // worker extracts before its own first error
-                            // is below any corpus index it skips — the
-                            // merge aborts at the lowest-index error and
-                            // never reads a skipped slot.
-                            for (i, app) in shard {
-                                let t0 = Instant::now(); // gaugelint: deterministic-via(clock) — stage timers are diagnostics, never rendered into the deterministic report
-                                let ext = extract_app(app.borrow()).map_err(CoreError::from);
-                                spent += t0.elapsed();
-                                // An owned app's containers go now; a
-                                // borrowed one stays with its caller.
-                                drop(app);
-                                crashpoint::hit(CrashPoint::AppExtract);
-                                let failed = ext.is_err();
-                                out.push((i, ext));
-                                if failed {
-                                    break;
-                                }
-                            }
-                            (out, spent)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("extraction worker panicked"))
-                    .collect()
-            });
-        for (worker_out, spent) in phase1 {
-            timers.extract += spent;
-            for (i, ext) in worker_out {
-                extractions[i] = Some(ext);
-            }
-        }
+                .collect();
+            drop(rx);
+            // The sender lives inside this closure, so a producer that
+            // unwinds still closes the handoff and the workers still exit.
+            let produced = {
+                let tx = tx;
+                produce(&|seq, app| {
+                    // Fails only once every worker is gone; their join
+                    // below reports why.
+                    let _ = tx.send((seq, app));
+                })
+            };
+            let yields = handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect();
+            (produced, yields)
+        });
+        let produced = produced?;
 
-        // Phase 2 — model analysis. Units are the individual model files
-        // of every successfully extracted app, enumerated app-major in
-        // corpus order (the merge below walks the same sequence), sized
-        // by their file bytes.
-        let mut refs: Vec<(usize, usize)> = Vec::new();
-        let mut model_units: Vec<WorkUnit> = Vec::new();
-        for (i, slot) in extractions.iter().enumerate() {
-            if let Some(Ok(ext)) = slot {
-                for (j, found) in ext.models.iter().enumerate() {
-                    model_units.push(WorkUnit {
-                        index: model_units.len(),
-                        size: found.files.iter().map(|(_, b)| b.len() as u64).sum(),
-                    });
-                    refs.push((i, j));
-                }
-            }
+        let mut timers = StageTimers::default();
+        let mut analysed: Vec<(u64, Result<AnalysedApp>)> = Vec::new();
+        for (done, t) in yields {
+            timers.add(&t);
+            analysed.extend(done);
         }
-        let model_plan = assign(&model_units, workers);
-        let mut outcomes: Vec<Option<(String, ModelOutcome)>> =
-            (0..model_units.len()).map(|_| None).collect();
-        // Per-worker output: (unit sequence number, (checksum, outcome))
-        // pairs plus the worker's stage timers.
-        type AnalyseShard = (Vec<(usize, (String, ModelOutcome))>, StageTimers);
-        let phase2: Vec<AnalyseShard> = {
-            let cache = &cache;
-            let refs = &refs;
-            let extractions = &extractions;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = model_plan
-                    .iter()
-                    .map(|shard| {
-                        scope.spawn(move || {
-                            let mut t = StageTimers::default();
-                            let mut out = Vec::new();
-                            for &u in shard {
-                                let (i, j) = refs[u];
-                                let ext = match &extractions[i] {
-                                    Some(Ok(e)) => e,
-                                    _ => unreachable!("units come from successful extractions"),
-                                };
-                                let found = &ext.models[j];
-                                let t1 = Instant::now(); // gaugelint: deterministic-via(clock) — stage timers are diagnostics, never rendered into the deterministic report
-                                let checksum = model_checksum(&found.files);
-                                t.checksum += t1.elapsed();
-                                let outcome = if use_cache {
-                                    cache.get_or_compute(&checksum, || {
-                                        analyse_model(found.framework, &found.files, &mut t)
-                                    })
-                                } else {
-                                    analyse_model(found.framework, &found.files, &mut t)
-                                };
-                                crashpoint::hit(CrashPoint::ModelAnalysis);
-                                out.push((u, (checksum, outcome)));
-                            }
-                            (out, t)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("analysis worker panicked"))
-                    .collect()
-            })
-        };
-        for (worker_out, t) in phase2 {
-            timers.checksum += t.checksum;
-            timers.decode += t.decode;
-            timers.trace += t.trace;
-            for (u, pair) in worker_out {
-                outcomes[u] = Some(pair);
-            }
-        }
+        analysed.sort_by_key(|(seq, _)| *seq);
+        let mut out = merge(analysed, workers)?;
 
-        // Merge in corpus-index order, replicating the sequential loop.
-        let mut apps: Vec<AppExtraction> = Vec::with_capacity(metas.len());
-        let mut models: Vec<ModelRecord> = Vec::new();
-        let mut model_index: BTreeMap<String, usize> = BTreeMap::new();
-        let mut model_apps: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        let mut instances = Vec::new();
-        let mut index = Index::new();
-        let mut composition = LayerComposition::default();
-        let mut failed_candidates = 0usize;
-        let mut models_outside_apk = 0usize;
-
-        let mut seq = 0usize;
-        for (i, meta) in metas.iter().enumerate() {
-            let extraction = extractions[i]
-                .take()
-                .expect("every app before the first error is extracted")?;
-            failed_candidates += extraction.failed_candidates;
-            models_outside_apk += extraction.models_outside_apk();
-            index.insert(doc([
-                ("package", meta.package.as_str().into()),
-                ("category", meta.category.as_str().into()),
-                ("downloads", meta.downloads.into()),
-                ("rating", (meta.rating as f64).into()),
-                ("is_ml", extraction.is_ml_app().into()),
-                ("has_models", (!extraction.models.is_empty()).into()),
-                ("uses_cloud", (!extraction.cloud.is_empty()).into()),
-                ("uses_nnapi", extraction.uses_nnapi.into()),
-            ]));
-            for found in &extraction.models {
-                let (checksum, outcome) = outcomes[seq]
-                    .take()
-                    .expect("one phase-2 unit per model of an extracted app");
-                seq += 1;
-                let analysis = match outcome {
-                    Ok(a) => a,
-                    Err(AnalyzeFailure::Undecodable) => {
-                        // A file can pass the cheap signature probe yet
-                        // still be undecodable (truncated or corrupted
-                        // body); such instances drop out of the
-                        // benchmarkable set like the paper's obfuscated
-                        // tail, they do not abort the run.
-                        failed_candidates += 1;
-                        continue;
-                    }
-                    Err(AnalyzeFailure::Trace(e)) => {
-                        return Err(CoreError::Other(format!("trace: {e}")));
-                    }
-                };
-                instances.push(InstanceRecord {
-                    app: extraction.package.clone(),
-                    category: extraction.category.clone(),
-                    path: found.files[0].0.clone(),
-                    checksum: checksum.clone(),
-                });
-                model_apps
-                    .entry(checksum.clone())
-                    .or_default()
-                    .insert(extraction.package.clone());
-                if model_index.contains_key(&checksum) {
-                    continue;
-                }
-                // First sighting in corpus order: materialise the record.
-                if let Some(c) = &analysis.classification {
-                    let modality = c.task.modality();
-                    for (family, count) in &analysis.layer_families {
-                        *composition
-                            .counts
-                            .entry((modality, family.clone()))
-                            .or_default() += count;
-                    }
-                }
-                model_index.insert(checksum.clone(), models.len());
-                models.push(ModelRecord {
-                    checksum,
-                    name: analysis.name.clone(),
-                    framework: found.framework,
-                    size_bytes: found.files.iter().map(|(_, b)| b.len()).sum(),
-                    trace: analysis.trace.clone(),
-                    classification: analysis.classification,
-                    optim: analysis.optim,
-                    layers: analysis.layers.clone(),
-                    layer_families: analysis.layer_families.clone(),
-                    app_count: 0,
-                });
-            }
-            apps.push(extraction);
-        }
-        for m in &mut models {
-            m.app_count = model_apps.get(&m.checksum).map_or(0, |s| s.len());
-        }
-
-        let (cache_hits, cache_misses) = cache.counters();
-        let (persistent_hits, persistent_stores) = cache.persistent_counters();
-        let stats = AnalysisStats {
-            workers,
-            apps: apps.len(),
-            instances: model_units.len() as u64,
-            cache_hits,
-            cache_misses,
-            unique_analysed: models.len() as u64,
-            persistent_hits,
-            persistent_stores,
-            extract_us: timers.extract.as_micros() as u64,
-            checksum_us: timers.checksum.as_micros() as u64,
-            decode_us: timers.decode.as_micros() as u64,
-            trace_us: timers.trace.as_micros() as u64,
-        };
+        let (cache_hits, cache_misses) = shared.cache.counters();
+        let (persistent_hits, persistent_stores) = shared.cache.persistent_counters();
+        let s = &mut out.stats;
+        s.cache_hits = cache_hits;
+        s.cache_misses = cache_misses;
+        s.persistent_hits = persistent_hits;
+        s.persistent_stores = persistent_stores;
+        s.extract_us = timers.extract.as_micros() as u64;
+        s.checksum_us = timers.checksum.as_micros() as u64;
+        s.decode_us = timers.decode.as_micros() as u64;
+        s.trace_us = timers.trace.as_micros() as u64;
 
         // End-of-run compaction sweep: with `GAUGENN_CACHE_MAX_BYTES`
         // set, the cache directory is back under budget before the run
         // reports success (DESIGN.md §12).
-        if let Some(store) = &store_handle {
+        if let Some(store) = &store {
             store.compact_if_over();
         }
-
-        Ok(AnalysisOutput {
-            apps,
-            models,
-            model_index,
-            instances,
-            index,
-            composition,
-            failed_candidates,
-            models_outside_apk,
-            stats,
-        })
+        Ok((produced, out))
     }
+}
+
+/// Extract one app, drop its containers, and analyse each model found:
+/// the model's bytes and checksum come from the content table, its
+/// analysis from the cache.
+fn analyse_app<A: Borrow<CrawledApp>>(
+    app: A,
+    shared: &Shared,
+    t: &mut StageTimers,
+) -> Result<AnalysedApp> {
+    let meta = app.borrow().meta.clone();
+    let mut checksums = Vec::new();
+    let mut in_table = Duration::default();
+    let t0 = Instant::now(); // gaugelint: deterministic-via(clock) — stage timers are diagnostics, never rendered into the deterministic report
+    let extraction = extract_with(app.borrow(), &mut |files| {
+        let t1 = Instant::now(); // gaugelint: deterministic-via(clock) — stage timers are diagnostics, never rendered into the deterministic report
+        let (bytes, checksum) = shared.table.share(files);
+        in_table += t1.elapsed();
+        checksums.push(checksum);
+        bytes
+    });
+    t.extract += t0.elapsed().saturating_sub(in_table);
+    t.checksum += in_table;
+    // An owned app's containers go now; a borrowed one stays with its
+    // caller.
+    drop(app);
+    crashpoint::hit(CrashPoint::AppExtract);
+    let extraction = extraction.map_err(CoreError::from)?;
+    let outcomes = extraction
+        .models
+        .iter()
+        .zip(checksums)
+        .map(|(found, checksum)| {
+            let outcome = shared.cache.get_or_compute(&checksum, || {
+                analyse_model(found.framework, &found.files, t)
+            });
+            crashpoint::hit(CrashPoint::ModelAnalysis);
+            (checksum, outcome)
+        })
+        .collect();
+    Ok(AnalysedApp {
+        meta,
+        extraction,
+        outcomes,
+    })
+}
+
+/// Merge analysed apps, already in corpus order, replicating the
+/// sequential loop: first sightings number the models, and the first
+/// error in corpus order fails the run. Cache counters and stage timers
+/// are the caller's to fill in.
+fn merge(analysed: Vec<(u64, Result<AnalysedApp>)>, workers: usize) -> Result<AnalysisOutput> {
+    let mut apps: Vec<AppExtraction> = Vec::with_capacity(analysed.len());
+    let mut models: Vec<ModelRecord> = Vec::new();
+    let mut model_index: BTreeMap<String, usize> = BTreeMap::new();
+    let mut model_apps: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    let mut instances = Vec::new();
+    let mut index = Index::new();
+    let mut composition = LayerComposition::default();
+    let mut failed_candidates = 0usize;
+    let mut models_outside_apk = 0usize;
+    let mut units = 0u64;
+
+    for (_, app) in analysed {
+        let AnalysedApp {
+            meta,
+            extraction,
+            outcomes,
+        } = app?;
+        units += outcomes.len() as u64;
+        failed_candidates += extraction.failed_candidates;
+        models_outside_apk += extraction.models_outside_apk();
+        index.insert(doc([
+            ("package", meta.package.as_str().into()),
+            ("category", meta.category.as_str().into()),
+            ("downloads", meta.downloads.into()),
+            ("rating", (meta.rating as f64).into()),
+            ("is_ml", extraction.is_ml_app().into()),
+            ("has_models", (!extraction.models.is_empty()).into()),
+            ("uses_cloud", (!extraction.cloud.is_empty()).into()),
+            ("uses_nnapi", extraction.uses_nnapi.into()),
+        ]));
+        for (found, (checksum, outcome)) in extraction.models.iter().zip(outcomes) {
+            let analysis = match outcome {
+                Ok(a) => a,
+                Err(AnalyzeFailure::Undecodable) => {
+                    // A file can pass the cheap signature probe yet
+                    // still be undecodable (truncated or corrupted
+                    // body); such instances drop out of the
+                    // benchmarkable set like the paper's obfuscated
+                    // tail, they do not abort the run.
+                    failed_candidates += 1;
+                    continue;
+                }
+                Err(AnalyzeFailure::Trace(e)) => {
+                    return Err(CoreError::Other(format!("trace: {e}")));
+                }
+            };
+            instances.push(InstanceRecord {
+                app: extraction.package.clone(),
+                category: extraction.category.clone(),
+                path: found.files[0].0.clone(),
+                checksum: checksum.clone(),
+            });
+            model_apps
+                .entry(checksum.clone())
+                .or_default()
+                .insert(extraction.package.clone());
+            if model_index.contains_key(&checksum) {
+                continue;
+            }
+            // First sighting in corpus order: materialise the record.
+            if let Some(c) = &analysis.classification {
+                let modality = c.task.modality();
+                for (family, count) in &analysis.layer_families {
+                    *composition
+                        .counts
+                        .entry((modality, family.clone()))
+                        .or_default() += count;
+                }
+            }
+            model_index.insert(checksum.clone(), models.len());
+            models.push(ModelRecord {
+                checksum,
+                name: analysis.name.clone(),
+                framework: found.framework,
+                size_bytes: found.files.iter().map(|(_, b)| b.len()).sum(),
+                trace: analysis.trace.clone(),
+                classification: analysis.classification,
+                optim: analysis.optim,
+                layers: analysis.layers.clone(),
+                layer_families: analysis.layer_families.clone(),
+                app_count: 0,
+            });
+        }
+        apps.push(extraction);
+    }
+    for m in &mut models {
+        m.app_count = model_apps.get(&m.checksum).map_or(0, |s| s.len());
+    }
+    let stats = AnalysisStats {
+        workers,
+        apps: apps.len(),
+        instances: units,
+        unique_analysed: models.len() as u64,
+        ..AnalysisStats::default()
+    };
+    Ok(AnalysisOutput {
+        apps,
+        models,
+        model_index,
+        instances,
+        index,
+        composition,
+        failed_candidates,
+        models_outside_apk,
+        stats,
+    })
 }
 
 /// The expensive once-per-unique-checksum work: decode, trace, classify,
 /// inspect, layer-checksum.
 fn analyse_model(
     framework: Framework,
-    files: &[(String, Vec<u8>)],
+    files: &[(String, Arc<[u8]>)],
     timers: &mut StageTimers,
 ) -> ModelOutcome {
     let t0 = Instant::now(); // gaugelint: deterministic-via(clock) — stage timers are diagnostics, never rendered into the deterministic report
@@ -847,22 +851,49 @@ mod tests {
     }
 
     #[test]
-    fn cache_disabled_matches_cached_output() {
+    fn arrival_order_does_not_change_the_output() {
+        // The streaming core merges by sequence number: apps fed in
+        // reverse, from two producer threads at once, merge like the
+        // corpus fed in order.
         let apps = crawl_tiny();
-        let cached = AnalysisPool::new(AnalysisConfig::with_workers(2))
+        let in_order = AnalysisPool::new(AnalysisConfig::with_workers(2))
             .analyse(&apps)
             .unwrap();
-        let uncached = AnalysisPool::new(AnalysisConfig {
-            workers: 2,
-            dedup_cache: false,
-            ..AnalysisConfig::default()
-        })
-        .analyse(&apps)
-        .unwrap();
-        assert_eq!(checksums(&uncached), checksums(&cached));
-        assert_eq!(uncached.failed_candidates, cached.failed_candidates);
-        assert_eq!(uncached.stats.cache_hits, 0, "no cache, no hits");
-        assert_eq!(uncached.stats.instances, cached.stats.instances);
+        for workers in [1usize, 3] {
+            let ((), streamed) = AnalysisPool::new(AnalysisConfig::with_workers(workers))
+                .stream(|feed| {
+                    std::thread::scope(|s| {
+                        for half in [0usize, 1] {
+                            let apps = &apps;
+                            s.spawn(move || {
+                                for seq in (0..apps.len()).rev().filter(|i| i % 2 == half) {
+                                    feed(seq as u64, &apps[seq]);
+                                }
+                            });
+                        }
+                    });
+                    Ok(())
+                })
+                .unwrap();
+            let what = format!("{workers} workers, reversed");
+            assert_same_output(&streamed, &in_order, &what);
+            let packages = |o: &AnalysisOutput| -> Vec<String> {
+                o.apps.iter().map(|a| a.package.clone()).collect()
+            };
+            assert_eq!(packages(&streamed), packages(&in_order));
+        }
+    }
+
+    #[test]
+    fn a_producer_error_still_stops_the_workers() {
+        let apps = crawl_tiny();
+        let err = AnalysisPool::new(AnalysisConfig::with_workers(2)).stream(|feed| {
+            for (seq, app) in apps.iter().enumerate() {
+                feed(seq as u64, app);
+            }
+            Err::<(), _>(CoreError::Other("crawl failed".into()))
+        });
+        assert!(matches!(err, Err(CoreError::Other(m)) if m == "crawl failed"));
     }
 
     #[test]

@@ -43,12 +43,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// A named stage boundary the process can be scheduled to die at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
-    /// After the crawl finished and its journal records are durable,
-    /// before any analysis starts.
+    /// After the crawl finished and its end-of-crawl marker is durable.
+    /// The crawl streams into the analysis, so workers may still be
+    /// analysing apps it handed on.
     PostCrawl,
-    /// Per-app model extraction (analysis phase 1), once per app unit.
+    /// Per-app model extraction, once per app, after its containers are
+    /// dropped. Runs while the crawl is still going.
     AppExtract,
-    /// Per-model analysis (analysis phase 2), once per model unit.
+    /// Per-model analysis, once per model instance found.
     ModelAnalysis,
     /// Cache-store append: after an entry file is atomically published
     /// but *before* its index line lands — the torn-append window the

@@ -19,6 +19,7 @@ use gaugenn_apk::{nativelib, Apk};
 use gaugenn_modelfmt::validate::FileRole;
 use gaugenn_modelfmt::{validate, Framework};
 use gaugenn_playstore::crawler::CrawledApp;
+use std::sync::Arc;
 
 /// A validated model found in an app: one or more files forming one model.
 #[derive(Debug, Clone)]
@@ -26,7 +27,9 @@ pub struct FoundModel {
     /// Framework.
     pub framework: Framework,
     /// `(entry_path, bytes)` of every file of the model, primary first.
-    pub files: Vec<(String, Vec<u8>)>,
+    /// The bytes are shared: in an analysed corpus every instance of one
+    /// content holds the same allocation.
+    pub files: Vec<(String, Arc<[u8]>)>,
     /// Where it was found.
     pub source: ModelSource,
 }
@@ -88,16 +91,35 @@ impl AppExtraction {
     }
 }
 
-/// Extract one crawled app.
+/// Where a found model's bytes go: handed the model's `(path, bytes)`
+/// files, primary first, still borrowed from the containers, it returns
+/// one buffer per file in the same order.
+pub(crate) type ShareBytes<'a> = &'a mut dyn FnMut(&[(String, &[u8])]) -> Vec<Arc<[u8]>>;
+
+/// Extract one crawled app. Every found model gets buffers of its own.
 pub fn extract_app(app: &CrawledApp) -> Result<AppExtraction, gaugenn_apk::ApkError> {
+    extract_with(app, &mut |files| {
+        files.iter().map(|(_, bytes)| Arc::from(*bytes)).collect()
+    })
+}
+
+/// [`extract_app`], with `share` deciding where each found model's bytes
+/// live; it is called once per model, in the order of
+/// [`AppExtraction::models`]. The analysis passes its content table
+/// here, so a duplicate model is never copied out of its container.
+pub(crate) fn extract_with(
+    app: &CrawledApp,
+    share: ShareBytes<'_>,
+) -> Result<AppExtraction, gaugenn_apk::ApkError> {
     let apk = Apk::parse(&app.apk)?;
     let mut models = Vec::new();
     let mut failed = 0usize;
     collect_models(
-        apk.candidate_files().map(|(p, b)| (p.to_string(), b.to_vec())),
+        apk.candidate_files().map(|(p, b)| (p.to_string(), b)),
         ModelSource::BaseApk,
         &mut models,
         &mut failed,
+        share,
     );
     // Expansion files and asset packs (§4.2): same funnel, different source.
     for (name, bytes) in &app.obbs {
@@ -106,10 +128,11 @@ pub fn extract_app(app: &CrawledApp) -> Result<AppExtraction, gaugenn_apk::ApkEr
                 obb.archive
                     .entries()
                     .iter()
-                    .map(|e| (e.name.clone(), e.data.clone())),
+                    .map(|e| (e.name.clone(), e.data.as_slice())),
                 ModelSource::Obb,
                 &mut models,
                 &mut failed,
+                share,
             );
         }
     }
@@ -117,10 +140,11 @@ pub fn extract_app(app: &CrawledApp) -> Result<AppExtraction, gaugenn_apk::ApkEr
         if let Ok(bundle) = Bundle::parse(bundle_bytes) {
             for pack in &bundle.packs {
                 collect_models(
-                    pack.files.iter().cloned(),
+                    pack.files.iter().map(|(p, b)| (p.clone(), b.as_slice())),
                     ModelSource::AssetPack,
                     &mut models,
                     &mut failed,
+                    share,
                 );
             }
         }
@@ -175,21 +199,35 @@ const FRAMEWORK_MARKERS: &[(Framework, &[&str])] = &[
 ];
 
 /// Run the validation funnel over an entry iterator and assemble models,
-/// pairing split formats by file stem.
-fn collect_models(
-    entries: impl Iterator<Item = (String, Vec<u8>)>,
+/// pairing split formats by file stem. Entries are borrowed; only the
+/// models found are handed to `share` for buffers of their own.
+fn collect_models<'a>(
+    entries: impl Iterator<Item = (String, &'a [u8])>,
     source: ModelSource,
     models: &mut Vec<FoundModel>,
     failed: &mut usize,
+    share: ShareBytes<'_>,
 ) {
+    let mut found = |framework: Framework, files: Vec<(String, &[u8])>| {
+        let buffers = share(&files);
+        models.push(FoundModel {
+            framework,
+            files: files
+                .into_iter()
+                .zip(buffers)
+                .map(|((path, _), bytes)| (path, bytes))
+                .collect(),
+            source,
+        });
+    };
     // First pass: validate everything, remembering split-format parts.
-    let mut complete: Vec<(Framework, String, Vec<u8>)> = Vec::new();
-    let mut graph_parts: Vec<(Framework, String, Vec<u8>)> = Vec::new();
-    let mut weight_parts: Vec<(Framework, String, Vec<u8>)> = Vec::new();
+    let mut complete: Vec<(Framework, String, &[u8])> = Vec::new();
+    let mut graph_parts: Vec<(Framework, String, &[u8])> = Vec::new();
+    let mut weight_parts: Vec<(Framework, String, &[u8])> = Vec::new();
     for (path, bytes) in entries {
         let file_name = path.rsplit('/').next().unwrap_or(&path).to_string();
         let had_candidates = !gaugenn_modelfmt::formats::candidates_for(&file_name).is_empty();
-        match validate(&file_name, &bytes) {
+        match validate(&file_name, bytes) {
             Some(v) => match v.role {
                 FileRole::Complete => complete.push((v.framework, path, bytes)),
                 FileRole::GraphPart => graph_parts.push((v.framework, path, bytes)),
@@ -203,11 +241,7 @@ fn collect_models(
         }
     }
     for (fw, path, bytes) in complete {
-        models.push(FoundModel {
-            framework: fw,
-            files: vec![(path, bytes)],
-            source,
-        });
+        found(fw, vec![(path, bytes)]);
     }
     // Pair split formats by stem; a weights part without its graph part is
     // still a model (the codecs treat the binary part as authoritative).
@@ -225,11 +259,7 @@ fn collect_models(
             let (_, gpath, gbytes) = graph_parts.remove(idx);
             files.push((gpath, gbytes));
         }
-        models.push(FoundModel {
-            framework: fw,
-            files,
-            source,
-        });
+        found(fw, files);
     }
     // Orphaned graph parts (a prototxt without weights) are not models.
     *failed += graph_parts.len();

@@ -44,8 +44,11 @@ use std::sync::Mutex;
 /// Journal file magic.
 const MAGIC: &[u8; 4] = b"GNJL";
 /// Format version; bump on any codec change so old journals read as
-/// stale and are discarded instead of misparsed.
-const VERSION: u32 = 1;
+/// stale and are discarded instead of misparsed. Version 2: app
+/// sequence numbers are corpus sequence numbers
+/// ([`gaugenn_playstore::crawler::corpus_seq`]), recorded in arrival
+/// order, not merged positions.
+const VERSION: u32 = 2;
 /// Header length in bytes.
 const HEADER_LEN: usize = 16;
 /// A record larger than this is treated as corruption, not a record.
@@ -282,8 +285,9 @@ impl RunJournal {
         self.probe
     }
 
-    /// Journal one crawled app at corpus position `seq` (skipping
-    /// packages already in the file). Only the package name is kept.
+    /// Journal one crawled app under its corpus sequence number `seq`
+    /// (skipping packages already in the file). Apps may arrive in any
+    /// order; replay sorts them by `seq`. Only the package name is kept.
     pub fn record_app(&mut self, seq: u64, app: &CrawledApp) {
         if self.recorded.contains(&app.meta.package) {
             return;

@@ -22,6 +22,7 @@
 
 pub mod analyze;
 pub mod cachestore;
+mod content;
 pub mod crashpoint;
 pub mod experiments;
 pub mod extract;

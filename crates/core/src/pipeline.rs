@@ -16,14 +16,19 @@ use gaugenn_playstore::admission::{AdmissionConfig, AdmissionStats};
 use gaugenn_playstore::chaos::{FaultPlan, FaultPlanConfig};
 use gaugenn_playstore::corpus::{generate, CorpusScale, Snapshot};
 use gaugenn_playstore::crawler::{
-    CrawlOutcome, CrawlStage, CrawlStats, Crawler, CrawlerConfig, DropOut, RetryPolicy,
+    AppSink, CrawlOutcome, CrawlStage, CrawlStats, CrawledApp, Crawler, CrawlerConfig, DropOut,
+    RetryPolicy,
 };
 use gaugenn_playstore::pool::{CrawlPool, CrawlPoolConfig};
 use gaugenn_playstore::reactor::ReactorMode;
 use gaugenn_playstore::server::{ServerOptions, StoreServer};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// How many apps the §4.2 device-profile probe re-downloads: the first
+/// this many of the corpus, in corpus order.
+const PROBE_APPS: usize = 20;
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -53,8 +58,8 @@ pub struct PipelineConfig {
     /// (§4.2's device-specific-distribution probe).
     pub probe_device_profiles: bool,
     /// Offline-analysis worker threads. 1 (the default) analyses
-    /// sequentially; more fan the crawled corpus over a sharded
-    /// [`AnalysisPool`] whose merged report is byte-identical to the
+    /// sequentially; more take the streamed apps in parallel. The
+    /// [`AnalysisPool`]'s merged report is byte-identical to the
     /// sequential run at any worker count.
     pub analysis_workers: usize,
     /// Directory for the persistent analysis cache. When set, a second
@@ -516,6 +521,11 @@ impl Pipeline {
     }
 
     /// Run end to end: corpus → TCP store → crawl → extract → analyse.
+    ///
+    /// The crawl streams into the analysis: each app goes from the crawl
+    /// connection that completes it, through the run journal when one is
+    /// set, to the [`AnalysisPool`] workers, which extract it and drop
+    /// its containers at once. The corpus is never held whole.
     pub fn run(&self) -> Result<PipelineReport> {
         let corpus = generate(self.config.scale, self.config.snapshot, self.config.seed);
         let server = StoreServer::start_with(
@@ -526,11 +536,11 @@ impl Pipeline {
                 ..ServerOptions::default()
             },
         )?;
-        // Journaled checkpoints (DESIGN.md §12): every completed crawl
-        // unit becomes durable as it finishes, so a killed run resumed
+        // Journaled checkpoints (DESIGN.md §12): every crawled app becomes
+        // durable before extraction consumes it, so a killed run resumed
         // over the same journal directory skips the journaled work and
         // still renders byte-identical output.
-        let mut run_journal = self.config.journal_dir.as_ref().map(|dir| {
+        let run_journal = self.config.journal_dir.as_ref().map(|dir| {
             let key = journal::run_key(
                 &format!("{:?}", self.config.scale),
                 self.config.snapshot.label(),
@@ -539,108 +549,68 @@ impl Pipeline {
             let file = format!("run-{:?}.gnjl", self.config.snapshot);
             RunJournal::open(dir, &file, key, self.config.resume)
         });
-
+        // The previous attempt finished its crawl: the corpus, the
+        // drop-out ledger and the stats all replay from the journal
+        // without touching the store.
         let replayed_crawl = run_journal.as_ref().and_then(|j| {
-            j.crawl_done().cloned().map(|(dropouts, stats)| CrawlOutcome {
-                apps: j.apps_in_order(),
-                dropouts,
-                stats,
-            })
+            j.crawl_done()
+                .cloned()
+                .map(|(dropouts, stats)| (j.apps_in_order(), dropouts, stats))
         });
         let crawl_replayed = replayed_crawl.is_some();
-        let (outcome, admission, workers) = if let Some(outcome) = replayed_crawl {
-            // The previous attempt finished its crawl: the corpus, the
-            // drop-out ledger and the stats all replay from the journal
-            // without touching the store.
-            (outcome, None, self.config.workers)
-        } else {
-            let resume_cache = run_journal
-                .as_ref()
-                .map(|j| Arc::new(j.resume_apps()))
-                .filter(|r| !r.is_empty());
-            if self.config.workers > 1 {
-                let pooled = CrawlPool::new(CrawlPoolConfig {
-                    workers: self.config.workers,
-                    crawler: self.config.crawler.clone(),
-                    retry: self.config.retry.clone(),
-                    admission: self.config.admission.clone(),
-                    sched_seed: self.config.seed,
-                    resume: resume_cache,
-                    connections_per_worker: self.config.connections_per_worker,
-                })
-                .crawl_at(&server.endpoint())?;
-                (pooled.outcome, Some(pooled.admission), pooled.workers)
-            } else {
-                let mut builder = Crawler::builder_at(server.endpoint())
-                    .config(self.config.crawler.clone())
-                    .retry(self.config.retry.clone());
-                if let Some(resume) = resume_cache {
-                    builder = builder.resume_cache(resume);
-                }
-                let mut crawler = builder.build()?;
-                (crawler.crawl_all()?, None, 1)
-            }
-        };
-        // Make the whole crawl durable before analysis starts; after the
-        // post-crawl boundary a resumed run never re-crawls.
-        if let Some(j) = run_journal.as_mut() {
-            for (seq, app) in outcome.apps.iter().enumerate() {
-                j.record_app(seq as u64, app);
-            }
-            j.record_crawl_done(&outcome.dropouts, &outcome.stats);
-        }
-        crashpoint::hit(CrashPoint::PostCrawl);
-        let CrawlOutcome {
-            apps: crawled,
-            dropouts,
-            stats: crawl_stats,
-        } = outcome;
-
-        // §4.2 probe: re-download a sample of ML-app APKs with a
-        // three-generations-older device profile and compare bytes.
         let journaled_probe = run_journal.as_ref().and_then(|j| j.probe());
-        let device_profile_invariant = if let Some(verdict) = journaled_probe {
-            verdict
-        } else if self.config.probe_device_profiles {
-            let mut old_cfg = self.config.crawler.clone();
-            old_cfg.device_profile = "SM-G935F".into(); // Galaxy S7 edge
-            old_cfg.user_agent = "gaugeNN/1.0 (Android 8; SM-G935F)".into();
-            // A distinct connection id keeps the probe's chaos fault
-            // schedule independent of the crawl fleet's.
-            let mut old_crawler = Crawler::builder_at(server.endpoint())
-                .config(old_cfg)
-                .retry(self.config.retry.clone())
-                .connection_id(u64::MAX)
-                .build()?;
-            let mut invariant = true;
-            for app in crawled.iter().take(20) {
-                let again = old_crawler.download_apk(&app.meta.package)?;
-                if again != app.apk {
-                    invariant = false;
-                    break;
-                }
+        let resume_cache = run_journal
+            .as_ref()
+            .map(|j| Arc::new(j.resume_apps()))
+            .filter(|r| !r.is_empty());
+        let journal = run_journal.map(Mutex::new);
+        let record = |entry: &dyn Fn(&mut RunJournal)| {
+            if let Some(j) = &journal {
+                entry(&mut j.lock().unwrap_or_else(|e| e.into_inner()));
             }
-            Some(invariant)
-        } else {
-            None
         };
-        if let Some(j) = run_journal.as_mut() {
-            j.record_probe(device_profile_invariant);
-        }
-        // Nothing is journaled after the probe; a resumed run's replayed
-        // apps go with the journal.
-        drop(run_journal);
+        let probe_sample = (journaled_probe.is_none() && self.config.probe_device_profiles)
+            .then(ProbeSample::default);
 
-        // Offline stage: fan the corpus over the analysis pool (1 worker
-        // reproduces the old sequential loop through the same code path).
-        // The pool consumes the crawl, freeing each app's containers once
-        // the app is extracted; the probe above was the last reader.
-        let analysed = AnalysisPool::new(AnalysisConfig {
+        // Offline stage: the analysis pool takes every app the crawl
+        // hands on while the crawl is still running (1 worker reproduces
+        // the old sequential loop through the same code path).
+        let pool = AnalysisPool::new(AnalysisConfig {
             workers: self.config.analysis_workers,
             cache_dir: self.config.analysis_cache_dir.clone(),
             ..AnalysisConfig::default()
-        })
-        .analyse(crawled)?;
+        });
+        let ((outcome, admission, workers, device_profile_invariant), analysed) =
+            pool.stream(|feed| {
+                let sink = |seq: u64, app: CrawledApp| {
+                    record(&|j| j.record_app(seq, &app));
+                    if let Some(sample) = &probe_sample {
+                        sample.offer(seq, &app);
+                    }
+                    feed(seq, app);
+                };
+                let (outcome, admission, workers) =
+                    self.crawl(&server, replayed_crawl, resume_cache, &sink)?;
+                // After the post-crawl boundary a resumed run never
+                // re-crawls; the workers may still be analysing.
+                record(&|j| j.record_crawl_done(&outcome.dropouts, &outcome.stats));
+                crashpoint::hit(CrashPoint::PostCrawl);
+                let invariant = match (journaled_probe, probe_sample) {
+                    (Some(verdict), _) => verdict,
+                    (None, Some(sample)) => Some(self.probe(&server, sample)?),
+                    (None, None) => None,
+                };
+                record(&|j| j.record_probe(invariant));
+                Ok((outcome, admission, workers, invariant))
+            })?;
+        // Nothing is journaled after the probe; a resumed run's replayed
+        // apps go with the journal.
+        drop(journal);
+        let CrawlOutcome {
+            dropouts,
+            stats: crawl_stats,
+            ..
+        } = outcome;
         let crate::analyze::AnalysisOutput {
             apps,
             models,
@@ -712,6 +682,93 @@ impl Pipeline {
             corpus_index,
             reactor_digest: server.reactor_digest(),
         })
+    }
+
+    /// Crawl the store, or replay the journaled crawl, handing every app
+    /// to `sink` as it lands. Returns the outcome (its `apps` empty), the
+    /// fleet's admission counters when pooled, and the crawl workers used.
+    fn crawl(
+        &self,
+        server: &StoreServer,
+        replayed: Option<(Vec<CrawledApp>, Vec<DropOut>, CrawlStats)>,
+        resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
+        sink: AppSink<'_>,
+    ) -> Result<(CrawlOutcome, Option<AdmissionStats>, usize)> {
+        if let Some((apps, dropouts, stats)) = replayed {
+            for (seq, app) in apps.into_iter().enumerate() {
+                sink(seq as u64, app);
+            }
+            let outcome = CrawlOutcome {
+                apps: Vec::new(),
+                dropouts,
+                stats,
+            };
+            return Ok((outcome, None, self.config.workers));
+        }
+        if self.config.workers > 1 {
+            let pooled = CrawlPool::new(CrawlPoolConfig {
+                workers: self.config.workers,
+                crawler: self.config.crawler.clone(),
+                retry: self.config.retry.clone(),
+                admission: self.config.admission.clone(),
+                sched_seed: self.config.seed,
+                resume,
+                connections_per_worker: self.config.connections_per_worker,
+            })
+            .crawl_into(&server.endpoint(), sink)?;
+            return Ok((pooled.outcome, Some(pooled.admission), pooled.workers));
+        }
+        let mut builder = Crawler::builder_at(server.endpoint())
+            .config(self.config.crawler.clone())
+            .retry(self.config.retry.clone());
+        if let Some(resume) = resume {
+            builder = builder.resume_cache(resume);
+        }
+        let outcome = builder.build()?.crawl_into(&mut |seq, app| sink(seq, app))?;
+        Ok((outcome, None, 1))
+    }
+
+    /// §4.2 probe: re-download the sample's APKs with a
+    /// three-generations-older device profile and compare bytes.
+    fn probe(&self, server: &StoreServer, sample: ProbeSample) -> Result<bool> {
+        let mut old_cfg = self.config.crawler.clone();
+        old_cfg.device_profile = "SM-G935F".into(); // Galaxy S7 edge
+        old_cfg.user_agent = "gaugeNN/1.0 (Android 8; SM-G935F)".into();
+        // A distinct connection id keeps the probe's chaos fault schedule
+        // independent of the crawl fleet's.
+        let mut old_crawler = Crawler::builder_at(server.endpoint())
+            .config(old_cfg)
+            .retry(self.config.retry.clone())
+            .connection_id(u64::MAX)
+            .build()?;
+        let held = sample.0.into_inner().unwrap_or_else(|e| e.into_inner());
+        for (package, apk) in held.values() {
+            if old_crawler.download_apk(package)? != *apk {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// The §4.2 probe's sample — the first [`PROBE_APPS`] apps of the corpus
+/// of any kind, by corpus sequence number — kept as the crawl streams
+/// past: each app's package and a copy of its APK.
+#[derive(Default)]
+struct ProbeSample(Mutex<BTreeMap<u64, (String, Vec<u8>)>>);
+
+impl ProbeSample {
+    /// Hold `app` while it is among the first [`PROBE_APPS`] seen by
+    /// sequence number.
+    fn offer(&self, seq: u64, app: &CrawledApp) {
+        let mut held = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        if held.len() == PROBE_APPS && held.last_key_value().is_some_and(|(&last, _)| last < seq) {
+            return;
+        }
+        held.insert(seq, (app.meta.package.clone(), app.apk.clone()));
+        if held.len() > PROBE_APPS {
+            held.pop_last();
+        }
     }
 }
 
@@ -838,6 +895,27 @@ mod tests {
         assert!(r.analysis_summary().contains("cache hits"));
         let breakdown = r.analysis_breakdown().render();
         assert!(breakdown.contains("decode"), "{breakdown}");
+    }
+
+    #[test]
+    fn duplicate_instances_share_one_allocation() {
+        // Every two instances with one checksum hold the same buffers,
+        // and there are exactly as many distinct buffers as checksums.
+        use gaugenn_analysis::dedup::model_checksum;
+        let r = run_tiny();
+        let found: Vec<_> = r.apps.iter().flat_map(|a| a.models.iter()).collect();
+        let mut first: BTreeMap<String, &crate::extract::FoundModel> = BTreeMap::new();
+        for m in &found {
+            let held = first.entry(model_checksum(&m.files)).or_insert(m);
+            assert_eq!(held.files.len(), m.files.len());
+            for ((_, a), (_, b)) in held.files.iter().zip(&m.files) {
+                assert!(Arc::ptr_eq(a, b), "one checksum, two allocations");
+            }
+        }
+        assert!(found.len() > first.len(), "the corpus plants duplicates");
+        let allocations: std::collections::BTreeSet<*const u8> =
+            found.iter().map(|m| m.files[0].1.as_ptr()).collect();
+        assert_eq!(allocations.len(), first.len());
     }
 
     #[test]

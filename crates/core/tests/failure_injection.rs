@@ -98,16 +98,23 @@ fn baseline() -> PipelineReport {
         .expect("baseline")
 }
 
-/// The tentpole matrix: SIGKILL at three registered points, at three
+/// The tentpole matrix: SIGKILL at four registered points, at three
 /// (crawl workers, analysis workers) shapes, resume each, and diff
-/// stdout bytes.
+/// stdout bytes. The crawl streams into extraction, so `app-extract` and
+/// `model-analysis` kill the run mid-crawl and `post-crawl` may kill it
+/// mid-analysis.
 #[test]
 fn sigkill_matrix_resume_is_byte_identical() {
     // render_text is worker-invariant by contract, so one reference
     // serves the whole matrix (other tests pin the contract).
     let reference = baseline().render_text();
     let combos: [(usize, usize); 3] = [(1, 1), (4, 2), (2, 4)];
-    let points: [(&str, u64); 3] = [("post-crawl", 1), ("model-analysis", 2), ("cache-append", 2)];
+    let points: [(&str, u64); 4] = [
+        ("post-crawl", 1),
+        ("app-extract", 3),
+        ("model-analysis", 2),
+        ("cache-append", 2),
+    ];
     for (workers, analysis_workers) in combos {
         for (point, nth) in points {
             let dir = scratch(&format!("matrix-{workers}-{analysis_workers}-{point}"));

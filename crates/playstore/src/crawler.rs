@@ -15,7 +15,8 @@
 //! full [`Crawler::crawl_all`] sweep returns a [`CrawlOutcome`] that
 //! records permanently-failing apps as structured drop-outs — the
 //! paper's Table 2 accounting — instead of aborting the sweep on the
-//! first bad app.
+//! first bad app. [`Crawler::crawl_into`] is the same sweep handing each
+//! app on as it lands, tagged with its [`corpus_seq`].
 //!
 //! Large downloads survive truncation without starting over: a cut
 //! mid-body keeps the received prefix and the retry asks for the
@@ -973,10 +974,21 @@ impl Crawler {
     }
 
     /// Crawl one category end to end: the listing plus every listed app.
-    /// Failures become [`DropOut`] records, not errors — the building
-    /// block of both [`Crawler::crawl_all`] and the pool's shards.
+    /// Failures become [`DropOut`] records, not errors.
     pub fn crawl_category(&mut self, category: &str) -> (Vec<CrawledApp>, Vec<DropOut>) {
         let mut apps = Vec::new();
+        let dropouts = self.crawl_category_into(category, &mut |_, app| apps.push(app));
+        (apps, dropouts)
+    }
+
+    /// [`Crawler::crawl_category`] handing each app to `sink`, with its
+    /// position in the listing, as soon as it is downloaded. Returns the
+    /// category's drop-outs.
+    fn crawl_category_into(
+        &mut self,
+        category: &str,
+        sink: &mut dyn FnMut(usize, CrawledApp),
+    ) -> Vec<DropOut> {
         let mut dropouts = Vec::new();
         let pkgs = match self.list_category(category) {
             Ok(p) => p,
@@ -986,12 +998,12 @@ impl Crawler {
                     stage: CrawlStage::Listing,
                     error: e.to_string(),
                 });
-                return (apps, dropouts);
+                return dropouts;
             }
         };
-        for pkg in pkgs {
+        for (position, pkg) in pkgs.into_iter().enumerate() {
             match self.crawl_app_staged(&pkg) {
-                Ok(app) => apps.push(app),
+                Ok(app) => sink(position, app),
                 Err((stage, e)) => dropouts.push(DropOut {
                     package: pkg,
                     stage,
@@ -999,7 +1011,7 @@ impl Crawler {
                 }),
             }
         }
-        (apps, dropouts)
+        dropouts
     }
 
     /// Full store sweep: every category, every listed app. Apps (and
@@ -1008,19 +1020,45 @@ impl Crawler {
     /// to enumerate the categories themselves is fatal.
     pub fn crawl_all(&mut self) -> Result<CrawlOutcome> {
         let mut apps = Vec::new();
+        let mut outcome = self.crawl_into(&mut |_, app| apps.push(app))?;
+        outcome.apps = apps;
+        Ok(outcome)
+    }
+
+    /// [`Crawler::crawl_all`] that hands each app to `sink` with its
+    /// [`corpus_seq`] as soon as it is downloaded, instead of collecting
+    /// the corpus: the returned outcome's `apps` is empty. The sink sees
+    /// apps in corpus order.
+    pub fn crawl_into(&mut self, sink: &mut dyn FnMut(u64, CrawledApp)) -> Result<CrawlOutcome> {
         let mut dropouts = Vec::new();
-        for cat in self.categories()? {
-            let (a, d) = self.crawl_category(&cat);
-            apps.extend(a);
-            dropouts.extend(d);
+        for (index, cat) in self.categories()?.iter().enumerate() {
+            dropouts.extend(
+                self.crawl_category_into(cat, &mut |position, app| {
+                    sink(corpus_seq(index, position), app)
+                }),
+            );
         }
         Ok(CrawlOutcome {
-            apps,
+            apps: Vec::new(),
             dropouts,
             stats: self.stats.clone(),
         })
     }
 }
+
+/// An app's place in corpus order: its category's index in the store's
+/// category list, then its position in that category's listing, packed
+/// into one sortable number. Sequential and pooled crawls assign every
+/// app the same sequence number, so sorting by it rebuilds the
+/// sequential walk's order at any worker count.
+pub fn corpus_seq(category: usize, position: usize) -> u64 {
+    ((category as u64) << 32) | position as u64
+}
+
+/// Where a pooled crawl hands each finished app: called with the app's
+/// [`corpus_seq`] on whichever worker thread completes it, in completion
+/// order.
+pub type AppSink<'a> = &'a (dyn Fn(u64, CrawledApp) + Sync);
 
 #[cfg(test)]
 mod tests {

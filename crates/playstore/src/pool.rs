@@ -19,6 +19,12 @@
 //! respects a single store-wide rate limit, and a sustained 429/503 storm
 //! trips one circuit breaker for everybody.
 //!
+//! [`CrawlPool::crawl_into`] streams: each app goes to a sink the moment
+//! its lane finishes it, tagged with its
+//! [`corpus_seq`](crate::crawler::corpus_seq), so the corpus is never
+//! held whole. [`CrawlPool::crawl_at`] is the same sweep with a sink
+//! that collects the apps and sorts them by that number.
+//!
 //! # Determinism
 //!
 //! The merged [`CrawlOutcome`] is assembled in category-index order, not
@@ -44,14 +50,16 @@
 //! reports are explicitly diagnostic.
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats};
-use crate::crawler::{CrawlOutcome, CrawlStats, CrawledApp, Crawler, CrawlerConfig, RetryPolicy};
+use crate::crawler::{
+    AppSink, CrawlOutcome, CrawlStats, CrawledApp, Crawler, CrawlerConfig, RetryPolicy,
+};
 use crate::net::Endpoint;
 use crate::reactor_client::{drive_lanes, CrawlLaneJob, LaneOpts, LaneShard, LaneSpec};
 use crate::Result;
 use gaugenn_sched::{assign, WorkUnit};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Tunables for a [`CrawlPool`].
 #[derive(Debug, Clone)]
@@ -168,6 +176,7 @@ fn crawl_shard(
     categories: &[String],
     w: usize,
     lanes: &[Vec<usize>],
+    sink: AppSink<'_>,
 ) -> Result<WorkerYield> {
     let conns = lanes.len();
     let specs: Vec<LaneSpec<CrawlLaneJob>> = lanes
@@ -181,6 +190,7 @@ fn crawl_shard(
                 lane.iter().map(|&i| (i, categories[i].clone())).collect(),
                 config.crawler.page_size,
                 config.resume.clone(),
+                sink,
             ),
         })
         .collect();
@@ -245,6 +255,27 @@ impl CrawlPool {
     /// form of [`CrawlPool::crawl`], required for sim-reactor stores,
     /// which have no TCP address.
     pub fn crawl_at(&self, endpoint: &Endpoint) -> Result<PoolOutcome> {
+        let landed = Mutex::new(Vec::new());
+        let mut pooled = self.crawl_into(endpoint, &|seq, app| {
+            landed
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push((seq, app));
+        })?;
+        let mut apps = landed.into_inner().unwrap_or_else(|e| e.into_inner());
+        apps.sort_by_key(|&(seq, _)| seq);
+        pooled.outcome.apps = apps.into_iter().map(|(_, app)| app).collect();
+        Ok(pooled)
+    }
+
+    /// [`CrawlPool::crawl_at`] handing each app to `sink` the moment a
+    /// lane finishes it, instead of collecting the corpus: the returned
+    /// outcome's `apps` is empty, and everything else (drop-outs, stats,
+    /// per-worker reports) is the same. The sink runs on the worker
+    /// threads, in completion order; sorting by the sequence number it
+    /// receives gives corpus order. A sink that blocks holds up its
+    /// worker's lanes, which is how a consumer bounds the apps in flight.
+    pub fn crawl_into(&self, endpoint: &Endpoint, sink: AppSink<'_>) -> Result<PoolOutcome> {
         let workers = self.config.workers.max(1);
         let conns = self.config.connections_per_worker.max(1);
         let admission = Arc::new(AdmissionController::new(self.config.admission.clone()));
@@ -272,7 +303,7 @@ impl CrawlPool {
                     let categories = &categories[..];
                     let config = &self.config;
                     scope.spawn(move || {
-                        crawl_shard(endpoint, config, admission, categories, w, &lanes)
+                        crawl_shard(endpoint, config, admission, categories, w, &lanes, sink)
                     })
                 })
                 .collect();
@@ -303,11 +334,8 @@ impl CrawlPool {
                 worker: w,
                 connection_id: (w * conns) as u64 + 1,
                 categories: worker_shards.len(),
-                apps: worker_shards.iter().map(|s| s.apps.len()).sum(),
-                bytes: worker_shards
-                    .iter()
-                    .flat_map(|s| s.apps.iter().map(CrawledApp::bytes))
-                    .sum(),
+                apps: worker_shards.iter().map(|s| s.apps).sum(),
+                bytes: worker_shards.iter().map(|s| s.bytes).sum(),
                 dropouts: worker_shards.iter().map(|s| s.dropouts.len()).sum(),
                 stats: stats.clone(),
             });
@@ -316,16 +344,11 @@ impl CrawlPool {
         }
         all_shards.sort_by_key(|s| s.index);
 
-        let mut apps = Vec::new();
-        let mut dropouts = Vec::new();
-        for shard in all_shards {
-            apps.extend(shard.apps);
-            dropouts.extend(shard.dropouts);
-        }
+        let dropouts = all_shards.into_iter().flat_map(|s| s.dropouts).collect();
 
         Ok(PoolOutcome {
             outcome: CrawlOutcome {
-                apps,
+                apps: Vec::new(),
                 dropouts,
                 stats: merged_stats,
             },
@@ -428,6 +451,37 @@ mod tests {
                 run.peak_in_flight
             );
         }
+    }
+
+    #[test]
+    fn a_sink_that_blocks_past_the_read_timeout_costs_no_retries() {
+        // A consumer pushing back holds the lane driver up. Responses that
+        // land meanwhile must be read, not timed out: the stalled crawl
+        // matches an unstalled one, counters included.
+        let config = CrawlPoolConfig {
+            workers: 1,
+            connections_per_worker: 4,
+            ..CrawlPoolConfig::default()
+        };
+        let reference = CrawlPool::new(config.clone()).crawl(start_tiny().addr()).unwrap();
+        let stall = LaneOpts::default().read_timeout + std::time::Duration::from_millis(300);
+        let stalled = std::sync::atomic::AtomicBool::new(false);
+        let landed = Mutex::new(Vec::new());
+        let server = start_tiny();
+        let pooled = CrawlPool::new(config)
+            .crawl_into(&Endpoint::Tcp(server.addr()), &|seq, app| {
+                if !stalled.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                    std::thread::sleep(stall);
+                }
+                landed.lock().unwrap().push((seq, app));
+            })
+            .unwrap();
+        let mut landed = landed.into_inner().unwrap();
+        landed.sort_by_key(|&(seq, _)| seq);
+        let apps: Vec<CrawledApp> = landed.into_iter().map(|(_, app)| app).collect();
+        assert_eq!(apps, reference.outcome.apps);
+        assert_eq!(pooled.outcome.stats, reference.outcome.stats);
+        assert_eq!(pooled.outcome.stats.retries, 0);
     }
 
     #[test]

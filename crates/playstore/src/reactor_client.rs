@@ -33,9 +33,9 @@
 
 use crate::admission::AdmissionController;
 use crate::crawler::{
-    obb_entry, parse_app_meta, parse_listing, request_headers, verify_body_crc, AdmitVerdict,
-    AppMeta, AttemptVerdict, CrawlStage, CrawlStats, CrawledApp, CrawlerConfig, DropOut, RequestSm,
-    RetryPolicy,
+    corpus_seq, obb_entry, parse_app_meta, parse_listing, request_headers, verify_body_crc,
+    AdmitVerdict, AppMeta, AppSink, AttemptVerdict, CrawlStage, CrawlStats, CrawledApp,
+    CrawlerConfig, DropOut, RequestSm, RetryPolicy,
 };
 use crate::net::{Endpoint, SimClientHandle};
 use crate::reactor::raw_fd;
@@ -116,12 +116,16 @@ impl LaneJob for RouteListJob {
 }
 
 /// One category's crawl output, tagged with its global plan index so the
-/// pool can merge shards from many lanes back into plan order.
+/// pool can merge shards from many lanes back into plan order. The apps
+/// themselves went to the lane's sink as they landed; the shard keeps
+/// their count and bytes.
 pub(crate) struct LaneShard {
     /// Position of this category in the pool's global plan.
     pub(crate) index: usize,
-    /// Successfully crawled apps, listing order.
-    pub(crate) apps: Vec<CrawledApp>,
+    /// Apps crawled successfully.
+    pub(crate) apps: usize,
+    /// Container bytes (APK + OBB + bundle) of those apps.
+    pub(crate) bytes: u64,
     /// Apps (or the listing itself) that failed permanently.
     pub(crate) dropouts: Vec<DropOut>,
 }
@@ -181,11 +185,13 @@ enum CrawlJobState {
 /// failures recorded as [`DropOut`]s — but expressed as a pull-driven
 /// job so the request sequence (and therefore every counter and fault
 /// draw) is identical to the blocking walk on the same connection id.
-pub(crate) struct CrawlLaneJob {
+/// Each finished app goes straight to the sink.
+pub(crate) struct CrawlLaneJob<'a> {
     /// `(global plan index, category name)` in crawl order.
     cats: Vec<(usize, String)>,
     page_size: usize,
     resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
+    sink: AppSink<'a>,
     state: CrawlJobState,
     /// Cursor into `cats`: the open category.
     ci: usize,
@@ -195,30 +201,34 @@ pub(crate) struct CrawlLaneJob {
     /// Packages of the open category, and the cursor into them.
     pkgs: Vec<String>,
     pi: usize,
-    /// The open category's crawled apps and drop-outs, pushed as its
-    /// shard when the walk leaves it.
-    apps: Vec<CrawledApp>,
+    /// The open category's app count, bytes and drop-outs, pushed as
+    /// its shard when the walk leaves it.
+    apps: usize,
+    bytes: u64,
     dropouts: Vec<DropOut>,
     shards: Vec<LaneShard>,
 }
 
-impl CrawlLaneJob {
+impl<'a> CrawlLaneJob<'a> {
     pub(crate) fn new(
         cats: Vec<(usize, String)>,
         page_size: usize,
         resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
-    ) -> CrawlLaneJob {
+        sink: AppSink<'a>,
+    ) -> CrawlLaneJob<'a> {
         CrawlLaneJob {
             cats,
             page_size,
             resume,
+            sink,
             state: CrawlJobState::NextCategory,
             ci: 0,
             listing: Vec::new(),
             listing_start: 0,
             pkgs: Vec::new(),
             pi: 0,
-            apps: Vec::new(),
+            apps: 0,
+            bytes: 0,
             dropouts: Vec::new(),
             shards: Vec::new(),
         }
@@ -238,6 +248,7 @@ impl CrawlLaneJob {
         self.shards.push(LaneShard {
             index: self.cats[self.ci].0,
             apps: std::mem::take(&mut self.apps),
+            bytes: std::mem::take(&mut self.bytes),
             dropouts: std::mem::take(&mut self.dropouts),
         });
         self.ci += 1;
@@ -245,7 +256,9 @@ impl CrawlLaneJob {
     }
 
     fn finish_app(&mut self, app: CrawledApp) {
-        self.apps.push(app);
+        self.apps += 1;
+        self.bytes += app.bytes();
+        (self.sink)(corpus_seq(self.cats[self.ci].0, self.pi), app);
         self.pi += 1;
         self.state = CrawlJobState::NextApp;
     }
@@ -261,7 +274,7 @@ impl CrawlLaneJob {
     }
 }
 
-impl LaneJob for CrawlLaneJob {
+impl LaneJob for CrawlLaneJob<'_> {
     fn next_request(&mut self, stats: &mut CrawlStats) -> Option<(Route, bool)> {
         loop {
             match std::mem::replace(&mut self.state, CrawlJobState::Done) {
@@ -640,7 +653,9 @@ impl ClientReactor {
 }
 
 /// Everything a pump needs besides the lane itself. `now` is the loop
-/// clock: wall milliseconds under epoll, logical ticks under sim.
+/// clock at the start of the round: wall milliseconds under epoll,
+/// logical ticks under sim. `started` is the wall clock's origin under
+/// epoll.
 struct DriverCtx<'a> {
     endpoint: &'a Endpoint,
     reactor: &'a mut ClientReactor,
@@ -648,16 +663,27 @@ struct DriverCtx<'a> {
     opts: &'a LaneOpts,
     client_parker: Option<Arc<Parker>>,
     now: u64,
-    tcp: bool,
+    started: Option<std::time::Instant>,
 }
 
 impl DriverCtx<'_> {
+    /// Arm `token` to fire `after_ms` from now. Under epoll "now" is read
+    /// afresh, not taken from the round start: a lane job may block (a
+    /// consumer's bounded handoff pushing back on the crawl), and a
+    /// deadline armed after the block must still grant the full timeout.
+    fn arm_after(&mut self, token: Token, after_ms: u64) {
+        let now = self
+            .started
+            .map_or(self.now, |t0| t0.elapsed().as_millis() as u64);
+        self.wheel.arm(token, now + after_ms);
+    }
+
     /// (Re-)arm a TCP lane's read deadline; sim lanes run on the logical
     /// clock, where a stalled peer always ends in a close.
     fn arm_read_deadline(&mut self, token: Token) {
-        if self.tcp {
+        if self.started.is_some() {
             let read_ms = self.opts.read_timeout.as_millis().max(1) as u64;
-            self.wheel.arm(token, self.now + read_ms);
+            self.arm_after(token, read_ms);
         }
     }
 }
@@ -784,7 +810,7 @@ fn attempt<J: LaneJob>(
         match opened {
             Ok((io, true)) => {
                 let connect_ms = ctx.opts.connect_timeout.as_millis().max(1) as u64;
-                ctx.wheel.arm(token, ctx.now + connect_ms);
+                ctx.arm_after(token, connect_ms);
                 return LaneState::Connecting(Flight { sm, io });
             }
             Ok((io, false)) => return LaneState::Writing(Flight { sm, io }),
@@ -1022,7 +1048,7 @@ pub fn drive_lanes<J: LaneJob>(
             opts,
             client_parker: client_parker.clone(),
             now: clock,
-            tcp,
+            started: tcp.then_some(t0),
         };
         for (i, lane) in lanes.iter_mut().enumerate() {
             let state = lane.take_state();
@@ -1075,8 +1101,7 @@ pub fn drive_lanes<J: LaneJob>(
             clock += 1;
         }
 
-        let fired = wheel.expire(clock);
-        let fired_count = fired.len();
+        let fired_count;
         {
             let mut ctx = DriverCtx {
                 endpoint,
@@ -1085,18 +1110,24 @@ pub fn drive_lanes<J: LaneJob>(
                 opts,
                 client_parker: client_parker.clone(),
                 now: clock,
-                tcp,
+                started: tcp.then_some(t0),
             };
-            for token in fired {
-                if let Some(lane) = lanes.get_mut(token.0) {
-                    on_lane_timer(lane, &mut ctx, token);
-                }
-            }
+            // Ready I/O first, deadlines second: a lane whose bytes
+            // arrived while the loop was held up makes progress (and
+            // re-arms its deadline) instead of timing out on a response
+            // that is already in its socket buffer.
             scratch.clear();
             scratch.extend(events.iter().map(|ev| ev.token));
             for &token in scratch.iter() {
                 if let Some(lane) = lanes.get_mut(token.0) {
                     on_lane_event(lane, &mut ctx, token);
+                }
+            }
+            let fired = ctx.wheel.expire(clock);
+            fired_count = fired.len();
+            for token in fired {
+                if let Some(lane) = lanes.get_mut(token.0) {
+                    on_lane_timer(lane, &mut ctx, token);
                 }
             }
         }
@@ -1213,15 +1244,18 @@ mod tests {
             .unwrap();
         let assigned: Vec<(usize, String)> = cats.iter().cloned().enumerate().collect();
 
+        let landed = std::sync::Mutex::new(Vec::new());
+        let sink = |seq: u64, app: CrawledApp| landed.lock().unwrap().push((seq, app));
         let specs = vec![LaneSpec {
             connection_id: 1,
             retry: RetryPolicy::default(),
-            job: CrawlLaneJob::new(assigned, CrawlerConfig::default().page_size, None),
+            job: CrawlLaneJob::new(assigned, CrawlerConfig::default().page_size, None, &sink),
         }];
         let (mut outcomes, _) =
             drive_lanes(&server.endpoint(), specs, &LaneOpts::default(), None).unwrap();
         let lane = outcomes.remove(0);
         let shards = lane.job.into_shards();
+        let landed = std::mem::take(&mut *landed.lock().unwrap());
 
         let plan = chaos.map(FaultPlan::new);
         let server2 = sim_server(plan);
@@ -1237,8 +1271,12 @@ mod tests {
             want_drops.extend(d);
         }
 
-        let got_apps: Vec<_> = shards.iter().flat_map(|s| s.apps.clone()).collect();
+        // One lane walks its categories in order, so apps land in
+        // ascending corpus order.
+        assert!(landed.windows(2).all(|w| w[0].0 < w[1].0));
+        let got_apps: Vec<_> = landed.into_iter().map(|(_, app)| app).collect();
         let got_drops: Vec<_> = shards.iter().flat_map(|s| s.dropouts.clone()).collect();
+        assert_eq!(shards.iter().map(|s| s.apps).sum::<usize>(), want_apps.len());
         assert_eq!(got_apps, want_apps);
         assert_eq!(got_drops, want_drops);
         assert_eq!(&lane.stats, blocking.stats());

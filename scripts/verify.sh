@@ -81,7 +81,7 @@ verify() {
     # by name so a rename cannot silently skip the gate.
     run_cargo "$mode" test -q -p gaugenn-core --test failure_injection \
         sigkill_matrix_resume_is_byte_identical || return 1
-    # Repro-level crash matrix: kill the real repro binary at three
+    # Repro-level crash matrix: kill the real repro binary at four
     # registered points, then --resume must reproduce the uninterrupted
     # run's stdout byte-for-byte (exit 137 = SIGKILL is the expected
     # "failure" of the armed run).
@@ -91,7 +91,7 @@ verify() {
     GAUGENN_JOURNAL_DIR="$crash_dir/journal" GAUGENN_CACHE_DIR="$crash_dir/cache" \
         run_cargo "$mode" run --release -q -p gaugenn-bench --bin repro \
         -- --scale tiny --seed 1402 --workers 2 --analysis-workers 2 >"$crash_dir/baseline.out" 2>/dev/null || return 1
-    for point in post-crawl:1 model-analysis:2 cache-append:2; do
+    for point in post-crawl:1 app-extract:3 model-analysis:2 cache-append:2; do
         rm -rf "$crash_dir/journal" "$crash_dir/cache"
         GAUGENN_CRASH="$point" GAUGENN_CRASH_MODE=kill \
             GAUGENN_JOURNAL_DIR="$crash_dir/journal" GAUGENN_CACHE_DIR="$crash_dir/cache" \

@@ -292,6 +292,84 @@ fn analysis_worker_count_never_changes_the_report() {
 }
 
 #[test]
+fn streamed_pipeline_matches_batch_analysis_of_a_collected_crawl() {
+    // The streaming guarantee: `Pipeline::run` extracts each app as its
+    // crawl connection lands it, in whatever order the lanes finish, and
+    // must still equal `AnalysisPool::analyse` over the whole crawl
+    // collected first — at every crawl × analysis worker count, on a
+    // clean store and under the default chaos plan.
+    use gaugenn::core::analyze::{AnalysisConfig, AnalysisPool};
+    use gaugenn::core::pipeline::{Pipeline, PipelineConfig, PipelineReport};
+
+    for chaos in [None, Some(FaultPlanConfig::default())] {
+        let collected = {
+            let server = StoreServer::start_with(
+                generate(CorpusScale::Tiny, Snapshot::Y2021, 7),
+                ServerOptions {
+                    chaos: chaos.clone().map(FaultPlan::new),
+                    ..ServerOptions::default()
+                },
+            )
+            .unwrap();
+            let crawl = Crawler::builder(server.addr()).build().unwrap().crawl_all();
+            crawl.unwrap().apps
+        };
+        let mut reference: Option<String> = None;
+        for workers in [1usize, 2, 4] {
+            for analysis_workers in [1usize, 2, 8] {
+                let what = format!("crawl {workers} x analysis {analysis_workers}, chaos {chaos:?}");
+                let mut cfg = PipelineConfig::tiny(Snapshot::Y2021, 7);
+                cfg.workers = workers;
+                cfg.analysis_workers = analysis_workers;
+                cfg.chaos = chaos.clone();
+                let streamed = Pipeline::new(cfg).run().unwrap();
+                let batch = AnalysisPool::new(AnalysisConfig::with_workers(analysis_workers))
+                    .analyse(&collected)
+                    .unwrap();
+                assert_eq!(streamed.dataset.total_models, batch.instances.len(), "{what}");
+                assert_eq!(streamed.dataset.unique_models, batch.models.len(), "{what}");
+                assert_eq!(
+                    streamed.dataset.failed_candidates, batch.failed_candidates,
+                    "{what}"
+                );
+                assert_eq!(streamed.composition.counts, batch.composition.counts, "{what}");
+                assert_eq!(streamed.analysis.instances, batch.stats.instances, "{what}");
+                assert_eq!(streamed.analysis.cache_hits, batch.stats.cache_hits, "{what}");
+                assert_eq!(streamed.analysis.cache_misses, batch.stats.cache_misses, "{what}");
+                let instance = |i: &gaugenn::core::pipeline::InstanceRecord| {
+                    (i.app.clone(), i.category.clone(), i.path.clone(), i.checksum.clone())
+                };
+                assert_eq!(
+                    streamed.instances.iter().map(instance).collect::<Vec<_>>(),
+                    batch.instances.iter().map(instance).collect::<Vec<_>>(),
+                    "{what}"
+                );
+                // The batch output rendered through the streamed run's
+                // dataset and drop-out ledger: every model row, cache
+                // counter and per-framework count must agree.
+                let text = streamed.render_text();
+                let batch_text = PipelineReport {
+                    models: batch.models,
+                    model_index: batch.model_index,
+                    instances: batch.instances,
+                    apps: batch.apps,
+                    index: batch.index,
+                    composition: batch.composition,
+                    analysis: batch.stats,
+                    ..streamed
+                }
+                .render_text();
+                assert_eq!(text, batch_text, "{what}");
+                match &reference {
+                    Some(r) => assert_eq!(&text, r, "{what}"),
+                    None => reference = Some(text),
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn worker_count_and_cache_state_never_change_the_report() {
     // The deterministic text render is byte-identical across worker
     // counts {1, 2, 8} for both pools and cache states {cold, warm}. The

@@ -53,7 +53,7 @@ fn crawled_model_runs_through_the_real_harness() {
         .next()
         .unwrap()
         .to_string();
-    let files = vec![(file_name.clone(), found.files[0].1.clone())];
+    let files = vec![(file_name.clone(), found.files[0].1.to_vec())];
 
     let master = Master::new().unwrap();
     let mut agent = DeviceAgent::new(device("Q845").unwrap());
@@ -154,7 +154,7 @@ fn verified_execution_of_extracted_model() {
     candidates.sort_by_key(|m| m.files[0].1.len());
     let found = candidates.first().expect("a TFLite model");
     let file_name = found.files[0].0.rsplit('/').next().unwrap().to_string();
-    let files = vec![(file_name.clone(), found.files[0].1.clone())];
+    let files = vec![(file_name.clone(), found.files[0].1.to_vec())];
     let master = Master::new().unwrap();
     let mut agent = DeviceAgent::new(device("Q888").unwrap());
     let job = JobSpec {
