@@ -130,13 +130,15 @@ pub fn prune_graph(graph: &Graph, fraction: f64) -> Graph {
         if w.is_empty() {
             continue;
         }
-        let mut mags: Vec<f32> = w.iter().map(|x| x.abs()).collect();
-        mags.sort_by(|a, b| a.partial_cmp(b).expect("no NaN weights"));
         let k = ((w.len() as f64) * fraction).floor() as usize;
         if k == 0 {
             continue;
         }
-        let threshold = mags[k - 1];
+        // The threshold is the k-th smallest magnitude; selecting it is
+        // linear where a full sort is not, and returns the same value.
+        let mut mags: Vec<f32> = w.iter().map(|x| x.abs()).collect();
+        let (_, &mut threshold, _) =
+            mags.select_nth_unstable_by(k - 1, |a, b| a.partial_cmp(b).expect("no NaN weights"));
         for x in w.iter_mut() {
             if x.abs() <= threshold {
                 *x = 0.0;
@@ -221,6 +223,96 @@ mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
     use crate::tensor::{DType, Shape};
+    use proptest::prelude::*;
+
+    /// The original sort-based pruning rule, kept so a property test can
+    /// pin the selection-based threshold against it bit for bit.
+    mod reference {
+        use super::*;
+
+        pub fn prune_graph(graph: &Graph, fraction: f64) -> Graph {
+            let mut g = graph.clone();
+            for node in &mut g.nodes {
+                let Some(WeightData::F32(w)) = &mut node.weights else {
+                    continue;
+                };
+                if w.is_empty() {
+                    continue;
+                }
+                let mut mags: Vec<f32> = w.iter().map(|x| x.abs()).collect();
+                mags.sort_by(|a, b| a.partial_cmp(b).expect("no NaN weights"));
+                let k = ((w.len() as f64) * fraction).floor() as usize;
+                if k == 0 {
+                    continue;
+                }
+                let threshold = mags[k - 1];
+                for x in w.iter_mut() {
+                    if x.abs() <= threshold {
+                        *x = 0.0;
+                    }
+                }
+            }
+            g
+        }
+    }
+
+    /// A chain of dense layers carrying `layers` as their weights.
+    fn dense_chain(layers: &[Vec<f32>]) -> Graph {
+        let mut b = GraphBuilder::new("chain");
+        let mut prev = b.input("in", Shape::vec2(1, 4), DType::F32);
+        for (i, w) in layers.iter().enumerate() {
+            prev = b.layer(
+                format!("fc{i}"),
+                LayerKind::Dense { units: 4 },
+                &[prev],
+                Some(WeightData::F32(w.clone())),
+                None,
+            );
+        }
+        b.finish(vec![prev]).unwrap()
+    }
+
+    fn weight_bits(g: &Graph) -> Vec<Vec<u32>> {
+        g.nodes
+            .iter()
+            .filter_map(|n| match &n.weights {
+                Some(WeightData::F32(w)) => Some(w.iter().map(|x| x.to_bits()).collect()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_selected_threshold_prunes_like_the_sort(
+            raw in prop::collection::vec(
+                prop::collection::vec((any::<bool>(), -12i32..=12, -1.0f32..1.0), 0..=4096),
+                1..4,
+            ),
+        ) {
+            // Half the weights come from a 25-value grid (ties, exact
+            // zeros, both signs), half are continuous.
+            let layers: Vec<Vec<f32>> = raw
+                .iter()
+                .map(|l| {
+                    l.iter()
+                        .map(|&(grid, q, x)| if grid { q as f32 / 8.0 } else { x })
+                        .collect()
+                })
+                .collect();
+            let g = dense_chain(&layers);
+            for fraction in [0.0, 0.0315, 0.1, 0.5, 1.0] {
+                prop_assert_eq!(
+                    weight_bits(&prune_graph(&g, fraction)),
+                    weight_bits(&reference::prune_graph(&g, fraction)),
+                    "fraction {}",
+                    fraction
+                );
+            }
+        }
+    }
 
     fn small_graph() -> Graph {
         let mut b = GraphBuilder::new("q");

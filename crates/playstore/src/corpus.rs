@@ -17,6 +17,7 @@ use gaugenn_modelfmt::{encode, Framework, ModelArtifact};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::borrow::Borrow;
 
 /// Which snapshot to generate (§4.1: 14 Feb 2020 / 4 Apr 2021).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -714,25 +715,13 @@ impl StoreCorpus {
         generate(scale, snapshot, seed)
     }
 
-    /// Apps in a category, store-rank order.
-    pub fn apps_in(&self, category: &str) -> Vec<&AppSpec> {
-        let Some(idx) = crate::categories::category_index(category) else {
-            return vec![];
-        };
-        self.apps.iter().filter(|a| a.category == idx).collect()
-    }
-
-    /// Look up an app by package name.
-    pub fn app(&self, package: &str) -> Option<&AppSpec> {
-        self.apps.iter().find(|a| a.package == package)
-    }
-
     /// Build the APK for an app (deterministic; models resolved from the
-    /// pool through `artifact_of`, which the server memoises).
-    pub fn build_apk(
+    /// pool through `artifact_of`, which the server memoises and answers
+    /// with its shared `Arc`, so no artifact is copied whole per APK).
+    pub fn build_apk<A: Borrow<ModelArtifact>>(
         &self,
         app: &AppSpec,
-        artifact_of: &mut dyn FnMut(usize) -> ModelArtifact,
+        artifact_of: &mut dyn FnMut(usize) -> A,
     ) -> Vec<u8> {
         let mut b = ApkBuilder::new(app.package.clone(), app.version_code);
         b.add_code_string(format!("title:{}", app.title));
@@ -770,7 +759,7 @@ impl StoreCorpus {
                 let mut used_names: Vec<String> = Vec::new();
                 for (k, &mid) in ml.model_ids.iter().enumerate() {
                     let art = artifact_of(mid);
-                    for (name, bytes) in &art.files {
+                    for (name, bytes) in &art.borrow().files {
                         let mut entry = name.clone();
                         if used_names.contains(&entry) {
                             entry = format!("v{k}_{entry}");
@@ -993,6 +982,25 @@ mod tests {
             by_model.values().any(|&n| n >= 2),
             "zipf assignment should duplicate some models across apps"
         );
+    }
+
+    #[test]
+    fn small_pool_artifact_bytes_are_pinned() {
+        // Every name and byte of one pool's artifacts, so a drift in
+        // model synthesis (pruning, quantisation, encoding) fails here
+        // and not only in the benchmark's study fingerprint.
+        let pool = build_pool(CorpusScale::Small, 5);
+        let mut crc = gaugenn_apk::crc32::Crc32::new();
+        let mut files = 0;
+        for model in &pool {
+            for (name, bytes) in &model.artifact(&pool).files {
+                crc.update(name.as_bytes());
+                crc.update(bytes);
+                files += 1;
+            }
+        }
+        assert_eq!((pool.len(), files), (36, 40));
+        assert_eq!(crc.finalize(), 0x1d89_304b);
     }
 
     #[test]

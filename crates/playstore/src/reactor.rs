@@ -223,6 +223,17 @@ impl<T: NonBlockingIo> ConnSm<T> {
         self.io.shutdown();
     }
 
+    /// Queue a served frame for writing. The usual case, one response
+    /// per flush, takes the frame over without copying it; frames of
+    /// pipelined requests append behind it.
+    fn queue(&mut self, frame: Vec<u8>) {
+        if self.write_buf.is_empty() {
+            self.write_buf = frame;
+        } else {
+            self.write_buf.extend_from_slice(&frame);
+        }
+    }
+
     /// Drive the state machine as far as readiness allows: flush queued
     /// response bytes, serve every complete buffered request, read more.
     /// Returns when the I/O would block or the connection's fate is
@@ -249,7 +260,9 @@ impl<T: NonBlockingIo> ConnSm<T> {
                     Err(_) => return PumpOutcome::Close,
                 }
             }
-            self.write_buf.clear();
+            // Release the flushed buffer: a served APK runs to megabytes,
+            // and an idle keep-alive connection should not hold one.
+            self.write_buf = Vec::new();
             self.written = 0;
             if let Some(ms) = self.pending_stall.take() {
                 self.state = ConnState::Stalled;
@@ -267,11 +280,11 @@ impl<T: NonBlockingIo> ConnSm<T> {
                         self.read_buf.drain(..consumed);
                         match serve(&req) {
                             Served::Frame(f) => {
-                                self.write_buf.extend_from_slice(&f);
+                                self.queue(f);
                                 produced = true;
                             }
                             Served::FrameThenClose(f) => {
-                                self.write_buf.extend_from_slice(&f);
+                                self.queue(f);
                                 self.close_after_flush = true;
                                 produced = true;
                                 break;
@@ -843,6 +856,27 @@ mod tests {
         assert!(matches!(outcome, PumpOutcome::Close));
         let mut r = BufReader::new(Cursor::new(sm.io.output.clone()));
         assert_eq!(read_response(&mut r).unwrap().text(), "/categories");
+    }
+
+    #[test]
+    fn a_flushed_frame_leaves_no_write_allocation_behind() {
+        let mut s = Vec::new();
+        write_request(&mut s, "/apk/com.x", &[("User-Agent", "t")]).unwrap();
+        let mut sm = ConnSm::new(
+            ScriptIo {
+                input: s,
+                pos: 0,
+                step: 4096,
+                eof_at_end: false,
+                output: Vec::new(),
+            },
+            0,
+        );
+        let frame = vec![0xA5; 1 << 20];
+        let outcome = sm.pump(&mut |_| Served::Frame(frame.clone()));
+        assert!(matches!(outcome, PumpOutcome::Continue));
+        assert_eq!(sm.io.output, frame, "the frame went out whole");
+        assert_eq!(sm.write_buf.capacity(), 0, "flushed buffer released");
     }
 
     #[test]

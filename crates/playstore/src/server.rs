@@ -24,6 +24,7 @@ use mio::{EpollReactor, Parker, SimReactor};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -54,6 +55,13 @@ pub struct ServerOptions {
 
 struct Shared {
     corpus: StoreCorpus,
+    /// Package name → position in `corpus.apps`, built once at start so
+    /// a request looks its app up instead of scanning the corpus.
+    packages: HashMap<String, usize>,
+    /// Each category's contiguous range of `corpus.apps` (the corpus
+    /// keeps apps grouped by category, in store-rank order), by index
+    /// into [`CATEGORIES`].
+    categories: Vec<Range<usize>>,
     artifact_cache: Mutex<HashMap<usize, Arc<ModelArtifact>>>,
     requests_served: Mutex<u64>,
     chaos: Option<FaultPlan>,
@@ -61,6 +69,37 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(
+        corpus: StoreCorpus,
+        chaos: Option<FaultPlan>,
+        index: Option<Arc<CorpusIndex>>,
+    ) -> Shared {
+        let mut packages = HashMap::with_capacity(corpus.apps.len());
+        let mut categories = vec![0..0; CATEGORIES.len()];
+        for (i, app) in corpus.apps.iter().enumerate() {
+            // First wins, as a front-to-back scan would answer.
+            packages.entry(app.package.clone()).or_insert(i);
+            let range = &mut categories[app.category];
+            if range.start == range.end {
+                range.start = i;
+            }
+            range.end = i + 1;
+        }
+        Shared {
+            corpus,
+            packages,
+            categories,
+            artifact_cache: Mutex::new(HashMap::new()),
+            requests_served: Mutex::new(0),
+            chaos,
+            index,
+        }
+    }
+
+    fn app(&self, package: &str) -> Option<&AppSpec> {
+        self.packages.get(package).map(|&i| &self.corpus.apps[i])
+    }
+
     fn artifact(&self, id: usize) -> Arc<ModelArtifact> {
         if let Some(a) = self.artifact_cache.lock().get(&id) {
             return a.clone();
@@ -129,13 +168,7 @@ impl StoreServer {
     /// Linux an epoll store fails with the reactor's `Unsupported` error.
     pub fn start_with(corpus: StoreCorpus, options: ServerOptions) -> Result<StoreServer> {
         let stop = Arc::new(AtomicBool::new(false));
-        let shared = Arc::new(Shared {
-            corpus,
-            artifact_cache: Mutex::new(HashMap::new()),
-            requests_served: Mutex::new(0),
-            chaos: options.chaos,
-            index: options.index,
-        });
+        let shared = Arc::new(Shared::new(corpus, options.chaos, options.index));
         match options.reactor {
             ReactorMode::Sim => Ok(Self::start_sim(shared, stop, options.reactor_seed)),
             ReactorMode::Epoll => Self::start_epoll(shared, stop),
@@ -266,13 +299,7 @@ impl LockstepServer {
     /// ignored (a lockstep server is sim by construction);
     /// `options.reactor_seed`, chaos plan and index apply as usual.
     pub fn start(corpus: StoreCorpus, options: ServerOptions) -> LockstepServer {
-        let shared = Arc::new(Shared {
-            corpus,
-            artifact_cache: Mutex::new(HashMap::new()),
-            requests_served: Mutex::new(0),
-            chaos: options.chaos,
-            index: options.index,
-        });
+        let shared = Arc::new(Shared::new(corpus, options.chaos, options.index));
         let parker = Parker::new();
         let net = SimNet::new(Arc::clone(&parker));
         let reactor = SimReactor::with_parker(options.reactor_seed, parker);
@@ -417,12 +444,17 @@ fn route(shared: &Shared, req: &Request, route: &Route) -> Response {
             Response::ok(body.into_bytes())
         }
         Route::Category { name, start, count } => {
-            let apps = corpus.apps_in(name);
-            if apps.is_empty() && crate::categories::category_index(name).is_none() {
+            let Some(idx) = crate::categories::category_index(name) else {
                 return Response::not_found(name);
-            }
+            };
+            let apps = &corpus.apps[shared.categories[idx].clone()];
             let count = (*count).min(MAX_PER_CATEGORY);
-            let end = (start + count).min(apps.len()).min(MAX_PER_CATEGORY);
+            // `start` is the client's: saturate, so a hostile offset
+            // pages past the end instead of overflowing.
+            let end = start
+                .saturating_add(count)
+                .min(apps.len())
+                .min(MAX_PER_CATEGORY);
             let page = if *start < end { &apps[*start..end] } else { &[] };
             let body = page
                 .iter()
@@ -431,18 +463,18 @@ fn route(shared: &Shared, req: &Request, route: &Route) -> Response {
                 .join("\n");
             Response::ok(body.into_bytes())
         }
-        Route::App { package } => match corpus.app(package) {
+        Route::App { package } => match shared.app(package) {
             Some(app) => Response::ok(meta_body(app).into_bytes()),
             None => Response::not_found(package),
         },
-        Route::Apk { package } => match corpus.app(package) {
+        Route::Apk { package } => match shared.app(package) {
             Some(app) => {
-                let bytes = corpus.build_apk(app, &mut |id| (*shared.artifact(id)).clone());
+                let bytes = corpus.build_apk(app, &mut |id| shared.artifact(id));
                 Response::ok(bytes)
             }
             None => Response::not_found(package),
         },
-        Route::Obb { package } => match corpus.app(package) {
+        Route::Obb { package } => match shared.app(package) {
             Some(app) if app.has_obb => {
                 let (name, bytes) = build_obb(
                     ObbKind::Main,
@@ -462,9 +494,9 @@ fn route(shared: &Shared, req: &Request, route: &Route) -> Response {
             Some(_) => Response::not_found("no expansion files"),
             None => Response::not_found(package),
         },
-        Route::Bundle { package } => match corpus.app(package) {
+        Route::Bundle { package } => match shared.app(package) {
             Some(app) if app.has_bundle => {
-                let base = corpus.build_apk(app, &mut |id| (*shared.artifact(id)).clone());
+                let base = corpus.build_apk(app, &mut |id| shared.artifact(id));
                 let mut bb = BundleBuilder::new(base);
                 bb.add_pack(AssetPack {
                     name: "hires_textures".into(),
@@ -649,6 +681,43 @@ mod tests {
         assert_eq!(past.body, full.body);
         assert_eq!(header(&past, RANGE_START_HEADER), None);
         assert_eq!(header(&past, FULL_CRC_HEADER), None);
+    }
+
+    #[test]
+    fn a_hostile_listing_offset_pages_past_the_end() {
+        let server = start_tiny();
+        let resp = get(
+            server.addr(),
+            "/category/communication?start=18446744073709551615&count=10",
+            &[UA],
+        );
+        assert_eq!(resp.status, 200);
+        assert!(resp.body.is_empty());
+        // The serving loop survived it: a fresh connection is answered.
+        assert_eq!(get(server.addr(), "/categories", &[UA]).status, 200);
+    }
+
+    #[test]
+    fn the_start_time_index_answers_what_the_scans_answered() {
+        for scale in [CorpusScale::Tiny, CorpusScale::Paper] {
+            for snapshot in [Snapshot::Y2020, Snapshot::Y2021] {
+                let shared = Shared::new(generate(scale, snapshot, 7), None, None);
+                let apps = &shared.corpus.apps;
+                // Unique names, so each app's own position is what a
+                // front-to-back `find` returns.
+                assert_eq!(shared.packages.len(), apps.len(), "{scale:?} {snapshot:?}");
+                for (i, app) in apps.iter().enumerate() {
+                    assert_eq!(shared.packages[&app.package], i);
+                }
+                assert!(shared.app("com.missing.app").is_none());
+                for (idx, range) in shared.categories.iter().enumerate() {
+                    let scanned: Vec<&AppSpec> =
+                        apps.iter().filter(|a| a.category == idx).collect();
+                    let indexed: Vec<&AppSpec> = apps[range.clone()].iter().collect();
+                    assert_eq!(indexed, scanned, "{scale:?} {snapshot:?} category {idx}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 # crate) plus the perfbench lockfile gate, the concurrency suite
 # re-run single-threaded, a
 # double-repro persistent-cache determinism check, the crash-recovery
-# matrix (SIGKILL at each registered crash point, then --resume must
-# reproduce stdout byte-for-byte), a cache
+# matrix (its uninterrupted run must match the pinned tiny report
+# byte-for-byte; SIGKILL at each registered crash point, then --resume
+# must reproduce stdout byte-for-byte), a cache
 # compaction-under-pressure check, the query-serving determinism gate
 # (querybench streams must be byte-identical at every connection
 # count), the reactor gate (readiness-replay determinism plus sim/epoll
@@ -91,6 +92,14 @@ verify() {
     GAUGENN_JOURNAL_DIR="$crash_dir/journal" GAUGENN_CACHE_DIR="$crash_dir/cache" \
         run_cargo "$mode" run --release -q -p gaugenn-bench --bin repro \
         -- --scale tiny --seed 1402 --workers 2 --analysis-workers 2 >"$crash_dir/baseline.out" 2>/dev/null || return 1
+    # The uninterrupted run is also the pinned tiny report: stdout is a
+    # pure function of (scale, snapshot, seed), so any byte that moves
+    # is a change to the paper tables, not noise.
+    if ! cmp -s results/repro_tiny_1402.txt "$crash_dir/baseline.out"; then
+        echo "verify: tiny repro stdout differs from results/repro_tiny_1402.txt" >&2
+        diff results/repro_tiny_1402.txt "$crash_dir/baseline.out" | head -40 >&2
+        return 1
+    fi
     for point in post-crawl:1 app-extract:3 model-analysis:2 cache-append:2; do
         rm -rf "$crash_dir/journal" "$crash_dir/cache"
         GAUGENN_CRASH="$point" GAUGENN_CRASH_MODE=kill \
