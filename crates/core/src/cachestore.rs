@@ -11,45 +11,39 @@
 //!
 //! # On-disk format
 //!
-//! * `cache.idx` — a text index: the header line `gnca v2 gen <N>`
-//!   (`<N>` is the compaction generation), then one line per persisted
-//!   entry: `<checksum> <clock> <bytes>` — a 32-hex-digit checksum, the
-//!   logical-clock tick of the entry's last use, and the entry file's
-//!   size. Appends are line-atomic; a *touch* (cache hit) appends a
-//!   fresh line for the same checksum and replay keeps the last one, so
-//!   recency survives restarts without rewriting the file. A missing or
-//!   mismatched header disables the whole index; a malformed line (e.g.
-//!   the torn tail of a truncated file) disables just that entry.
-//! * `<checksum>.gnce` — one binary entry per checksum:
-//!   `b"GNCE" | version:u32 | crc32(payload):u32 | len(payload):u64 |
-//!   payload`, all integers little-endian. The payload serialises the
-//!   [`ModelOutcome`] with a hand-rolled codec (no serde in the build
-//!   environment): a tag byte (0 = undecodable, 1 = analysis) followed by
-//!   the analysis fields.
+//! One [`Journal`] file, `cache.gnjl`, opened with replay always on under
+//! the fixed key `CACHE_KEY`. Each record payload is
+//! `tag:u8 | checksum:[u8; 32] | body`, the checksum in lowercase hex:
+//!
+//! * tag 1, *save* — the body serialises the [`ModelOutcome`] with a
+//!   hand-rolled codec (no serde in the build environment): a byte
+//!   (0 = undecodable, 1 = analysis) followed by the analysis fields. A
+//!   later save of the same checksum replaces the earlier one.
+//! * tag 2, *hit* — no body. A cache hit appends one, so the order of
+//!   records is the order of last use and LRU recency survives a
+//!   restart without rewriting the file.
 //!
 //! # Size bound, eviction, compaction
 //!
 //! `GAUGENN_CACHE_MAX_BYTES` (or [`CacheStore::open_with_limit`]) caps
-//! the cache directory. When entries plus the index exceed the cap, a
-//! compaction sweep evicts entries in **deterministic LRU order** —
-//! ascending last-use clock, checksum as the tie-break — until the
-//! survivors fit, rewrites the index (header generation +1, survivors
-//! only) through the same write-temp + atomic-rename helper every index
-//! rewrite uses, and only then deletes the evicted entry files plus any
-//! orphaned `.gnce` the index no longer vouches for. A crash at any
-//! point mid-compaction therefore degrades to the *old* generation: the
-//! previous index is intact until the rename lands, and entry files
-//! deleted after it are exactly the ones the new index already disowned.
+//! the log's size. When the log exceeds the cap, compaction keeps the
+//! most recently used save records that fit — the 16-byte header and
+//! each record's 8-byte frame counted — ascending last use with the
+//! checksum as the tie-break deciding who leaves first, and swaps the log
+//! for them through [`Journal::replace`]. The new log is renamed over the
+//! old one only once it is complete, so a crash mid-compaction leaves the
+//! old log.
 //!
 //! # Corruption policy
 //!
 //! The cache is an accelerator, never an authority: **every** failure —
-//! unreadable directory, truncated index, bit-flipped entry, version
-//! mismatch, short payload, unknown enum code — degrades to a cache miss
-//! and the caller recomputes from the model bytes. No corruption can
-//! surface as an error or, worse, as wrong analysis output; the crc32
-//! guard plus strict bounds-checked parsing reject torn writes before any
-//! field is trusted.
+//! unreadable directory, torn or foreign header, bit-flipped record,
+//! short payload, unknown enum code — degrades to cache misses and the
+//! caller recomputes from the model bytes. A record that fails its crc
+//! ends replay there, so it and every record after it miss. No
+//! corruption can surface as an error or, worse, as wrong analysis
+//! output; the crc32 guard plus strict bounds-checked parsing reject torn
+//! writes before any field is trusted.
 //!
 //! Trace failures ([`AnalyzeFailure::Trace`]) are deliberately *not*
 //! persisted: they abort the pipeline, so memoising them across runs
@@ -57,34 +51,33 @@
 
 use crate::analyze::{AnalyzeFailure, ModelAnalysis, ModelOutcome};
 use crate::crashpoint::{self, CrashPoint};
+use crate::journal::{put_str, put_u64, Journal, Reader, FRAME_LEN, HEADER_LEN};
 use gaugenn_analysis::classify::{Classification, Evidence};
 use gaugenn_analysis::optim::ModelOptim;
-use gaugenn_apk::crc32::crc32;
 use gaugenn_dnn::task::Task;
 use gaugenn_dnn::tensor::Shape;
 use gaugenn_dnn::trace::{LayerTrace, TraceReport};
 use std::collections::BTreeMap;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-/// Entry-file magic.
-const MAGIC: &[u8; 4] = b"GNCE";
-/// Entry/index format version. Bump on any codec change; old entries
-/// then read as misses and are rewritten.
-const VERSION: u32 = 1;
-/// Index header prefix; the full header line is `gnca v2 gen <N>`. A
-/// `gnca v1` index (or anything else) fails the header check and reads
-/// as cold — its entries are recomputed and re-persisted in v2 form.
-const INDEX_HEADER: &str = "gnca v2";
-/// Index file name.
-const INDEX_FILE: &str = "cache.idx";
-/// Environment cap on the cache directory, in bytes.
+/// The cache log's file name inside the cache directory.
+const LOG_FILE: &str = "cache.gnjl";
+/// The cache log's journal key. Bump on any record codec change; an old
+/// log then fails the key check and reads as cold.
+const CACHE_KEY: u64 = u64::from_le_bytes(*b"gncache1");
+/// Record tags.
+const TAG_SAVE: u8 = 1;
+const TAG_HIT: u8 = 2;
+/// End of a record's `tag | checksum` head; a save's body follows.
+const HEAD_LEN: usize = 1 + 32;
+/// Environment cap on the cache log, in bytes.
 pub const MAX_BYTES_ENV: &str = "GAUGENN_CACHE_MAX_BYTES";
 
 /// Every layer-family label [`gaugenn_dnn::graph::LayerKind::family`] can
 /// produce, used to re-intern deserialised `&'static str` families. An
-/// unknown label in a file means a corrupt or future-format entry — a
+/// unknown label in a record means a corrupt or future-format entry — a
 /// miss, per the corruption policy.
 const FAMILIES: [&str; 16] = [
     "input",
@@ -110,7 +103,7 @@ fn intern_family(s: &str) -> Option<&'static str> {
 }
 
 /// Stable wire codes for [`Task`]. Exhaustive in both directions so
-/// adding a variant without bumping [`VERSION`] fails to compile here.
+/// adding a variant without bumping [`CACHE_KEY`] fails to compile here.
 fn task_code(t: Task) -> u8 {
     match t {
         Task::ObjectDetection => 0,
@@ -185,36 +178,32 @@ fn evidence_from(code: u8) -> Option<Evidence> {
     })
 }
 
-/// Recency + size metadata for one indexed entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EntryMeta {
-    /// Logical-clock tick of the entry's last save or load.
+/// One persisted outcome.
+#[derive(Debug)]
+struct Entry {
+    /// Logical-clock tick of the entry's last save or hit.
     clock: u64,
-    /// Entry file size in bytes (as written; the eviction budget metric).
-    bytes: u64,
+    /// Its save record's payload, as written to the log.
+    record: Vec<u8>,
 }
 
-/// The mutable index state, guarded by one lock so concurrent workers
-/// keep the index file line-atomic and the logical clock monotonic.
+/// The log and what it vouches for, guarded by one lock so the order of
+/// records in the log matches the order of clock ticks.
 #[derive(Debug)]
-struct IndexState {
-    entries: BTreeMap<String, EntryMeta>,
+struct State {
+    log: Journal,
+    entries: BTreeMap<String, Entry>,
     /// Next logical-clock tick.
     next_clock: u64,
-    /// Compaction generation (from the header; bumped on every sweep).
-    generation: u64,
-    /// Whether the on-disk index already carries a valid v2 header.
-    header_written: bool,
 }
 
-/// The persistent cache. Cheap to share behind an [`Arc`]; `load` takes
-/// `&self` and `save` serialises writers on an internal index lock.
+/// The persistent cache. Cheap to share behind an [`Arc`]; `load` and
+/// `save` serialise on an internal lock.
 #[derive(Debug)]
 pub struct CacheStore {
-    dir: PathBuf,
-    /// Directory size cap; `None` = unbounded (no compaction).
+    /// Log size cap; `None` = unbounded (no compaction).
     max_bytes: Option<u64>,
-    state: Mutex<IndexState>,
+    state: Mutex<State>,
 }
 
 impl CacheStore {
@@ -222,10 +211,10 @@ impl CacheStore {
     /// shared, honouring a `GAUGENN_CACHE_MAX_BYTES` cap when set (a
     /// malformed value means unbounded — the cache never fails a run).
     ///
-    /// Never fails: an unreadable/uncreatable directory or a corrupt
-    /// index just yields an empty index, so every lookup misses and every
-    /// save is attempted fresh — the pipeline's output is identical
-    /// either way.
+    /// Never fails: an unreadable/uncreatable directory or a corrupt log
+    /// just yields an empty store, so every lookup misses and every save
+    /// is attempted fresh — the pipeline's output is identical either
+    /// way.
     pub fn open(dir: &Path) -> Arc<CacheStore> {
         let max = std::env::var(MAX_BYTES_ENV)
             .ok()
@@ -233,35 +222,41 @@ impl CacheStore {
         CacheStore::open_with_limit(dir, max)
     }
 
-    /// [`CacheStore::open`] with an explicit size cap. Runs a compaction
-    /// sweep immediately when the directory is already over budget.
+    /// [`CacheStore::open`] with an explicit size cap. Replays the log,
+    /// then compacts it immediately when it is already over budget.
     pub fn open_with_limit(dir: &Path, max_bytes: Option<u64>) -> Arc<CacheStore> {
-        let _ = fs::create_dir_all(dir);
-        let index_path = dir.join(INDEX_FILE);
-        let parsed = read_index(&index_path);
-        if parsed.is_none() && index_path.exists() {
-            // Stale format or corrupt header: everything below it is
-            // untrusted, so clear the file rather than appending v2
-            // lines after a dead header.
-            let _ = fs::remove_file(&index_path);
+        let (log, records) = Journal::open(&dir.join(LOG_FILE), CACHE_KEY, true);
+        let mut entries = BTreeMap::new();
+        let mut next_clock = 0;
+        for record in records {
+            let clock = next_clock;
+            next_clock += 1;
+            // A record this codec does not know is skipped, not fatal.
+            match parse_head(&record) {
+                Some((TAG_SAVE, sum)) => {
+                    entries.insert(sum, Entry { clock, record });
+                }
+                Some((TAG_HIT, sum)) if record.len() == HEAD_LEN => {
+                    if let Some(e) = entries.get_mut(&sum) {
+                        e.clock = clock;
+                    }
+                }
+                _ => {}
+            }
         }
-        let (entries, generation) = parsed.clone().unwrap_or_default();
-        let next_clock = entries.values().map(|m| m.clock).max().map_or(1, |c| c + 1);
         let store = Arc::new(CacheStore {
-            dir: dir.to_path_buf(),
             max_bytes,
-            state: Mutex::new(IndexState {
+            state: Mutex::new(State {
+                log,
                 entries,
                 next_clock,
-                generation,
-                header_written: parsed.is_some(),
             }),
         });
         store.compact_if_over();
         store
     }
 
-    /// Entries the index currently vouches for.
+    /// Entries the log currently vouches for.
     pub fn len(&self) -> usize {
         self.state
             .lock()
@@ -270,61 +265,24 @@ impl CacheStore {
             .len()
     }
 
-    /// Whether the index is empty.
+    /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// The current compaction generation.
-    pub fn generation(&self) -> u64 {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .generation
-    }
-
-    /// Configured directory cap, if any.
-    pub fn max_bytes(&self) -> Option<u64> {
-        self.max_bytes
-    }
-
-    /// Bytes the cache accounts for: indexed entry files plus the index
-    /// file itself.
-    pub fn total_bytes(&self) -> u64 {
-        let entries: u64 = self
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entries
-            .values()
-            .map(|m| m.bytes)
-            .sum();
-        entries + fs::metadata(self.dir.join(INDEX_FILE)).map_or(0, |m| m.len())
-    }
-
-    fn entry_path(&self, checksum: &str) -> PathBuf {
-        self.dir.join(format!("{checksum}.gnce"))
-    }
-
-    /// Look up a persisted outcome. `None` is a miss — absent, corrupt,
-    /// truncated, wrong-version and future-format entries all land here.
-    /// A hit is a *touch*: it advances the entry's last-use clock and
-    /// appends the refreshed line so LRU recency survives restarts.
+    /// Look up a persisted outcome. `None` is a miss — absent, dropped at
+    /// replay, and undecodable entries all land here. A hit advances the
+    /// entry's last-use clock and appends a hit record so LRU recency
+    /// survives restarts.
     pub fn load(&self, checksum: &str) -> Option<ModelOutcome> {
-        if !valid_checksum(checksum) {
-            return None;
-        }
-        {
-            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            let clock = st.next_clock;
-            let meta = st.entries.get_mut(checksum)?;
-            meta.clock = clock;
-            let bytes = meta.bytes;
-            st.next_clock = clock + 1;
-            append_index_line(&self.dir, &mut st, checksum, clock, bytes);
-        }
-        let raw = fs::read(self.entry_path(checksum)).ok()?;
-        decode_entry(&raw)
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let clock = st.next_clock;
+        let entry = st.entries.get_mut(checksum)?;
+        let outcome = decode_outcome(&entry.record[HEAD_LEN..])?;
+        entry.clock = clock;
+        st.next_clock = clock + 1;
+        st.log.append(&head(TAG_HIT, checksum));
+        Some(outcome)
     }
 
     /// Persist an outcome, best-effort: serialisation is infallible but
@@ -334,33 +292,21 @@ impl CacheStore {
         if !valid_checksum(checksum) {
             return;
         }
-        let payload = match outcome {
-            Ok(analysis) => encode_analysis(analysis),
-            Err(AnalyzeFailure::Undecodable) => vec![0u8],
+        let mut record = head(TAG_SAVE, checksum);
+        match outcome {
+            Ok(analysis) => encode_analysis(&mut record, analysis),
+            Err(AnalyzeFailure::Undecodable) => record.push(0),
             Err(AnalyzeFailure::Trace(_)) => return,
-        };
-        let mut entry = Vec::with_capacity(payload.len() + 20);
-        entry.extend_from_slice(MAGIC);
-        entry.extend_from_slice(&VERSION.to_le_bytes());
-        entry.extend_from_slice(&crc32(&payload).to_le_bytes());
-        entry.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        entry.extend_from_slice(&payload);
-
-        // Atomic-publish the entry file, then its index line. The crash
-        // point sits in the gap on purpose: a run killed here leaves an
-        // entry file the index never vouches for — the torn-append
-        // window the `unlisted entry ⇒ miss` policy absorbs.
-        let name = format!("{checksum}.gnce");
-        if !write_atomic(&self.dir, &name, &entry) {
-            return;
+        }
+        {
+            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            st.log.append(&record);
+            let clock = st.next_clock;
+            st.next_clock = clock + 1;
+            st.entries
+                .insert(checksum.to_string(), Entry { clock, record });
         }
         crashpoint::hit(CrashPoint::CacheAppend);
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let clock = st.next_clock;
-        st.next_clock = clock + 1;
-        let bytes = entry.len() as u64;
-        st.entries.insert(checksum.to_string(), EntryMeta { clock, bytes });
-        append_index_line(&self.dir, &mut st, checksum, clock, bytes);
     }
 
     /// Run a compaction sweep if the configured cap is exceeded.
@@ -370,160 +316,59 @@ impl CacheStore {
         }
     }
 
-    /// Evict-and-compact down to `max` bytes (entries + rewritten
-    /// index). Victims leave in deterministic LRU order: ascending
-    /// last-use clock, checksum as the tie-break. The new index is
-    /// published with [`write_atomic`] before any entry file is deleted,
-    /// so a crash anywhere mid-sweep degrades to the old generation.
-    pub fn compact_to(&self, max: u64) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let index_path = self.dir.join(INDEX_FILE);
-        let entries_total: u64 = st.entries.values().map(|m| m.bytes).sum();
-        let index_len = fs::metadata(&index_path).map_or(0, |m| m.len());
-        if entries_total + index_len <= max {
+    /// Compact the log down to `max` bytes when it is over. Survivors
+    /// are the most recently used entries that fit (checksum as the
+    /// tie-break), rewritten oldest first so replay order stays LRU
+    /// order. If the new log cannot be installed the old one stays.
+    fn compact_to(&self, max: u64) {
+        let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let st = &mut *guard;
+        if fs::metadata(st.log.path()).map_or(0, |m| m.len()) <= max {
             return;
         }
-        let generation = st.generation + 1;
-        let header = format!("{INDEX_HEADER} gen {generation}\n");
-
-        // Keep most-recent-first while the survivors (entry bytes plus
-        // their index lines plus the header) still fit under the cap.
-        let mut by_recency: Vec<(String, EntryMeta)> = st
-            .entries
-            .iter()
-            .map(|(k, m)| (k.clone(), *m))
-            .collect();
-        by_recency.sort_by(|a, b| b.1.clock.cmp(&a.1.clock).then(a.0.cmp(&b.0)));
-        let mut used = header.len() as u64;
-        let mut keep: BTreeMap<String, EntryMeta> = BTreeMap::new();
-        for (sum, meta) in by_recency {
-            let line_len = index_line(&sum, meta.clock, meta.bytes).len() as u64;
-            if used + meta.bytes + line_len <= max {
-                used += meta.bytes + line_len;
-                keep.insert(sum, meta);
+        let mut by_recency: Vec<(&String, &Entry)> = st.entries.iter().collect();
+        by_recency.sort_by(|a, b| b.1.clock.cmp(&a.1.clock).then(a.0.cmp(b.0)));
+        let mut used = HEADER_LEN as u64;
+        let (mut keep, mut evict) = (Vec::new(), Vec::new());
+        for (sum, entry) in by_recency {
+            let cost = (FRAME_LEN + entry.record.len()) as u64;
+            if used + cost <= max {
+                used += cost;
+                keep.push(entry.record.as_slice());
+            } else {
+                evict.push(sum.clone());
             }
         }
-
-        let mut content = header;
-        for (sum, meta) in &keep {
-            content.push_str(&index_line(sum, meta.clock, meta.bytes));
-        }
-        if !write_atomic(&self.dir, INDEX_FILE, content.as_bytes()) {
-            return; // old index (old generation) stays authoritative
-        }
-        st.generation = generation;
-        st.header_written = true;
-        st.entries = keep;
-
-        // Only now delete what the new index disowns: evicted entries
-        // plus any orphaned `.gnce` a torn append left behind.
-        if let Ok(dirents) = fs::read_dir(&self.dir) {
-            for d in dirents.flatten() {
-                let name = d.file_name();
-                let Some(name) = name.to_str() else { continue };
-                let Some(stem) = name.strip_suffix(".gnce") else {
-                    continue;
-                };
-                if !st.entries.contains_key(stem) {
-                    let _ = fs::remove_file(d.path());
-                }
+        if st.log.replace(keep.into_iter().rev()) {
+            for sum in evict {
+                st.entries.remove(&sum);
             }
         }
     }
 }
 
-/// Write `bytes` to `dir/name` through a temp file and an atomic rename:
-/// readers observe either the old file or the new one, never a torn
-/// write. Shared by entry publication and every index rewrite. Returns
-/// `false` (leaving the old file intact) on any I/O error.
-fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> bool {
-    let tmp = dir.join(format!("{name}.tmp"));
-    if fs::write(&tmp, bytes).is_err() || fs::rename(&tmp, dir.join(name)).is_err() {
-        let _ = fs::remove_file(&tmp);
-        return false;
-    }
-    true
-}
-
-/// 32 lowercase hex digits (an md5), which also keeps entry file names
-/// shell-safe by construction.
+/// 32 lowercase hex digits (an md5): the fixed-width key of a record.
 fn valid_checksum(s: &str) -> bool {
     s.len() == 32 && s.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
 }
 
-fn index_line(checksum: &str, clock: u64, bytes: u64) -> String {
-    format!("{checksum} {clock} {bytes}\n")
+/// A record's `tag | checksum` head.
+fn head(tag: u8, checksum: &str) -> Vec<u8> {
+    let mut out = vec![tag];
+    out.extend_from_slice(checksum.as_bytes());
+    out
 }
 
-/// Parse the index file: `(entries, generation)`, or `None` when the
-/// file is missing or its header line is anything but a valid v2 header
-/// (which disables the whole index). Malformed entry lines (torn tails)
-/// disable just themselves; repeated checksums keep the last line, so
-/// appended touches refresh recency.
-fn read_index(path: &Path) -> Option<(BTreeMap<String, EntryMeta>, u64)> {
-    let text = fs::read_to_string(path).ok()?;
-    let mut lines = text.lines();
-    let header = lines.next()?;
-    let rest = header.strip_prefix(INDEX_HEADER)?;
-    let generation = match rest.trim() {
-        "" => 0,
-        g => g.strip_prefix("gen ")?.trim().parse::<u64>().ok()?,
-    };
-    let mut entries = BTreeMap::new();
-    for line in lines {
-        let mut parts = line.split_ascii_whitespace();
-        let (Some(sum), Some(clock), Some(bytes), None) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            continue;
-        };
-        if !valid_checksum(sum) {
-            continue;
-        }
-        let (Ok(clock), Ok(bytes)) = (clock.parse::<u64>(), bytes.parse::<u64>()) else {
-            continue;
-        };
-        entries.insert(sum.to_string(), EntryMeta { clock, bytes });
-    }
-    Some((entries, generation))
-}
-
-/// Append one `<checksum> <clock> <bytes>` line (writing the header
-/// first on a fresh file). Must be called with the state lock held so
-/// appends stay ordered; failures are swallowed — at worst the entry
-/// reads as unlisted next open, i.e. a miss.
-fn append_index_line(dir: &Path, st: &mut IndexState, checksum: &str, clock: u64, bytes: u64) {
-    use std::io::Write as _;
-    let mut opts = fs::OpenOptions::new();
-    opts.append(true).create(true);
-    if let Ok(mut f) = opts.open(dir.join(INDEX_FILE)) {
-        let line = if st.header_written {
-            index_line(checksum, clock, bytes)
-        } else {
-            format!(
-                "{INDEX_HEADER} gen {}\n{}",
-                st.generation,
-                index_line(checksum, clock, bytes)
-            )
-        };
-        if f.write_all(line.as_bytes()).is_ok() {
-            st.header_written = true;
-        }
-    }
+/// Split a replayed record's head into its tag and checksum; `None` for
+/// a record too short or keyed by anything but a valid checksum.
+fn parse_head(record: &[u8]) -> Option<(u8, String)> {
+    let sum = std::str::from_utf8(record.get(1..HEAD_LEN)?).ok()?;
+    valid_checksum(sum).then(|| (record[0], sum.to_string()))
 }
 
 // ---------------------------------------------------------------------
-// Payload codec.
+// Outcome codec.
 // ---------------------------------------------------------------------
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
 
 fn encode_trace(out: &mut Vec<u8>, trace: &TraceReport) {
     put_u64(out, trace.layers.len() as u64);
@@ -549,10 +394,10 @@ fn encode_trace(out: &mut Vec<u8>, trace: &TraceReport) {
     }
 }
 
-fn encode_analysis(a: &ModelAnalysis) -> Vec<u8> {
-    let mut out = vec![1u8];
-    put_str(&mut out, &a.name);
-    encode_trace(&mut out, &a.trace);
+fn encode_analysis(out: &mut Vec<u8>, a: &ModelAnalysis) {
+    out.push(1);
+    put_str(out, &a.name);
+    encode_trace(out, &a.trace);
     match &a.classification {
         None => out.push(0),
         Some(c) => {
@@ -570,61 +415,17 @@ fn encode_analysis(a: &ModelAnalysis) -> Vec<u8> {
     ] {
         out.push(flag as u8);
     }
-    put_u64(&mut out, a.optim.total_weights);
-    put_u64(&mut out, a.optim.near_zero_weights);
-    put_u64(&mut out, a.layers.len() as u64);
+    put_u64(out, a.optim.total_weights);
+    put_u64(out, a.optim.near_zero_weights);
+    put_u64(out, a.layers.len() as u64);
     for (name, sum) in &a.layers {
-        put_str(&mut out, name);
-        put_u64(&mut out, *sum);
+        put_str(out, name);
+        put_u64(out, *sum);
     }
-    put_u64(&mut out, a.layer_families.len() as u64);
+    put_u64(out, a.layer_families.len() as u64);
     for (family, count) in &a.layer_families {
-        put_str(&mut out, family);
-        put_u64(&mut out, *count);
-    }
-    out
-}
-
-/// Strict bounds-checked reader over a payload; every getter returns
-/// `None` past the end, which bubbles up as a cache miss.
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, at: 0 }
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.at)?;
-        self.at += 1;
-        Some(b)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let bytes = self.buf.get(self.at..self.at + 8)?;
-        self.at += 8;
-        Some(u64::from_le_bytes(bytes.try_into().ok()?))
-    }
-
-    /// A length prefix that must still fit in the remaining buffer —
-    /// rejects absurd lengths before any allocation trusts them.
-    fn len(&mut self) -> Option<usize> {
-        let n = usize::try_from(self.u64()?).ok()?;
-        (n <= self.buf.len() - self.at).then_some(n)
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let n = self.len()?;
-        let bytes = self.buf.get(self.at..self.at + n)?;
-        self.at += n;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.buf.len()
+        put_str(out, family);
+        put_u64(out, *count);
     }
 }
 
@@ -677,11 +478,7 @@ fn decode_analysis(r: &mut Reader<'_>) -> Option<ModelAnalysis> {
     };
     let mut flags = [false; 5];
     for f in &mut flags {
-        *f = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
+        *f = r.bool()?;
     }
     let optim = ModelOptim {
         clustered: flags[0],
@@ -714,22 +511,9 @@ fn decode_analysis(r: &mut Reader<'_>) -> Option<ModelAnalysis> {
     })
 }
 
-/// Validate and decode one entry file. `None` on any anomaly.
-fn decode_entry(raw: &[u8]) -> Option<ModelOutcome> {
-    if raw.len() < 20 || &raw[0..4] != MAGIC {
-        return None;
-    }
-    let version = u32::from_le_bytes(raw[4..8].try_into().ok()?);
-    if version != VERSION {
-        return None;
-    }
-    let want_crc = u32::from_le_bytes(raw[8..12].try_into().ok()?);
-    let len = usize::try_from(u64::from_le_bytes(raw[12..20].try_into().ok()?)).ok()?;
-    let payload = raw.get(20..)?;
-    if payload.len() != len || crc32(payload) != want_crc {
-        return None;
-    }
-    let mut r = Reader::new(payload);
+/// Decode a save record's body. `None` on any anomaly.
+fn decode_outcome(body: &[u8]) -> Option<ModelOutcome> {
+    let mut r = Reader::new(body);
     let outcome = match r.u8()? {
         0 => Err(AnalyzeFailure::Undecodable),
         1 => Ok(Arc::new(decode_analysis(&mut r)?)),
@@ -741,6 +525,7 @@ fn decode_entry(raw: &[u8]) -> Option<ModelOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn sample_analysis() -> ModelAnalysis {
         ModelAnalysis {
@@ -804,6 +589,22 @@ mod tests {
     const SUM: &str = "0123456789abcdef0123456789abcdef";
     const SUM2: &str = "ffffffffffffffffffffffffffffffff";
 
+    /// Distinct valid checksums: 32 hex digits ending in `i`.
+    fn sum_n(i: u8) -> String {
+        format!("{:032x}", 0xabc0 + i as u64)
+    }
+
+    /// Log bytes one saved `sample_analysis` costs: frame plus payload.
+    fn record_cost() -> u64 {
+        let mut record = head(TAG_SAVE, SUM);
+        encode_analysis(&mut record, &sample_analysis());
+        (FRAME_LEN + record.len()) as u64
+    }
+
+    fn log_len(dir: &Path) -> u64 {
+        fs::metadata(dir.join(LOG_FILE)).unwrap().len()
+    }
+
     #[test]
     fn roundtrips_analysis_and_undecodable() {
         let dir = tmp_dir("roundtrip");
@@ -838,87 +639,145 @@ mod tests {
     #[test]
     fn bit_flipped_entry_is_a_miss() {
         let dir = tmp_dir("bitflip");
-        let store = CacheStore::open(&dir);
-        store.save(SUM, &Ok(Arc::new(sample_analysis())));
-        let path = dir.join(format!("{SUM}.gnce"));
+        {
+            let store = CacheStore::open(&dir);
+            for i in 0..3 {
+                store.save(&sum_n(i), &Ok(Arc::new(sample_analysis())));
+            }
+        }
+        let path = dir.join(LOG_FILE);
         let mut raw = fs::read(&path).unwrap();
-        let mid = raw.len() / 2;
-        raw[mid] ^= 0x40;
+        // Flip a byte inside the second record's payload.
+        let second = HEADER_LEN + record_cost() as usize;
+        raw[second + FRAME_LEN + HEAD_LEN + 5] ^= 0x40;
         fs::write(&path, &raw).unwrap();
-        assert!(store.load(SUM).is_none(), "crc must catch the flip");
+        let store = CacheStore::open(&dir);
+        // The crc ends replay at the flipped record: the one before it
+        // survives, it and every record after it are misses.
+        assert_eq!(store.len(), 1);
+        assert!(store.load(&sum_n(0)).is_some());
+        assert!(store.load(&sum_n(1)).is_none(), "crc must catch the flip");
+        assert!(store.load(&sum_n(2)).is_none());
+        // The log was truncated at the flip and appends replay again.
+        store.save(&sum_n(1), &Ok(Arc::new(sample_analysis())));
+        assert_eq!(CacheStore::open(&dir).len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn truncated_entry_is_a_miss() {
-        let dir = tmp_dir("trunc-entry");
-        let store = CacheStore::open(&dir);
-        store.save(SUM, &Ok(Arc::new(sample_analysis())));
-        let path = dir.join(format!("{SUM}.gnce"));
+        let dir = tmp_dir("torn");
+        {
+            let store = CacheStore::open(&dir);
+            store.save(SUM, &Ok(Arc::new(sample_analysis())));
+            store.save(SUM2, &Err(AnalyzeFailure::Undecodable));
+        }
+        let path = dir.join(LOG_FILE);
         let raw = fs::read(&path).unwrap();
-        for keep in [0usize, 3, 19, raw.len() - 1] {
+        // A torn tail, inside the second record's frame or payload: the
+        // record before the tear survives, the torn one is a miss.
+        let second = HEADER_LEN + record_cost() as usize;
+        for keep in [second + 3, second + FRAME_LEN + 5, raw.len() - 1] {
             fs::write(&path, &raw[..keep]).unwrap();
+            let store = CacheStore::open(&dir);
+            assert_eq!(store.len(), 1, "kept {keep} bytes");
+            assert!(store.load(SUM).is_some(), "kept {keep} bytes");
+            assert!(store.load(SUM2).is_none(), "kept {keep} bytes");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn truncated_index_degrades_to_misses() {
+        // The log is the cache's only index: its header vouches for the
+        // file, its hit records for recency.
+        let dir = tmp_dir("torn-index");
+        {
+            let store = CacheStore::open(&dir);
+            store.save(SUM, &Ok(Arc::new(sample_analysis())));
+            store.save(SUM2, &Err(AnalyzeFailure::Undecodable));
+            assert!(store.load(SUM).is_some());
+        }
+        let path = dir.join(LOG_FILE);
+        let raw = fs::read(&path).unwrap();
+        let one = Some(HEADER_LEN as u64 + record_cost());
+        // Intact, the hit record makes SUM the most recent entry, so a
+        // budget of one record keeps it.
+        assert!(CacheStore::open_with_limit(&dir, one).load(SUM).is_some());
+        // Torn inside the trailing hit record: both saves survive, only
+        // the recency the hit recorded is lost, so the same budget keeps
+        // the last save instead.
+        for keep in [raw.len() - 1, raw.len() - HEAD_LEN] {
+            fs::write(&path, &raw[..keep]).unwrap();
+            assert_eq!(CacheStore::open(&dir).len(), 2, "kept {keep} bytes");
+            let store = CacheStore::open_with_limit(&dir, one);
+            assert_eq!(store.len(), 1, "kept {keep} bytes");
             assert!(store.load(SUM).is_none(), "kept {keep} bytes");
+            assert!(store.load(SUM2).is_some(), "kept {keep} bytes");
+        }
+        // Torn inside the header: the whole log is disabled and reads
+        // cold, and the next save starts it afresh.
+        for keep in [0, 3, HEADER_LEN - 1] {
+            fs::write(&path, &raw[..keep]).unwrap();
+            let store = CacheStore::open(&dir);
+            assert!(store.is_empty(), "kept {keep} bytes");
+            assert!(store.load(SUM).is_none(), "kept {keep} bytes");
+            store.save(SUM, &Ok(Arc::new(sample_analysis())));
+            assert_eq!(CacheStore::open(&dir).len(), 1, "kept {keep} bytes");
         }
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn version_mismatch_is_a_miss() {
-        let dir = tmp_dir("version");
-        let store = CacheStore::open(&dir);
-        store.save(SUM, &Ok(Arc::new(sample_analysis())));
-        let path = dir.join(format!("{SUM}.gnce"));
-        let mut raw = fs::read(&path).unwrap();
-        raw[4..8].copy_from_slice(&(VERSION + 1).to_le_bytes());
-        fs::write(&path, &raw).unwrap();
-        assert!(store.load(SUM).is_none(), "future version must miss");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn truncated_index_degrades_to_misses() {
-        let dir = tmp_dir("trunc-index");
-        {
-            let store = CacheStore::open(&dir);
-            store.save(SUM, &Ok(Arc::new(sample_analysis())));
-            store.save(SUM2, &Err(AnalyzeFailure::Undecodable));
-        }
-        let idx = dir.join(INDEX_FILE);
-        let full = fs::read_to_string(&idx).unwrap();
-        // Tear the file mid-way through the second entry's line: the torn
-        // line fails validation, the intact first entry survives.
-        fs::write(&idx, &full[..full.len() - 10]).unwrap();
-        let store = CacheStore::open(&dir);
-        assert_eq!(store.len(), 1);
-        assert!(store.load(SUM).is_some());
-        assert!(store.load(SUM2).is_none());
-        // Tear it inside the header: the whole index is disabled.
-        fs::write(&idx, &full[..3]).unwrap();
-        let store = CacheStore::open(&dir);
-        assert!(store.is_empty());
-        assert!(store.load(SUM).is_none());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unlisted_entry_file_is_a_miss() {
-        // An entry file without its index line (torn index append) is
-        // never trusted.
-        let dir = tmp_dir("unlisted");
+        let dir = tmp_dir("foreign");
         {
             let store = CacheStore::open(&dir);
             store.save(SUM, &Ok(Arc::new(sample_analysis())));
         }
-        fs::remove_file(dir.join(INDEX_FILE)).unwrap();
-        let store = CacheStore::open(&dir);
-        assert!(store.load(SUM).is_none());
+        let path = dir.join(LOG_FILE);
+        let raw = fs::read(&path).unwrap();
+        let mut future_version = raw.clone();
+        future_version[4] ^= 0x01;
+        let mut foreign_key = raw.clone();
+        let run_key = crate::journal::run_key("tiny", "y2020", 7);
+        foreign_key[8..16].copy_from_slice(&run_key.to_le_bytes());
+        for header in [future_version, foreign_key] {
+            fs::write(&path, &header).unwrap();
+            let store = CacheStore::open(&dir);
+            assert!(store.is_empty(), "a foreign log is cold, not an error");
+            assert!(store.load(SUM).is_none());
+            // The log was started afresh, so it heals on the next save.
+            store.save(SUM, &Ok(Arc::new(sample_analysis())));
+            assert!(CacheStore::open(&dir).load(SUM).is_some());
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Distinct valid checksums: 32 hex digits ending in `i`.
-    fn sum_n(i: u8) -> String {
-        format!("{:032x}", 0xabc0 + i as u64)
+    #[test]
+    fn v1_index_reads_as_cold_and_self_heals() {
+        // Directories in the per-entry formats of earlier versions (a
+        // `cache.idx` index, v1 or v2, plus `.gnce` entry files) hold no
+        // log: they read cold, not as an error.
+        for (tag, index) in [
+            ("v1-cold", format!("gnca v1\n{SUM}\n")),
+            ("v2-cold", format!("gnca v2 gen 0\n{SUM} 1 64\n")),
+        ] {
+            let dir = tmp_dir(tag);
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join("cache.idx"), index).unwrap();
+            fs::write(dir.join(format!("{SUM}.gnce")), b"GNCE").unwrap();
+            let store = CacheStore::open_with_limit(&dir, None);
+            assert!(store.is_empty(), "{tag}: old format is cold");
+            assert!(store.load(SUM).is_none(), "{tag}");
+            // Re-saving starts a clean log, which the next run replays.
+            store.save(SUM, &Ok(Arc::new(sample_analysis())));
+            let reopened = CacheStore::open_with_limit(&dir, None);
+            assert_eq!(reopened.len(), 1, "{tag}");
+            let loaded = reopened.load(SUM).expect("healed").unwrap();
+            assert_same_analysis(&loaded, &sample_analysis());
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -929,18 +788,15 @@ mod tests {
             store.save(&sum_n(i), &Ok(Arc::new(sample_analysis())));
         }
         // Touch the two *oldest* saves so recency order differs from
-        // save order: victims must leave by last-use clock, not insert
-        // order.
+        // save order: victims must leave by last use, not insert order.
         assert!(store.load(&sum_n(0)).is_some());
         assert!(store.load(&sum_n(1)).is_some());
-        let entry_len = fs::metadata(dir.join(format!("{}.gnce", sum_n(0))))
-            .unwrap()
-            .len();
-        // Budget for roughly three entries plus the rewritten index.
-        let max = entry_len * 3 + 200;
+        // Budget for three records plus the header, with slack short of
+        // a fourth.
+        let cost = record_cost();
+        let max = HEADER_LEN as u64 + 3 * cost + cost / 2;
         store.compact_to(max);
-        assert!(store.total_bytes() <= max, "{} > {max}", store.total_bytes());
-        assert_eq!(store.generation(), 1);
+        assert!(log_len(&dir) <= max, "{} > {max}", log_len(&dir));
         // Survivors are the most recently used: the touched 0 and 1 plus
         // the last save (5); the untouched middle saves were evicted.
         for kept in [0u8, 1, 5] {
@@ -948,16 +804,27 @@ mod tests {
         }
         for gone in [2u8, 3, 4] {
             assert!(store.load(&sum_n(gone)).is_none(), "entry {gone} evicted");
-            assert!(!dir.join(format!("{}.gnce", sum_n(gone))).exists());
         }
-        // Recency survives a reopen. The touch lines appended by the
-        // loads above may push the index itself over the slim budget, in
-        // which case the open runs one more compaction — which dedupes
-        // the index without losing any of the three survivors.
-        let reopened = CacheStore::open_with_limit(&dir, Some(max));
-        assert!(reopened.generation() >= 1);
-        assert_eq!(reopened.len(), 3);
-        assert!(reopened.total_bytes() <= max);
+        let files: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|d| d.unwrap().file_name())
+            .collect();
+        assert_eq!(files, [LOG_FILE], "the log is the only file");
+        // Recency survives a reopen: the hits above (0, then 1, then 5)
+        // replay from their hit records, so a budget of exactly two
+        // records evicts 0.
+        let two = HEADER_LEN as u64 + 2 * cost;
+        let reopened = CacheStore::open_with_limit(&dir, Some(two));
+        assert_eq!(reopened.len(), 2);
+        assert!(reopened.load(&sum_n(0)).is_none());
+        assert!(reopened.load(&sum_n(1)).is_some());
+        assert!(reopened.load(&sum_n(5)).is_some());
+        // One byte short of two records: the header and every frame
+        // count, so only the most recent survives.
+        reopened.compact_to(two - 1);
+        assert_eq!(reopened.len(), 1);
+        assert!(reopened.load(&sum_n(5)).is_some());
+        assert!(log_len(&dir) < two);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -970,70 +837,51 @@ mod tests {
                 store.save(&sum_n(i), &Ok(Arc::new(sample_analysis())));
             }
         }
-        let entry_len = fs::metadata(dir.join(format!("{}.gnce", sum_n(0))))
-            .unwrap()
-            .len();
-        let max = entry_len * 2 + 200;
+        let max = HEADER_LEN as u64 + 2 * record_cost() + 100;
         let store = CacheStore::open_with_limit(&dir, Some(max));
-        assert!(store.total_bytes() <= max);
-        assert!(store.generation() >= 1);
-        // The most recent saves survive; repeat opens stay stable (no
-        // further eviction once under budget).
-        assert!(store.load(&sum_n(4)).is_some());
-        let before = store.len();
-        let again = CacheStore::open_with_limit(&dir, Some(max));
-        assert_eq!(again.len(), before);
+        assert!(log_len(&dir) <= max);
+        assert_eq!(store.len(), 2);
+        drop(store);
+        // Repeat opens stay stable: no further eviction once under budget.
+        assert_eq!(CacheStore::open_with_limit(&dir, Some(max)).len(), 2);
+        // The survivors, the two latest saves, were rewritten oldest
+        // first, so replay keeps their order: a budget of one record
+        // keeps the last save.
+        let one = CacheStore::open_with_limit(&dir, Some(HEADER_LEN as u64 + record_cost()));
+        assert_eq!(one.len(), 1);
+        assert!(one.load(&sum_n(4)).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn compaction_sweeps_orphan_entry_files() {
-        let dir = tmp_dir("compact-orphan");
-        let store = CacheStore::open_with_limit(&dir, None);
-        store.save(SUM, &Ok(Arc::new(sample_analysis())));
-        // An orphan: entry bytes under a valid name the index never
-        // vouched for (the torn-append window).
-        let orphan = dir.join(format!("{SUM2}.gnce"));
-        fs::write(&orphan, b"torn").unwrap();
-        store.compact_to(0);
-        assert!(!orphan.exists(), "orphans leave with the sweep");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn crash_before_index_rename_degrades_to_old_generation() {
+    fn crash_before_log_rename_keeps_the_old_log() {
         let dir = tmp_dir("compact-crash");
         {
             let store = CacheStore::open_with_limit(&dir, None);
             store.save(SUM, &Ok(Arc::new(sample_analysis())));
             store.save(SUM2, &Err(AnalyzeFailure::Undecodable));
         }
-        // Simulate dying mid-compaction: the new index was written to
-        // its temp name but never renamed. The old index still vouches
-        // for everything.
-        fs::write(dir.join(format!("{INDEX_FILE}.tmp")), b"gnca v2 gen 9\n").unwrap();
+        // Dying mid-compaction: the new log was written to its temp name
+        // but never renamed. The old log still vouches for everything.
+        let tmp = dir.join(format!("{LOG_FILE}.tmp"));
+        fs::write(&tmp, b"GNJL").unwrap();
         let store = CacheStore::open_with_limit(&dir, None);
-        assert_eq!(store.generation(), 0);
         assert_eq!(store.len(), 2);
         assert!(store.load(SUM).is_some());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v1_index_reads_as_cold_and_self_heals() {
-        let dir = tmp_dir("v1-cold");
-        {
-            let store = CacheStore::open_with_limit(&dir, None);
-            store.save(SUM, &Ok(Arc::new(sample_analysis())));
-        }
-        fs::write(dir.join(INDEX_FILE), format!("gnca v1\n{SUM}\n")).unwrap();
-        let store = CacheStore::open_with_limit(&dir, None);
-        assert!(store.is_empty(), "old format is cold, not an error");
-        assert!(store.load(SUM).is_none());
-        // Re-saving starts a clean v2 index.
-        store.save(SUM, &Ok(Arc::new(sample_analysis())));
-        let reopened = CacheStore::open_with_limit(&dir, None);
-        assert!(reopened.load(SUM).is_some());
+        // A compaction that cannot write its temp file leaves the old log
+        // and the entries it vouches for.
+        fs::remove_file(&tmp).unwrap();
+        fs::create_dir(&tmp).unwrap();
+        let before = fs::read(dir.join(LOG_FILE)).unwrap();
+        store.compact_to(0);
+        assert_eq!(store.len(), 2);
+        assert_eq!(fs::read(dir.join(LOG_FILE)).unwrap(), before);
+        // One that can, replaces the stale temp file and leaves none.
+        fs::remove_dir(&tmp).unwrap();
+        fs::write(&tmp, b"GNJL").unwrap();
+        store.compact_to(HEADER_LEN as u64 + record_cost());
+        assert_eq!(store.len(), 1);
+        assert!(!tmp.exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -52,9 +52,9 @@ pub enum CrashPoint {
     AppExtract,
     /// Per-model analysis, once per model instance found.
     ModelAnalysis,
-    /// Cache-store append: after an entry file is atomically published
-    /// but *before* its index line lands — the torn-append window the
-    /// corruption policy must absorb.
+    /// Cache-store save: after the outcome's save record is appended to
+    /// the cache log. The resumed run must attach to what the log holds
+    /// and recompute the rest.
     CacheAppend,
     /// Campaign job commit: a device worker finished a job and its
     /// result was handed to the commit hook.

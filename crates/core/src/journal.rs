@@ -2,18 +2,15 @@
 //! truncating record log, plus the typed run journal the pipeline
 //! replays on `--resume`.
 //!
-//! # Why a journal *and* a cache
+//! The [`Journal`] is `core`'s one durable record format. Two logs are
+//! built on it: the [`RunJournal`] records a run's completed crawl units
+//! keyed by the run configuration, so a resumed run skips straight past
+//! them and, because every rendered byte derives from journaled or
+//! recomputed-identical state, produces **byte-identical stdout** to an
+//! uninterrupted run; the [`crate::cachestore::CacheStore`] records model
+//! analyses keyed by content checksum, so a later run attaches to them.
 //!
-//! The persistent [`crate::cachestore::CacheStore`] already makes model
-//! analyses crash-durable — but it is content-addressed, so it can only
-//! resume work whose *inputs* exist. A killed run loses the crawl
-//! itself: the corpus, the drop-out ledger, the probe verdict. The run
-//! journal records those completed work units keyed by the run
-//! configuration, so a resumed run skips straight past them and, because
-//! every rendered byte derives from journaled or recomputed-identical
-//! state, produces **byte-identical stdout** to an uninterrupted run.
-//!
-//! # On-disk format (same discipline as `cachestore.rs`)
+//! # On-disk format
 //!
 //! ```text
 //! header  b"GNJL" | version:u32 | run_key:u64          (16 bytes)
@@ -21,9 +18,10 @@
 //! ```
 //!
 //! All integers little-endian. The `run_key` hashes the run
-//! configuration (scale, snapshot, seed): a journal left behind by a
-//! *different* configuration — a stale generation — fails the key check
-//! and is discarded wholesale rather than replayed into the wrong run.
+//! configuration (scale, snapshot, seed), or names the record codec for
+//! the cache: a log left behind by a *different* configuration or codec
+//! — a stale generation — fails the key check and is discarded
+//! wholesale rather than replayed into the wrong reader.
 //!
 //! # Corruption policy
 //!
@@ -39,7 +37,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Journal file magic.
 const MAGIC: &[u8; 4] = b"GNJL";
@@ -50,7 +47,9 @@ const MAGIC: &[u8; 4] = b"GNJL";
 /// order, not merged positions.
 const VERSION: u32 = 2;
 /// Header length in bytes.
-const HEADER_LEN: usize = 16;
+pub(crate) const HEADER_LEN: usize = 16;
+/// Per-record frame (length and crc) in bytes.
+pub(crate) const FRAME_LEN: usize = 8;
 /// A record larger than this is treated as corruption, not a record.
 const MAX_RECORD: u32 = 1 << 28;
 
@@ -58,9 +57,10 @@ const MAX_RECORD: u32 = 1 << 28;
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
+    run_key: u64,
     /// `None` when the file could not be created: the journal is inert
     /// (appends are dropped) but the run proceeds normally.
-    file: Mutex<Option<fs::File>>,
+    file: Option<fs::File>,
 }
 
 impl Journal {
@@ -95,11 +95,7 @@ impl Journal {
                 Err(_) => None,
             }
         } else {
-            let mut header = Vec::with_capacity(HEADER_LEN);
-            header.extend_from_slice(MAGIC);
-            header.extend_from_slice(&VERSION.to_le_bytes());
-            header.extend_from_slice(&run_key.to_le_bytes());
-            match fs::write(path, &header) {
+            match fs::write(path, header(run_key)) {
                 Ok(()) => fs::OpenOptions::new().append(true).open(path).ok(),
                 Err(_) => None,
             }
@@ -107,7 +103,8 @@ impl Journal {
         (
             Journal {
                 path: path.to_path_buf(),
-                file: Mutex::new(file),
+                run_key,
+                file,
             },
             replayed,
         )
@@ -116,28 +113,70 @@ impl Journal {
     /// Append one record, best-effort: the payload and its guard are
     /// written in a single `write_all` so a crash mid-call leaves at
     /// most one torn tail for the next open to truncate.
-    pub fn append(&self, payload: &[u8]) {
-        if payload.len() as u64 > MAX_RECORD as u64 {
+    pub fn append(&mut self, payload: &[u8]) {
+        let mut rec = Vec::with_capacity(FRAME_LEN + payload.len());
+        if !frame(&mut rec, payload) {
             return;
         }
-        let mut rec = Vec::with_capacity(payload.len() + 8);
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&crc32(payload).to_le_bytes());
-        rec.extend_from_slice(payload);
-        let mut slot = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(f) = slot.as_mut() {
+        if let Some(f) = self.file.as_mut() {
             if f.write_all(&rec).is_err() {
                 // A failed append poisons nothing: drop the handle so the
                 // journal goes inert instead of interleaving torn writes.
-                *slot = None;
+                self.file = None;
             }
         }
+    }
+
+    /// Replace the whole log with `payloads`, in order. The new log is
+    /// written to `<path>.tmp`, synced and renamed over the old one, and
+    /// the append handle is reopened on it, so a crash or an I/O error at
+    /// any point before the rename leaves the old log as it was. Returns
+    /// whether the new log was installed.
+    pub fn replace<'a>(&mut self, payloads: impl IntoIterator<Item = &'a [u8]>) -> bool {
+        let mut bytes = header(self.run_key);
+        for payload in payloads {
+            frame(&mut bytes, payload);
+        }
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let written = fs::File::create(&tmp).and_then(|mut f| {
+            f.write_all(&bytes)?;
+            f.sync_all()
+        });
+        if written.is_err() || fs::rename(&tmp, &self.path).is_err() {
+            let _ = fs::remove_file(&tmp);
+            return false;
+        }
+        self.file = fs::OpenOptions::new().append(true).open(&self.path).ok();
+        true
     }
 
     /// Path this journal lives at.
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+fn header(run_key: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&run_key.to_le_bytes());
+    out
+}
+
+/// Append `payload` with its length and crc guard to `out`. A payload
+/// above [`MAX_RECORD`] is not written (replay would read it as
+/// corruption); returns whether it was.
+fn frame(out: &mut Vec<u8>, payload: &[u8]) -> bool {
+    if payload.len() > MAX_RECORD as usize {
+        return false;
+    }
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    true
 }
 
 /// Parse header + records. Returns the replayed payloads and the byte
@@ -154,13 +193,13 @@ fn parse(raw: &[u8], run_key: u64) -> Option<(Vec<Vec<u8>>, usize)> {
     }
     let mut out = Vec::new();
     let mut at = HEADER_LEN;
-    while raw.len() - at >= 8 {
+    while raw.len() - at >= FRAME_LEN {
         let len = u32::from_le_bytes(raw[at..at + 4].try_into().ok()?);
         if len > MAX_RECORD {
             break;
         }
         let want_crc = u32::from_le_bytes(raw[at + 4..at + 8].try_into().ok()?);
-        let body_at = at + 8;
+        let body_at = at + FRAME_LEN;
         let Some(payload) = raw.get(body_at..body_at + len as usize) else {
             break; // torn tail
         };
@@ -171,6 +210,78 @@ fn parse(raw: &[u8], run_key: u64) -> Option<(Vec<Vec<u8>>, usize)> {
         at = body_at + len as usize;
     }
     Some((out, at))
+}
+
+// ---------------------------------------------------------------------
+// Payload codec helpers, shared by every record codec in the crate.
+// ---------------------------------------------------------------------
+
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_bytes(out, s.as_bytes());
+}
+
+pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+    put_u64(out, b.len() as u64);
+    out.extend_from_slice(b);
+}
+
+/// Strict bounds-checked reader over a payload; every getter returns
+/// `None` past the end, which the caller turns into "record dropped".
+pub(crate) struct Reader<'a> {
+    buf: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Reader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Reader<'a> {
+        Reader { buf, at: 0 }
+    }
+
+    pub(crate) fn u8(&mut self) -> Option<u8> {
+        let b = *self.buf.get(self.at)?;
+        self.at += 1;
+        Some(b)
+    }
+
+    pub(crate) fn u64(&mut self) -> Option<u64> {
+        let bytes = self.buf.get(self.at..self.at + 8)?;
+        self.at += 8;
+        Some(u64::from_le_bytes(bytes.try_into().ok()?))
+    }
+
+    /// A length prefix that must still fit in the remaining buffer —
+    /// rejects absurd lengths before any allocation trusts them.
+    pub(crate) fn len(&mut self) -> Option<usize> {
+        let n = usize::try_from(self.u64()?).ok()?;
+        (n <= self.buf.len() - self.at).then_some(n)
+    }
+
+    pub(crate) fn str(&mut self) -> Option<String> {
+        String::from_utf8(self.bytes()?).ok()
+    }
+
+    pub(crate) fn bytes(&mut self) -> Option<Vec<u8>> {
+        let n = self.len()?;
+        let bytes = self.buf.get(self.at..self.at + n)?;
+        self.at += n;
+        Some(bytes.to_vec())
+    }
+
+    pub(crate) fn bool(&mut self) -> Option<bool> {
+        match self.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn done(&self) -> bool {
+        self.at == self.buf.len()
+    }
 }
 
 /// Derive the run key from the configuration axes that shape the corpus.
@@ -321,8 +432,8 @@ impl RunJournal {
 }
 
 // ---------------------------------------------------------------------
-// Entry codec (hand-rolled, cachestore discipline: bounds-checked reads,
-// any anomaly ⇒ the record is dropped).
+// Entry codec (hand-rolled: bounds-checked reads, any anomaly ⇒ the
+// record is dropped).
 // ---------------------------------------------------------------------
 
 enum Entry {
@@ -350,20 +461,6 @@ fn stage_from(code: u8) -> Option<CrawlStage> {
         4 => CrawlStage::Bundle,
         _ => return None,
     })
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u64(out, b.len() as u64);
-    out.extend_from_slice(b);
 }
 
 fn encode_app(seq: u64, app: &CrawledApp) -> Vec<u8> {
@@ -422,61 +519,6 @@ fn encode_probe(verdict: Option<bool>) -> Vec<u8> {
     match verdict {
         None => vec![TAG_PROBE, 0],
         Some(v) => vec![TAG_PROBE, 1, v as u8],
-    }
-}
-
-/// Bounds-checked reader (cachestore's `Reader`, journal-local).
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, at: 0 }
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.at)?;
-        self.at += 1;
-        Some(b)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let bytes = self.buf.get(self.at..self.at + 8)?;
-        self.at += 8;
-        Some(u64::from_le_bytes(bytes.try_into().ok()?))
-    }
-
-    fn len(&mut self) -> Option<usize> {
-        let n = usize::try_from(self.u64()?).ok()?;
-        (n <= self.buf.len() - self.at).then_some(n)
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let n = self.len()?;
-        let bytes = self.buf.get(self.at..self.at + n)?;
-        self.at += n;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn bytes(&mut self) -> Option<Vec<u8>> {
-        let n = self.len()?;
-        let bytes = self.buf.get(self.at..self.at + n)?;
-        self.at += n;
-        Some(bytes.to_vec())
-    }
-
-    fn bool(&mut self) -> Option<bool> {
-        match self.u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.buf.len()
     }
 }
 
@@ -738,6 +780,38 @@ mod tests {
         let j = RunJournal::open(&dir, "run.gnjl", key, true);
         assert_eq!(j.replayed_app_count(), 1, "replay ends before the flipped record");
         assert_eq!(j.apps_in_order()[0], sample_app("com.a", 1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn inflated_record_lengths_end_replay_and_stay_appendable() {
+        let dir = tmp("inflated");
+        let path = dir.join("log.gnjl");
+        let key = run_key("tiny", "y2021", 5);
+        let records: [&[u8]; 3] = [b"first", b"second", b"third"];
+        let third = HEADER_LEN + 2 * FRAME_LEN + records[0].len() + records[1].len();
+        // The third record's length claims more bytes than the file
+        // holds, then more than MAX_RECORD.
+        for claim in [6, MAX_RECORD, MAX_RECORD + 1, u32::MAX] {
+            let (mut j, _) = Journal::open(&path, key, false);
+            for r in records {
+                j.append(r);
+            }
+            drop(j);
+            let mut raw = fs::read(&path).unwrap();
+            raw[third..third + 4].copy_from_slice(&claim.to_le_bytes());
+            fs::write(&path, &raw).unwrap();
+
+            let (mut j, replayed) = Journal::open(&path, key, true);
+            assert_eq!(replayed, records[..2], "claim {claim}");
+            let len = fs::metadata(&path).unwrap().len();
+            assert_eq!(len, third as u64, "truncated at claim {claim}");
+            j.append(b"fourth");
+            drop(j);
+            let (_, replayed) = Journal::open(&path, key, true);
+            let want: [&[u8]; 3] = [b"first", b"second", b"fourth"];
+            assert_eq!(replayed, want, "claim {claim}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -98,7 +98,8 @@ pub fn render_models(docs: &[&ModelDoc], snapshot: Option<&str>) -> String {
 pub fn parse_models(text: &str) -> Option<Vec<ModelRow>> {
     let mut lines = text.lines();
     let n: usize = lines.next()?.strip_prefix("models ")?.parse().ok()?;
-    let mut rows = Vec::with_capacity(n);
+    // Not reserved from `n`: the count is the body's own claim.
+    let mut rows = Vec::new();
     for _ in 0..n {
         let line = lines.next()?;
         let f: Vec<&str> = line.split(' ').collect();
@@ -148,7 +149,7 @@ pub fn render_apps(docs: &[&AppDoc], snapshot: Option<&str>) -> String {
 pub fn parse_apps(text: &str) -> Option<Vec<AppRow>> {
     let mut lines = text.lines();
     let n: usize = lines.next()?.strip_prefix("apps ")?.parse().ok()?;
-    let mut rows = Vec::with_capacity(n);
+    let mut rows = Vec::new();
     for _ in 0..n {
         let line = lines.next()?;
         let f: Vec<&str> = line.split(' ').collect();
@@ -240,10 +241,19 @@ mod tests {
             "models 0\ntrailing\n",           // longer than declared
             "models 1\naa b tflite - maybe 1 2 3 4\n", // bad bool
             "models 1\naa b tflite - true 1 2 3\n",    // 8 fields
+            // Counts no body of this size could hold.
+            "models 18446744073709551615\n",
+            "models 100000000000\n",
         ] {
             assert!(parse_models(bad).is_none(), "{bad:?}");
         }
-        assert!(parse_apps("apps 1\ncom.a tools 1 true\n").is_none());
+        for bad in [
+            "apps 1\ncom.a tools 1 true\n",
+            "apps 18446744073709551615\n",
+            "apps 100000000000\n",
+        ] {
+            assert!(parse_apps(bad).is_none(), "{bad:?}");
+        }
     }
 
     #[test]

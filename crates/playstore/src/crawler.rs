@@ -923,13 +923,9 @@ impl Crawler {
             .body)
     }
 
-    /// Download everything for one app, honouring its OBB/bundle flags.
-    pub fn crawl_app(&mut self, package: &str) -> Result<CrawledApp> {
-        self.crawl_app_staged(package).map_err(|(_, e)| e)
-    }
-
-    /// Like [`Crawler::crawl_app`], but tagging the failing stage so
-    /// drop-outs can be attributed (meta vs apk vs obb vs bundle).
+    /// Download everything for one app, honouring its OBB/bundle flags,
+    /// and tag a failure with its stage so drop-outs can be attributed
+    /// (meta vs apk vs obb vs bundle).
     fn crawl_app_staged(
         &mut self,
         package: &str,

@@ -7,7 +7,8 @@
 # matrix (its uninterrupted run must match the pinned tiny report
 # byte-for-byte; SIGKILL at each registered crash point, then --resume
 # must reproduce stdout byte-for-byte), a cache
-# compaction-under-pressure check, the query-serving determinism gate
+# compaction-under-pressure check (bounded, byte-stable, and the second
+# run still hits the cache), the query-serving determinism gate
 # (querybench streams must be byte-identical at every connection
 # count), the reactor gate (readiness-replay determinism plus sim/epoll
 # digest equality up to 256 connections), the client-reactor gate
@@ -121,19 +122,28 @@ verify() {
         fi
     done
     # Compaction under pressure: a small GAUGENN_CACHE_MAX_BYTES budget
-    # must bound the cache directory while repeat runs stay byte-stable.
+    # must bound the cache directory while repeat runs stay byte-stable,
+    # and the second run must still hit what compaction kept (a
+    # compactor that evicts everything would pass the size check alone).
+    # Only the second run is checked: the first run's Apr 2021 hits
+    # depend on worker order.
     rm -rf "$crash_dir/cache"
     GAUGENN_CACHE_DIR="$crash_dir/cache" GAUGENN_CACHE_MAX_BYTES=16384 \
         run_cargo "$mode" run --release -q -p gaugenn-bench --bin repro \
         -- --scale tiny --seed 1402 --workers 2 --analysis-workers 2 >"$crash_dir/press1.out" 2>/dev/null || return 1
     GAUGENN_CACHE_DIR="$crash_dir/cache" GAUGENN_CACHE_MAX_BYTES=16384 \
         run_cargo "$mode" run --release -q -p gaugenn-bench --bin repro \
-        -- --scale tiny --seed 1402 --workers 2 --analysis-workers 2 >"$crash_dir/press2.out" 2>/dev/null || return 1
+        -- --scale tiny --seed 1402 --workers 2 --analysis-workers 2 >"$crash_dir/press2.out" 2>"$crash_dir/press2.err" || return 1
     if ! cmp -s "$crash_dir/press1.out" "$crash_dir/press2.out"; then
         echo "verify: repro stdout differs under cache pressure" >&2
         return 1
     fi
-    # Sum regular files (entries + index): the budget governs cache
+    if ! grep -q "persistent cache: [1-9][0-9]* hits" "$crash_dir/press2.err"; then
+        echo "verify: second repro run under cache pressure reported no persistent cache hits" >&2
+        grep "persistent cache:" "$crash_dir/press2.err" >&2
+        return 1
+    fi
+    # Sum regular files (the cache log): the budget governs cache
     # payload, not filesystem directory-inode overhead.
     cache_bytes=$(find "$crash_dir/cache" -type f -exec wc -c {} + 2>/dev/null \
         | awk 'END { print $1 }')

@@ -407,9 +407,10 @@ fn worker_count_and_cache_state_never_change_the_report() {
 
 #[test]
 fn corrupt_cache_store_never_changes_the_report() {
-    // Satellite guarantee for the persistent cache: flipped bits in
-    // entries and a torn index degrade to misses — the report stays
-    // byte-identical and the pipeline recomputes instead of erroring.
+    // The persistent cache's corruption policy end to end: a flipped
+    // bit in the cache log and a torn log header degrade to misses — the
+    // report stays byte-identical and the pipeline recomputes instead of
+    // erroring.
     use gaugenn::core::pipeline::{Pipeline, PipelineConfig};
 
     let dir = std::env::temp_dir().join(format!("gaugenn-corrupt-cache-{}", std::process::id()));
@@ -424,27 +425,22 @@ fn corrupt_cache_store_never_changes_the_report() {
     assert_eq!(cold.render_text(), baseline);
     assert!(cold.analysis.persistent_stores > 0, "{:?}", cold.analysis);
 
-    // Bit-flip the tail of every entry (breaks each payload checksum).
-    let mut entries = 0usize;
-    for f in std::fs::read_dir(&dir).unwrap() {
-        let path = f.unwrap().path();
-        if path.extension().is_some_and(|e| e == "gnce") {
-            let mut bytes = std::fs::read(&path).unwrap();
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0x40;
-            std::fs::write(&path, bytes).unwrap();
-            entries += 1;
-        }
-    }
-    assert!(entries > 0, "the cold run must have persisted entries");
+    // Flip a byte of the first record's payload (after the 16-byte log
+    // header and the record's 8-byte length and crc): replay ends there,
+    // so no record survives.
+    let log = dir.join("cache.gnjl");
+    let mut bytes = std::fs::read(&log).unwrap();
+    assert!(bytes.len() > 16 + 8, "the cold run must have persisted records");
+    bytes[16 + 8] ^= 0x40;
+    std::fs::write(&log, bytes).unwrap();
     let flipped = run(true);
     assert_eq!(flipped.render_text(), baseline, "bit flips degrade to misses");
     assert_eq!(flipped.analysis.persistent_hits, 0, "{:?}", flipped.analysis);
 
-    // Tear the index header: the whole store degrades to misses.
-    std::fs::write(dir.join("cache.idx"), b"not an index\n").unwrap();
+    // Tear the log header: the whole store degrades to misses.
+    std::fs::write(&log, b"GNJL\x02").unwrap();
     let torn = run(true);
-    assert_eq!(torn.render_text(), baseline, "torn index degrades to misses");
+    assert_eq!(torn.render_text(), baseline, "torn header degrades to misses");
     assert_eq!(torn.analysis.persistent_hits, 0, "{:?}", torn.analysis);
     let _ = std::fs::remove_dir_all(&dir);
 }
