@@ -58,7 +58,7 @@ pub fn scan_smali(smali: &str) -> Vec<Provider> {
 }
 
 /// Decompile an APK's dex to smali and scan it.
-pub fn scan_apk(apk: &Apk) -> Vec<Provider> {
+pub fn scan_apk(apk: &Apk<'_>) -> Vec<Provider> {
     match apk.dex() {
         Ok(dex) => scan_smali(&dex.to_smali()),
         Err(_) => vec![],
@@ -108,7 +108,8 @@ mod tests {
     fn scan_through_real_apk() {
         let mut b = ApkBuilder::new("com.example.cloudy", 1);
         b.add_class_ref("com.google.firebase.ml.vision.FirebaseVision");
-        let apk = Apk::parse(&b.finish().unwrap()).unwrap();
+        let (bytes, _) = b.finish().unwrap();
+        let apk = Apk::parse(&bytes).unwrap();
         assert_eq!(scan_apk(&apk), vec![Provider::GoogleFirebase]);
     }
 

@@ -103,48 +103,29 @@ pub fn dedup(entries: &[ModelEntry]) -> DedupReport {
         .filter(|e| by_sum[e.checksum.as_str()].len() >= 2)
         .count();
 
-    // Pairwise layer-level comparison across unique representatives.
-    let uniques: Vec<&ModelEntry> = representative.values().copied().collect();
+    // Pairwise layer-level comparison across unique representatives, over
+    // layer checksums interned to ids once rather than per pair.
+    let profiles = LayerProfile::intern(representative.values().copied());
     let mut sharing_20pct = 0usize;
     let mut diff_le3 = 0usize;
-    for (i, a) in uniques.iter().enumerate() {
-        let a_weights: u64 = a.layers.iter().map(|(_, c)| c).sum();
+    for (i, a) in profiles.iter().enumerate() {
         let mut shares = false;
         let mut close = false;
-        for (j, b) in uniques.iter().enumerate() {
+        for (j, b) in profiles.iter().enumerate() {
             if i == j {
                 continue;
             }
-            // Shared weights: multiset intersection of layer checksums.
-            let mut b_counts: BTreeMap<&str, (u64, u32)> = BTreeMap::new();
-            for (sum, c) in &b.layers {
-                let e = b_counts.entry(sum).or_insert((*c, 0));
-                e.1 += 1;
-            }
-            let mut shared: u64 = 0;
-            let mut a_seen: BTreeMap<&str, u32> = BTreeMap::new();
-            for (sum, c) in &a.layers {
-                let seen = a_seen.entry(sum).or_default();
-                if let Some((count, avail)) = b_counts.get(sum.as_str()) {
-                    if *seen < *avail {
-                        shared += count.min(c);
-                    }
-                }
-                *seen += 1;
-            }
-            if a_weights > 0 && shared as f64 / a_weights as f64 >= 0.20 {
+            if !shares && a.weights > 0 && a.shared_with(b) as f64 / a.weights as f64 >= 0.20 {
                 shares = true;
             }
-            if a.layers.len() == b.layers.len() && !a.layers.is_empty() {
+            if !close && a.layers.len() == b.layers.len() && !a.layers.is_empty() {
                 let differing = a
                     .layers
                     .iter()
                     .zip(&b.layers)
-                    .filter(|(x, y)| x.0 != y.0)
+                    .filter(|(x, y)| x.id != y.id)
                     .count();
-                if differing > 0 && differing <= 3 {
-                    close = true;
-                }
+                close = differing > 0 && differing <= 3;
             }
             if shares && close {
                 break;
@@ -171,11 +152,261 @@ pub fn dedup(entries: &[ModelEntry]) -> DedupReport {
     }
 }
 
+/// One weighted layer of a [`LayerProfile`].
+#[derive(Debug, Clone, Copy)]
+struct Layer {
+    /// Interned layer checksum.
+    id: u32,
+    /// Weight count.
+    weights: u64,
+    /// How many earlier layers of the same model carry the same checksum.
+    rank: u32,
+}
+
+/// A unique model's layers with their checksums interned, plus its
+/// checksum multiset, so comparing two models costs a binary search per
+/// layer instead of building a map per pair.
+#[derive(Debug)]
+struct LayerProfile {
+    /// The layers, in topological order.
+    layers: Vec<Layer>,
+    /// `(id, weight count of its first layer, layers carrying it)`,
+    /// sorted by id.
+    multiset: Vec<(u32, u64, u32)>,
+    /// Total weight count.
+    weights: u64,
+}
+
+impl LayerProfile {
+    /// Profile each model, interning its layer checksums into ids shared
+    /// by all of them.
+    fn intern<'a>(models: impl Iterator<Item = &'a ModelEntry>) -> Vec<LayerProfile> {
+        let mut ids: BTreeMap<&str, u32> = BTreeMap::new();
+        models
+            .map(|m| {
+                // id -> (weight count of its first layer, layers so far)
+                let mut counts: BTreeMap<u32, (u64, u32)> = BTreeMap::new();
+                let layers = m
+                    .layers
+                    .iter()
+                    .map(|(sum, weights)| {
+                        let next = ids.len() as u32;
+                        let id = *ids.entry(sum).or_insert(next);
+                        let seen = counts.entry(id).or_insert((*weights, 0));
+                        seen.1 += 1;
+                        Layer {
+                            id,
+                            weights: *weights,
+                            rank: seen.1 - 1,
+                        }
+                    })
+                    .collect();
+                LayerProfile {
+                    weights: m.layers.iter().map(|(_, c)| c).sum(),
+                    layers,
+                    multiset: counts.into_iter().map(|(id, (w, n))| (id, w, n)).collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// Weights this model shares with `other`: the multiset intersection
+    /// of their layer checksums, where this model's k-th layer with a
+    /// checksum matches when `other` carries that checksum more than k
+    /// times, and counts the smaller of its own weight count and that of
+    /// `other`'s first layer with the checksum.
+    fn shared_with(&self, other: &LayerProfile) -> u64 {
+        self.layers
+            .iter()
+            .filter_map(|l| {
+                let k = other.multiset.binary_search_by_key(&l.id, |e| e.0).ok()?;
+                let (_, first_weights, occurrences) = other.multiset[k];
+                (l.rank < occurrences).then(|| first_weights.min(l.weights))
+            })
+            .sum()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gaugenn_dnn::task::Task;
     use gaugenn_dnn::zoo::{build_for_task, fine_tune, SizeClass};
+    use proptest::prelude::*;
+
+    /// The pair loop before interning: it rebuilds `b`'s checksum map
+    /// for every pair. Kept to pin [`dedup`] against.
+    fn dedup_reference(entries: &[ModelEntry]) -> DedupReport {
+        let mut by_sum: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        let mut representative: BTreeMap<&str, &ModelEntry> = BTreeMap::new();
+        for e in entries {
+            by_sum.entry(&e.checksum).or_default().insert(&e.app);
+            representative.entry(&e.checksum).or_insert(e);
+        }
+        let unique_models = by_sum.len();
+        let shared_instances = entries
+            .iter()
+            .filter(|e| by_sum[e.checksum.as_str()].len() >= 2)
+            .count();
+        let uniques: Vec<&ModelEntry> = representative.values().copied().collect();
+        let mut sharing_20pct = 0usize;
+        let mut diff_le3 = 0usize;
+        for (i, a) in uniques.iter().enumerate() {
+            let a_weights: u64 = a.layers.iter().map(|(_, c)| c).sum();
+            let mut shares = false;
+            let mut close = false;
+            for (j, b) in uniques.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                let mut b_counts: BTreeMap<&str, (u64, u32)> = BTreeMap::new();
+                for (sum, c) in &b.layers {
+                    let e = b_counts.entry(sum).or_insert((*c, 0));
+                    e.1 += 1;
+                }
+                let mut shared: u64 = 0;
+                let mut a_seen: BTreeMap<&str, u32> = BTreeMap::new();
+                for (sum, c) in &a.layers {
+                    let seen = a_seen.entry(sum).or_default();
+                    if let Some((count, avail)) = b_counts.get(sum.as_str()) {
+                        if *seen < *avail {
+                            shared += count.min(c);
+                        }
+                    }
+                    *seen += 1;
+                }
+                if a_weights > 0 && shared as f64 / a_weights as f64 >= 0.20 {
+                    shares = true;
+                }
+                if a.layers.len() == b.layers.len() && !a.layers.is_empty() {
+                    let differing = a
+                        .layers
+                        .iter()
+                        .zip(&b.layers)
+                        .filter(|(x, y)| x.0 != y.0)
+                        .count();
+                    if differing > 0 && differing <= 3 {
+                        close = true;
+                    }
+                }
+                if shares && close {
+                    break;
+                }
+            }
+            if shares {
+                sharing_20pct += 1;
+            }
+            if close {
+                diff_le3 += 1;
+            }
+        }
+        DedupReport {
+            total_instances: entries.len(),
+            unique_models,
+            shared_instance_fraction: if entries.is_empty() {
+                0.0
+            } else {
+                shared_instances as f64 / entries.len() as f64
+            },
+            sharing_20pct,
+            diff_le3_layers: diff_le3,
+        }
+    }
+
+    fn layers_of(raw: &[(u8, u64)]) -> Vec<(String, u64)> {
+        raw.iter()
+            .map(|&(sum, c)| (format!("layer{sum}"), c))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn interned_pairs_match_the_reference_loop(
+            base in prop::collection::vec((0u8..6, 0u64..5), 0..10),
+            models in prop::collection::vec(
+                (
+                    0u8..4,
+                    any::<bool>(),
+                    prop::collection::vec((0u8..6, 0u64..5), 0..10),
+                    prop::collection::vec((0usize..10, 0u8..6), 0..=5),
+                ),
+                0..14,
+            ),
+        ) {
+            // A small checksum alphabet repeats checksums within a model
+            // and across models, with weight counts that disagree; half
+            // the models are the base with 0-5 positions rewritten, so
+            // equal-length models differ in few layers; empty layer
+            // lists come from an empty base or an empty draw.
+            let entries: Vec<ModelEntry> = models
+                .iter()
+                .map(|(app, from_base, own, edits)| {
+                    let mut layers = if *from_base { base.clone() } else { own.clone() };
+                    if *from_base && !layers.is_empty() {
+                        for &(pos, sum) in edits {
+                            let n = layers.len();
+                            layers[pos % n].0 = sum;
+                        }
+                    }
+                    let layers = layers_of(&layers);
+                    // The whole-model checksum follows the layers, salted
+                    // by the app half the time, so identical layer lists
+                    // appear both as one unique model and as several.
+                    let salt = if app % 2 == 0 { String::new() } else { format!("{app}") };
+                    ModelEntry {
+                        app: format!("com.app{app}"),
+                        path: "m.tflite".into(),
+                        checksum: format!("{layers:?}{salt}"),
+                        layers,
+                    }
+                })
+                .collect();
+            prop_assert_eq!(dedup(&entries), dedup_reference(&entries));
+        }
+    }
+
+    #[test]
+    fn interned_pairs_match_the_reference_on_edge_cases() {
+        let entry = |app: &str, sum: &str, raw: &[(u8, u64)]| ModelEntry {
+            app: app.into(),
+            path: "m".into(),
+            checksum: sum.into(),
+            layers: layers_of(raw),
+        };
+        let cases = [
+            // A checksum repeated within a model, more often than the
+            // other model carries it.
+            vec![
+                entry("a", "x", &[(1, 10), (1, 10), (1, 10), (2, 1)]),
+                entry("b", "y", &[(1, 10), (3, 5), (4, 5), (2, 1)]),
+            ],
+            // One checksum with different weight counts.
+            vec![
+                entry("a", "x", &[(1, 3), (2, 50)]),
+                entry("b", "y", &[(1, 40), (2, 2)]),
+            ],
+            // Equal length, differing in zero positions but distinct
+            // models, and in exactly three and four.
+            vec![
+                entry("a", "x", &[(1, 1), (2, 1), (3, 1), (4, 1), (5, 1)]),
+                entry("b", "y", &[(1, 1), (2, 1), (3, 1), (4, 1), (5, 1)]),
+                entry("c", "z", &[(1, 1), (0, 1), (0, 1), (0, 1), (5, 1)]),
+                entry("d", "w", &[(0, 1), (0, 1), (0, 1), (0, 1), (5, 1)]),
+            ],
+            // Empty layer lists, alone and beside weighted models.
+            vec![entry("a", "x", &[]), entry("b", "y", &[])],
+            vec![
+                entry("a", "x", &[]),
+                entry("b", "y", &[(1, 5)]),
+                entry("c", "z", &[(1, 5)]),
+            ],
+        ];
+        for (i, entries) in cases.iter().enumerate() {
+            assert_eq!(dedup(entries), dedup_reference(entries), "case {i}");
+        }
+    }
 
     fn entry(app: &str, path: &str, g: &Graph) -> ModelEntry {
         let bytes = gaugenn_modelfmt::encode(g, gaugenn_modelfmt::Framework::TfLite).unwrap();

@@ -1,6 +1,7 @@
 //! The APK container: a ZIP with Android-conventional entry layout plus the
 //! Play Store's 100 MB size limit (§3.1).
 
+use crate::crc32::Checksummed;
 use crate::dex::{Dex, DexBuilder};
 use crate::zip::{ZipArchive, ZipWriter};
 use crate::{ApkError, Result};
@@ -47,6 +48,14 @@ impl ApkBuilder {
         Ok(self)
     }
 
+    /// Add an asset file whose bytes are shared and already checksummed
+    /// (a memoised model file): the builder neither copies nor checksums
+    /// it again.
+    pub fn add_shared_asset(&mut self, path: &str, data: Checksummed) -> Result<&mut Self> {
+        self.writer.add_shared(format!("assets/{path}"), data)?;
+        Ok(self)
+    }
+
     /// Add a raw resource entry at an arbitrary path (e.g. `res/raw/x.bin`).
     pub fn add_entry(&mut self, path: &str, data: Vec<u8>) -> Result<&mut Self> {
         self.writer.add(path, data)?;
@@ -60,8 +69,9 @@ impl ApkBuilder {
         Ok(self)
     }
 
-    /// Serialise, enforcing the Play Store size limit.
-    pub fn finish(mut self) -> Result<Vec<u8>> {
+    /// Serialise, enforcing the Play Store size limit. Returns the APK
+    /// and its CRC-32 (see [`ZipWriter::finish`]).
+    pub fn finish(mut self) -> Result<(Vec<u8>, u32)> {
         let manifest = format!(
             "package: name='{}' versionCode='{}'\nsdkVersion:'29'\n",
             self.package, self.version_code
@@ -69,25 +79,25 @@ impl ApkBuilder {
         self.writer
             .add("AndroidManifest.xml", manifest.into_bytes())?;
         self.writer.add("classes.dex", self.dex.finish())?;
-        let bytes = self.writer.finish();
+        let (bytes, crc) = self.writer.finish();
         if bytes.len() > APK_SIZE_LIMIT {
             return Err(ApkError::TooLarge { size: bytes.len() });
         }
-        Ok(bytes)
+        Ok((bytes, crc))
     }
 }
 
-/// A parsed APK.
+/// A parsed APK, borrowing the bytes it was parsed from.
 #[derive(Debug, Clone)]
-pub struct Apk {
+pub struct Apk<'a> {
     package: String,
     version_code: u32,
-    archive: ZipArchive,
+    archive: ZipArchive<'a>,
 }
 
-impl Apk {
+impl<'a> Apk<'a> {
     /// Parse an APK byte stream.
-    pub fn parse(bytes: &[u8]) -> Result<Self> {
+    pub fn parse(bytes: &'a [u8]) -> Result<Self> {
         let archive = ZipArchive::parse(bytes)?;
         let manifest = archive
             .get("AndroidManifest.xml")
@@ -118,7 +128,7 @@ impl Apk {
     }
 
     /// The underlying ZIP archive.
-    pub fn archive(&self) -> &ZipArchive {
+    pub fn archive(&self) -> &ZipArchive<'a> {
         &self.archive
     }
 
@@ -132,34 +142,33 @@ impl Apk {
     }
 
     /// All asset entries `(path_within_assets, payload)`.
-    pub fn assets(&self) -> impl Iterator<Item = (&str, &[u8])> {
-        self.archive.entries().iter().filter_map(|e| {
-            e.name
-                .strip_prefix("assets/")
-                .map(|p| (p, e.data.as_slice()))
-        })
+    pub fn assets(&self) -> impl Iterator<Item = (&'a str, &'a [u8])> + '_ {
+        self.archive
+            .entries()
+            .iter()
+            .filter_map(|e| e.name.strip_prefix("assets/").map(|p| (p, e.data)))
     }
 
     /// All native library entries `(soname, payload)`.
-    pub fn native_libs(&self) -> impl Iterator<Item = (&str, &[u8])> {
+    pub fn native_libs(&self) -> impl Iterator<Item = (&'a str, &'a [u8])> + '_ {
         self.archive.entries().iter().filter_map(|e| {
             e.name
                 .rsplit_once('/')
                 .filter(|_| e.name.starts_with("lib/"))
-                .map(|(_, so)| (so, e.data.as_slice()))
+                .map(|(_, so)| (so, e.data))
         })
     }
 
     /// Every entry that could plausibly hold a model: assets, raw resources
     /// and any other non-code entry. The extraction stage filters this by
     /// extension and signature.
-    pub fn candidate_files(&self) -> impl Iterator<Item = (&str, &[u8])> {
+    pub fn candidate_files(&self) -> impl Iterator<Item = (&'a str, &'a [u8])> + '_ {
         self.archive.entries().iter().filter_map(|e| {
             let is_code = e.name == "classes.dex" || e.name == "AndroidManifest.xml";
             if is_code || e.name.starts_with("lib/") {
                 None
             } else {
-                Some((e.name.as_str(), e.data.as_slice()))
+                Some((e.name, e.data))
             }
         })
     }
@@ -184,19 +193,21 @@ mod tests {
         b.add_entry("res/raw/extra.bin", vec![1, 2, 3]).unwrap();
         b.add_native_lib("libtensorflowlite_jni.so", &["TfLiteModelCreate"])
             .unwrap();
-        b.finish().unwrap()
+        b.finish().unwrap().0
     }
 
     #[test]
     fn roundtrip_metadata() {
-        let apk = Apk::parse(&sample()).unwrap();
+        let bytes = sample();
+        let apk = Apk::parse(&bytes).unwrap();
         assert_eq!(apk.package(), "com.example.beauty");
         assert_eq!(apk.version_code(), 42);
     }
 
     #[test]
     fn assets_and_libs_enumerate() {
-        let apk = Apk::parse(&sample()).unwrap();
+        let bytes = sample();
+        let apk = Apk::parse(&bytes).unwrap();
         let assets: Vec<&str> = apk.assets().map(|(p, _)| p).collect();
         assert_eq!(assets, vec!["face_detector.tflite"]);
         let libs: Vec<&str> = apk.native_libs().map(|(p, _)| p).collect();
@@ -205,7 +216,8 @@ mod tests {
 
     #[test]
     fn candidates_exclude_code_and_libs() {
-        let apk = Apk::parse(&sample()).unwrap();
+        let bytes = sample();
+        let apk = Apk::parse(&bytes).unwrap();
         let cands: Vec<&str> = apk.candidate_files().map(|(p, _)| p).collect();
         assert!(cands.contains(&"assets/face_detector.tflite"));
         assert!(cands.contains(&"res/raw/extra.bin"));
@@ -215,7 +227,8 @@ mod tests {
 
     #[test]
     fn dex_strings_visible() {
-        let apk = Apk::parse(&sample()).unwrap();
+        let bytes = sample();
+        let apk = Apk::parse(&bytes).unwrap();
         let dex = apk.dex().unwrap();
         assert!(dex
             .strings()
@@ -229,7 +242,7 @@ mod tests {
         b.add_asset("blob.bin", vec![0; APK_SIZE_LIMIT + 1]).unwrap();
         match b.finish() {
             Err(ApkError::TooLarge { size }) => assert!(size > APK_SIZE_LIMIT),
-            other => panic!("expected TooLarge, got {:?}", other.map(|v| v.len())),
+            other => panic!("expected TooLarge, got {:?}", other.map(|(v, _)| v.len())),
         }
     }
 
@@ -237,6 +250,6 @@ mod tests {
     fn missing_manifest_rejected() {
         let mut w = ZipWriter::new();
         w.add("classes.dex", DexBuilder::new().finish()).unwrap();
-        assert!(Apk::parse(&w.finish()).is_err());
+        assert!(Apk::parse(&w.finish().0).is_err());
     }
 }

@@ -77,9 +77,9 @@ impl BundleBuilder {
             for (path, data) in &pack.files {
                 inner.add(format!("assets/{path}"), data.clone())?;
             }
-            outer.add(format!("{}.assetpack", pack.name), inner.finish())?;
+            outer.add(format!("{}.assetpack", pack.name), inner.finish().0)?;
         }
-        Ok(outer.finish())
+        Ok(outer.finish().0)
     }
 }
 
@@ -105,7 +105,7 @@ impl Bundle {
             let Some(name) = entry.name.strip_suffix(".assetpack") else {
                 continue;
             };
-            let inner = ZipArchive::parse(&entry.data)?;
+            let inner = ZipArchive::parse(entry.data)?;
             let manifest = inner
                 .get("pack.manifest")
                 .ok_or_else(|| ApkError::Malformed(format!("pack '{name}' missing manifest")))?;
@@ -126,7 +126,7 @@ impl Bundle {
                 .filter_map(|e| {
                     e.name
                         .strip_prefix("assets/")
-                        .map(|p| (p.to_string(), e.data.clone()))
+                        .map(|p| (p.to_string(), e.data.to_vec()))
                 })
                 .collect();
             packs.push(AssetPack {
@@ -146,7 +146,10 @@ mod tests {
     use crate::apk::ApkBuilder;
 
     fn base() -> Vec<u8> {
-        ApkBuilder::new("com.example.bundled", 9).finish().unwrap()
+        ApkBuilder::new("com.example.bundled", 9)
+            .finish()
+            .unwrap()
+            .0
     }
 
     #[test]
@@ -187,7 +190,8 @@ mod tests {
     #[test]
     fn missing_base_rejected() {
         let mut w = ZipWriter::new();
-        w.add("something.assetpack", ZipWriter::new().finish()).unwrap();
-        assert!(Bundle::parse(&w.finish()).is_err());
+        w.add("something.assetpack", ZipWriter::new().finish().0)
+            .unwrap();
+        assert!(Bundle::parse(&w.finish().0).is_err());
     }
 }

@@ -10,9 +10,10 @@
 use crate::zip::{ZipArchive, ZipWriter};
 use crate::{ApkError, Result};
 
-/// An expansion file paired with its Play-conventional file name.
+/// An expansion file paired with its Play-conventional file name,
+/// borrowing the bytes it was parsed from.
 #[derive(Debug, Clone)]
-pub struct Obb {
+pub struct Obb<'a> {
     /// `main` or `patch`.
     pub kind: ObbKind,
     /// App version code it expands.
@@ -20,7 +21,7 @@ pub struct Obb {
     /// Owning package.
     pub package: String,
     /// Contained files.
-    pub archive: ZipArchive,
+    pub archive: ZipArchive<'a>,
 }
 
 /// OBB flavour.
@@ -41,7 +42,7 @@ impl ObbKind {
     }
 }
 
-impl Obb {
+impl<'a> Obb<'a> {
     /// Play-conventional filename, e.g. `main.42.com.example.game.obb`.
     pub fn filename(&self) -> String {
         format!(
@@ -53,7 +54,7 @@ impl Obb {
     }
 
     /// Parse an OBB from its filename and bytes.
-    pub fn parse(filename: &str, bytes: &[u8]) -> Result<Self> {
+    pub fn parse(filename: &str, bytes: &'a [u8]) -> Result<Self> {
         let rest = filename
             .strip_suffix(".obb")
             .ok_or_else(|| ApkError::Malformed("obb filename must end in .obb".into()))?;
@@ -92,7 +93,7 @@ pub fn build_obb(
         w.add(*path, data.clone())?;
     }
     let name = format!("{}.{}.{}.obb", kind.label(), version_code, package);
-    Ok((name, w.finish()))
+    Ok((name, w.finish().0))
 }
 
 #[cfg(test)]
@@ -128,7 +129,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_names() {
-        let bytes = ZipWriter::new().finish();
+        let (bytes, _) = ZipWriter::new().finish();
         assert!(Obb::parse("weird.obb", &bytes).is_err());
         assert!(Obb::parse("main.x.com.a.obb", &bytes).is_err());
         assert!(Obb::parse("main.1.com.a.zip", &bytes).is_err());

@@ -13,7 +13,7 @@
 //! Android leaves `.tflite`/`.bin` assets stored for mmap-ability, so stored
 //! entries are also the realistic case.
 
-use crate::crc32::crc32;
+use crate::crc32::{crc32, crc32_combine, Checksummed, Crc32};
 use crate::{ApkError, Result};
 
 const LOCAL_SIG: u32 = 0x0403_4B50; // PK\x03\x04
@@ -28,19 +28,44 @@ const CENTRAL_RECORD_LEN: usize = 46;
 /// End-of-central-directory record without its trailing comment.
 const EOCD_LEN: usize = 22;
 
-/// One file inside an archive.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ZipEntry {
+/// One file inside a parsed archive, borrowed from the archive's bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ZipEntry<'a> {
     /// Entry path, `/`-separated.
-    pub name: String,
+    pub name: &'a str,
     /// Uncompressed (== stored) payload.
-    pub data: Vec<u8>,
+    pub data: &'a [u8],
+}
+
+/// An entry's payload while the writer holds it.
+#[derive(Debug)]
+enum Payload {
+    /// Bytes the writer owns; checksummed when the archive is written.
+    Owned(Vec<u8>),
+    /// Shared bytes whose CRC-32 is already known.
+    Shared(Checksummed),
+}
+
+impl Payload {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Payload::Owned(data) => data,
+            Payload::Shared(data) => data.bytes(),
+        }
+    }
+
+    fn crc(&self) -> u32 {
+        match self {
+            Payload::Owned(data) => crc32(data),
+            Payload::Shared(data) => data.crc(),
+        }
+    }
 }
 
 /// Incremental archive writer.
 #[derive(Debug, Default)]
 pub struct ZipWriter {
-    entries: Vec<ZipEntry>,
+    entries: Vec<(String, Payload)>,
 }
 
 impl ZipWriter {
@@ -49,13 +74,24 @@ impl ZipWriter {
         Self::default()
     }
 
-    /// Append an entry. Names must be unique within an archive.
+    /// Append an entry the writer owns. Names must be unique within an
+    /// archive.
     pub fn add(&mut self, name: impl Into<String>, data: Vec<u8>) -> Result<()> {
-        let name = name.into();
-        if self.entries.iter().any(|e| e.name == name) {
+        self.push(name.into(), Payload::Owned(data))
+    }
+
+    /// Append an entry whose bytes are shared and already checksummed:
+    /// nothing is copied until [`ZipWriter::finish`] writes the archive,
+    /// and its CRC-32 is not computed again.
+    pub fn add_shared(&mut self, name: impl Into<String>, data: Checksummed) -> Result<()> {
+        self.push(name.into(), Payload::Shared(data))
+    }
+
+    fn push(&mut self, name: String, payload: Payload) -> Result<()> {
+        if self.entries.iter().any(|(n, _)| *n == name) {
             return Err(ApkError::Duplicate(name));
         }
-        self.entries.push(ZipEntry { name, data });
+        self.entries.push((name, payload));
         Ok(())
     }
 
@@ -69,21 +105,27 @@ impl ZipWriter {
         self.entries.is_empty()
     }
 
-    /// Serialise to the ZIP wire format. Each entry's CRC-32 is computed
-    /// once, for its local header, and reused in its central record; the
-    /// output is allocated at its exact final length.
-    pub fn finish(self) -> Vec<u8> {
-        let names: usize = self.entries.iter().map(|e| e.name.len()).sum();
-        let data: usize = self.entries.iter().map(|e| e.data.len()).sum();
+    /// Serialise to the ZIP wire format and return the archive with its
+    /// own CRC-32. Each owned entry's CRC-32 is computed once, for its
+    /// local header, and reused in its central record; a shared entry's
+    /// comes with it. The archive's CRC is built as the bytes are
+    /// emitted: headers and the central directory are fed to it, and each
+    /// payload is folded in from its entry CRC, so no payload is read
+    /// twice. The output is allocated at its exact final length.
+    pub fn finish(self) -> (Vec<u8>, u32) {
+        let names: usize = self.entries.iter().map(|(n, _)| n.len()).sum();
+        let data: usize = self.entries.iter().map(|(_, p)| p.bytes().len()).sum();
         let total = self.entries.len() * (LOCAL_HEADER_LEN + CENTRAL_RECORD_LEN)
             + 2 * names
             + data
             + EOCD_LEN;
         let mut out = Vec::with_capacity(total);
         let mut central = Vec::with_capacity(self.entries.len());
-        for e in &self.entries {
-            let crc = crc32(&e.data);
-            central.push((out.len() as u32, crc));
+        let mut archive_crc = 0; // the CRC-32 of no bytes
+        for (name, payload) in &self.entries {
+            let (data, crc) = (payload.bytes(), payload.crc());
+            let header_start = out.len();
+            central.push((header_start as u32, crc));
             // Local file header.
             put_u32(&mut out, LOCAL_SIG);
             put_u16(&mut out, VERSION); // version needed
@@ -92,15 +134,18 @@ impl ZipWriter {
             put_u16(&mut out, 0); // mod time
             put_u16(&mut out, 0); // mod date
             put_u32(&mut out, crc);
-            put_u32(&mut out, e.data.len() as u32); // compressed
-            put_u32(&mut out, e.data.len() as u32); // uncompressed
-            put_u16(&mut out, e.name.len() as u16);
+            put_u32(&mut out, data.len() as u32); // compressed
+            put_u32(&mut out, data.len() as u32); // uncompressed
+            put_u16(&mut out, name.len() as u16);
             put_u16(&mut out, 0); // extra len
-            out.extend_from_slice(e.name.as_bytes());
-            out.extend_from_slice(&e.data);
+            out.extend_from_slice(name.as_bytes());
+            archive_crc = extend_crc(archive_crc, &out[header_start..]);
+            out.extend_from_slice(data);
+            archive_crc = crc32_combine(archive_crc, crc, data.len());
         }
-        let central_start = out.len() as u32;
-        for (e, &(off, crc)) in self.entries.iter().zip(&central) {
+        let central_start = out.len();
+        for ((name, payload), &(off, crc)) in self.entries.iter().zip(&central) {
+            let len = payload.bytes().len() as u32;
             put_u32(&mut out, CENTRAL_SIG);
             put_u16(&mut out, VERSION); // version made by
             put_u16(&mut out, VERSION); // version needed
@@ -109,18 +154,18 @@ impl ZipWriter {
             put_u16(&mut out, 0); // time
             put_u16(&mut out, 0); // date
             put_u32(&mut out, crc);
-            put_u32(&mut out, e.data.len() as u32);
-            put_u32(&mut out, e.data.len() as u32);
-            put_u16(&mut out, e.name.len() as u16);
+            put_u32(&mut out, len);
+            put_u32(&mut out, len);
+            put_u16(&mut out, name.len() as u16);
             put_u16(&mut out, 0); // extra
             put_u16(&mut out, 0); // comment
             put_u16(&mut out, 0); // disk number
             put_u16(&mut out, 0); // internal attrs
             put_u32(&mut out, 0); // external attrs
             put_u32(&mut out, off);
-            out.extend_from_slice(e.name.as_bytes());
+            out.extend_from_slice(name.as_bytes());
         }
-        let central_len = out.len() as u32 - central_start;
+        let central_len = (out.len() - central_start) as u32;
         // End of central directory.
         put_u32(&mut out, EOCD_SIG);
         put_u16(&mut out, 0); // disk
@@ -128,22 +173,31 @@ impl ZipWriter {
         put_u16(&mut out, self.entries.len() as u16);
         put_u16(&mut out, self.entries.len() as u16);
         put_u32(&mut out, central_len);
-        put_u32(&mut out, central_start);
+        put_u32(&mut out, central_start as u32);
         put_u16(&mut out, 0); // comment len
         debug_assert_eq!(out.len(), total);
-        out
+        archive_crc = extend_crc(archive_crc, &out[central_start..]);
+        (out, archive_crc)
     }
 }
 
-/// Parsed archive with random-access entries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ZipArchive {
-    entries: Vec<ZipEntry>,
+/// The CRC-32 of the bytes `crc` covers followed by `more`.
+fn extend_crc(crc: u32, more: &[u8]) -> u32 {
+    let mut c = Crc32::resume(crc);
+    c.update(more);
+    c.finalize()
 }
 
-impl ZipArchive {
+/// Parsed archive with random-access entries. It borrows the bytes it
+/// was parsed from: names and payloads are slices of them, not copies.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ZipArchive<'a> {
+    entries: Vec<ZipEntry<'a>>,
+}
+
+impl<'a> ZipArchive<'a> {
     /// Parse a ZIP byte stream via its central directory, verifying CRCs.
-    pub fn parse(bytes: &[u8]) -> Result<Self> {
+    pub fn parse(bytes: &'a [u8]) -> Result<Self> {
         let eocd = find_eocd(bytes)?;
         let mut r = Reader::new(bytes, eocd + 4);
         let _disk = r.u16()?;
@@ -195,9 +249,11 @@ impl ZipArchive {
                     "stored entry '{name}' has mismatched sizes"
                 )));
             }
-            let data = read_local(bytes, local_off, &name, usize_)?;
-            if crc32(&data) != crc {
-                return Err(ApkError::CrcMismatch { entry: name });
+            let data = read_local(bytes, local_off, name, usize_)?;
+            if crc32(data) != crc {
+                return Err(ApkError::CrcMismatch {
+                    entry: name.to_string(),
+                });
             }
             entries.push(ZipEntry { name, data });
         }
@@ -205,21 +261,18 @@ impl ZipArchive {
     }
 
     /// All entries in central-directory order.
-    pub fn entries(&self) -> &[ZipEntry] {
+    pub fn entries(&self) -> &[ZipEntry<'a>] {
         &self.entries
     }
 
     /// Look up an entry payload by exact name.
-    pub fn get(&self, name: &str) -> Option<&[u8]> {
-        self.entries
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| e.data.as_slice())
+    pub fn get(&self, name: &str) -> Option<&'a [u8]> {
+        self.entries.iter().find(|e| e.name == name).map(|e| e.data)
     }
 
     /// Entry names only.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|e| e.name.as_str())
+    pub fn names(&self) -> impl Iterator<Item = &'a str> + '_ {
+        self.entries.iter().map(|e| e.name)
     }
 
     /// Number of entries.
@@ -233,7 +286,7 @@ impl ZipArchive {
     }
 }
 
-fn read_local(bytes: &[u8], off: usize, name: &str, size: usize) -> Result<Vec<u8>> {
+fn read_local<'a>(bytes: &'a [u8], off: usize, name: &str, size: usize) -> Result<&'a [u8]> {
     let mut r = Reader::new(bytes, off);
     if r.u32()? != LOCAL_SIG {
         return Err(ApkError::Malformed(format!(
@@ -310,15 +363,15 @@ impl<'a> Reader<'a> {
         self.pos += n;
         Ok(())
     }
-    fn bytes(&mut self, n: usize) -> Result<Vec<u8>> {
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
         self.need(n)?;
-        let v = self.bytes[self.pos..self.pos + n].to_vec();
+        let v = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(v)
     }
-    fn str(&mut self, n: usize) -> Result<String> {
+    fn str(&mut self, n: usize) -> Result<&'a str> {
         let b = self.bytes(n)?;
-        String::from_utf8(b).map_err(|_| ApkError::Malformed("non-utf8 entry name".into()))
+        std::str::from_utf8(b).map_err(|_| ApkError::Malformed("non-utf8 entry name".into()))
     }
 }
 
@@ -332,6 +385,7 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_multiple_entries() {
@@ -339,7 +393,7 @@ mod tests {
         w.add("classes.dex", vec![1, 2, 3]).unwrap();
         w.add("assets/model.tflite", vec![9; 100]).unwrap();
         w.add("lib/arm64-v8a/libtflite.so", vec![0x7F, b'E']).unwrap();
-        let bytes = w.finish();
+        let (bytes, _) = w.finish();
         let a = ZipArchive::parse(&bytes).unwrap();
         assert_eq!(a.len(), 3);
         assert_eq!(a.get("classes.dex"), Some(&[1u8, 2, 3][..]));
@@ -351,9 +405,10 @@ mod tests {
 
     #[test]
     fn empty_archive_roundtrips() {
-        let bytes = ZipWriter::new().finish();
+        let (bytes, crc) = ZipWriter::new().finish();
         let a = ZipArchive::parse(&bytes).unwrap();
         assert!(a.is_empty());
+        assert_eq!(crc, crc32(&bytes));
     }
 
     #[test]
@@ -367,7 +422,7 @@ mod tests {
     fn detects_payload_corruption() {
         let mut w = ZipWriter::new();
         w.add("model.bin", vec![42; 64]).unwrap();
-        let mut bytes = w.finish();
+        let (mut bytes, _) = w.finish();
         // Flip a payload byte (after the 30-byte header + 9-byte name).
         bytes[40] ^= 0xFF;
         match ZipArchive::parse(&bytes) {
@@ -386,7 +441,7 @@ mod tests {
     fn rejects_truncation() {
         let mut w = ZipWriter::new();
         w.add("x", vec![0; 32]).unwrap();
-        let bytes = w.finish();
+        let (bytes, _) = w.finish();
         for cut in [bytes.len() - 1, bytes.len() / 2, 10] {
             assert!(ZipArchive::parse(&bytes[..cut]).is_err(), "cut {cut}");
         }
@@ -397,7 +452,8 @@ mod tests {
         let payload: Vec<u8> = (0..100_000).map(|i| (i % 251) as u8).collect();
         let mut w = ZipWriter::new();
         w.add("assets/big.bin", payload.clone()).unwrap();
-        let a = ZipArchive::parse(&w.finish()).unwrap();
+        let (bytes, _) = w.finish();
+        let a = ZipArchive::parse(&bytes).unwrap();
         assert_eq!(a.get("assets/big.bin"), Some(payload.as_slice()));
     }
 
@@ -416,10 +472,11 @@ mod tests {
         w.add("lib/arm64-v8a/libtflite.so", vec![0x7F, b'E', b'L', b'F'])
             .unwrap();
         w.add("empty", vec![]).unwrap();
-        let bytes = w.finish();
+        let (bytes, crc) = w.finish();
         assert_eq!(bytes.len(), 795);
         assert_eq!(bytes.capacity(), bytes.len(), "reserved exactly");
         assert_eq!(crc32(&bytes), 0xb187_0da6);
+        assert_eq!(crc, 0xb187_0da6, "the combined archive CRC");
         assert_eq!(ZipArchive::parse(&bytes).unwrap().len(), 4);
     }
 
@@ -444,6 +501,71 @@ mod tests {
         // One real record still parses when exactly one is declared.
         let mut w = ZipWriter::new();
         w.add("x", vec![1]).unwrap();
-        assert_eq!(ZipArchive::parse(&w.finish()).unwrap().len(), 1);
+        assert_eq!(ZipArchive::parse(&w.finish().0).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn shared_entries_are_written_like_owned_ones() {
+        let model: Vec<u8> = (0..300u32).map(|i| (i * 7 % 256) as u8).collect();
+        let mut owned = ZipWriter::new();
+        owned.add("assets/model.tflite", model.clone()).unwrap();
+        owned.add("classes.dex", vec![1, 2, 3]).unwrap();
+        let mut shared = ZipWriter::new();
+        shared
+            .add_shared("assets/model.tflite", Checksummed::new(model))
+            .unwrap();
+        shared.add("classes.dex", vec![1, 2, 3]).unwrap();
+        assert_eq!(
+            shared.add_shared("classes.dex", Checksummed::new(vec![])),
+            Err(ApkError::Duplicate("classes.dex".into()))
+        );
+        assert_eq!(owned.finish(), shared.finish());
+    }
+
+    #[test]
+    fn parsed_entries_borrow_the_input() {
+        let mut w = ZipWriter::new();
+        w.add("a", vec![1; 100]).unwrap();
+        w.add_shared("b", Checksummed::new(vec![2; 50])).unwrap();
+        w.add("empty", vec![]).unwrap();
+        let (bytes, _) = w.finish();
+        let input = bytes.as_ptr_range();
+        let archive = ZipArchive::parse(&bytes).unwrap();
+        for e in archive.entries() {
+            for part in [e.name.as_bytes(), e.data] {
+                let span = part.as_ptr_range();
+                assert!(
+                    input.start <= span.start && span.end <= input.end,
+                    "entry '{}' lies outside the input",
+                    e.name
+                );
+            }
+        }
+        assert_eq!(archive.get("b"), Some(&[2u8; 50][..]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn archive_crc_is_the_crc_of_the_archive_bytes(
+            entries in prop::collection::vec(
+                (any::<bool>(), prop::collection::vec(any::<u8>(), 0..600)),
+                0..8,
+            ),
+        ) {
+            let mut w = ZipWriter::new();
+            for (i, (shared, data)) in entries.into_iter().enumerate() {
+                let name = format!("assets/{i}.bin");
+                if shared {
+                    w.add_shared(name, Checksummed::new(data)).unwrap();
+                } else {
+                    w.add(name, data).unwrap();
+                }
+            }
+            let (bytes, crc) = w.finish();
+            prop_assert_eq!(crc, crc32(&bytes));
+            prop_assert!(ZipArchive::parse(&bytes).is_ok());
+        }
     }
 }

@@ -34,6 +34,12 @@
 //! old one only once it is complete, so a crash mid-compaction leaves the
 //! old log.
 //!
+//! Without a cap the log still stays bounded: every warm run appends a
+//! hit record per model it loads, so when opening finds more replayed
+//! records that no live entry needs (hit records, superseded saves) than
+//! live entries, it rewrites the log the same way with every entry kept.
+//! Replay then rebuilds the same entries in the same recency order.
+//!
 //! # Corruption policy
 //!
 //! The cache is an accelerator, never an authority: **every** failure —
@@ -223,9 +229,11 @@ impl CacheStore {
     }
 
     /// [`CacheStore::open`] with an explicit size cap. Replays the log,
-    /// then compacts it immediately when it is already over budget.
+    /// rewrites it without its stale records once they outnumber the live
+    /// entries, then compacts it immediately when it is over budget.
     pub fn open_with_limit(dir: &Path, max_bytes: Option<u64>) -> Arc<CacheStore> {
         let (log, records) = Journal::open(&dir.join(LOG_FILE), CACHE_KEY, true);
+        let replayed = records.len();
         let mut entries = BTreeMap::new();
         let mut next_clock = 0;
         for record in records {
@@ -244,13 +252,17 @@ impl CacheStore {
                 _ => {}
             }
         }
+        let mut state = State {
+            log,
+            entries,
+            next_clock,
+        };
+        if replayed - state.entries.len() > state.entries.len() {
+            state.rewrite(u64::MAX);
+        }
         let store = Arc::new(CacheStore {
             max_bytes,
-            state: Mutex::new(State {
-                log,
-                entries,
-                next_clock,
-            }),
+            state: Mutex::new(state),
         });
         store.compact_if_over();
         store
@@ -316,17 +328,23 @@ impl CacheStore {
         }
     }
 
-    /// Compact the log down to `max` bytes when it is over. Survivors
-    /// are the most recently used entries that fit (checksum as the
-    /// tie-break), rewritten oldest first so replay order stays LRU
-    /// order. If the new log cannot be installed the old one stays.
+    /// Compact the log down to `max` bytes when it is over.
     fn compact_to(&self, max: u64) {
-        let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let st = &mut *guard;
-        if fs::metadata(st.log.path()).map_or(0, |m| m.len()) <= max {
-            return;
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        if fs::metadata(st.log.path()).map_or(0, |m| m.len()) > max {
+            st.rewrite(max);
         }
-        let mut by_recency: Vec<(&String, &Entry)> = st.entries.iter().collect();
+    }
+}
+
+impl State {
+    /// Rewrite the log as the save records of the most recently used
+    /// entries that fit in `max` bytes (checksum as the tie-break),
+    /// oldest first so replay order stays LRU order, and drop the rest.
+    /// If the new log cannot be installed the old one stays, and so do
+    /// the entries.
+    fn rewrite(&mut self, max: u64) {
+        let mut by_recency: Vec<(&String, &Entry)> = self.entries.iter().collect();
         by_recency.sort_by(|a, b| b.1.clock.cmp(&a.1.clock).then(a.0.cmp(b.0)));
         let mut used = HEADER_LEN as u64;
         let (mut keep, mut evict) = (Vec::new(), Vec::new());
@@ -339,9 +357,9 @@ impl CacheStore {
                 evict.push(sum.clone());
             }
         }
-        if st.log.replace(keep.into_iter().rev()) {
+        if self.log.replace(keep.into_iter().rev()) {
             for sum in evict {
-                st.entries.remove(&sum);
+                self.entries.remove(&sum);
             }
         }
     }
@@ -881,6 +899,91 @@ mod tests {
         fs::write(&tmp, b"GNJL").unwrap();
         store.compact_to(HEADER_LEN as u64 + record_cost());
         assert_eq!(store.len(), 1);
+        assert!(!tmp.exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Open the store uncapped and load every one of `n` entries, as a
+    /// warm run does; returns the log's size afterwards.
+    fn warm_cycle(dir: &Path, n: u8) -> u64 {
+        let store = CacheStore::open_with_limit(dir, None);
+        for i in 0..n {
+            assert!(store.load(&sum_n(i)).is_some(), "entry {i} warm");
+        }
+        drop(store);
+        log_len(dir)
+    }
+
+    #[test]
+    fn an_uncapped_log_stays_bounded_across_warm_runs() {
+        let dir = tmp_dir("uncapped-bound");
+        {
+            let store = CacheStore::open_with_limit(&dir, None);
+            for i in 0..5 {
+                store.save(&sum_n(i), &Ok(Arc::new(sample_analysis())));
+            }
+        }
+        let sizes: Vec<u64> = (0..5).map(|_| warm_cycle(&dir, 5)).collect();
+        assert!(sizes[4] <= sizes[1], "log grew: {sizes:?}");
+        // Never more than the saves plus two runs' worth of hit records.
+        let hit = (FRAME_LEN + HEAD_LEN) as u64;
+        let bound = HEADER_LEN as u64 + 5 * record_cost() + 2 * 5 * hit;
+        assert!(sizes.iter().all(|&n| n <= bound), "{sizes:?} vs {bound}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_stale_record_rewrite_keeps_lru_order() {
+        let dir = tmp_dir("uncapped-lru");
+        {
+            let store = CacheStore::open_with_limit(&dir, None);
+            for i in 0..5 {
+                store.save(&sum_n(i), &Ok(Arc::new(sample_analysis())));
+            }
+            // Six hit records, last uses 3 then 0: recency is now
+            // 1, 2, 4, 3, 0.
+            for _ in 0..3 {
+                assert!(store.load(&sum_n(3)).is_some());
+                assert!(store.load(&sum_n(0)).is_some());
+            }
+        }
+        // Six stale records against five live entries: opening rewrites
+        // the log down to the five save records.
+        assert_eq!(CacheStore::open_with_limit(&dir, None).len(), 5);
+        assert_eq!(log_len(&dir), HEADER_LEN as u64 + 5 * record_cost());
+        // The rewrite kept recency order: a two-record budget keeps the
+        // two most recently used.
+        let two = CacheStore::open_with_limit(&dir, Some(HEADER_LEN as u64 + 2 * record_cost()));
+        assert_eq!(two.len(), 2);
+        assert!(two.load(&sum_n(3)).is_some());
+        assert!(two.load(&sum_n(0)).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_crash_before_the_stale_record_rewrite_keeps_the_old_log() {
+        let dir = tmp_dir("uncapped-crash");
+        {
+            let store = CacheStore::open_with_limit(&dir, None);
+            store.save(SUM, &Ok(Arc::new(sample_analysis())));
+            for _ in 0..3 {
+                assert!(store.load(SUM).is_some());
+            }
+        }
+        let before = fs::read(dir.join(LOG_FILE)).unwrap();
+        // The rewrite cannot write its temp file: the old log stays, and
+        // so does everything it vouches for.
+        let tmp = dir.join(format!("{LOG_FILE}.tmp"));
+        fs::create_dir(&tmp).unwrap();
+        let store = CacheStore::open_with_limit(&dir, None);
+        assert_eq!(fs::read(dir.join(LOG_FILE)).unwrap(), before);
+        assert!(store.load(SUM).is_some());
+        drop(store);
+        // Once it can, the next open rewrites the log to the one save.
+        fs::remove_dir(&tmp).unwrap();
+        let store = CacheStore::open_with_limit(&dir, None);
+        assert_eq!(log_len(&dir), HEADER_LEN as u64 + record_cost());
+        assert!(store.load(SUM).is_some());
         assert!(!tmp.exists());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -128,7 +128,7 @@ pub(crate) fn extract_with(
                 obb.archive
                     .entries()
                     .iter()
-                    .map(|e| (e.name.clone(), e.data.as_slice())),
+                    .map(|e| (e.name.to_string(), e.data)),
                 ModelSource::Obb,
                 &mut models,
                 &mut failed,

@@ -9,6 +9,7 @@
 
 use crate::categories::{apportion, CATEGORIES};
 use gaugenn_apk::apk::ApkBuilder;
+use gaugenn_apk::crc32::Checksummed;
 use gaugenn_dnn::quant::{apply, prune_graph, QuantMode};
 use gaugenn_dnn::task::Task;
 use gaugenn_dnn::zoo::{build_for_task, fine_tune, SizeClass};
@@ -18,6 +19,23 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::borrow::Borrow;
+use std::sync::Arc;
+
+/// One model artifact's files as the APK assembler takes them: each
+/// file's bytes shared and already checksummed. The store memoises one
+/// per artifact, so a model file is checksummed once per store and every
+/// APK that ships it shares its bytes.
+pub type ModelFiles = Arc<[(String, Checksummed)]>;
+
+/// Share and checksum an artifact's files (one copy and one CRC pass per
+/// file).
+pub fn model_files(artifact: &ModelArtifact) -> ModelFiles {
+    artifact
+        .files
+        .iter()
+        .map(|(name, bytes)| (name.clone(), Checksummed::new(bytes.as_slice())))
+        .collect()
+}
 
 /// Which snapshot to generate (§4.1: 14 Feb 2020 / 4 Apr 2021).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -716,13 +734,30 @@ impl StoreCorpus {
     }
 
     /// Build the APK for an app (deterministic; models resolved from the
-    /// pool through `artifact_of`, which the server memoises and answers
-    /// with its shared `Arc`, so no artifact is copied whole per APK).
+    /// pool through `artifact_of`). Each call shares and checksums the
+    /// artifacts' files afresh; the store instead memoises them as
+    /// [`ModelFiles`] and calls [`StoreCorpus::assemble_apk`].
     pub fn build_apk<A: Borrow<ModelArtifact>>(
         &self,
         app: &AppSpec,
         artifact_of: &mut dyn FnMut(usize) -> A,
     ) -> Vec<u8> {
+        self.assemble_apk(app, &mut |id| model_files(artifact_of(id).borrow()))
+            .0
+    }
+
+    /// Assemble the APK for an app and return it with its CRC-32: the one
+    /// assembler behind [`StoreCorpus::build_apk`] and the store's APK
+    /// and bundle routes. Model files come from `files_of` shared and
+    /// checksummed, so an APK neither copies them into entries of its
+    /// own nor reads them for a CRC; only obfuscated copies and the
+    /// generated entries (dex, manifest, native libs) are checksummed
+    /// here.
+    pub fn assemble_apk(
+        &self,
+        app: &AppSpec,
+        files_of: &mut dyn FnMut(usize) -> ModelFiles,
+    ) -> (Vec<u8>, u32) {
         let mut b = ApkBuilder::new(app.package.clone(), app.version_code);
         b.add_code_string(format!("title:{}", app.title));
         // Cloud API call sites (§3.2 string matching).
@@ -758,22 +793,21 @@ impl StoreCorpus {
                 }
                 let mut used_names: Vec<String> = Vec::new();
                 for (k, &mid) in ml.model_ids.iter().enumerate() {
-                    let art = artifact_of(mid);
-                    for (name, bytes) in &art.borrow().files {
+                    let files = files_of(mid);
+                    for (name, file) in files.iter() {
                         let mut entry = name.clone();
                         if used_names.contains(&entry) {
                             entry = format!("v{k}_{entry}");
                         }
                         used_names.push(entry.clone());
-                        let payload = if ml.obfuscated {
+                        let _ = if ml.obfuscated {
                             // "Encryption": the file keeps its extension but
                             // loses its signature — exactly the population
                             // gaugeNN can detect only via library inclusion.
-                            bytes.iter().map(|&x| x ^ 0x5A).collect()
+                            b.add_asset(&entry, file.bytes().iter().map(|&x| x ^ 0x5A).collect())
                         } else {
-                            bytes.clone()
+                            b.add_shared_asset(&entry, file.clone())
                         };
-                        let _ = b.add_asset(&entry, payload);
                     }
                     if ml.uses_snpe && !ml.obfuscated && k == 0 {
                         // SNPE apps "deploy both a TFLite and dlc variants of

@@ -749,7 +749,10 @@ fn absorb<J: LaneJob>(
     result: Result<ReadOutcome>,
 ) -> Option<RequestSm> {
     ctx.wheel.cancel(token);
-    lane.read_buf.clear();
+    // Release the frame buffer, as the server's `ConnSm::pump` releases
+    // its write buffer: a served APK runs to megabytes, and a lane
+    // between requests should not hold the largest body it carried.
+    lane.read_buf = Vec::new();
     match sm.absorb(result, ctx.opts.admission.as_deref(), &mut lane.stats) {
         AttemptVerdict::Done(resp) => {
             lane.job.on_result(Ok(resp));
@@ -1012,8 +1015,27 @@ pub fn drive_lanes<J: LaneJob>(
     endpoint: &Endpoint,
     specs: Vec<LaneSpec<J>>,
     opts: &LaneOpts,
-    mut server_step: Option<&mut dyn FnMut() -> usize>,
+    server_step: Option<&mut dyn FnMut() -> usize>,
 ) -> Result<(Vec<LaneOutcome<J>>, DriveReport)> {
+    let (lanes, report) = run_lanes(endpoint, specs, opts, server_step)?;
+    let outcomes = lanes
+        .into_iter()
+        .map(|l| LaneOutcome {
+            connection_id: l.connection_id,
+            job: l.job,
+            stats: l.stats,
+        })
+        .collect();
+    Ok((outcomes, report))
+}
+
+/// [`drive_lanes`], returning the finished lanes themselves.
+fn run_lanes<J: LaneJob>(
+    endpoint: &Endpoint,
+    specs: Vec<LaneSpec<J>>,
+    opts: &LaneOpts,
+    mut server_step: Option<&mut dyn FnMut() -> usize>,
+) -> Result<(Vec<ClientSm<J>>, DriveReport)> {
     let lockstep = server_step.is_some();
     let (mut reactor, client_parker, digest) = match endpoint {
         Endpoint::Tcp(_) => (ClientReactor::Epoll(mio::EpollReactor::new()?), None, None),
@@ -1148,17 +1170,8 @@ pub fn drive_lanes<J: LaneJob>(
         }
     }
 
-    let digest = digest.map_or(0, |d| d.load(std::sync::atomic::Ordering::SeqCst));
-    report.digest = digest;
-    let outcomes = lanes
-        .into_iter()
-        .map(|l| LaneOutcome {
-            connection_id: l.connection_id,
-            job: l.job,
-            stats: l.stats,
-        })
-        .collect();
-    Ok((outcomes, report))
+    report.digest = digest.map_or(0, |d| d.load(std::sync::atomic::Ordering::SeqCst));
+    Ok((lanes, report))
 }
 
 #[cfg(test)]
@@ -1354,6 +1367,35 @@ mod tests {
         let a = lockstep_run(9, 3, true);
         let b = lockstep_run(9, 3, true);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_finished_response_leaves_no_read_allocation_behind() {
+        let corpus = generate(CorpusScale::Tiny, Snapshot::Y2021, 7);
+        let package = corpus
+            .apps
+            .iter()
+            .find(|a| a.ml.is_some())
+            .unwrap()
+            .package
+            .clone();
+        let server = sim_server(None);
+        // A small response after a large one: a lane that only cleared
+        // its buffer would still hold the APK's capacity.
+        let routes = vec![(Route::Apk { package }, true), (Route::Categories, false)];
+        let (lanes, _) = run_lanes(
+            &server.endpoint(),
+            vec![spec(1, routes)],
+            &LaneOpts::default(),
+            None,
+        )
+        .unwrap();
+        let lane = lanes.into_iter().next().unwrap();
+        assert_eq!(lane.read_buf.capacity(), 0, "read buffer released");
+        let results = lane.job.into_results();
+        let apk = results[0].as_ref().unwrap();
+        assert!(apk.body.len() > 4 * READ_CHUNK, "{} bytes", apk.body.len());
+        assert!(results[1].is_ok());
     }
 
     #[test]

@@ -3,10 +3,14 @@
 //!
 //! APKs are assembled on demand; unique-model artifacts are memoised so
 //! duplicated models across apps are byte-identical (which is precisely
-//! what makes the §4.5 checksum analysis work) without re-encoding.
+//! what makes the §4.5 checksum analysis work) without re-encoding. The
+//! memo holds each artifact's files shared and checksummed
+//! ([`ModelFiles`]): an APK shares them into its archive without a copy
+//! of its own, and its integrity CRC is combined from theirs instead of
+//! read off the served bytes.
 
 use crate::chaos::{FaultAction, FaultPlan};
-use crate::corpus::{AppSpec, StoreCorpus};
+use crate::corpus::{model_files, AppSpec, ModelFiles, StoreCorpus};
 use crate::net::{Endpoint, SimNet};
 use crate::proto::{
     write_response, Request, Response, CONNECTION_ID_HEADER, CRC_HEADER, FULL_CRC_HEADER,
@@ -19,7 +23,6 @@ use gaugenn_apk::crc32::crc32;
 use gaugenn_apk::bundle::{AssetPack, BundleBuilder, Delivery};
 use gaugenn_apk::obb::{build_obb, ObbKind};
 use gaugenn_index::{wire, CorpusIndex};
-use gaugenn_modelfmt::ModelArtifact;
 use mio::{EpollReactor, Parker, SimReactor};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -62,7 +65,8 @@ struct Shared {
     /// keeps apps grouped by category, in store-rank order), by index
     /// into [`CATEGORIES`].
     categories: Vec<Range<usize>>,
-    artifact_cache: Mutex<HashMap<usize, Arc<ModelArtifact>>>,
+    /// Each artifact's files, shared and checksummed once per store.
+    artifact_cache: Mutex<HashMap<usize, ModelFiles>>,
     requests_served: Mutex<u64>,
     chaos: Option<FaultPlan>,
     index: Option<Arc<CorpusIndex>>,
@@ -100,18 +104,23 @@ impl Shared {
         self.packages.get(package).map(|&i| &self.corpus.apps[i])
     }
 
-    fn artifact(&self, id: usize) -> Arc<ModelArtifact> {
+    fn artifact(&self, id: usize) -> ModelFiles {
         if let Some(a) = self.artifact_cache.lock().get(&id) {
             return a.clone();
         }
         // Build outside the lock: artifact generation is deterministic, so
         // a rare double-build is harmless.
-        let built = Arc::new(self.corpus.pool[id].artifact(&self.corpus.pool));
+        let built = model_files(&self.corpus.pool[id].artifact(&self.corpus.pool));
         self.artifact_cache
             .lock()
             .entry(id)
             .or_insert(built)
             .clone()
+    }
+
+    /// An app's APK and its CRC-32, from the memoised artifacts.
+    fn apk(&self, app: &AppSpec) -> (Vec<u8>, u32) {
+        self.corpus.assemble_apk(app, &mut |id| self.artifact(id))
     }
 }
 
@@ -358,9 +367,9 @@ fn frame_of(resp: &Response) -> Vec<u8> {
 fn serve_request(shared: &Shared, req: &Request) -> Served {
     *shared.requests_served.lock() += 1;
     let parsed = Route::parse(&req.path);
-    let mut resp = match &parsed {
+    let (mut resp, mut body_crc) = match &parsed {
         Some(r) => route(shared, req, r),
-        None => Response::not_found(req.path_only()),
+        None => (Response::not_found(req.path_only()), None),
     };
     // Range resume: a client that already holds a verified prefix asks
     // for the suffix; the full-body checksum lets it validate the
@@ -372,8 +381,9 @@ fn serve_request(shared: &Shared, req: &Request) -> Served {
             .and_then(|v| v.parse::<usize>().ok())
         {
             if start > 0 && start < resp.body.len() {
+                let full = body_crc.take().unwrap_or_else(|| crc32(&resp.body));
                 resp.headers
-                    .push((FULL_CRC_HEADER.into(), format!("{:08x}", crc32(&resp.body))));
+                    .push((FULL_CRC_HEADER.into(), format!("{full:08x}")));
                 resp.headers
                     .push((RANGE_START_HEADER.into(), start.to_string()));
                 resp.body.drain(..start);
@@ -384,9 +394,10 @@ fn serve_request(shared: &Shared, req: &Request) -> Served {
     }
     // Integrity header: lets the crawler detect silent payload
     // corruption (chaos-injected or otherwise) without trusting the
-    // transport.
-    resp.headers
-        .push((CRC_HEADER.into(), format!("{:08x}", crc32(&resp.body))));
+    // transport. An APK arrives with its CRC from the assembler; every
+    // other body, and a ranged suffix, is checksummed here as served.
+    let crc = body_crc.unwrap_or_else(|| crc32(&resp.body));
+    resp.headers.push((CRC_HEADER.into(), format!("{crc:08x}")));
     let conn_id = req
         .header(CONNECTION_ID_HEADER)
         .and_then(|v| v.parse::<u64>().ok())
@@ -425,16 +436,18 @@ fn serve_request(shared: &Shared, req: &Request) -> Served {
     }
 }
 
-fn route(shared: &Shared, req: &Request, route: &Route) -> Response {
+/// Route a request to its response and, for an APK, the body's CRC-32
+/// as the assembler computed it.
+fn route(shared: &Shared, req: &Request, route: &Route) -> (Response, Option<u32>) {
     // The real store varies responses by user-agent/locale; we require the
     // headers (a crawler that forgets them is told so) but serve one
     // variant — the §4.2 finding is precisely that responses do not vary
     // by device profile.
     if req.header("user-agent").is_none() {
-        return Response::bad_request("missing User-Agent");
+        return (Response::bad_request("missing User-Agent"), None);
     }
     let corpus = &shared.corpus;
-    match route {
+    let resp = match route {
         Route::Categories => {
             let body = CATEGORIES
                 .iter()
@@ -445,7 +458,7 @@ fn route(shared: &Shared, req: &Request, route: &Route) -> Response {
         }
         Route::Category { name, start, count } => {
             let Some(idx) = crate::categories::category_index(name) else {
-                return Response::not_found(name);
+                return (Response::not_found(name), None);
             };
             let apps = &corpus.apps[shared.categories[idx].clone()];
             let count = (*count).min(MAX_PER_CATEGORY);
@@ -469,8 +482,8 @@ fn route(shared: &Shared, req: &Request, route: &Route) -> Response {
         },
         Route::Apk { package } => match shared.app(package) {
             Some(app) => {
-                let bytes = corpus.build_apk(app, &mut |id| shared.artifact(id));
-                Response::ok(bytes)
+                let (bytes, crc) = shared.apk(app);
+                return (Response::ok(bytes), Some(crc));
             }
             None => Response::not_found(package),
         },
@@ -496,7 +509,7 @@ fn route(shared: &Shared, req: &Request, route: &Route) -> Response {
         },
         Route::Bundle { package } => match shared.app(package) {
             Some(app) if app.has_bundle => {
-                let base = corpus.build_apk(app, &mut |id| shared.artifact(id));
+                let (base, _) = shared.apk(app);
                 let mut bb = BundleBuilder::new(base);
                 bb.add_pack(AssetPack {
                     name: "hires_textures".into(),
@@ -535,7 +548,8 @@ fn route(shared: &Shared, req: &Request, route: &Route) -> Response {
             Some(index) => Response::ok(index.stats_text().into_bytes()),
             None => Response::not_found("no corpus index attached"),
         },
-    }
+    };
+    (resp, None)
 }
 
 fn meta_body(app: &AppSpec) -> String {
@@ -655,12 +669,6 @@ mod tests {
         );
         assert_eq!(ranged.status, 200);
         assert_eq!(ranged.body, full.body[1000..].to_vec());
-        let header = |r: &Response, k: &str| {
-            r.headers
-                .iter()
-                .find(|(n, _)| n == k)
-                .map(|(_, v)| v.clone())
-        };
         assert_eq!(header(&ranged, RANGE_START_HEADER).as_deref(), Some("1000"));
         assert_eq!(
             header(&ranged, FULL_CRC_HEADER),
@@ -681,6 +689,61 @@ mod tests {
         assert_eq!(past.body, full.body);
         assert_eq!(header(&past, RANGE_START_HEADER), None);
         assert_eq!(header(&past, FULL_CRC_HEADER), None);
+    }
+
+    fn header(r: &Response, k: &str) -> Option<String> {
+        r.headers
+            .iter()
+            .find(|(n, _)| n == k)
+            .map(|(_, v)| v.clone())
+    }
+
+    #[test]
+    fn every_container_response_carries_the_crc_of_its_body() {
+        // APKs take their CRC from the assembler, combined from the
+        // memoised files' CRCs; OBBs, bundles and ranged suffixes are
+        // checksummed as served. Either way the header must be the CRC
+        // of the body on the wire. Every app of the corpus is fetched
+        // (plain, ML, obfuscated and SNPE APKs), and one ML app and one
+        // plain app are made to ship a bundle and an OBB so both
+        // container routes answer.
+        let mut corpus = generate(CorpusScale::Tiny, Snapshot::Y2021, 7);
+        let ml = corpus.apps.iter().position(|a| a.ml.is_some()).unwrap();
+        let plain = corpus.apps.iter().position(|a| a.ml.is_none()).unwrap();
+        corpus.apps[ml].has_bundle = true;
+        corpus.apps[plain].has_obb = true;
+        let apps = corpus.apps.clone();
+        let server = StoreServer::start(corpus).unwrap();
+        let crc_of = |body: &[u8]| Some(format!("{:08x}", crc32(body)));
+        let mut served = [0usize; 3];
+        for app in &apps {
+            let package = app.package.clone();
+            let mut routes = vec![(0, Route::Apk { package: package.clone() })];
+            if app.has_obb {
+                routes.push((1, Route::Obb { package: package.clone() }));
+            }
+            if app.has_bundle {
+                routes.push((2, Route::Bundle { package }));
+            }
+            for (kind, route) in routes {
+                let path = route.wire_path();
+                let full = get(server.addr(), &path, &[UA]);
+                assert_eq!(full.status, 200, "{path}");
+                assert_eq!(header(&full, CRC_HEADER), crc_of(&full.body), "{path}");
+                let start = full.body.len() / 2;
+                let ranged = get(
+                    server.addr(),
+                    &path,
+                    &[UA, (RANGE_START_HEADER, &start.to_string())],
+                );
+                assert_eq!(ranged.body, full.body[start..], "{path}");
+                assert_eq!(header(&ranged, CRC_HEADER), crc_of(&ranged.body), "{path}");
+                assert_eq!(header(&ranged, FULL_CRC_HEADER), crc_of(&full.body), "{path}");
+                served[kind] += 1;
+            }
+        }
+        assert_eq!(served[0], apps.len());
+        assert!(served[1] >= 1 && served[2] >= 1, "{served:?}");
     }
 
     #[test]

@@ -55,9 +55,12 @@ verify() {
     run_cargo "$mode" test -q --test concurrency \
         analysis_worker_count_never_changes_the_report -- --test-threads=1 \
         || return 1
-    # Persistent-cache determinism: two back-to-back repro runs against a
-    # fresh cache directory must emit byte-identical stdout, and the
-    # second must actually attach to the first's persisted analyses.
+    # Persistent-cache determinism: three back-to-back repro runs against
+    # a fresh cache directory must emit byte-identical stdout, and the
+    # second must actually attach to the first's persisted analyses. The
+    # third bounds the uncapped log: each warm run appends hit records,
+    # and opening rewrites them away once they outnumber the entries, so
+    # the log after the third run is no larger than after the second.
     cache_dir="target/verify-cache.$$"
     rm -rf "$cache_dir"
     GAUGENN_CACHE_DIR="$cache_dir" run_cargo "$mode" run --release -q \
@@ -76,7 +79,21 @@ verify() {
         grep "persistent cache:" "$cache_dir.err2" >&2
         return 1
     fi
-    rm -rf "$cache_dir" "$cache_dir.out1" "$cache_dir.out2" \
+    log_after_2=$(wc -c <"$cache_dir/cache.gnjl") || return 1
+    GAUGENN_CACHE_DIR="$cache_dir" run_cargo "$mode" run --release -q \
+        -p gaugenn-bench --bin repro -- --scale tiny --seed 1402 --workers 2 --analysis-workers 2 \
+        >"$cache_dir.out3" 2>/dev/null || return 1
+    if ! cmp -s "$cache_dir.out1" "$cache_dir.out3"; then
+        echo "verify: repro stdout differs on the third cache run" >&2
+        diff "$cache_dir.out1" "$cache_dir.out3" | head -20 >&2
+        return 1
+    fi
+    log_after_3=$(wc -c <"$cache_dir/cache.gnjl") || return 1
+    if [ "$log_after_3" -gt "$log_after_2" ]; then
+        echo "verify: uncapped cache log grew from $log_after_2 to $log_after_3 bytes on a warm run" >&2
+        return 1
+    fi
+    rm -rf "$cache_dir" "$cache_dir.out1" "$cache_dir.out2" "$cache_dir.out3" \
         "$cache_dir.err1" "$cache_dir.err2"
     # Crash-fault injection (DESIGN.md §12): the child-process matrix
     # that really SIGKILLs a run at each registered crash point, pinned

@@ -27,7 +27,7 @@ fn meta(pkg: &str) -> AppMeta {
 
 #[test]
 fn truncated_apk_is_an_error_not_a_panic() {
-    let apk = ApkBuilder::new("com.t.app", 1).finish().unwrap();
+    let (apk, _) = ApkBuilder::new("com.t.app", 1).finish().unwrap();
     for cut in [0, 1, 10, apk.len() / 2, apk.len() - 1] {
         let crawled = CrawledApp {
             meta: meta("com.t.app"),
@@ -64,7 +64,7 @@ fn corrupted_model_body_drops_out_gracefully() {
     b.add_asset("m.tflite", fake).unwrap();
     let crawled = CrawledApp {
         meta: meta("com.t.badmodel"),
-        apk: b.finish().unwrap(),
+        apk: b.finish().unwrap().0,
         obbs: vec![],
         bundle: None,
     };
@@ -111,7 +111,7 @@ fn zip_bomb_sized_claims_rejected() {
     // A central directory claiming a giant entry the stream can't hold.
     let mut w = ZipWriter::new();
     w.add("x", vec![1, 2, 3]).unwrap();
-    let mut bytes = w.finish();
+    let (mut bytes, _) = w.finish();
     // Corrupt the uncompressed-size field of the central directory record
     // (the parser must bound reads by the actual stream length).
     let cd = bytes

@@ -26,7 +26,8 @@ proptest! {
                 expected.push((name, data));
             }
         }
-        let archive = ZipArchive::parse(&w.finish()).unwrap();
+        let (bytes, _) = w.finish();
+        let archive = ZipArchive::parse(&bytes).unwrap();
         prop_assert_eq!(archive.len(), expected.len());
         for (name, data) in &expected {
             prop_assert_eq!(archive.get(name), Some(data.as_slice()));
@@ -41,7 +42,7 @@ proptest! {
     ) {
         let mut w = ZipWriter::new();
         w.add("f", data.clone()).unwrap();
-        let mut bytes = w.finish();
+        let (mut bytes, _) = w.finish();
         // Payload begins after 30-byte local header + 1-byte name.
         let idx = 31 + (flip % data.len());
         bytes[idx] ^= xor;
@@ -136,8 +137,8 @@ proptest! {
         split in 0usize..700,
     ) {
         use gaugenn::apk::crc32::{reference, Crc32};
-        // Slice-by-8 vs the original byte-at-a-time table loop, covering
-        // the empty input, the scalar tail (len % 8 != 0) and multi-fold
+        // Slice-by-16 vs the original byte-at-a-time table loop, covering
+        // the empty input, the scalar tail (len % 16 != 0) and multi-fold
         // runs in one strategy.
         prop_assert_eq!(crc32(&data), reference::crc32(&data));
         let split = split % (data.len() + 1);
@@ -153,8 +154,9 @@ proptest! {
         delta in 0usize..9,
     ) {
         use gaugenn::apk::crc32::reference;
-        // Empty, 1 byte, and every length around the 8-byte fold window.
-        for base in [0usize, 1, 7, 8, 9, 15, 16, 17, 64] {
+        // Empty, 1 byte, and every length around the 16-byte fold window
+        // and its first multiples.
+        for base in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64] {
             let data = vec![fill; base + delta];
             prop_assert_eq!(crc32(&data), reference::crc32(&data), "len {}", base + delta);
         }
