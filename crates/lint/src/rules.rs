@@ -390,8 +390,16 @@ const REACTOR_BLOCKING_METHODS: &[&str] = &["read_exact", "read_to_end", "read_t
 
 /// The blocking proto helpers (they loop on a blocking stream until a
 /// full frame arrives); the reactor must use the incremental
-/// `parse_request` instead.
-const REACTOR_BLOCKING_FNS: &[&str] = &["read_request", "read_response", "write_response"];
+/// `parse_request` instead, and the client lanes
+/// `response_frame_complete`/`finish_response_frame`. `read_request` is
+/// gone from `proto` but stays listed, so a blocking request reader
+/// brought back into a loop file is still caught.
+const REACTOR_BLOCKING_FNS: &[&str] = &[
+    "read_request",
+    "read_response",
+    "read_response_resumable",
+    "write_response",
+];
 
 /// Rule `blocking-call-in-reactor`: blocking calls inside the reactor
 /// module — `thread::sleep`, blocking connects, whole-frame proto

@@ -531,15 +531,19 @@ fn blocking_calls_in_the_client_reactor_are_flagged_too() {
 fn pump_lane(io: &mut TcpStream) {
     std::thread::sleep(backoff);
     let resp = read_response(io);
+    let outcome = read_response_resumable(io);
 }
 "#;
     let got = rules_at("crates/playstore/src/reactor_client.rs", src);
     assert_eq!(
         got.iter().map(|(r, _)| *r).collect::<Vec<_>>(),
-        vec!["blocking-call-in-reactor", "blocking-call-in-reactor"],
+        vec!["blocking-call-in-reactor"; 3],
         "{got:?}"
     );
-    assert_eq!(got.iter().map(|(_, l)| *l).collect::<Vec<_>>(), vec![3, 4]);
+    assert_eq!(
+        got.iter().map(|(_, l)| *l).collect::<Vec<_>>(),
+        vec![3, 4, 5]
+    );
 }
 
 #[test]

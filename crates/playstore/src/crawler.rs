@@ -266,13 +266,11 @@ impl CrawledApp {
     }
 }
 
-/// One live keep-alive connection — a pair of cloned [`Transport`]
-/// handles over TCP or a sim pipe, depending on the dialled
-/// [`Endpoint`].
-struct Conn {
-    reader: BufReader<Box<dyn Transport>>,
-    writer: Box<dyn Transport>,
-}
+/// One live keep-alive connection: one [`Transport`] handle, over TCP or
+/// a sim pipe depending on the dialled [`Endpoint`], behind the
+/// `BufReader` responses are read from. Requests are written through
+/// `get_mut()`, past the buffer, which only ever holds response bytes.
+type Conn = BufReader<Box<dyn Transport>>;
 
 /// The identity/range header set every store request carries, shared by
 /// the blocking crawler and the non-blocking client lanes so both
@@ -703,13 +701,6 @@ impl CrawlerBuilder {
         self
     }
 
-    /// Seed for the retry-jitter draws (shorthand for setting
-    /// [`RetryPolicy::jitter_seed`]).
-    pub fn jitter_seed(mut self, seed: u64) -> CrawlerBuilder {
-        self.retry.jitter_seed = seed;
-        self
-    }
-
     /// Store-wide admission controller (rate limit + circuit breaker)
     /// shared with the other workers of a pool.
     pub fn admission(mut self, controller: Arc<AdmissionController>) -> CrawlerBuilder {
@@ -789,10 +780,7 @@ impl Crawler {
         let stream = self
             .endpoint
             .dial(self.connect_timeout, self.read_timeout)?;
-        Ok(Conn {
-            reader: BufReader::new(stream.try_clone_box()?),
-            writer: stream,
-        })
+        Ok(BufReader::new(stream))
     }
 
     /// Drop the keep-alive stream: after any mid-response error the old
@@ -818,8 +806,8 @@ impl Crawler {
         let conn_id = self.connection_id.to_string();
         let range = range_start.map(|n| n.to_string());
         let headers = request_headers(&self.config, conn_id.as_str(), range.as_deref());
-        write_request(&mut conn.writer, wire_path, &headers)?;
-        let outcome = read_response_resumable(&mut conn.reader)?;
+        write_request(conn.get_mut(), wire_path, &headers)?;
+        let outcome = read_response_resumable(conn)?;
         if let ReadOutcome::Complete(resp) = &outcome {
             verify_body_crc(resp, wire_path)?;
         }

@@ -7,14 +7,16 @@
 //! `SimReactor` polls deterministically (see [`crate::reactor`]), which is
 //! what makes readiness-replay tests possible without real sockets.
 //!
-//! A sim connection is two byte pipes. The *client* side ([`SimStream`])
-//! blocks like a `TcpStream` (reads honour a timeout, writes always
-//! succeed) so existing client code is oblivious to the substrate; the
-//! *server* side ([`SimConnHandle`]) is non-blocking (`try_read` /
-//! `try_write` returning `WouldBlock`) so the reactor's connection state
-//! machines drive it exactly like a non-blocking socket. Dropping the last
-//! client handle half-closes the client→server direction, which the server
-//! observes as EOF — the sim analogue of TCP FIN.
+//! A sim connection is two byte pipes. Both ends are non-blocking
+//! (`try_read` / `try_write` returning `WouldBlock`): the *server* side
+//! ([`SimConnHandle`]) for the reactor's connection state machines, the
+//! *client* side ([`SimClientHandle`]) for the crawl lanes, each driven
+//! exactly like a non-blocking socket. The blocking crawler wraps the
+//! client side in a [`SimStream`], whose reads wait up to a timeout like
+//! a `TcpStream`'s, so client code is oblivious to the substrate.
+//! Dropping the last client handle half-closes the client→server
+//! direction, which the server observes as EOF — the sim analogue of
+//! TCP FIN.
 
 use mio::{Interest, Parker, SimSource};
 use std::collections::VecDeque;
@@ -23,72 +25,13 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// A bidirectional byte stream the crawler can run on: `TcpStream` or a
-/// [`SimStream`]. The methods mirror `std::io::{Read, Write}` (and
-/// `Box<dyn Transport>` implements those traits, so a boxed transport
-/// drops into `BufReader` and the existing proto helpers); cloning via
-/// [`Transport::try_clone_box`] mirrors `TcpStream::try_clone` — both
-/// handles share the underlying stream, so one can feed a `BufReader`
-/// while the other writes.
-pub trait Transport: Send {
-    /// Read bytes (blocking, subject to the stream's read timeout).
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize>;
-    /// Write bytes.
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize>;
-    /// Flush buffered writes.
-    fn flush(&mut self) -> io::Result<()>;
-    /// Clone the handle (shared underlying stream), boxed for object use.
-    fn try_clone_box(&self) -> io::Result<Box<dyn Transport>>;
-}
+/// A bidirectional byte stream the crawler can run on: a `TcpStream`
+/// or a [`SimStream`]. A `Box<dyn Transport>` is itself `Read + Write`,
+/// so one boxed handle sits behind the crawler's `BufReader` and takes
+/// its requests through `get_mut()`.
+pub trait Transport: Read + Write + Send {}
 
-impl Transport for TcpStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        Read::read(self, buf)
-    }
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        Write::write(self, buf)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Write::flush(self)
-    }
-    fn try_clone_box(&self) -> io::Result<Box<dyn Transport>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-}
-
-impl Transport for SimStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        Read::read(self, buf)
-    }
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        Write::write(self, buf)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-    fn try_clone_box(&self) -> io::Result<Box<dyn Transport>> {
-        Ok(Box::new(self.clone()))
-    }
-}
-
-// The std-trait bridge: lets `Box<dyn Transport>` feed a `BufReader` and
-// the blocking proto readers/writers unchanged. (Supertrait-based
-// `dyn Transport` would not implement `Read`/`Write` as a type, so the
-// trait carries its own methods and these impls forward.)
-impl Read for Box<dyn Transport> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        Transport::read(&mut **self, buf)
-    }
-}
-
-impl Write for Box<dyn Transport> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        Transport::write(&mut **self, buf)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Transport::flush(&mut **self)
-    }
-}
+impl<T: Read + Write + Send> Transport for T {}
 
 /// Where a store lives: a real TCP address or an in-process [`SimNet`].
 #[derive(Debug, Clone)]
@@ -248,24 +191,14 @@ impl Drop for HalfCloseGuard {
     }
 }
 
-/// Client side of a sim connection: blocking reads with a timeout,
-/// non-failing buffered writes — shaped like a `TcpStream` so the crawler
-/// cannot tell the difference.
-#[derive(Clone)]
+/// Client side of a sim connection for the blocking crawler: a
+/// [`SimClientHandle`] whose reads wait on the pipe up to a timeout, so
+/// it is shaped like a `TcpStream` and the crawler cannot tell the
+/// difference. Writes never block (the pipe is unbounded).
+#[derive(Clone, Debug)]
 pub struct SimStream {
-    c2s: Arc<Pipe>,
-    s2c: Arc<Pipe>,
-    parker: Arc<Parker>,
+    handle: SimClientHandle,
     read_timeout: Duration,
-    _guard: Arc<HalfCloseGuard>,
-}
-
-impl std::fmt::Debug for SimStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimStream")
-            .field("read_timeout", &self.read_timeout)
-            .finish()
-    }
 }
 
 impl SimStream {
@@ -274,22 +207,19 @@ impl SimStream {
     /// sees EOF. Readiness-replay tests use this to pre-script complete
     /// request streams before the server loop starts.
     pub fn shutdown_write(&self) {
-        self.c2s.close();
-        self.parker.notify();
+        self.handle.close();
     }
 }
 
 impl Read for SimStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.s2c.pop_blocking(buf, self.read_timeout)
+        self.handle.s2c.pop_blocking(buf, self.read_timeout)
     }
 }
 
 impl Write for SimStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.c2s.push(buf)?;
-        self.parker.notify();
-        Ok(n)
+        self.handle.try_write(buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -353,8 +283,8 @@ impl SimSource for SimConnHandle {
 /// (or the server's close) are pending, always writable (unbounded pipe).
 ///
 /// Obtained from [`SimNet::connect_nonblocking`]. Dropping the last
-/// handle half-closes the client→server direction like a dropped
-/// [`SimStream`] would.
+/// handle (a [`SimStream`] holds one) half-closes the client→server
+/// direction.
 #[derive(Clone)]
 pub struct SimClientHandle {
     c2s: Arc<Pipe>,
@@ -446,31 +376,12 @@ impl SimNet {
         Arc::clone(&self.inner.parker)
     }
 
-    /// Open a connection: queues the server half for accept and wakes the
-    /// loop. Connect order is the deterministic accept order.
+    /// Open a connection for the blocking crawler: a
+    /// [`SimNet::connect_nonblocking`] handle whose reads wait up to
+    /// `read_timeout`. Connect order is the deterministic accept order.
     pub fn connect(&self, read_timeout: Duration) -> SimStream {
-        let c2s = Arc::new(Pipe::default());
-        let s2c = Arc::new(Pipe::default());
-        let handle = SimConnHandle {
-            c2s: Arc::clone(&c2s),
-            s2c: Arc::clone(&s2c),
-        };
-        let mut q = self
-            .inner
-            .accept
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        q.push_back(handle);
-        drop(q);
-        self.inner.parker.notify();
         SimStream {
-            _guard: Arc::new(HalfCloseGuard {
-                c2s: Arc::clone(&c2s),
-                parker: self.parker(),
-            }),
-            c2s,
-            s2c,
-            parker: self.parker(),
+            handle: self.connect_nonblocking(),
             read_timeout,
         }
     }
@@ -689,9 +600,8 @@ mod tests {
         let mut buf = [0u8; 4];
         srv.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"ping");
-        let mut reader = t.try_clone_box().unwrap();
         srv.write_all(b"pong").unwrap();
-        reader.read_exact(&mut buf).unwrap();
+        t.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"pong");
     }
 }

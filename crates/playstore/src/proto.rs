@@ -6,9 +6,16 @@
 //! `User-Agent`, `X-Locale` and `X-Device-Profile` headers — "both the
 //! user-agent and locale headers are defined, which determine the variant
 //! of the store and apps retrieved" (§3.1).
+//!
+//! Both store clients read responses through one head parser. The
+//! blocking crawler feeds it lines from a `BufRead`
+//! ([`read_response_resumable`]); the non-blocking lanes run it over
+//! their read buffer ([`response_frame_complete`], then
+//! [`finish_response_frame`]). The same bytes, ending the same way,
+//! therefore give both clients the same outcome and the same error.
 
 use crate::{Result, StoreError};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Protocol identifier on the wire.
 pub const PROTO: &str = "GAUGE/1.0";
@@ -36,6 +43,10 @@ pub const CONNECTION_ID_HEADER: &str = "x-connection-id";
 /// streams junk without ever sending the blank line would otherwise grow
 /// the buffer without bound.
 pub const MAX_REQUEST_HEAD: usize = 16 * 1024;
+/// Cap on the response head, the counterpart of [`MAX_REQUEST_HEAD`]: a
+/// head not finished within it is a protocol error, so a store that keeps
+/// sending header bytes cannot grow a client's read buffer without bound.
+pub const MAX_RESPONSE_HEAD: usize = 16 * 1024;
 
 /// Percent-encode a path component (spaces, `&`, `?`, `%`, `/` and
 /// non-ASCII become `%XX`); category names like `"health & fitness"` would
@@ -176,25 +187,6 @@ pub fn write_request(
     Ok(())
 }
 
-/// Read a request. Returns `None` on clean EOF (client closed keep-alive).
-pub fn read_request(r: &mut BufReader<impl Read>) -> Result<Option<Request>> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
-    let line = line.trim_end();
-    let mut parts = line.split(' ');
-    let (method, path, proto) = (parts.next(), parts.next(), parts.next());
-    if method != Some("GET") || proto != Some(PROTO) {
-        return Err(StoreError::Protocol(format!("bad request line: {line}")));
-    }
-    let path = path
-        .ok_or_else(|| StoreError::Protocol("missing path".into()))?
-        .to_string();
-    let headers = read_headers(r)?;
-    Ok(Some(Request { path, headers }))
-}
-
 /// Incremental request parse over a byte buffer, for non-blocking
 /// connection state machines that accumulate reads as they arrive.
 ///
@@ -290,7 +282,7 @@ pub enum ReadOutcome {
 }
 
 /// Read a response, failing on any truncation.
-pub fn read_response(r: &mut BufReader<impl Read>) -> Result<Response> {
+pub fn read_response(r: &mut impl BufRead) -> Result<Response> {
     match read_response_resumable(r)? {
         ReadOutcome::Complete(resp) => Ok(resp),
         ReadOutcome::Truncated {
@@ -308,6 +300,11 @@ pub fn read_response(r: &mut BufReader<impl Read>) -> Result<Response> {
 /// Read a response, preserving a truncated body prefix instead of
 /// discarding it — the raw material for range-request resume.
 ///
+/// The reader is left at the end of the frame, so pipelined responses
+/// read back one after another. A read error before the first body byte
+/// is returned as the error; after it, the prefix is kept. On a blocking
+/// socket a read timeout is such an error (`WouldBlock`).
+///
 /// The body's first reservation is at most 1 MiB. After that it grows
 /// geometrically, but never past the declared `Content-Length`: a
 /// complete body's `capacity()` equals its `len()`, and a truncated
@@ -315,71 +312,39 @@ pub fn read_response(r: &mut BufReader<impl Read>) -> Result<Response> {
 /// length therefore costs allocation in proportion to the bytes that
 /// actually arrive, and a downloaded container carries no slack for as
 /// long as the crawl holds it.
-pub fn read_response_resumable(r: &mut BufReader<impl Read>) -> Result<ReadOutcome> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Err(StoreError::Protocol("connection closed mid-response".into()));
-    }
-    let line_t = line.trim_end();
-    let mut parts = line_t.split(' ');
-    if parts.next() != Some(PROTO) {
-        return Err(StoreError::Protocol(format!("bad status line: {line_t}")));
-    }
-    let status: u16 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| StoreError::Protocol("missing status code".into()))?;
-    let headers = read_headers(r)?;
-    let len: usize = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .and_then(|(_, v)| v.parse().ok())
-        .ok_or_else(|| StoreError::Protocol("missing content-length".into()))?;
-    if len > MAX_BODY {
-        return Err(StoreError::Protocol(format!("body too large: {len}")));
-    }
-    let mut body = Vec::with_capacity(len.min(1 << 20));
-    let mut chunk = [0u8; 8192];
-    while body.len() < len {
-        let want = (len - body.len()).min(chunk.len());
-        match r.read(&mut chunk[..want]) {
-            Ok(0) => {
-                return Ok(ReadOutcome::Truncated {
-                    status,
-                    headers,
-                    received: body,
-                    expected_len: len,
-                })
-            }
-            Ok(n) => {
-                if body.capacity() - body.len() < n {
-                    // `want` caps `n`, so `body.len() + n <= len`.
-                    let target = (body.capacity() * 2).max(body.len() + n).min(len);
-                    body.reserve_exact(target - body.len());
-                }
-                body.extend_from_slice(&chunk[..n]);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                // A timeout/reset mid-body: whatever arrived is still a
-                // valid prefix worth resuming from.
-                if body.is_empty() {
-                    return Err(e.into());
-                }
-                return Ok(ReadOutcome::Truncated {
-                    status,
-                    headers,
-                    received: body,
-                    expected_len: len,
-                });
-            }
+pub fn read_response_resumable(r: &mut impl BufRead) -> Result<ReadOutcome> {
+    let mut head_bytes = Vec::new();
+    let head = loop {
+        // One byte past the cap is enough to reject a head that overruns it.
+        let limit = (MAX_RESPONSE_HEAD + 1 - head_bytes.len()) as u64;
+        let ended = r.by_ref().take(limit).read_until(b'\n', &mut head_bytes)? == 0;
+        if let Some(head) = parse_head(&head_bytes, ended, |_, _| {})? {
+            break head;
         }
+    };
+    // The loop only asked whether the head was whole; now keep its headers.
+    let mut headers = Vec::new();
+    parse_head(&head_bytes, true, |name, value| headers.push(owned(name, value)))?;
+    let mut body = Vec::with_capacity(head.len.min(1 << 20));
+    while body.len() < head.len {
+        let chunk = match r.fill_buf() {
+            Ok([]) => break,
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if body.is_empty() => return Err(e.into()),
+            // A timeout/reset mid-body: whatever arrived is still a
+            // valid prefix worth resuming from.
+            Err(_) => break,
+        };
+        let n = chunk.len().min(head.len - body.len());
+        if body.capacity() - body.len() < n {
+            let target = (body.capacity() * 2).max(body.len() + n).min(head.len);
+            body.reserve_exact(target - body.len());
+        }
+        body.extend_from_slice(&chunk[..n]);
+        r.consume(n);
     }
-    Ok(ReadOutcome::Complete(Response {
-        status,
-        headers,
-        body,
-    }))
+    Ok(outcome(head, headers, body))
 }
 
 /// Incremental completeness probe for a client-side response buffer, the
@@ -388,104 +353,184 @@ pub fn read_response_resumable(r: &mut BufReader<impl Read>) -> Result<ReadOutco
 ///
 /// Returns `true` once the buffered bytes are *decidable*: either a full
 /// `Content-Length`-framed response is present, or the head is malformed
-/// in a way no further bytes can repair (bad status line, missing or
-/// unparseable `Content-Length`, a declared body over [`MAX_BODY`]).
-/// Returns `false` while more bytes could still change the answer. The
-/// probe never parses authoritatively — when it says `true` (or the
-/// stream ends), [`finish_response_frame`] replays the buffer through
-/// [`read_response_resumable`] so outcomes and error strings are
-/// byte-identical to the blocking path.
+/// in a way no further bytes can repair (bad status line, bad header,
+/// missing or unparseable `Content-Length`, a declared body over
+/// [`MAX_BODY`], a head past [`MAX_RESPONSE_HEAD`]). Returns `false`
+/// while more bytes could still change the answer. It runs the head
+/// parser over the buffer and compares lengths; it allocates nothing and
+/// copies no body, since a lane calls it after every read.
 pub fn response_frame_complete(buf: &[u8]) -> bool {
-    let head_end = match buf.windows(4).position(|w| w == b"\r\n\r\n") {
-        Some(pos) => pos,
-        None => return false,
-    };
-    // The head is fully buffered and every line terminated; any
-    // malformation found now is final (the replay in finish surfaces the
-    // exact blocking-path error), so report decidable immediately rather
-    // than waiting for body bytes that may never come.
-    let head = match std::str::from_utf8(&buf[..head_end]) {
-        Ok(h) => h,
-        Err(_) => return true,
-    };
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let mut parts = status_line.split(' ');
-    if parts.next() != Some(PROTO) {
-        return true;
+    match parse_head(buf, false, |_, _| {}) {
+        Ok(Some(head)) => buf.len() - head.end >= head.len,
+        Ok(None) => false,
+        Err(_) => true,
     }
-    if parts.next().and_then(|s| s.parse::<u16>().ok()).is_none() {
-        return true;
-    }
-    for line in lines {
-        let Some((k, v)) = line.split_once(':') else {
-            return true;
-        };
-        if k.trim().eq_ignore_ascii_case("content-length") {
-            return match v.trim().parse::<usize>() {
-                Ok(len) if len <= MAX_BODY => buf.len() >= head_end + 4 + len,
-                _ => true,
-            };
-        }
-    }
-    // Complete head without a content-length: the replay errors now.
-    true
 }
 
 /// Resolve an accumulated response buffer to the outcome the blocking
-/// reader would have produced on the same byte/error history.
+/// reader gives for the same bytes ending the same way.
 ///
 /// Call when [`response_frame_complete`] returns `true`, or when the
 /// stream ended (EOF or a read error) with the frame still incomplete.
 /// `io_err` is the read error that ended the stream, if any (`None` for
-/// clean EOF). The buffer is replayed through [`read_response_resumable`]
-/// over a cursor — cursor EOF lands exactly where the socket would have
-/// blocked, so truncation outcomes and every error string match the
-/// blocking path byte-for-byte. A stored read error overrides replay
-/// results the blocking reader could never have reached: an unterminated
-/// head (the error hit `read_line` mid-accumulation) and an empty body
-/// prefix (the blocking body loop propagates the error rather than
-/// preserving zero bytes).
-pub fn finish_response_frame(
-    buf: &[u8],
-    io_err: Option<std::io::Error>,
-) -> Result<ReadOutcome> {
+/// clean EOF). Bytes past the frame are ignored. As in
+/// [`read_response_resumable`], the read error is the outcome when it
+/// cut the head or came before the first body byte; otherwise the body
+/// prefix is kept.
+pub fn finish_response_frame(buf: &[u8], io_err: Option<io::Error>) -> Result<ReadOutcome> {
+    let mut headers = Vec::new();
+    let parsed = parse_head(buf, io_err.is_none(), |name, value| {
+        headers.push(owned(name, value))
+    });
+    let Some(head) = parsed? else {
+        // Only a read error leaves a head cut; a clean EOF decides every head.
+        return Err(io_err.map_or_else(|| BadHead::EofInHeaders.into(), Into::into));
+    };
+    let body = &buf[head.end..];
+    let body = &body[..body.len().min(head.len)];
     match io_err {
-        None => read_response_resumable(&mut BufReader::new(std::io::Cursor::new(buf))),
-        Some(e) => {
-            if !buf.windows(4).any(|w| w == b"\r\n\r\n") {
-                return Err(e.into());
-            }
-            match read_response_resumable(&mut BufReader::new(std::io::Cursor::new(buf)))? {
-                ReadOutcome::Truncated { received, .. } if received.is_empty() => Err(e.into()),
-                out => Ok(out),
-            }
-        }
+        Some(e) if body.is_empty() && head.len > 0 => Err(e.into()),
+        _ => Ok(outcome(head, headers, body.to_vec())),
     }
 }
 
-fn read_headers(r: &mut BufReader<impl Read>) -> Result<Vec<(String, String)>> {
-    let mut headers = Vec::new();
+/// A response head: status, declared body length, and the head's own
+/// length in bytes (status line through blank line).
+struct Head {
+    status: u16,
+    len: usize,
+    end: usize,
+}
+
+/// Why a response head can never parse. It borrows the offending line,
+/// so [`response_frame_complete`] decides a malformed head without
+/// allocating; `?` turns it into the error both readers return.
+enum BadHead<'a> {
+    Closed,
+    EofInHeaders,
+    NotUtf8,
+    StatusLine(&'a str),
+    StatusCode,
+    Header(&'a str),
+    NoLength,
+    BodyTooLarge(usize),
+    HeadTooLong,
+}
+
+impl From<BadHead<'_>> for StoreError {
+    fn from(bad: BadHead<'_>) -> StoreError {
+        StoreError::Protocol(match bad {
+            // The error `read_line` gives for a line that is not UTF-8.
+            BadHead::NotUtf8 => {
+                return io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                )
+                .into()
+            }
+            BadHead::Closed => "connection closed mid-response".into(),
+            BadHead::EofInHeaders => "eof in headers".into(),
+            BadHead::StatusLine(line) => format!("bad status line: {line}"),
+            BadHead::StatusCode => "missing status code".into(),
+            BadHead::Header(line) => format!("bad header: {line}"),
+            BadHead::NoLength => "missing content-length".into(),
+            BadHead::BodyTooLarge(len) => format!("body too large: {len}"),
+            BadHead::HeadTooLong => format!("response head exceeds {MAX_RESPONSE_HEAD} bytes"),
+        })
+    }
+}
+
+/// The one response-head parser, run by both clients over the head bytes
+/// they hold. It reads them as a `read_line` loop would: each line is
+/// UTF-8-checked and `trim_end`ed; the first must be `GAUGE/1.0 <code> …`;
+/// `name: value` headers follow up to the first blank line, each handed to
+/// `header` trimmed, and the first `Content-Length` among them frames the
+/// body.
+///
+/// `Ok(None)` while a line is cut and more bytes may come; with `ended` (a
+/// clean EOF follows `buf`), a cut last line counts as the last line. A
+/// head that runs past [`MAX_RESPONSE_HEAD`] is an error, so no more than
+/// one byte past the cap is looked at.
+fn parse_head(
+    buf: &[u8],
+    ended: bool,
+    mut header: impl FnMut(&str, &str),
+) -> std::result::Result<Option<Head>, BadHead<'_>> {
+    let buf = &buf[..buf.len().min(MAX_RESPONSE_HEAD + 1)];
+    let (mut end, mut status, mut content_length) = (0, None, None);
     loop {
-        let mut line = String::new();
-        if r.read_line(&mut line)? == 0 {
-            return Err(StoreError::Protocol("eof in headers".into()));
+        let rest = &buf[end..];
+        let n = match rest.iter().position(|&b| b == b'\n') {
+            Some(i) => i + 1,
+            None if ended && rest.is_empty() => {
+                return Err(match status {
+                    None => BadHead::Closed,
+                    Some(_) => BadHead::EofInHeaders,
+                })
+            }
+            None if ended || buf.len() > MAX_RESPONSE_HEAD => rest.len(),
+            None => return Ok(None),
+        };
+        end += n;
+        if end > MAX_RESPONSE_HEAD {
+            return Err(BadHead::HeadTooLong);
         }
-        let line = line.trim_end();
+        let line = std::str::from_utf8(&rest[..n])
+            .map_err(|_| BadHead::NotUtf8)?
+            .trim_end();
+        let Some(status) = status else {
+            let mut parts = line.split(' ');
+            if parts.next() != Some(PROTO) {
+                return Err(BadHead::StatusLine(line));
+            }
+            let code = parts.next().and_then(|s| s.parse::<u16>().ok());
+            status = Some(code.ok_or(BadHead::StatusCode)?);
+            continue;
+        };
         if line.is_empty() {
-            return Ok(headers);
+            let len = content_length.flatten().ok_or(BadHead::NoLength)?;
+            if len > MAX_BODY {
+                return Err(BadHead::BodyTooLarge(len));
+            }
+            return Ok(Some(Head { status, len, end }));
         }
-        let (k, v) = line
-            .split_once(':')
-            .ok_or_else(|| StoreError::Protocol(format!("bad header: {line}")))?;
-        headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
+        let (name, value) = line.split_once(':').ok_or(BadHead::Header(line))?;
+        let (name, value) = (name.trim(), value.trim());
+        if content_length.is_none() && name.eq_ignore_ascii_case("content-length") {
+            content_length = Some(value.parse::<usize>().ok());
+        }
+        header(name, value);
+    }
+}
+
+/// A header as [`Response::headers`] stores it: name lower-cased.
+fn owned(name: &str, value: &str) -> (String, String) {
+    (name.to_ascii_lowercase(), value.to_string())
+}
+
+/// A complete response once the body reached its declared length,
+/// otherwise the truncated prefix.
+fn outcome(head: Head, headers: Vec<(String, String)>, body: Vec<u8>) -> ReadOutcome {
+    if body.len() == head.len {
+        ReadOutcome::Complete(Response {
+            status: head.status,
+            headers,
+            body,
+        })
+    } else {
+        ReadOutcome::Truncated {
+            status: head.status,
+            headers,
+            received: body,
+            expected_len: head.len,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use std::io::{BufReader, Cursor};
 
     #[test]
     fn request_roundtrip() {
@@ -496,8 +541,8 @@ mod tests {
             &[("User-Agent", "gaugeNN/1.0"), ("X-Locale", "en_GB")],
         )
         .unwrap();
-        let mut r = BufReader::new(Cursor::new(buf));
-        let req = read_request(&mut r).unwrap().unwrap();
+        let (req, consumed) = parse_request(&buf).unwrap().unwrap();
+        assert_eq!(consumed, buf.len());
         assert_eq!(req.path_only(), "/category/finance");
         assert_eq!(req.query("start"), Some("0"));
         assert_eq!(req.query("count"), Some("100"));
@@ -523,15 +568,8 @@ mod tests {
     }
 
     #[test]
-    fn eof_is_clean_end_of_keepalive() {
-        let mut r = BufReader::new(Cursor::new(Vec::<u8>::new()));
-        assert!(read_request(&mut r).unwrap().is_none());
-    }
-
-    #[test]
     fn bad_frames_rejected() {
-        let mut r = BufReader::new(Cursor::new(b"POST / GAUGE/1.0\r\n\r\n".to_vec()));
-        assert!(read_request(&mut r).is_err());
+        assert!(parse_request(b"POST / GAUGE/1.0\r\n\r\n").is_err());
         let mut r2 = BufReader::new(Cursor::new(b"HTTP/1.1 200 OK\r\n\r\n".to_vec()));
         assert!(read_response(&mut r2).is_err());
         let mut r3 = BufReader::new(Cursor::new(b"GAUGE/1.0 200 OK\r\nno-length: 1\r\n\r\n".to_vec()));
@@ -633,23 +671,6 @@ mod tests {
             }
             other => panic!("expected truncation, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn incremental_parse_matches_blocking_reader() {
-        let mut buf = Vec::new();
-        write_request(
-            &mut buf,
-            "/category/health%20%26%20fitness?start=0&count=100",
-            &[("User-Agent", "gaugeNN/1.0"), ("X-Connection-Id", "7")],
-        )
-        .unwrap();
-        let blocking = read_request(&mut BufReader::new(Cursor::new(buf.clone())))
-            .unwrap()
-            .unwrap();
-        let (incremental, consumed) = parse_request(&buf).unwrap().unwrap();
-        assert_eq!(incremental, blocking);
-        assert_eq!(consumed, buf.len());
     }
 
     #[test]
@@ -785,6 +806,273 @@ mod tests {
         // Clean EOF at byte 0 keeps the blocking path's protocol error.
         let err = finish_response_frame(b"", None).unwrap_err();
         assert!(err.to_string().contains("connection closed mid-response"), "{err}");
+    }
+
+    /// The line reader the crawler used before both clients shared one
+    /// head parser, kept verbatim: the readers are held to its outcomes
+    /// and error strings.
+    mod reference {
+        use crate::proto::{ReadOutcome, Response, MAX_BODY, PROTO};
+        use crate::{Result, StoreError};
+        use std::io::{BufRead, BufReader, Read};
+
+        pub fn read_response_resumable(r: &mut BufReader<impl Read>) -> Result<ReadOutcome> {
+            let mut line = String::new();
+            if r.read_line(&mut line)? == 0 {
+                return Err(StoreError::Protocol("connection closed mid-response".into()));
+            }
+            let line_t = line.trim_end();
+            let mut parts = line_t.split(' ');
+            if parts.next() != Some(PROTO) {
+                return Err(StoreError::Protocol(format!("bad status line: {line_t}")));
+            }
+            let status: u16 = parts
+                .next()
+                .and_then(|s| s.parse().ok())
+                .ok_or_else(|| StoreError::Protocol("missing status code".into()))?;
+            let headers = read_headers(r)?;
+            let len: usize = headers
+                .iter()
+                .find(|(k, _)| k == "content-length")
+                .and_then(|(_, v)| v.parse().ok())
+                .ok_or_else(|| StoreError::Protocol("missing content-length".into()))?;
+            if len > MAX_BODY {
+                return Err(StoreError::Protocol(format!("body too large: {len}")));
+            }
+            let mut body = Vec::with_capacity(len.min(1 << 20));
+            let mut chunk = [0u8; 8192];
+            while body.len() < len {
+                let want = (len - body.len()).min(chunk.len());
+                match r.read(&mut chunk[..want]) {
+                    Ok(0) => {
+                        return Ok(ReadOutcome::Truncated {
+                            status,
+                            headers,
+                            received: body,
+                            expected_len: len,
+                        })
+                    }
+                    Ok(n) => {
+                        if body.capacity() - body.len() < n {
+                            // `want` caps `n`, so `body.len() + n <= len`.
+                            let target = (body.capacity() * 2).max(body.len() + n).min(len);
+                            body.reserve_exact(target - body.len());
+                        }
+                        body.extend_from_slice(&chunk[..n]);
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => {
+                        // A timeout/reset mid-body: whatever arrived is still a
+                        // valid prefix worth resuming from.
+                        if body.is_empty() {
+                            return Err(e.into());
+                        }
+                        return Ok(ReadOutcome::Truncated {
+                            status,
+                            headers,
+                            received: body,
+                            expected_len: len,
+                        });
+                    }
+                }
+            }
+            Ok(ReadOutcome::Complete(Response {
+                status,
+                headers,
+                body,
+            }))
+        }
+
+        fn read_headers(r: &mut BufReader<impl Read>) -> Result<Vec<(String, String)>> {
+            let mut headers = Vec::new();
+            loop {
+                let mut line = String::new();
+                if r.read_line(&mut line)? == 0 {
+                    return Err(StoreError::Protocol("eof in headers".into()));
+                }
+                let line = line.trim_end();
+                if line.is_empty() {
+                    return Ok(headers);
+                }
+                let (k, v) = line
+                    .split_once(':')
+                    .ok_or_else(|| StoreError::Protocol(format!("bad header: {line}")))?;
+                headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
+            }
+        }
+    }
+
+    /// Hands out `bytes` at most `chunk` at a time, then ends in a clean
+    /// EOF or, with `reset`, a connection reset.
+    struct Chunked<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+        reset: bool,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.bytes.is_empty() {
+                return if self.reset { Err(reset()) } else { Ok(0) };
+            }
+            let n = buf.len().min(self.chunk).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    fn reset() -> io::Error {
+        io::Error::new(io::ErrorKind::ConnectionReset, "reset")
+    }
+
+    /// What the comparison sees of a read: `Debug` of the outcome,
+    /// `Display` of the error.
+    fn shown(read: Result<ReadOutcome>) -> String {
+        match read {
+            Ok(outcome) => format!("{outcome:?}"),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
+    /// Well-formed frames, one with a pipelined tail, and malformed or
+    /// ambiguous heads.
+    fn reference_frames() -> Vec<Vec<u8>> {
+        let mut frames = Vec::new();
+        for len in [0u8, 1, 100] {
+            let mut resp = Response::ok((0..len).collect());
+            resp.headers.push((CRC_HEADER.into(), "0badc0de".into()));
+            let mut frame = Vec::new();
+            write_response(&mut frame, &resp).unwrap();
+            frames.push(frame);
+        }
+        let mut not_found = Vec::new();
+        write_response(&mut not_found, &Response::not_found("com.x")).unwrap();
+        frames.push(not_found.clone());
+        not_found.extend_from_slice(b"GAUGE/1.0 200 OK\r\n");
+        frames.push(not_found);
+        let malformed: [&[u8]; 11] = [
+            b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",
+            b" GAUGE/1.0 200 OK\r\nContent-Length: 0\r\n\r\n",
+            b"GAUGE/1.0 abc OK\r\nContent-Length: 0\r\n\r\n",
+            b"GAUGE/1.0 200 OK\r\nnocolon\r\nContent-Length: 1\r\n\r\nx",
+            b"GAUGE/1.0 200 OK\r\nContent-Length: 1\r\nnocolon\r\n\r\nx",
+            b"GAUGE/1.0 200 OK\r\nx-a: b\r\n\r\n",
+            b"GAUGE/1.0 200 OK\r\nContent-Length: ten\r\n\r\n",
+            b"GAUGE/1.0 200 OK\r\nContent-Length: 999999999999\r\n\r\n",
+            b"GAUGE/1.0 200 OK\r\nContent-Length: 1\r\ncontent-length: 2\r\n\r\nxy",
+            b"GAUGE/1.0 200 OK\r\nx-a: \xff\r\nContent-Length: 0\r\n\r\n",
+            b"GAUGE/1.0 200 OK  \r\nContent-Length: 3  \r\n  \r\nabc",
+        ];
+        frames.extend(malformed.iter().map(|head| head.to_vec()));
+        frames
+    }
+
+    #[test]
+    fn both_readers_match_the_reference_at_every_cut() {
+        for frame in reference_frames() {
+            for cut in 0..=frame.len() {
+                let bytes = &frame[..cut];
+                for reset_ends in [false, true] {
+                    let source = |capacity, chunk| {
+                        let reset = reset_ends;
+                        BufReader::with_capacity(capacity, Chunked { bytes, chunk, reset })
+                    };
+                    let want = shown(reference::read_response_resumable(&mut source(8192, 8192)));
+                    for capacity in [1, 3, 7, 8192] {
+                        for chunk in [1, 5, 8192] {
+                            let got = shown(read_response_resumable(&mut source(capacity, chunk)));
+                            assert_eq!(
+                                got, want,
+                                "{bytes:?} reset={reset_ends} capacity={capacity} chunk={chunk}"
+                            );
+                        }
+                    }
+                    let got = shown(finish_response_frame(bytes, reset_ends.then(reset)));
+                    assert_eq!(got, want, "lane: {bytes:?} reset={reset_ends}");
+                }
+            }
+        }
+        // A status line cut by a reset: the line reader rejects it before
+        // it reads on, so a lane does too.
+        let err = finish_response_frame(b"HTTP/1.1 200 OK\r\n", Some(reset())).unwrap_err();
+        assert!(err.to_string().contains("bad status line"), "{err}");
+    }
+
+    #[test]
+    fn pipelined_frames_read_back_exactly_at_every_capacity() {
+        let sent: Vec<Response> = [&b""[..], b"x", &[7u8; 10_000], b"tail"]
+            .into_iter()
+            .map(|body| Response::ok(body.to_vec()))
+            .collect();
+        let mut wire = Vec::new();
+        for resp in &sent {
+            write_response(&mut wire, resp).unwrap();
+        }
+        for capacity in 1..=8192 {
+            let mut r = BufReader::with_capacity(capacity, &wire[..]);
+            for want in &sent {
+                let got = read_response(&mut r).unwrap();
+                assert_eq!(got.body, want.body, "capacity {capacity}");
+            }
+            assert!(r.fill_buf().unwrap().is_empty(), "capacity {capacity}");
+        }
+    }
+
+    #[test]
+    fn a_head_past_the_cap_is_decided_by_every_reader() {
+        let status = b"GAUGE/1.0 200 OK\r\n";
+        let unended_headers: Vec<u8> = status
+            .iter()
+            .chain(b"x-pad: 1\r\n".iter().cycle())
+            .take(MAX_RESPONSE_HEAD + 1)
+            .copied()
+            .collect();
+        let unended_line = vec![b'a'; MAX_RESPONSE_HEAD + 1];
+        for head in [unended_headers, unended_line] {
+            assert!(!response_frame_complete(&head[..MAX_RESPONSE_HEAD]));
+            assert!(response_frame_complete(&head));
+            for io_err in [None, Some(reset())] {
+                let err = finish_response_frame(&head, io_err).unwrap_err();
+                assert!(err.to_string().contains("response head exceeds"), "{err}");
+            }
+            let err = read_response_resumable(&mut &head[..]).unwrap_err();
+            assert!(err.to_string().contains("response head exceeds"), "{err}");
+        }
+        // A head of exactly the cap still parses.
+        let tail = b"Content-Length: 0\r\n\r\n";
+        let mut full = status.to_vec();
+        full.extend(b"x-pad: ");
+        full.resize(MAX_RESPONSE_HEAD - tail.len() - 2, b'p');
+        full.extend(b"\r\n");
+        full.extend(tail);
+        assert_eq!(full.len(), MAX_RESPONSE_HEAD);
+        assert!(response_frame_complete(&full));
+        let want = shown(read_response_resumable(&mut &full[..]));
+        assert!(want.starts_with("Complete"), "{want}");
+        assert_eq!(shown(finish_response_frame(&full, None)), want);
+
+        /// A peer that sends `a` forever and counts what it hands out.
+        struct NoNewline(usize);
+        impl Read for NoNewline {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                buf.fill(b'a');
+                self.0 += buf.len();
+                Ok(buf.len())
+            }
+        }
+        impl BufRead for NoNewline {
+            fn fill_buf(&mut self) -> io::Result<&[u8]> {
+                Ok(&[b'a'; 64])
+            }
+            fn consume(&mut self, n: usize) {
+                self.0 += n;
+            }
+        }
+        let mut peer = NoNewline(0);
+        let err = read_response_resumable(&mut peer).unwrap_err();
+        assert!(err.to_string().contains("response head exceeds"), "{err}");
+        assert!(peer.0 <= MAX_RESPONSE_HEAD + 1, "took {} bytes", peer.0);
     }
 
     #[test]

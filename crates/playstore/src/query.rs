@@ -75,12 +75,6 @@ impl QueryClientBuilder {
         self
     }
 
-    /// Seed the backoff jitter independently of the retry policy.
-    pub fn jitter_seed(mut self, seed: u64) -> QueryClientBuilder {
-        self.inner = self.inner.jitter_seed(seed);
-        self
-    }
-
     /// Connect and build the client.
     pub fn build(self) -> Result<QueryClient> {
         Ok(QueryClient {

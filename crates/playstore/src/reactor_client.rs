@@ -16,14 +16,15 @@
 //! building blocks as the blocking path: requests are framed by
 //! [`crate::proto::write_request`] with the identical header set,
 //! responses accumulate until [`crate::proto::response_frame_complete`]
-//! says the buffer is decidable and are then *replayed* through the
-//! blocking parser by [`crate::proto::finish_response_frame`] (same
-//! outcomes, same error strings, byte for byte), and every retry,
-//! backoff draw, admission charge and counter bump goes through the one
-//! shared `RequestSm`. A lane therefore produces the same
-//! [`CrawlStats`] on the same `(connection id, route)` history as a
-//! blocking crawler would — which is what keeps the single-connection
-//! `Crawler` the reference every pooled crawl must byte-match.
+//! says the buffer is decidable and are then resolved by
+//! [`crate::proto::finish_response_frame`], which runs the blocking
+//! reader's own head parser over the buffer (same outcomes, same error
+//! strings, byte for byte), and every retry, backoff draw, admission
+//! charge and counter bump goes through the one shared `RequestSm`. A
+//! lane therefore produces the same [`CrawlStats`] on the same
+//! `(connection id, route)` history as a blocking crawler would — which
+//! is what keeps the single-connection `Crawler` the reference every
+//! pooled crawl must byte-match.
 //!
 //! Nothing in a lane waits except on I/O: backoff, pacing charges and
 //! breaker retry-afters are accounted on the logical clock exactly as
@@ -843,8 +844,8 @@ fn conclude<J: LaneJob>(
 }
 
 /// Finish an accumulated response buffer the way the blocking exchange
-/// would have (replay through the blocking parser, then the integrity
-/// check) and conclude the attempt.
+/// would have (the shared head parser, then the integrity check) and
+/// conclude the attempt.
 fn finish_frame<J: LaneJob>(
     lane: &mut ClientSm<J>,
     ctx: &mut DriverCtx<'_>,

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 verification: build + full test suite (see ROADMAP.md; the
 # root manifest's default-members make both cover every workspace
-# crate) plus the perfbench lockfile gate, the concurrency suite
+# crate) plus the perfbench lockfile and build gates, the concurrency suite
 # re-run single-threaded, a
 # double-repro persistent-cache determinism check, the crash-recovery
 # matrix (its uninterrupted run must match the pinned tiny report
@@ -44,6 +44,12 @@ verify() {
     # writes nothing.
     run_cargo "$mode" tree --locked --manifest-path perfbench/Cargo.toml \
         >/dev/null || return 1
+    # perfbench calls the library's public items (the proto framing
+    # helpers among them), so build it against the tree and run its
+    # tests: a signature it uses that changed fails here, not first at
+    # benchmark time. Its own target dir keeps perfbench/ untouched.
+    CARGO_TARGET_DIR=target/perfbench run_cargo "$mode" test -q --locked \
+        --manifest-path perfbench/Cargo.toml || return 1
     run_cargo "$mode" test -q || return 1
     # The concurrency suite exercises the sharded crawl pool and the
     # analysis pool's render determinism; re-run it with the test harness

@@ -228,21 +228,32 @@ fn malformed_metadata_is_a_typed_error_not_a_zero() {
     // A store that serves well-framed metadata with a garbage numeric
     // field: the crawler must fail with a protocol error, never coerce
     // the field to 0.
-    use gaugenn::playstore::proto::{read_request, write_response, Response};
+    use gaugenn::playstore::proto::{parse_request, write_response, Response};
+    use std::io::Read;
     let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let addr = listener.local_addr().unwrap();
     let handle = std::thread::spawn(move || {
         // One keep-alive connection is enough: a well-framed 200 with a
         // bad field is a permanent parse failure, never retried.
-        if let Ok((stream, _)) = listener.accept() {
-            let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-            let mut writer = stream;
-            while let Ok(Some(_req)) = read_request(&mut reader) {
-                let body = "package=com.x\ntitle=T\ncategory=tools\ndownloads=lots\n\
-                            rating=4.5\nversion=1\nhas_obb=false\nhas_bundle=false\n";
-                let resp = Response::ok(body.as_bytes().to_vec());
-                if write_response(&mut writer, &resp).is_err() {
-                    break;
+        if let Ok((mut stream, _)) = listener.accept() {
+            let mut buf = Vec::new();
+            let mut chunk = [0u8; 1024];
+            loop {
+                match parse_request(&buf) {
+                    Ok(Some((_req, consumed))) => {
+                        buf.drain(..consumed);
+                        let body = "package=com.x\ntitle=T\ncategory=tools\ndownloads=lots\n\
+                                    rating=4.5\nversion=1\nhas_obb=false\nhas_bundle=false\n";
+                        let resp = Response::ok(body.as_bytes().to_vec());
+                        if write_response(&mut stream, &resp).is_err() {
+                            break;
+                        }
+                    }
+                    Ok(None) => match stream.read(&mut chunk) {
+                        Ok(0) | Err(_) => break,
+                        Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                    },
+                    Err(_) => break,
                 }
             }
         }
