@@ -12,12 +12,11 @@ use gaugenn_analysis::classify::LayerComposition;
 use gaugenn_analysis::etl::Index;
 use gaugenn_index::CorpusIndex;
 use gaugenn_modelfmt::Framework;
-use gaugenn_playstore::admission::{AdmissionConfig, AdmissionStats};
+use gaugenn_playstore::admission::AdmissionStats;
 use gaugenn_playstore::chaos::{FaultPlan, FaultPlanConfig};
 use gaugenn_playstore::corpus::{generate, CorpusScale, Snapshot};
 use gaugenn_playstore::crawler::{
     AppSink, CrawlOutcome, CrawlStage, CrawlStats, CrawledApp, Crawler, CrawlerConfig, DropOut,
-    RetryPolicy,
 };
 use gaugenn_playstore::pool::{CrawlPool, CrawlPoolConfig};
 use gaugenn_playstore::reactor::ReactorMode;
@@ -39,17 +38,10 @@ pub struct PipelineConfig {
     pub snapshot: Snapshot,
     /// Corpus seed (must match across snapshots of one study).
     pub seed: u64,
-    /// Crawler identity.
-    pub crawler: CrawlerConfig,
-    /// Retry/backoff policy for every store request.
-    pub retry: RetryPolicy,
     /// Crawl worker threads. 1 (the default) crawls sequentially; more
     /// run a sharded [`CrawlPool`] whose merged corpus is byte-identical
     /// to the sequential crawl at any worker count.
     pub workers: usize,
-    /// Store-wide admission control (rate limit + circuit breaker) the
-    /// crawl fleet shares when `workers > 1`.
-    pub admission: AdmissionConfig,
     /// Run the store under a seeded fault plan (None = clean store).
     /// Transient faults are absorbed by the crawler's retries; permanent
     /// routes surface as download drop-outs in the Table 2 accounting.
@@ -118,10 +110,7 @@ impl PipelineConfig {
             scale,
             snapshot,
             seed,
-            crawler: CrawlerConfig::default(),
-            retry: RetryPolicy::default(),
             workers: 1,
-            admission: AdmissionConfig::default(),
             chaos: None,
             probe_device_profiles: true,
             analysis_workers: 1,
@@ -163,27 +152,9 @@ pub struct PipelineConfigBuilder {
 }
 
 impl PipelineConfigBuilder {
-    /// Crawler identity (user-agent, locale, device profile, page size).
-    pub fn crawler(mut self, crawler: CrawlerConfig) -> PipelineConfigBuilder {
-        self.config.crawler = crawler;
-        self
-    }
-
-    /// Retry/backoff policy for every store request.
-    pub fn retry(mut self, retry: RetryPolicy) -> PipelineConfigBuilder {
-        self.config.retry = retry;
-        self
-    }
-
     /// Crawl worker threads (1 = sequential).
     pub fn workers(mut self, workers: usize) -> PipelineConfigBuilder {
         self.config.workers = workers;
-        self
-    }
-
-    /// Store-wide admission control for pooled crawls.
-    pub fn admission(mut self, admission: AdmissionConfig) -> PipelineConfigBuilder {
-        self.config.admission = admission;
         self
     }
 
@@ -708,19 +679,15 @@ impl Pipeline {
         if self.config.workers > 1 {
             let pooled = CrawlPool::new(CrawlPoolConfig {
                 workers: self.config.workers,
-                crawler: self.config.crawler.clone(),
-                retry: self.config.retry.clone(),
-                admission: self.config.admission.clone(),
                 sched_seed: self.config.seed,
                 resume,
                 connections_per_worker: self.config.connections_per_worker,
+                ..CrawlPoolConfig::default()
             })
             .crawl_into(&server.endpoint(), sink)?;
             return Ok((pooled.outcome, Some(pooled.admission), pooled.workers));
         }
-        let mut builder = Crawler::builder_at(server.endpoint())
-            .config(self.config.crawler.clone())
-            .retry(self.config.retry.clone());
+        let mut builder = Crawler::builder_at(server.endpoint());
         if let Some(resume) = resume {
             builder = builder.resume_cache(resume);
         }
@@ -731,14 +698,15 @@ impl Pipeline {
     /// §4.2 probe: re-download the sample's APKs with a
     /// three-generations-older device profile and compare bytes.
     fn probe(&self, server: &StoreServer, sample: ProbeSample) -> Result<bool> {
-        let mut old_cfg = self.config.crawler.clone();
-        old_cfg.device_profile = "SM-G935F".into(); // Galaxy S7 edge
-        old_cfg.user_agent = "gaugeNN/1.0 (Android 8; SM-G935F)".into();
+        let old_cfg = CrawlerConfig {
+            device_profile: "SM-G935F".into(), // Galaxy S7 edge
+            user_agent: "gaugeNN/1.0 (Android 8; SM-G935F)".into(),
+            ..CrawlerConfig::default()
+        };
         // A distinct connection id keeps the probe's chaos fault schedule
         // independent of the crawl fleet's.
         let mut old_crawler = Crawler::builder_at(server.endpoint())
             .config(old_cfg)
-            .retry(self.config.retry.clone())
             .connection_id(u64::MAX)
             .build()?;
         let held = sample.0.into_inner().unwrap_or_else(|e| e.into_inner());

@@ -9,8 +9,7 @@
 use crate::{HarnessError, Result};
 use gaugenn_power::UsbSwitch;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Mutable device state the benchmark asserts before running (§3.3:
 /// "WiFi and sensors are off, maximum screen timeout, etc").
@@ -41,14 +40,7 @@ impl Default for DeviceState {
 /// The shared device endpoint: file system + state + USB switch.
 #[derive(Debug, Clone)]
 pub struct DeviceEndpoint {
-    shared: Arc<Shared>,
-}
-
-#[derive(Debug)]
-struct Shared {
-    inner: Mutex<EndpointInner>,
-    /// Signalled when USB power is cut: the headless agent waits on it.
-    power_cut: Condvar,
+    inner: Arc<Mutex<EndpointInner>>,
 }
 
 #[derive(Debug)]
@@ -71,25 +63,19 @@ impl DeviceEndpoint {
     /// A device plugged in over USB.
     pub fn new() -> Self {
         DeviceEndpoint {
-            shared: Arc::new(Shared {
-                inner: Mutex::new(EndpointInner {
-                    files: BTreeMap::new(),
-                    state: DeviceState::default(),
-                    usb: UsbSwitch::new(),
-                    reboots: 0,
-                }),
-                power_cut: Condvar::new(),
-            }),
+            inner: Arc::new(Mutex::new(EndpointInner {
+                files: BTreeMap::new(),
+                state: DeviceState::default(),
+                usb: UsbSwitch::new(),
+                reboots: 0,
+            })),
         }
     }
 
     /// The endpoint lock. A panic while holding it leaves plain data
     /// behind, so a poisoned lock is recovered rather than propagated.
     fn lock(&self) -> MutexGuard<'_, EndpointInner> {
-        self.shared
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Current USB switch state.
@@ -97,26 +83,14 @@ impl DeviceEndpoint {
         self.lock().usb
     }
 
-    /// Cut USB power (and data), waking an agent waiting for the cut.
+    /// Cut USB power (and data).
     pub fn usb_power_off(&self) {
         self.lock().usb.power_off();
-        self.shared.power_cut.notify_all();
     }
 
     /// Restore USB power and data.
     pub fn usb_power_restore(&self) {
         self.lock().usb.power_restore();
-    }
-
-    /// Block until USB power is off or `timeout` passes. Returns whether
-    /// the power is off.
-    pub fn wait_usb_power_off(&self, timeout: Duration) -> bool {
-        let (inner, _) = self
-            .shared
-            .power_cut
-            .wait_timeout_while(self.lock(), timeout, |inner| inner.usb.power_on)
-            .unwrap_or_else(PoisonError::into_inner);
-        !inner.usb.power_on
     }
 
     /// Device-side file read (not gated: the on-device script reads its

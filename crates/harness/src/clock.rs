@@ -5,10 +5,9 @@
 //! behaviour (how much "time" a hung device burns) depend on host
 //! scheduling. Production runs keep the default [`WallClock`]; tests
 //! inject a [`LogicalClock`] whose time advances only when someone sleeps
-//! on it. The master blocks on the agent's exit instead of sleeping, so
-//! time is charged only when a watchdog deadline expires: a healthy job
-//! costs 0 logical ms and a scripted hang exactly `accept_timeout + 1`,
-//! however loaded the host is.
+//! on it. The master calls its agent in place and sleeps only when a
+//! watchdog deadline expires, so a healthy job costs 0 logical ms and a
+//! scripted hang exactly `accept_timeout + 1`, however loaded the host is.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,13 +21,6 @@ pub trait Clock: fmt::Debug + Send + Sync {
     /// Let `ms` milliseconds pass (really, for a wall clock; logically,
     /// for a test clock — which must still yield so other threads run).
     fn sleep_ms(&self, ms: u64);
-    /// How long a watchdog with `ms` left on this clock may block on an
-    /// event before it must look at the clock again: `ms` of real time by
-    /// default, `None` (until the event) for a clock that does not move
-    /// while nobody sleeps on it.
-    fn wait_limit(&self, ms: u64) -> Option<Duration> {
-        Some(Duration::from_millis(ms))
-    }
 }
 
 /// The production clock: real time, anchored at first use.
@@ -80,18 +72,11 @@ impl Clock for LogicalClock {
         self.now.fetch_add(ms, Ordering::Relaxed);
         std::thread::yield_now();
     }
-
-    fn wait_limit(&self, _ms: u64) -> Option<Duration> {
-        // Blocking lets no logical time pass, so no deadline can expire
-        // during the wait: wait for the event itself.
-        None
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn wall_clock_is_monotone() {
@@ -111,18 +96,9 @@ mod tests {
     }
 
     #[test]
-    fn only_the_wall_clock_bounds_event_waits() {
-        assert_eq!(WallClock.wait_limit(50), Some(Duration::from_millis(50)));
-        assert_eq!(LogicalClock::new().wait_limit(50), None);
-    }
-
-    #[test]
     fn logical_clock_shared_across_threads() {
-        let c = Arc::new(LogicalClock::new());
-        let c2 = Arc::clone(&c);
-        std::thread::spawn(move || c2.sleep_ms(7))
-            .join()
-            .expect("sleeper");
+        let c = LogicalClock::new();
+        std::thread::scope(|s| s.spawn(|| c.sleep_ms(7)).join().expect("sleeper"));
         assert_eq!(c.now_ms(), 7);
     }
 }

@@ -1,9 +1,10 @@
 //! The device agent: the "unattended, headless script that runs on the
 //! device upon disconnection of the USB power" (§3.3).
 //!
-//! Its lifecycle mirrors Fig. 3 exactly: ① wait until USB power is off;
-//! ② run warm-up inferences; ③ run the measured inferences with sleeps in
-//! between; ④ turn WiFi on and notify the master over TCP.
+//! Its lifecycle mirrors Fig. 3: ① start once USB power is off (the master
+//! cuts it, then calls the agent); ② run warm-up inferences; ③ run the
+//! measured inferences with sleeps in between; ④ turn WiFi on and return
+//! the completion line the phone would netcat to the master.
 
 use crate::adb::DeviceEndpoint;
 use crate::job::{JobResult, JobSpec};
@@ -14,9 +15,6 @@ use gaugenn_power::monsoon::PowerMonitor;
 use gaugenn_power::measure_inference;
 use gaugenn_soc::thermal::ThermalState;
 use gaugenn_soc::DeviceSpec;
-use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
 
 /// Conventional on-device paths.
 pub const JOB_PATH: &str = "/data/local/tmp/gauge/job.cfg";
@@ -53,12 +51,14 @@ impl DeviceAgent {
         }
     }
 
-    /// Run the headless benchmark loop once: wait for power-off, execute
-    /// the pushed job, write results, notify `master_addr` over TCP.
+    /// Run the headless benchmark once, as the phone does when its USB
+    /// power goes dark: execute the pushed job, write the result file and
+    /// return the netcat-style completion line, `DONE <id>` (or
+    /// `FAIL <id>` when the job itself failed).
     ///
-    /// Blocks until USB power is cut or `poll_timeout` expires. Returns
-    /// `Ok` exactly when it phoned the master.
-    pub fn run_headless(&mut self, master_addr: SocketAddr, poll_timeout: Duration) -> Result<()> {
+    /// An `Err` means the agent never phoned home; the master's watchdog
+    /// charges the attempt its deadline.
+    pub fn run_headless(&mut self) -> Result<String> {
         // Scripted hang: the agent dies silently — no completion message,
         // no result file — and the master's watchdog has to notice.
         if self.hang_jobs_remaining > 0 {
@@ -67,12 +67,8 @@ impl DeviceAgent {
                 "scripted hang: agent never phoned home".into(),
             ));
         }
-        // ① Wait until the USB power channel goes dark.
-        if !self.endpoint.wait_usb_power_off(poll_timeout) {
-            return Err(HarnessError::Device("usb power never went off".into()));
-        }
-        // The measurement gate: exactly the physical constraint the YKUSH
-        // exists to enforce.
+        // ① The measurement gate: the USB channel must be dark, exactly
+        // the physical constraint the YKUSH exists to enforce.
         self.endpoint
             .usb()
             .assert_measurable()
@@ -85,21 +81,14 @@ impl DeviceAgent {
         let job = JobSpec::from_text(&String::from_utf8_lossy(&job_bytes))?;
         let result = self.execute(&job);
 
-        // ④ Turn WiFi back on and send the netcat-style completion line.
+        // ④ Turn WiFi back on and phone home.
         self.endpoint.set_state(|s| s.wifi_on = true);
-        match &result {
-            Ok(r) => self
-                .endpoint
-                .write_local(RESULT_PATH, r.to_text().into_bytes()),
-            Err(e) => self
-                .endpoint
-                .write_local(RESULT_PATH, format!("error={e}\n").into_bytes()),
-        }
-        let mut stream = TcpStream::connect(master_addr)?;
-        stream.set_nodelay(true)?;
-        let status = if result.is_ok() { "DONE" } else { "FAIL" };
-        writeln!(stream, "{status} {}", job.id)?;
-        Ok(())
+        let (text, status) = match &result {
+            Ok(r) => (r.to_text(), "DONE"),
+            Err(e) => (format!("error={e}\n"), "FAIL"),
+        };
+        self.endpoint.write_local(RESULT_PATH, text.into_bytes());
+        Ok(format!("{status} {}", job.id))
     }
 
     /// Execute a job against the SoC/power model (②–③ of the workflow).

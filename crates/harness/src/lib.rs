@@ -4,21 +4,24 @@
 //! a master orchestrates phones connected over USB, pushes models and a
 //! headless benchmark script via adb, cuts USB power through a
 //! programmable switch so charging cannot pollute the Monsoon capture,
-//! waits for the device's netcat-style TCP completion message, then
+//! waits for the device's netcat-style completion message, then
 //! restores power and collects results.
 //!
 //! The "devices" here are simulated agents wrapping the `gaugenn-soc`
-//! performance model and `gaugenn-power` energy substrate, but the
-//! *orchestration* is real: a TCP listener on the master, a device thread
-//! that connects back, adb-style push/pull gated on the USB data channel,
-//! and text-framed job/result files.
+//! performance model and `gaugenn-power` energy substrate, living in the
+//! master's process: the master calls the agent in place once the power
+//! is cut, and the agent returns the completion line a phone would send.
+//! The rest of the orchestration is kept whole: adb-style push/pull gated
+//! on the USB data channel, the power cut the agent checks before it
+//! measures, a watchdog on the master's [`Clock`], and text-framed
+//! job/result files.
 //!
 //! * [`job`] — job specs and result files (text-framed, adb-pullable).
 //! * [`adb`] — the adb transport and on-device file system stand-in.
 //! * [`clock`] — the injectable time source the watchdog deadlines run
 //!   on (wall clock in production, logical clock in tests).
 //! * [`device`] — the device agent: state assertions, warm-up runs, timed
-//!   runs, completion notification.
+//!   runs, the completion line.
 //! * [`master`] — single-device orchestration (the Fig. 3 workflow).
 //! * [`campaign`] — multi-device fan-out: one scoped worker thread per
 //!   device, each walking the caller's job list in place.
@@ -43,8 +46,6 @@ pub use master::{Master, MasterConfig};
 /// Errors from the harness.
 #[derive(Debug)]
 pub enum HarnessError {
-    /// Socket failure.
-    Io(std::io::Error),
     /// adb operation attempted without a data channel.
     AdbUnreachable,
     /// Device-side failure (model incompatible with backend, bad state…).
@@ -56,14 +57,14 @@ pub enum HarnessError {
 }
 
 impl HarnessError {
-    /// Whether the same job may succeed on retry: watchdog timeouts, IO
-    /// hiccups and a dead adb link are transient (the device may recover
-    /// after a power-cycle); device-side rejections and framing errors
-    /// will fail identically every time.
+    /// Whether the same job may succeed on retry: watchdog timeouts and a
+    /// dead adb link are transient (the device may recover after a
+    /// power-cycle); device-side rejections and framing errors will fail
+    /// identically every time.
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
-            HarnessError::Timeout(_) | HarnessError::Io(_) | HarnessError::AdbUnreachable
+            HarnessError::Timeout(_) | HarnessError::AdbUnreachable
         )
     }
 }
@@ -71,7 +72,6 @@ impl HarnessError {
 impl std::fmt::Display for HarnessError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HarnessError::Io(e) => write!(f, "io error: {e}"),
             HarnessError::AdbUnreachable => write!(f, "adb unreachable (usb data channel off)"),
             HarnessError::Device(r) => write!(f, "device error: {r}"),
             HarnessError::Format(r) => write!(f, "format error: {r}"),
@@ -81,12 +81,6 @@ impl std::fmt::Display for HarnessError {
 }
 
 impl std::error::Error for HarnessError {}
-
-impl From<std::io::Error> for HarnessError {
-    fn from(e: std::io::Error) -> Self {
-        HarnessError::Io(e)
-    }
-}
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, HarnessError>;

@@ -1,32 +1,25 @@
 //! The master: single-device orchestration of the Fig. 3 workflow.
 //!
 //! For each job the master ① pushes the model and job file over adb and
-//! asserts the device state, ② launches the headless agent (a thread),
-//! ③ cuts USB power via the switch board, ④ waits for the device's TCP
-//! completion message on its listener, ⑤ restores power, pulls the result
-//! file and cleans up.
+//! asserts the device state, ② cuts USB power via the switch board, ③ runs
+//! the headless agent in place, which returns the completion line the
+//! phone would netcat back, ④ restores power, pulls the result file and
+//! cleans up.
 //!
-//! Step ④ runs under a watchdog: an unattended rack cannot afford one hung
-//! phone to stall a multi-day campaign, so the completion wait carries a
-//! deadline. The master blocks until the agent thread signals that it has
-//! exited, then accepts the completion connection the agent opened on its
-//! way out; only an agent that exits without phoning home (or outlives
-//! the wait) leaves the master polling the listener until the deadline.
-//! When the deadline expires the master power-cycles the device through
-//! the USB switch, hard-reboots it, re-asserts the benchmark state and
-//! retries the job up to [`MasterConfig::attempts`] times before giving up
-//! with [`HarnessError::Timeout`]. Stale completion messages from a
-//! previous (timed-out) attempt are drained before each new attempt so the
-//! listener can never hand an old "DONE" to a new job.
+//! Step ③ runs under a watchdog: an unattended rack cannot afford one hung
+//! phone to stall a multi-day campaign. An agent that never phones home
+//! costs the attempt `accept_timeout + 1` ms on the master's [`Clock`]
+//! (the watchdog fires on the first millisecond past its deadline), and
+//! the master then power-cycles the device through the USB switch, hard-reboots it,
+//! re-asserts the benchmark state and retries the job up to
+//! [`MasterConfig::attempts`] times before giving up with
+//! [`HarnessError::Timeout`].
 
 use crate::adb::Adb;
 use crate::clock::{Clock, WallClock};
 use crate::device::{DeviceAgent, JOB_PATH, MODEL_DIR, RESULT_PATH};
 use crate::job::{JobResult, JobSpec};
 use crate::{HarnessError, Result};
-use crossbeam::channel;
-use std::io::{BufRead, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,34 +49,19 @@ impl Default for MasterConfig {
 
 /// The benchmark master for one device.
 pub struct Master {
-    listener: TcpListener,
-    addr: SocketAddr,
     config: MasterConfig,
 }
 
 impl Master {
-    /// Bind the completion listener on an ephemeral loopback port, with
-    /// the default watchdog configuration.
+    /// A master with the default watchdog configuration. It cannot fail;
+    /// the `Result` keeps the signature benchmark code calls.
     pub fn new() -> Result<Master> {
-        Master::with_config(MasterConfig::default())
+        Ok(Master::with_config(MasterConfig::default()))
     }
 
-    /// Bind with explicit watchdog/retry knobs.
-    pub fn with_config(config: MasterConfig) -> Result<Master> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        // The watchdog polls the listener, so it stays nonblocking for life.
-        listener.set_nonblocking(true)?;
-        Ok(Master {
-            listener,
-            addr,
-            config,
-        })
-    }
-
-    /// Completion-listener address the device will netcat to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+    /// A master with explicit watchdog/retry knobs.
+    pub fn with_config(config: MasterConfig) -> Master {
+        Master { config }
     }
 
     /// The watchdog/retry configuration.
@@ -122,130 +100,39 @@ impl Master {
         }))
     }
 
-    /// Eat completion messages left over from a previous timed-out
-    /// attempt, so the next accept cannot pair an old "DONE" with a new
-    /// job. The listener is nonblocking, so this returns immediately once
-    /// the backlog is empty.
-    fn drain_stale_completions(&self) {
-        while let Ok((stream, _)) = self.listener.accept() {
-            // Read and discard whatever the stale agent sent.
-            let _ = stream.set_nonblocking(false);
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-            let mut sink = String::new();
-            let _ = BufReader::new(stream).read_line(&mut sink);
-        }
-    }
-
-    /// Accept the completion connection of an agent that has exited after
-    /// phoning home. Its `connect` returned, so the handshake is complete
-    /// and the kernel has queued the connection on this listener (or is
-    /// about to): one blocking accept takes it without touching the clock.
-    fn accept_phoned_home(&self) -> Result<TcpStream> {
-        self.listener.set_nonblocking(false)?;
-        let accepted = self.listener.accept();
-        // The drain and the deadline poll both need a nonblocking listener.
-        self.listener.set_nonblocking(true)?;
-        Ok(accepted?.0)
-    }
-
-    /// The slow path: poll for the completion connection until the
-    /// watchdog deadline (milliseconds on the configured clock), charging
-    /// the clock 1 ms per empty poll. Only an agent that exited without
-    /// phoning home, or outlived the wait for its exit, ends up here.
-    fn accept_with_deadline(&self, deadline_ms: u64) -> Result<TcpStream> {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    return Ok(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if self.config.clock.now_ms() > deadline_ms {
-                        return Err(HarnessError::Timeout(format!(
-                            "no completion message within {:?}",
-                            self.config.accept_timeout
-                        )));
-                    }
-                    self.config.clock.sleep_ms(1);
-                }
-                Err(e) => return Err(HarnessError::Io(e)),
-            }
-        }
-    }
-
-    /// One attempt of the Fig. 3 workflow. On a watchdog timeout the
-    /// agent is always recovered (joined) and USB power restored before
-    /// the error propagates, so the caller can retry immediately.
+    /// One attempt of the Fig. 3 workflow. USB power is back on whenever
+    /// it returns, so the caller can retry immediately.
     fn run_job_once(
         &self,
         agent: &mut DeviceAgent,
         job: &JobSpec,
         model_files: &[(String, Vec<u8>)],
     ) -> Result<JobResult> {
-        let endpoint = agent.endpoint.clone();
-        let adb = Adb::connect(endpoint.clone());
-        self.drain_stale_completions();
+        let adb = Adb::connect(agent.endpoint.clone());
 
         // ① Push dependencies and assert device state (USB power is on).
-        endpoint.usb_power_restore();
+        agent.endpoint.usb_power_restore();
         for (name, bytes) in model_files {
             adb.push(&format!("{MODEL_DIR}/{name}"), bytes.clone())?;
         }
         adb.push(JOB_PATH, job.to_text().into_bytes())?;
         adb.assert_benchmark_state()?;
 
-        // ② Launch the headless agent thread, then ③ cut USB power.
-        let master_addr = self.addr;
-        let (done_tx, done_rx) = channel::unbounded::<bool>();
-        let mut moved_agent = std::mem::replace(agent, DeviceAgent::new(agent.spec.clone()));
-        let handle = std::thread::spawn(move || {
-            let res = moved_agent.run_headless(master_addr, Duration::from_secs(10));
-            // Whether the agent phoned home; a hang exits without doing so.
-            let _ = done_tx.send(res.is_ok());
-            (moved_agent, res)
-        });
-        endpoint.usb_power_off();
-
-        // ④ Wait for the agent to exit, then for its completion message,
-        // all under the watchdog.
-        let clock = &self.config.clock;
-        let timeout_ms = self.config.accept_timeout.as_millis() as u64;
-        let deadline_ms = clock.now_ms() + timeout_ms;
-        let phoned_home = match clock.wait_limit(timeout_ms) {
-            Some(limit) => done_rx.recv_timeout(limit).ok(),
-            None => done_rx.recv().ok(),
+        // ② Cut USB power, ③ run the headless agent, ④ restore power.
+        agent.endpoint.usb_power_off();
+        let completion = agent.run_headless();
+        agent.endpoint.usb_power_restore();
+        let Ok(line) = completion else {
+            // The agent never phoned home: the watchdog fires on the first
+            // millisecond past its deadline.
+            let timeout = self.config.accept_timeout;
+            self.config.clock.sleep_ms(timeout.as_millis() as u64 + 1);
+            return Err(HarnessError::Timeout(format!(
+                "no completion message within {timeout:?}"
+            )));
         };
-        let accepted = if phoned_home == Some(true) {
-            self.accept_phoned_home()
-        } else {
-            self.accept_with_deadline(deadline_ms)
-        };
-        let stream = match accepted {
-            Ok(s) => s,
-            Err(e) => {
-                // Hung agent: restore power so the (possibly stuck) agent
-                // thread can unblock, recover it, and report the timeout.
-                endpoint.usb_power_restore();
-                if let Ok((returned_agent, _)) = handle.join() {
-                    *agent = returned_agent;
-                }
-                return Err(e);
-            }
-        };
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        let mut line = String::new();
-        BufReader::new(stream).read_line(&mut line)?;
-        let line = line.trim_end();
 
-        // ⑤ Restore power, join the agent (keeping its thermal state),
-        // pull results, clean up.
-        endpoint.usb_power_restore();
-        let (returned_agent, headless_result) = handle
-            .join()
-            .map_err(|_| HarnessError::Device("device agent panicked".into()))?;
-        *agent = returned_agent;
-        headless_result?;
-
+        // Pull results and clean up.
         let result_bytes = adb.pull(RESULT_PATH)?;
         adb.rm(RESULT_PATH)?;
         adb.rm(JOB_PATH)?;
@@ -348,8 +235,7 @@ mod tests {
             accept_timeout: Duration::from_millis(100),
             attempts: 3,
             ..MasterConfig::default()
-        })
-        .unwrap();
+        });
         let mut agent = DeviceAgent::new(device("Q845").unwrap());
         agent.hang_jobs_remaining = 1; // hang once, then behave
         let files = model_files(Task::MovementTracking, 6);
@@ -376,8 +262,7 @@ mod tests {
                 accept_timeout: Duration::from_millis(250),
                 attempts: 2,
                 clock: clock.clone(),
-            })
-            .unwrap();
+            });
             let mut agent = DeviceAgent::new(device("Q855").unwrap());
             agent.hang_jobs_remaining = u32::MAX;
             let files = model_files(Task::KeywordDetection, 8);
@@ -402,8 +287,7 @@ mod tests {
             accept_timeout: Duration::from_millis(50),
             attempts: 2,
             ..MasterConfig::default()
-        })
-        .unwrap();
+        });
         let mut agent = DeviceAgent::new(device("Q855").unwrap());
         agent.hang_jobs_remaining = u32::MAX; // bricked for good
         let files = model_files(Task::KeywordDetection, 8);

@@ -289,6 +289,49 @@ mod tests {
         let _ = fs::remove_file(&path);
     }
 
+    /// Frame `body` as `save` does, crc and length correct.
+    fn frame(body: &str) -> String {
+        format!("{MAGIC} {:08x} {}\n{body}", crc32(body.as_bytes()), body.len())
+    }
+
+    #[test]
+    fn inflated_lengths_are_misses() {
+        // Each payload passes the crc, so only the parser stands between
+        // a claimed count and the loop or reservation it would drive.
+        let idx = tiny_index();
+        let clean = payload(&idx);
+        // Claim 2^64 − 1 snapshot entries: field `k` of every `kind` line.
+        let inflate = |kind: &str, k: usize| -> String {
+            clean
+                .lines()
+                .map(|line| {
+                    let mut f: Vec<&str> = line.split(' ').collect();
+                    if f[0] == kind {
+                        f[k] = "18446744073709551615";
+                    }
+                    f.join(" ") + "\n"
+                })
+                .collect()
+        };
+        let path = tmp("inflate");
+        for body in [inflate("model", 9), inflate("app", 3)] {
+            assert_ne!(body, clean);
+            fs::write(&path, frame(&body)).unwrap();
+            assert!(CorpusIndex::load(&path).is_none(), "{body}");
+        }
+        // A header that declares more payload than the file holds.
+        for claimed in [clean.len() + 1, usize::MAX] {
+            let long = frame(&clean).replacen(
+                &format!(" {}\n", clean.len()),
+                &format!(" {claimed}\n"),
+                1,
+            );
+            fs::write(&path, long).unwrap();
+            assert!(CorpusIndex::load(&path).is_none(), "claimed {claimed}");
+        }
+        let _ = fs::remove_file(&path);
+    }
+
     #[test]
     fn save_is_atomic_no_tmp_left_behind() {
         let idx = tiny_index();

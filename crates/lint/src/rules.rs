@@ -681,7 +681,7 @@ const RETRY_FN_MARKERS: &[&str] = &["retry", "backoff", "cooldown", "cool_down",
 /// literal inside a function whose name marks it as a retry, backoff or
 /// cool-down path. Literal durations there bypass both the injectable
 /// clock discipline and the policy structs (`RetryPolicy`,
-/// `probation_cooldown_ms`) that make fault schedules reproducible and
+/// `MasterConfig`) that make fault schedules reproducible and
 /// tunable — a hard-coded 250 ms sleep in a backoff loop is exactly how
 /// chaos-test wall time quietly explodes. Constants that genuinely are
 /// protocol invariants carry an `allow` with the reason.

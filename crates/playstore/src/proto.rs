@@ -172,17 +172,23 @@ impl Response {
     }
 }
 
-/// Write a request.
+/// Write a request. The frame is built first and handed over in one
+/// `write_all`: on an unbuffered `TCP_NODELAY` stream every `write` is a
+/// segment of its own.
 pub fn write_request(
     w: &mut impl Write,
     path: &str,
     headers: &[(&str, &str)],
 ) -> Result<()> {
-    write!(w, "GET {path} {PROTO}\r\n")?;
+    let mut frame = format!("GET {path} {PROTO}\r\n");
     for (k, v) in headers {
-        write!(w, "{k}: {v}\r\n")?;
+        frame.push_str(k);
+        frame.push_str(": ");
+        frame.push_str(v);
+        frame.push_str("\r\n");
     }
-    write!(w, "\r\n")?;
+    frame.push_str("\r\n");
+    w.write_all(frame.as_bytes())?;
     w.flush()?;
     Ok(())
 }
@@ -549,6 +555,41 @@ mod tests {
         assert_eq!(req.header("user-agent"), Some("gaugeNN/1.0"));
         assert_eq!(req.header("X-LOCALE"), Some("en_GB"));
         assert_eq!(req.header("missing"), None);
+    }
+
+    #[test]
+    fn a_request_is_one_write() {
+        /// Counts `write` calls and keeps what they wrote.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let headers = [
+            ("User-Agent", "gaugeNN/1.0"),
+            ("X-Locale", "en_GB"),
+            ("X-Device", "SM-G991B"),
+            (CONNECTION_ID_HEADER, "7"),
+        ];
+        let mut w = Counting::default();
+        write_request(&mut w, "/apk/com.x", &headers).unwrap();
+        assert_eq!(w.writes, 1, "one segment per request on a NODELAY stream");
+        let (req, consumed) = parse_request(&w.bytes).unwrap().unwrap();
+        assert_eq!(consumed, w.bytes.len());
+        assert_eq!(req.path, "/apk/com.x");
+        for (k, v) in headers {
+            assert_eq!(req.header(k), Some(v));
+        }
     }
 
     #[test]

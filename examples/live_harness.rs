@@ -1,7 +1,7 @@
-//! Live harness: runs the *real* master–slave benchmark workflow (Fig. 3)
-//! over TCP — model push via adb, USB power cut, headless device agent,
-//! netcat-style completion message, result pull — for a handful of models
-//! on the three HDK generations.
+//! Live harness: runs the master–slave benchmark workflow (Fig. 3) —
+//! model push via adb, USB power cut, headless device agent called in
+//! place, netcat-style completion line, result pull — for a handful of
+//! models on the three HDK generations.
 //!
 //! ```sh
 //! cargo run --release --example live_harness
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!(
-        "running {} jobs on {} devices through the TCP master-slave harness...\n",
+        "running {} jobs on {} devices through the master-slave harness...\n",
         jobs.len(),
         hdks().len()
     );

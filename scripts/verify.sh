@@ -34,6 +34,26 @@ run_cargo() {
     fi
 }
 
+# Run one test by its exact name (after the cargo test arguments that
+# select its binary) and fail unless the run reports exactly `1 passed`.
+# A filter that matches nothing prints `0 passed` and exits 0, with or
+# without --exact, so a renamed test would otherwise skip its gate.
+run_pinned() {
+    mode="$1"; pinned="$2"; shift 2
+    pinned_out="target/verify-pinned.$$"
+    if ! run_cargo "$mode" test -q "$@" -- --exact "$pinned" --test-threads=1 \
+        >"$pinned_out"; then
+        cat "$pinned_out"
+        return 1
+    fi
+    if ! grep -q "test result: ok\. 1 passed;" "$pinned_out"; then
+        echo "verify: pinned test $pinned did not run exactly once" >&2
+        cat "$pinned_out" >&2
+        return 1
+    fi
+    rm -f "$pinned_out"
+}
+
 verify() {
     mode="$1"
     run_cargo "$mode" build --release || return 1
@@ -58,9 +78,8 @@ verify() {
     run_cargo "$mode" test -q --test concurrency -- --test-threads=1 || return 1
     # And pin the analysis-pool determinism test by name so a filtered-out
     # rename fails loudly instead of silently skipping the gate.
-    run_cargo "$mode" test -q --test concurrency \
-        analysis_worker_count_never_changes_the_report -- --test-threads=1 \
-        || return 1
+    run_pinned "$mode" analysis_worker_count_never_changes_the_report \
+        --test concurrency || return 1
     # Persistent-cache determinism: three back-to-back repro runs against
     # a fresh cache directory must emit byte-identical stdout, and the
     # second must actually attach to the first's persisted analyses. The
@@ -104,8 +123,8 @@ verify() {
     # Crash-fault injection (DESIGN.md §12): the child-process matrix
     # that really SIGKILLs a run at each registered crash point, pinned
     # by name so a rename cannot silently skip the gate.
-    run_cargo "$mode" test -q -p gaugenn-core --test failure_injection \
-        sigkill_matrix_resume_is_byte_identical || return 1
+    run_pinned "$mode" sigkill_matrix_resume_is_byte_identical \
+        -p gaugenn-core --test failure_injection || return 1
     # Repro-level crash matrix: kill the real repro binary at four
     # registered points, then --resume must reproduce the uninterrupted
     # run's stdout byte-for-byte (exit 137 = SIGKILL is the expected
@@ -200,15 +219,15 @@ verify() {
     # cross-loop equivalence suite, with the replay test pinned by name
     # so a rename cannot silently skip it.
     run_cargo "$mode" test -q --test reactor || return 1
-    run_cargo "$mode" test -q --test reactor \
-        same_seed_replays_the_same_event_order_and_bytes || return 1
+    run_pinned "$mode" same_seed_replays_the_same_event_order_and_bytes \
+        --test reactor || return 1
     # Client-reactor gate (DESIGN.md §16): the lockstep multi-connection
     # crawls whose client+server event digests must replay bit-for-bit
     # from the seeds, pinned by name.
-    run_cargo "$mode" test -q --test reactor \
-        one_poll_loop_holds_256_lanes_in_flight_and_replays || return 1
-    run_cargo "$mode" test -q --test reactor \
-        chaos_trio_through_the_nonblocking_client_recovers_and_replays || return 1
+    run_pinned "$mode" one_poll_loop_holds_256_lanes_in_flight_and_replays \
+        --test reactor || return 1
+    run_pinned "$mode" chaos_trio_through_the_nonblocking_client_recovers_and_replays \
+        --test reactor || return 1
     # The full pipeline over the non-blocking client: a sim-reactor
     # multi-connection crawl run twice must print byte-identical tables
     # (the free-running readiness schedule may differ — stdout must not),

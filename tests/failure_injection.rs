@@ -332,7 +332,6 @@ fn campaign_quarantines_hung_device_while_fleet_finishes() {
         },
         job_retries: 0,
         quarantine_after: 2,
-        probation_cooldown_ms: None,
         scripts: vec![DeviceScript {
             device: "Q845".into(),
             hang_jobs: u32::MAX,

@@ -1,4 +1,4 @@
-//! Integration of the TCP master–slave harness with the rest of the
+//! Integration of the master–slave harness with the rest of the
 //! stack: models extracted from crawled APKs are benchmarked through the
 //! full Fig. 3 workflow, and the harness's measurements must agree with
 //! the analytic estimates the figures are built from.
@@ -29,7 +29,7 @@ fn cpu4() -> Backend {
 #[test]
 fn crawled_model_runs_through_the_real_harness() {
     // Crawl a tiny store, pick a real extracted TFLite model, and push it
-    // through the full TCP workflow.
+    // through the full Fig. 3 workflow.
     let report = Pipeline::new(PipelineConfig::tiny(Snapshot::Y2021, 7))
         .run()
         .unwrap();
@@ -87,7 +87,7 @@ fn crawled_model_runs_through_the_real_harness() {
 #[test]
 fn hdk_generation_ordering_through_the_harness() {
     // Fig. 9's generation ordering must also hold when measured through
-    // the real TCP workflow, not just analytically.
+    // the full Fig. 3 workflow, not just analytically.
     let g = build_for_task(Task::FaceDetection, 42, SizeClass::Small, true).graph;
     let files = gaugenn::modelfmt::encode(&g, Framework::TfLite).unwrap().files;
     let jobs = vec![Campaign {
