@@ -200,25 +200,22 @@ pub fn byte_entropy(bytes: &[u8]) -> f64 {
 /// payloads: clustering to k centroids caps this near `log2(k)` while the
 /// byte-level figure barely moves (the four byte lanes mix).
 pub fn word_entropy(bytes: &[u8]) -> f64 {
-    let words: Vec<u32> = bytes
+    let mut words: Vec<u32> = bytes
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
         .collect();
     if words.is_empty() {
         return 0.0;
     }
-    // BTreeMap, not HashMap: `values()` feeds a float sum below, and the
-    // entropy figure lands in the rendered report — the accumulation
-    // order must not depend on hash iteration order.
-    let mut counts: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-    for w in &words {
-        *counts.entry(*w).or_default() += 1;
-    }
+    // Counted as runs of the sorted words: the counts come out in
+    // ascending word order, so the float sum below adds its terms in an
+    // order fixed by the input alone.
+    words.sort_unstable();
     let n = words.len() as f64;
-    counts
-        .values()
-        .map(|&c| {
-            let p = c as f64 / n;
+    words
+        .chunk_by(|a, b| a == b)
+        .map(|run| {
+            let p = run.len() as f64 / n;
             -p * p.log2()
         })
         .sum()
@@ -367,6 +364,91 @@ mod tests {
         assert!(word_entropy(&distinct) > 9.0);
         assert!(word_entropy(&clustered) < 2.1);
         assert_eq!(word_entropy(&[]), 0.0);
+    }
+
+    /// The tree-counting `word_entropy` the sorted runs replaced, kept as
+    /// the reference they must match bit for bit.
+    fn word_entropy_reference(bytes: &[u8]) -> f64 {
+        let words: Vec<u32> = bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect();
+        if words.is_empty() {
+            return 0.0;
+        }
+        let mut counts: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
+        for w in &words {
+            *counts.entry(*w).or_default() += 1;
+        }
+        let n = words.len() as f64;
+        counts
+            .values()
+            .map(|&c| {
+                let p = c as f64 / n;
+                -p * p.log2()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn word_entropy_matches_the_tree_count_bit_for_bit() {
+        use gaugenn_dnn::quant::cluster_graph;
+        use gaugenn_dnn::task::Task;
+        use gaugenn_dnn::tensor::WeightData;
+        use gaugenn_dnn::zoo::{build_for_task, SizeClass};
+        use rand::{RngCore, SeedableRng};
+
+        let mut inputs: Vec<Vec<u8>> = vec![
+            vec![],
+            vec![7],
+            vec![7, 8],
+            vec![7, 8, 9],
+            (0..4099u32).map(|i| (i * 7 % 251) as u8).collect(),
+            vec![0xAB; 4096],
+            (0..4096u32).flat_map(|i| i.to_le_bytes()).collect(),
+        ];
+        // A weight tensor clustered to 32 centroids, the §6.1 what-if's
+        // input shape.
+        let g = build_for_task(Task::ImageClassification, 4000, SizeClass::Small, true).graph;
+        let clustered = cluster_graph(&g, 32);
+        let weights = clustered
+            .nodes
+            .iter()
+            .filter_map(|n| match &n.weights {
+                Some(WeightData::F32(w)) if w.len() > 32 => Some(w),
+                _ => None,
+            })
+            .max_by_key(|w| w.len())
+            .expect("a clustered f32 weight tensor");
+        let weight_bytes: Vec<u8> = weights.iter().flat_map(|x| x.to_le_bytes()).collect();
+        assert!(
+            word_entropy(&weight_bytes) <= 5.0 + 1e-9,
+            "32 centroids cap at 5 bits"
+        );
+        inputs.push(weight_bytes);
+        for seed in [1u64, 2, 1402] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut bytes = vec![0u8; (1 << 14) + seed as usize % 4];
+            rng.fill_bytes(&mut bytes);
+            inputs.push(bytes);
+            // Repeated words with uneven counts: 97 values, 5000 draws.
+            let few: Vec<u8> = (0..5000)
+                .flat_map(|_| {
+                    (rng.next_u32() % 97)
+                        .wrapping_mul(0x9E37_79B9)
+                        .to_le_bytes()
+                })
+                .collect();
+            inputs.push(few);
+        }
+        for bytes in &inputs {
+            assert_eq!(
+                word_entropy(bytes).to_bits(),
+                word_entropy_reference(bytes).to_bits(),
+                "{} bytes",
+                bytes.len()
+            );
+        }
     }
 
     #[test]

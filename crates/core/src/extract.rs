@@ -16,8 +16,9 @@ use gaugenn_analysis::cloudapi::{self, Provider};
 use gaugenn_apk::bundle::Bundle;
 use gaugenn_apk::obb::Obb;
 use gaugenn_apk::{nativelib, Apk};
+use gaugenn_modelfmt::formats::candidates_for;
 use gaugenn_modelfmt::validate::FileRole;
-use gaugenn_modelfmt::{validate, Framework};
+use gaugenn_modelfmt::{validate_candidates, Framework};
 use gaugenn_playstore::crawler::CrawledApp;
 use std::sync::Arc;
 
@@ -225,16 +226,16 @@ fn collect_models<'a>(
     let mut graph_parts: Vec<(Framework, String, &[u8])> = Vec::new();
     let mut weight_parts: Vec<(Framework, String, &[u8])> = Vec::new();
     for (path, bytes) in entries {
-        let file_name = path.rsplit('/').next().unwrap_or(&path).to_string();
-        let had_candidates = !gaugenn_modelfmt::formats::candidates_for(&file_name).is_empty();
-        match validate(&file_name, bytes) {
+        let file_name = path.rsplit('/').next().unwrap_or(&path);
+        let candidates = candidates_for(file_name);
+        match validate_candidates(file_name, bytes, &candidates) {
             Some(v) => match v.role {
                 FileRole::Complete => complete.push((v.framework, path, bytes)),
                 FileRole::GraphPart => graph_parts.push((v.framework, path, bytes)),
                 FileRole::WeightsPart => weight_parts.push((v.framework, path, bytes)),
             },
             None => {
-                if had_candidates {
+                if !candidates.is_empty() {
                     *failed += 1;
                 }
             }

@@ -12,9 +12,9 @@ use crate::{HarnessError, Result};
 use gaugenn_dnn::exec::Executor;
 use gaugenn_dnn::trace::trace_graph_batched;
 use gaugenn_power::monsoon::PowerMonitor;
-use gaugenn_power::measure_inference;
+use gaugenn_power::{measure_model, PowerError};
 use gaugenn_soc::thermal::ThermalState;
-use gaugenn_soc::DeviceSpec;
+use gaugenn_soc::{DeviceSpec, LatencyModel};
 
 /// Conventional on-device paths.
 pub const JOB_PATH: &str = "/data/local/tmp/gauge/job.cfg";
@@ -114,6 +114,10 @@ impl DeviceAgent {
             }
         }
 
+        // The roofline of this (device, backend, trace) is resolved once;
+        // every run below prices it at the die's current temperature.
+        let model = LatencyModel::new(&self.spec, job.backend, &trace)
+            .map_err(|e| HarnessError::Device(PowerError::from(e).to_string()))?;
         let mut latencies = Vec::with_capacity(job.runs as usize);
         let mut energies = Vec::with_capacity(job.runs as usize);
         let mut power_acc = 0.0;
@@ -121,8 +125,7 @@ impl DeviceAgent {
         // die but are not recorded.
         for w in 0..job.warmups {
             let monitor = PowerMonitor::new(self.noise_seed ^ (job.id << 8) ^ w as u64);
-            let rep = measure_inference(&self.spec, job.backend, &trace, &self.thermal, &monitor)
-                .map_err(|e| HarnessError::Device(e.to_string()))?;
+            let rep = measure_model(&model, &self.thermal, &monitor);
             let cold_factor = 1.0 + 0.5 / (w as f64 + 1.0);
             self.thermal.step(
                 &self.spec,
@@ -134,8 +137,7 @@ impl DeviceAgent {
         for r in 0..job.runs {
             let monitor =
                 PowerMonitor::new(self.noise_seed ^ (job.id << 8) ^ (0x1000 + r) as u64);
-            let rep = measure_inference(&self.spec, job.backend, &trace, &self.thermal, &monitor)
-                .map_err(|e| HarnessError::Device(e.to_string()))?;
+            let rep = measure_model(&model, &self.thermal, &monitor);
             latencies.push(rep.latency_ms);
             energies.push(rep.energy_mj);
             power_acc += rep.avg_power_w;

@@ -254,8 +254,9 @@ mod tests {
     #[test]
     fn watchdog_on_logical_clock_is_time_reproducible() {
         // On a LogicalClock a scripted hang consumes an exact number of
-        // logical milliseconds: only the expired watchdog's accept poll
-        // advances time, so each attempt burns deadline+1 ms.
+        // logical milliseconds: only the master's one sleep past an
+        // attempt's deadline advances time, so each attempt burns
+        // deadline+1 ms.
         let run = || {
             let clock = Arc::new(crate::clock::LogicalClock::new());
             let master = Master::with_config(MasterConfig {

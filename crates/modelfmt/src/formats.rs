@@ -135,16 +135,24 @@ impl Framework {
 /// Frameworks whose extension table claims `filename` (longest-suffix
 /// match so `model.cfg.ncnn` hits NCNN's `cfg.ncnn`, not a bare `ncnn`).
 pub fn candidates_for(filename: &str) -> Vec<Framework> {
-    let lower = filename.to_ascii_lowercase();
     Framework::ALL
         .iter()
         .copied()
         .filter(|fw| {
             fw.extensions()
                 .iter()
-                .any(|ext| lower.ends_with(&format!(".{ext}")))
+                .any(|ext| has_extension(filename, ext))
         })
         .collect()
+}
+
+/// Whether `filename` ends in `.` followed by `ext`, ASCII case
+/// insensitively (`ext` is lower case), compared in place.
+pub(crate) fn has_extension(filename: &str, ext: &str) -> bool {
+    let name = filename.as_bytes();
+    name.len() > ext.len()
+        && name[name.len() - ext.len() - 1] == b'.'
+        && name[name.len() - ext.len()..].eq_ignore_ascii_case(ext.as_bytes())
 }
 
 /// Total number of (framework, extension) format rows — the paper's
@@ -156,6 +164,69 @@ pub fn format_count() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The allocating pre-filter `candidates_for` replaced, kept as the
+    /// reference it must agree with.
+    fn reference(filename: &str) -> Vec<Framework> {
+        let lower = filename.to_ascii_lowercase();
+        Framework::ALL
+            .iter()
+            .copied()
+            .filter(|fw| {
+                fw.extensions()
+                    .iter()
+                    .any(|ext| lower.ends_with(&format!(".{ext}")))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn in_place_suffix_match_agrees_with_the_reference() {
+        let mixed = |ext: &str| -> String {
+            ext.chars()
+                .enumerate()
+                .map(|(i, c)| {
+                    if i % 2 == 0 {
+                        c.to_ascii_uppercase()
+                    } else {
+                        c
+                    }
+                })
+                .collect()
+        };
+        let mut names = vec![
+            String::new(),
+            ".".to_string(),
+            "model.cfg.ncnn".to_string(),
+            "MODEL.CFG.NCNN".to_string(),
+            "cfg.ncnn".to_string(),
+            ".ncnn".to_string(),
+            "model.tar".to_string(),
+            "texture.png".to_string(),
+            "Ä.tflite".to_string(),
+            "modèle.TFLite".to_string(),
+            "模型.pb".to_string(),
+            "x.tfliteé".to_string(),
+            "x.é".to_string(),
+        ];
+        for fw in Framework::ALL {
+            for ext in fw.extensions() {
+                for case in [ext.to_string(), ext.to_ascii_uppercase(), mixed(ext)] {
+                    names.push(format!("m.{case}"));
+                    names.push(format!("assets/models/m.{case}"));
+                    names.push(format!(".{case}"));
+                    names.push(case.clone());
+                    names.push(format!("m{case}"));
+                    names.push(format!("ü.{case}"));
+                    names.push(format!("m.{case}ü"));
+                    names.push(format!("m.{case}.bak"));
+                }
+            }
+        }
+        for name in &names {
+            assert_eq!(candidates_for(name), reference(name), "{name:?}");
+        }
+    }
 
     #[test]
     fn sixty_nine_formats() {

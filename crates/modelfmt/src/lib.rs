@@ -37,7 +37,7 @@ pub mod tflite;
 pub mod validate;
 
 pub use formats::Framework;
-pub use validate::{validate, Validated};
+pub use validate::{validate, validate_candidates, Validated};
 
 /// Errors from model encoding/decoding.
 #[derive(Debug, Clone, PartialEq)]

@@ -11,7 +11,7 @@
 //! the paper's stated limitation, which §4.3 quantifies as the gap between
 //! apps-with-ML-libraries and apps-with-extractable-models.
 
-use crate::formats::{candidates_for, Framework};
+use crate::formats::{candidates_for, has_extension, Framework};
 use crate::{caffe, ncnn, snpe, tf, tflite};
 
 /// What role a validated file plays in its model.
@@ -37,16 +37,21 @@ pub struct Validated {
 /// Validate one candidate file. Returns `None` when no framework's
 /// signature matches (not a model, or encrypted/obfuscated).
 pub fn validate(filename: &str, bytes: &[u8]) -> Option<Validated> {
-    for fw in candidates_for(filename) {
-        if let Some(v) = probe(fw, filename, bytes) {
-            return Some(v);
-        }
-    }
-    None
+    validate_candidates(filename, bytes, &candidates_for(filename))
+}
+
+/// [`validate`] for a caller that already holds
+/// [`candidates_for`]`(filename)`: probes those frameworks in order.
+pub fn validate_candidates(
+    filename: &str,
+    bytes: &[u8],
+    candidates: &[Framework],
+) -> Option<Validated> {
+    candidates.iter().find_map(|&fw| probe(fw, filename, bytes))
 }
 
 fn probe(fw: Framework, filename: &str, bytes: &[u8]) -> Option<Validated> {
-    let lower = filename.to_ascii_lowercase();
+    let is = |ext| has_extension(filename, ext);
     match fw {
         Framework::TfLite => tflite::probe(bytes).then_some(Validated {
             framework: fw,
@@ -59,24 +64,24 @@ fn probe(fw: Framework, filename: &str, bytes: &[u8]) -> Option<Validated> {
         Framework::TensorFlow => {
             // Only the .pb graph container is a self-contained TF model;
             // checkpoints/meta/index files are not decodable models.
-            (lower.ends_with(".pb") && tf::probe(bytes)).then_some(Validated {
+            (is("pb") && tf::probe(bytes)).then_some(Validated {
                 framework: fw,
                 role: FileRole::Complete,
             })
         }
-        Framework::Onnx => (lower.ends_with(".onnx") && crate::onnx::probe(bytes)).then_some(
+        Framework::Onnx => (is("onnx") && crate::onnx::probe(bytes)).then_some(
             Validated {
                 framework: fw,
                 role: FileRole::Complete,
             },
         ),
         Framework::Caffe => {
-            if lower.ends_with(".caffemodel") && caffe::probe_caffemodel(bytes) {
+            if is("caffemodel") && caffe::probe_caffemodel(bytes) {
                 Some(Validated {
                     framework: fw,
                     role: FileRole::WeightsPart,
                 })
-            } else if (lower.ends_with(".prototxt") || lower.ends_with(".pbtxt"))
+            } else if (is("prototxt") || is("pbtxt"))
                 && caffe::probe_prototxt(bytes)
             {
                 Some(Validated {
@@ -88,12 +93,12 @@ fn probe(fw: Framework, filename: &str, bytes: &[u8]) -> Option<Validated> {
             }
         }
         Framework::Ncnn => {
-            if lower.ends_with(".param") && ncnn::probe_param(bytes) {
+            if is("param") && ncnn::probe_param(bytes) {
                 Some(Validated {
                     framework: fw,
                     role: FileRole::GraphPart,
                 })
-            } else if lower.ends_with(".bin") && ncnn::probe_bin(bytes) {
+            } else if is("bin") && ncnn::probe_bin(bytes) {
                 Some(Validated {
                     framework: fw,
                     role: FileRole::WeightsPart,

@@ -1,11 +1,12 @@
 //! Per-inference and sustained energy accounting.
 //!
 //! [`measure_inference`] reproduces the Fig. 10 pipeline: resolve the
-//! engine, estimate latency, synthesise the power waveform (idle floor +
+//! roofline, estimate latency, synthesise the power waveform (idle floor +
 //! screen + engine draw), "capture" it with the Monsoon substitute and
 //! integrate. Efficiency is FLOPs per second per watt, the paper's
 //! MFLOP/s/W metric (footnote 8: "effectively the same as FLOPs per
-//! Joule").
+//! Joule"). [`measure_model`] is the same measurement of a roofline
+//! resolved beforehand, for callers that run one model many times.
 //!
 //! [`sustained_run`] reproduces the Table 4 scenarios: many inferences at a
 //! duty cycle, stepping the thermal model so phones throttle while
@@ -15,7 +16,7 @@ use crate::battery::Battery;
 use crate::monsoon::PowerMonitor;
 use crate::{PowerError, Result};
 use gaugenn_dnn::trace::TraceReport;
-use gaugenn_soc::latency::{engine_for, estimate_latency};
+use gaugenn_soc::latency::LatencyModel;
 use gaugenn_soc::thermal::ThermalState;
 use gaugenn_soc::{Backend, DeviceSpec};
 
@@ -43,27 +44,40 @@ pub fn measure_inference(
     thermal: &ThermalState,
     monitor: &PowerMonitor,
 ) -> Result<EnergyReport> {
-    let lat = estimate_latency(device, backend, trace, thermal)?;
-    let engine = engine_for(device, backend)?;
+    Ok(measure_model(
+        &LatencyModel::new(device, backend, trace)?,
+        thermal,
+        monitor,
+    ))
+}
+
+/// Measure one inference of an already-resolved `model` at the given
+/// thermal state.
+pub fn measure_model(
+    model: &LatencyModel<'_>,
+    thermal: &ThermalState,
+    monitor: &PowerMonitor,
+) -> EnergyReport {
+    let lat = model.estimate(thermal);
     // Screen power is captured separately and subtracted (§3.3: "this is
     // measured and accounted for"), so the per-inference figure is the
     // SoC-active power: engine draw plus the awake-SoC floor.
-    let active = device.soc.idle_power_w + engine.active_power_w;
+    let active = model.device().soc.idle_power_w + model.engine().active_power_w;
     let duration_s = lat.total_ms / 1e3;
     let capture = monitor.record(duration_s.max(2e-4), |_| active);
-    let energy_j = capture.avg_power_w() * duration_s;
     let avg_power_w = capture.avg_power_w();
+    let energy_j = avg_power_w * duration_s;
     let eff = if energy_j > 0.0 {
-        trace.total_flops as f64 / 1e6 / energy_j
+        model.total_flops() as f64 / 1e6 / energy_j
     } else {
         0.0
     };
-    Ok(EnergyReport {
+    EnergyReport {
         latency_ms: lat.total_ms,
         energy_mj: energy_j * 1e3,
         avg_power_w,
         efficiency_mflops_per_sw: eff,
-    })
+    }
 }
 
 /// Report for a sustained, duty-cycled scenario run (Table 4).
@@ -104,7 +118,8 @@ pub fn sustained_run(
             "need at least one inference and a positive duration".into(),
         ));
     }
-    let engine = engine_for(device, backend)?;
+    let model = LatencyModel::new(device, backend, trace)?;
+    let engine = model.engine();
     // Physical power (drives heating) vs attributed power (the scenario's
     // marginal DNN cost — screen and deep-idle floor excluded).
     let idle_w = device.soc.idle_power_w * 0.35 + device.screen_power_w;
@@ -122,7 +137,7 @@ pub fn sustained_run(
     let chunk = (inferences / 64).max(1);
     let mut done = 0u64;
     while done < inferences && elapsed < duration_s {
-        let lat = estimate_latency(device, backend, trace, &thermal)?;
+        let lat = model.estimate(&thermal);
         let infer_s = lat.total_ms / 1e3;
         // Frame dropping: within this chunk's wall-clock window, only as
         // many inferences run as fit back-to-back.
@@ -266,7 +281,7 @@ mod tests {
     fn throttling_extends_mean_latency() {
         let t = tr(Task::SemanticSegmentation, 6);
         let dev = device("S21").unwrap(); // sealed phone throttles
-        let cool_lat = estimate_latency(&dev, cpu4(), &t, &ThermalState::cool())
+        let cool_lat = gaugenn_soc::estimate_latency(&dev, cpu4(), &t, &ThermalState::cool())
             .unwrap()
             .total_ms;
         let rep = sustained_run(&dev, cpu4(), &t, 15 * 600, 600.0).unwrap();

@@ -26,7 +26,7 @@ pub mod monsoon;
 pub mod usb;
 
 pub use battery::Battery;
-pub use energy::{measure_inference, sustained_run, EnergyReport, SustainedReport};
+pub use energy::{measure_inference, measure_model, sustained_run, EnergyReport, SustainedReport};
 pub use monsoon::{PowerMonitor, PowerTrace};
 pub use usb::UsbSwitch;
 

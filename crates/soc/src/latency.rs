@@ -147,30 +147,132 @@ pub fn engine_for(device: &DeviceSpec, backend: Backend) -> Result<Engine> {
     }
 }
 
-/// Per-layer latency record.
-#[derive(Debug, Clone)]
-pub struct LayerLatency {
-    /// Layer name.
-    pub name: String,
-    /// Layer family.
-    pub family: &'static str,
-    /// Time in milliseconds.
-    pub ms: f64,
-    /// True when the roofline put this layer on the memory side.
-    pub memory_bound: bool,
-}
-
 /// Latency estimate for one inference.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyBreakdown {
-    /// Per-layer records.
-    pub layers: Vec<LayerLatency>,
     /// End-to-end latency in milliseconds.
     pub total_ms: f64,
     /// Fraction of total time in memory-bound layers.
     pub memory_bound_fraction: f64,
-    /// Engine used.
-    pub engine: Engine,
+}
+
+/// The roofline terms of one layer that do not depend on the thermal
+/// state.
+#[derive(Debug, Clone, Copy)]
+struct LayerTerms {
+    /// FLOPs of the layer.
+    flops: f64,
+    /// `peak_gflops * utilisation * quality`: the effective throughput
+    /// before throttling and the int8 boost.
+    gflops: f64,
+    /// Memory time in milliseconds (bytes moved over the bandwidth).
+    mem_ms: f64,
+}
+
+/// The roofline of one (device, backend, trace), resolved once.
+///
+/// Building it checks the trace and the backend's operator support and
+/// resolves the engine; [`LatencyModel::estimate`] then prices one
+/// inference at a thermal state in a single pass over the per-layer terms,
+/// allocating nothing. A benchmark job's warm-ups and measured runs, and a
+/// sustained scenario's chunks, evaluate one model many times.
+#[derive(Debug)]
+pub struct LatencyModel<'d> {
+    device: &'d DeviceSpec,
+    engine: Engine,
+    total_flops: u64,
+    layers: Vec<LayerTerms>,
+    int8_boost: f64,
+    overhead_ms: f64,
+    session_overhead_ms: f64,
+}
+
+impl<'d> LatencyModel<'d> {
+    /// Resolve the roofline of `trace` on `device`/`backend`. Fails on an
+    /// empty trace, then on the first layer family `backend` cannot run,
+    /// then on an engine the device cannot provide.
+    pub fn new(device: &'d DeviceSpec, backend: Backend, trace: &TraceReport) -> Result<Self> {
+        if trace.layers.is_empty() {
+            return Err(SocError::BadTrace("trace has no layers".into()));
+        }
+        for l in &trace.layers {
+            if !backend.supports(l.family) {
+                return Err(SocError::Unsupported {
+                    backend: backend.name(),
+                    layer: l.family.into(),
+                });
+            }
+        }
+        let engine = engine_for(device, backend)?;
+        let quality = backend.quality_factor();
+        let utilization = match backend {
+            Backend::Gpu | Backend::Snpe(SnpeTarget::Gpu) => gpu_utilization,
+            Backend::Snpe(SnpeTarget::Dsp) => dsp_utilization,
+            _ => cpu_utilization,
+        };
+        // int8 moves a quarter of the activation bytes.
+        let byte_scale = if backend.int8_compute() { 4.0 } else { 1.0 };
+        let layers = trace
+            .layers
+            .iter()
+            .map(|l| {
+                let util = utilization(l.family) * shape_efficiency(&l.out_shape);
+                let bytes = (l.bytes_read + l.bytes_written) as f64 / byte_scale;
+                LayerTerms {
+                    flops: l.flops as f64,
+                    gflops: engine.peak_gflops * util * quality,
+                    mem_ms: bytes / (engine.mem_bw_gbps.max(1e-6) * 1e9) * 1e3,
+                }
+            })
+            .collect();
+        Ok(LatencyModel {
+            device,
+            engine,
+            total_flops: trace.total_flops,
+            layers,
+            int8_boost: if backend.int8_compute() { 2.0 } else { 1.0 },
+            overhead_ms: backend.dispatch_overhead_ms(),
+            session_overhead_ms: backend.session_overhead_ms(),
+        })
+    }
+
+    /// The device the model was resolved for.
+    pub fn device(&self) -> &'d DeviceSpec {
+        self.device
+    }
+
+    /// The engine the model runs on.
+    pub fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    /// FLOPs of one inference.
+    pub fn total_flops(&self) -> u64 {
+        self.total_flops
+    }
+
+    /// Price one inference at `thermal`: each layer costs the larger of
+    /// its compute and memory times plus the dispatch overhead, summed in
+    /// layer order, plus the session overhead.
+    pub fn estimate(&self, thermal: &ThermalState) -> LatencyBreakdown {
+        let throttle = thermal.throttle_factor(self.device);
+        let mut total = 0.0f64;
+        let mut mem_ms_total = 0.0f64;
+        for l in &self.layers {
+            let eff = l.gflops * throttle * self.int8_boost;
+            let compute_ms = l.flops / (eff.max(1e-6) * 1e9) * 1e3;
+            let ms = compute_ms.max(l.mem_ms) + self.overhead_ms;
+            if l.mem_ms > compute_ms {
+                mem_ms_total += ms;
+            }
+            total += ms;
+        }
+        total += self.session_overhead_ms;
+        LatencyBreakdown {
+            total_ms: total,
+            memory_bound_fraction: mem_ms_total / total.max(1e-12),
+        }
+    }
 }
 
 /// Estimate single-inference latency for `trace` on `device`/`backend`.
@@ -184,70 +286,194 @@ pub fn estimate_latency(
     trace: &TraceReport,
     thermal: &ThermalState,
 ) -> Result<LatencyBreakdown> {
-    if trace.layers.is_empty() {
-        return Err(SocError::BadTrace("trace has no layers".into()));
-    }
-    for l in &trace.layers {
-        if !backend.supports(l.family) {
-            return Err(SocError::Unsupported {
-                backend: backend.name(),
-                layer: l.family.into(),
-            });
-        }
-    }
-    let engine = engine_for(device, backend)?;
-    let throttle = thermal.throttle_factor(device);
-    let quality = backend.quality_factor();
-    let overhead = backend.dispatch_overhead_ms();
-    let int8_boost = if backend.int8_compute() { 2.0 } else { 1.0 };
-
-    let mut layers = Vec::with_capacity(trace.layers.len());
-    let mut total = 0.0f64;
-    let mut mem_ms_total = 0.0f64;
-    for l in &trace.layers {
-        let util = match backend {
-            Backend::Gpu | Backend::Snpe(SnpeTarget::Gpu) => gpu_utilization(l.family),
-            Backend::Snpe(SnpeTarget::Dsp) => dsp_utilization(l.family),
-            _ => cpu_utilization(l.family),
-        } * shape_efficiency(&l.out_shape);
-        let eff = engine.peak_gflops * util * quality * throttle * int8_boost;
-        let compute_ms = l.flops as f64 / (eff.max(1e-6) * 1e9) * 1e3;
-        // int8 moves a quarter of the activation bytes.
-        let bytes = (l.bytes_read + l.bytes_written) as f64 / if backend.int8_compute() { 4.0 } else { 1.0 };
-        let mem_ms = bytes / (engine.mem_bw_gbps.max(1e-6) * 1e9) * 1e3;
-        let ms = compute_ms.max(mem_ms) + overhead;
-        let memory_bound = mem_ms > compute_ms;
-        if memory_bound {
-            mem_ms_total += ms;
-        }
-        total += ms;
-        layers.push(LayerLatency {
-            name: l.name.clone(),
-            family: l.family,
-            ms,
-            memory_bound,
-        });
-    }
-    total += backend.session_overhead_ms();
-    Ok(LatencyBreakdown {
-        layers,
-        total_ms: total,
-        memory_bound_fraction: mem_ms_total / total.max(1e-12),
-        engine,
-    })
+    Ok(LatencyModel::new(device, backend, trace)?.estimate(thermal))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sched::ThreadConfig;
-    use crate::spec::device;
+    use crate::spec::{all_devices, device};
+    use crate::thermal::{THROTTLE_FULL_C, THROTTLE_START_C};
     use gaugenn_dnn::task::Task;
     use gaugenn_dnn::trace::{trace_graph, trace_graph_batched};
     use gaugenn_dnn::zoo::{build_for_task, SizeClass};
+    use proptest::prelude::*;
 
     fn cpu4() -> Backend {
         Backend::Cpu(ThreadConfig::unpinned(4))
+    }
+
+    /// The per-call estimator the resolved model replaced: every layer's
+    /// terms re-derived on each call. Kept verbatim, less the per-layer
+    /// records it used to collect, as the reference the model must match
+    /// bit for bit.
+    fn reference(
+        device: &DeviceSpec,
+        backend: Backend,
+        trace: &TraceReport,
+        thermal: &ThermalState,
+    ) -> Result<LatencyBreakdown> {
+        if trace.layers.is_empty() {
+            return Err(SocError::BadTrace("trace has no layers".into()));
+        }
+        for l in &trace.layers {
+            if !backend.supports(l.family) {
+                return Err(SocError::Unsupported {
+                    backend: backend.name(),
+                    layer: l.family.into(),
+                });
+            }
+        }
+        let engine = engine_for(device, backend)?;
+        let throttle = thermal.throttle_factor(device);
+        let quality = backend.quality_factor();
+        let overhead = backend.dispatch_overhead_ms();
+        let int8_boost = if backend.int8_compute() { 2.0 } else { 1.0 };
+
+        let mut total = 0.0f64;
+        let mut mem_ms_total = 0.0f64;
+        for l in &trace.layers {
+            let util = match backend {
+                Backend::Gpu | Backend::Snpe(SnpeTarget::Gpu) => gpu_utilization(l.family),
+                Backend::Snpe(SnpeTarget::Dsp) => dsp_utilization(l.family),
+                _ => cpu_utilization(l.family),
+            } * shape_efficiency(&l.out_shape);
+            let eff = engine.peak_gflops * util * quality * throttle * int8_boost;
+            let compute_ms = l.flops as f64 / (eff.max(1e-6) * 1e9) * 1e3;
+            // int8 moves a quarter of the activation bytes.
+            let bytes = (l.bytes_read + l.bytes_written) as f64 / if backend.int8_compute() { 4.0 } else { 1.0 };
+            let mem_ms = bytes / (engine.mem_bw_gbps.max(1e-6) * 1e9) * 1e3;
+            let ms = compute_ms.max(mem_ms) + overhead;
+            let memory_bound = mem_ms > compute_ms;
+            if memory_bound {
+                mem_ms_total += ms;
+            }
+            total += ms;
+        }
+        total += backend.session_overhead_ms();
+        Ok(LatencyBreakdown {
+            total_ms: total,
+            memory_bound_fraction: mem_ms_total / total.max(1e-12),
+        })
+    }
+
+    /// Every backend family, plus CPU configurations that pin, and one
+    /// the scheduler rejects (an engine error after the trace checks).
+    fn backends() -> Vec<Backend> {
+        vec![
+            cpu4(),
+            Backend::Cpu(ThreadConfig::pinned(4, 2)),
+            Backend::Cpu(ThreadConfig::unpinned(0)),
+            Backend::Xnnpack(ThreadConfig::unpinned(4)),
+            Backend::Nnapi,
+            Backend::Gpu,
+            Backend::Snpe(SnpeTarget::Cpu),
+            Backend::Snpe(SnpeTarget::Gpu),
+            Backend::Snpe(SnpeTarget::Dsp),
+        ]
+    }
+
+    /// Hold the model to the reference on every Table 1 device and
+    /// backend: equal bits when both succeed, an equal message when both
+    /// fail. Returns how many pairs succeeded.
+    fn assert_matches_reference(trace: &TraceReport, thermal: &ThermalState) -> usize {
+        let mut ok = 0;
+        for dev in all_devices() {
+            for b in backends() {
+                let want = reference(&dev, b, trace, thermal);
+                let got = estimate_latency(&dev, b, trace, thermal);
+                match (&want, &got) {
+                    (Ok(w), Ok(g)) => {
+                        assert_eq!(
+                            (w.total_ms.to_bits(), w.memory_bound_fraction.to_bits()),
+                            (g.total_ms.to_bits(), g.memory_bound_fraction.to_bits()),
+                            "{} {} at {} C: {w:?} != {g:?}",
+                            dev.name,
+                            b.name(),
+                            thermal.temp_c
+                        );
+                        ok += 1;
+                    }
+                    (Err(w), Err(g)) => assert_eq!(w.to_string(), g.to_string()),
+                    _ => panic!("{} {}: {want:?} vs {got:?}", dev.name, b.name()),
+                }
+            }
+        }
+        ok
+    }
+
+    const TASKS: [Task; 8] = [
+        Task::ObjectDetection,
+        Task::FaceDetection,
+        Task::SemanticSegmentation,
+        Task::ImageClassification,
+        Task::AutoComplete,
+        Task::KeywordDetection,
+        Task::MovementTracking,
+        Task::SoundRecognition,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn model_matches_the_per_call_reference_bit_for_bit(
+            task in 0..TASKS.len(),
+            seed in 0u64..1000,
+            batch in 1usize..9,
+            temp_c in 25.0f64..110.0,
+        ) {
+            let g = build_for_task(TASKS[task], seed, SizeClass::Small, true).graph;
+            let trace = trace_graph_batched(&g, batch).unwrap();
+            // Cool, the throttle knee, partly throttled, fully throttled
+            // and past it, and the sampled temperature.
+            let mut ok = 0;
+            for temp_c in [
+                25.0,
+                THROTTLE_START_C,
+                (THROTTLE_START_C + THROTTLE_FULL_C) / 2.0,
+                THROTTLE_FULL_C,
+                120.0,
+                temp_c,
+            ] {
+                ok += assert_matches_reference(&trace, &ThermalState { temp_c });
+            }
+            prop_assert!(ok > 0, "every pair failed for {:?}", TASKS[task]);
+        }
+    }
+
+    #[test]
+    fn model_errors_match_the_reference() {
+        let empty = TraceReport {
+            layers: vec![],
+            total_macs: 0,
+            total_flops: 0,
+            total_params: 0,
+            peak_activation_elems: 0,
+        };
+        assert_eq!(assert_matches_reference(&empty, &ThermalState::cool()), 0);
+        // The LSTM model: unsupported on every delegate, and on a DSP-less
+        // SoC the DSP fails on the layer before the missing engine.
+        let lstm = trace_for(Task::AutoComplete, 7);
+        let ok = assert_matches_reference(&lstm, &ThermalState::cool());
+        assert!(ok > 0 && ok < all_devices().len() * backends().len());
+    }
+
+    #[test]
+    fn one_model_prices_every_thermal_state() {
+        let tr = trace_for(Task::ObjectDetection, 13);
+        let dev = device("S21").unwrap();
+        let model = LatencyModel::new(&dev, cpu4(), &tr).unwrap();
+        assert_eq!(model.total_flops(), tr.total_flops);
+        let cool = model.estimate(&ThermalState::cool());
+        let hot = model.estimate(&ThermalState { temp_c: 120.0 });
+        assert!(hot.total_ms > cool.total_ms, "throttling slows the model");
+        assert_eq!(
+            model.estimate(&ThermalState::cool()),
+            cool,
+            "evaluation is a pure function of the thermal state"
+        );
     }
 
     fn trace_for(task: Task, seed: u64) -> TraceReport {

@@ -39,7 +39,7 @@ pub mod spec;
 pub mod thermal;
 
 pub use backend::{Backend, SnpeTarget};
-pub use latency::{estimate_latency, LatencyBreakdown};
+pub use latency::{estimate_latency, LatencyBreakdown, LatencyModel};
 pub use sched::ThreadConfig;
 pub use spec::{all_devices, DeviceSpec, DeviceTier, SocSpec};
 

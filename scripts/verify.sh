@@ -2,7 +2,7 @@
 # Tier-1 verification: build + full test suite (see ROADMAP.md; the
 # root manifest's default-members make both cover every workspace
 # crate) plus the perfbench lockfile and build gates, the concurrency suite
-# re-run single-threaded, a
+# re-run single-threaded, the pinned device-campaign digest, a
 # double-repro persistent-cache determinism check, the crash-recovery
 # matrix (its uninterrupted run must match the pinned tiny report
 # byte-for-byte; SIGKILL at each registered crash point, then --resume
@@ -80,6 +80,11 @@ verify() {
     # rename fails loudly instead of silently skipping the gate.
     run_pinned "$mode" analysis_worker_count_never_changes_the_report \
         --test concurrency || return 1
+    # The device campaign digest: every (device, job) result of the
+    # Small pool's single-file TFLite models on Q845 and Q888, pinned by
+    # name so the latency/power/thermal figures cannot move unnoticed.
+    run_pinned "$mode" campaign_results_are_pinned \
+        --test harness_integration || return 1
     # Persistent-cache determinism: three back-to-back repro runs against
     # a fresh cache directory must emit byte-identical stdout, and the
     # second must actually attach to the first's persisted analyses. The

@@ -3,6 +3,7 @@
 //! full Fig. 3 workflow, and the harness's measurements must agree with
 //! the analytic estimates the figures are built from.
 
+use gaugenn::apk::crc32::crc32;
 use gaugenn::core::pipeline::{Pipeline, PipelineConfig};
 use gaugenn::dnn::task::Task;
 use gaugenn::dnn::zoo::{build_for_task, SizeClass};
@@ -14,7 +15,7 @@ use gaugenn::harness::device::DeviceAgent;
 use gaugenn::harness::job::JobSpec;
 use gaugenn::harness::master::{Master, MasterConfig};
 use gaugenn::modelfmt::Framework;
-use gaugenn::playstore::corpus::Snapshot;
+use gaugenn::playstore::corpus::{build_pool, CorpusScale, Snapshot};
 use gaugenn::soc::sched::ThreadConfig;
 use gaugenn::soc::spec::{device, hdks};
 use gaugenn::soc::thermal::ThermalState;
@@ -171,7 +172,8 @@ fn verified_execution_of_extracted_model() {
 fn logical_time_is_charged_only_when_a_watchdog_expires() {
     // On a LogicalClock a healthy job costs no logical time, however long
     // the host takes to run it; a hung attempt costs exactly its watchdog
-    // deadline plus the 1 ms poll that saw the deadline pass.
+    // deadline plus 1 ms, the one sleep the master takes past the deadline
+    // before it declares the attempt lost.
     let jobs: Vec<Campaign> = (1..=4u64)
         .map(|id| {
             let g = build_for_task(Task::MovementTracking, id, SizeClass::Small, true).graph;
@@ -210,5 +212,48 @@ fn logical_time_is_charged_only_when_a_watchdog_expires() {
         run(1),
         (vec![false, true, true, true], 51),
         "one hung attempt charges accept_timeout + 1 ms"
+    );
+}
+
+#[test]
+fn campaign_results_are_pinned() {
+    // perfbench's `campaign` job list at Small scale: every single-file
+    // TFLite model of the pool, default JobSpec (3 warm-ups, 10 runs) on
+    // four unpinned CPU threads, on the Q845 and Q888 boards. The digest
+    // covers each result's text and the bits of every figure in it, so a
+    // change to the latency, power or thermal models, or to the order
+    // the agent applies them in, moves it.
+    let pool = build_pool(CorpusScale::Small, 1402);
+    let jobs: Vec<Campaign> = pool
+        .iter()
+        .filter(|m| m.framework == Framework::TfLite)
+        .map(|m| m.artifact(&pool).files)
+        .filter(|files| files.len() == 1)
+        .enumerate()
+        .map(|(i, files)| Campaign {
+            spec: JobSpec::new(i as u64 + 1, files[0].0.clone(), cpu4()),
+            files,
+        })
+        .collect();
+    let devices = [device("Q845").unwrap(), device("Q888").unwrap()];
+    let results = run_campaign(&devices, &jobs);
+    assert_eq!(results.len(), devices.len() * jobs.len());
+    let mut digest = Vec::new();
+    for r in &results {
+        let job = r
+            .outcome
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{} job {}: {e}", r.device, r.job_id));
+        digest.extend_from_slice(format!("{} {}\n", r.device, r.job_id).as_bytes());
+        digest.extend_from_slice(job.to_text().as_bytes());
+        let figures = job.latencies_ms.iter().chain(&job.energies_mj);
+        for v in figures.chain([&job.avg_power_w, &job.final_temp_c]) {
+            digest.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+    assert_eq!(
+        (jobs.len(), format!("{:08x}", crc32(&digest))),
+        (33, "9d98fd46".to_string()),
+        "campaign results moved"
     );
 }
