@@ -4,8 +4,12 @@
 //! have a smaller index than the node itself. This invariant is validated by
 //! [`Graph::validate`] and relied upon by shape inference, tracing and the
 //! executor.
+//!
+//! Nodes store their weights as any [`Weights`] type: [`WeightData`] by
+//! default, or [`WeightBytes`] borrowed from a model file, which is all
+//! validation, shape inference and tracing need.
 
-use crate::tensor::{DType, QuantParams, Shape, WeightData};
+use crate::tensor::{DType, QuantParams, Shape, WeightBytes, WeightData, Weights};
 use crate::{DnnError, Result};
 
 /// Identifier of a node within a graph (its index in `Graph::nodes`).
@@ -245,7 +249,7 @@ impl LayerKind {
 
 /// One vertex of the DAG.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Node {
+pub struct Node<W = WeightData> {
     /// Human-readable layer name (models in the wild often leak task hints
     /// through names, which the classifier exploits — §4.4).
     pub name: String,
@@ -254,23 +258,23 @@ pub struct Node {
     /// Producer nodes, in argument order.
     pub inputs: Vec<NodeId>,
     /// Kernel/gamma weights, when `kind.has_weights()`.
-    pub weights: Option<WeightData>,
+    pub weights: Option<W>,
     /// Bias/beta weights, when applicable.
-    pub bias: Option<WeightData>,
+    pub bias: Option<W>,
 }
 
 /// A whole model: nodes in topological order plus designated outputs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Graph {
+pub struct Graph<W = WeightData> {
     /// Model name (e.g. `"hair_segmentation_mobilenet"`).
     pub name: String,
     /// All nodes, topologically ordered.
-    pub nodes: Vec<Node>,
+    pub nodes: Vec<Node<W>>,
     /// Indices of output nodes.
     pub outputs: Vec<NodeId>,
 }
 
-impl Graph {
+impl<W: Weights> Graph<W> {
     /// Validate the structural invariants:
     /// inputs exist and precede their consumers, arity matches the layer
     /// kind, outputs are valid ids, and weighted layers carry weights.
@@ -359,6 +363,29 @@ impl Graph {
         self.nodes
             .iter()
             .any(|n| matches!(n.kind, LayerKind::Quantize(_) | LayerKind::Dequantize(_)))
+    }
+}
+
+impl Graph<WeightBytes<'_>> {
+    /// Copy every weight payload out of the model bytes, for callers that
+    /// read weight values (the executor, checksums, pruning census).
+    pub fn materialise(self) -> Graph {
+        let own = |w: Option<WeightBytes<'_>>| w.map(|w| w.materialise());
+        Graph {
+            name: self.name,
+            nodes: self
+                .nodes
+                .into_iter()
+                .map(|n| Node {
+                    name: n.name,
+                    kind: n.kind,
+                    inputs: n.inputs,
+                    weights: own(n.weights),
+                    bias: own(n.bias),
+                })
+                .collect(),
+            outputs: self.outputs,
+        }
     }
 }
 
@@ -489,7 +516,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_dangling_input() {
-        let g = Graph {
+        let g: Graph = Graph {
             name: "bad".into(),
             nodes: vec![Node {
                 name: "x".into(),
@@ -508,7 +535,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_forward_reference() {
-        let g = Graph {
+        let g: Graph = Graph {
             name: "bad".into(),
             nodes: vec![
                 Node {

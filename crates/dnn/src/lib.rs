@@ -5,7 +5,10 @@
 //! substrate from scratch:
 //!
 //! * [`graph`] — the graph IR (`Graph`, `Node`, `LayerKind`) and a builder.
-//! * [`tensor`] — shapes, dtypes and weight storage (f32 and int8-quantised).
+//! * [`tensor`] — shapes, dtypes and weight storage (f32 and int8-quantised),
+//!   owned ([`WeightData`]) or borrowed from model bytes ([`WeightBytes`]).
+//!   Validation, shape inference and tracing read weights only through the
+//!   [`Weights`] trait, so they run on either.
 //! * [`shape`] — static shape inference for every layer kind.
 //! * [`trace`] — trace-based FLOPs / MACs / parameter accounting, mirroring
 //!   the paper's "generate a random input … and measure analytically the
@@ -34,7 +37,7 @@ pub mod trace;
 pub mod zoo;
 
 pub use graph::{Graph, GraphBuilder, LayerKind, Node, NodeId};
-pub use tensor::{DType, Shape, Tensor, WeightData};
+pub use tensor::{DType, Shape, Tensor, WeightBytes, WeightData, Weights};
 pub use trace::{trace_graph, TraceReport};
 
 /// Errors produced by graph construction, shape inference and execution.

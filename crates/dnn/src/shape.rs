@@ -2,13 +2,14 @@
 //!
 //! Given a validated [`Graph`], [`infer_shapes`] produces the output shape of
 //! every node. Tracing, the executor and the SoC latency model all consume
-//! these shapes.
+//! these shapes. Extents come from model files, so the arithmetic on them
+//! is checked: a stride of 0 or an extent that overflows is an error.
 
 use crate::graph::{Graph, LayerKind, Padding};
-use crate::tensor::Shape;
+use crate::tensor::{checked_product, Shape};
 use crate::{DnnError, Result};
 
-/// Spatial output extent of a windowed op.
+/// Spatial output extent of a windowed op (`stride` must be at least 1).
 pub fn conv_out_dim(input: usize, kernel: usize, stride: usize, padding: Padding) -> usize {
     match padding {
         Padding::Same => input.div_ceil(stride),
@@ -16,7 +17,7 @@ pub fn conv_out_dim(input: usize, kernel: usize, stride: usize, padding: Padding
             if input < kernel {
                 0
             } else {
-                (input - kernel) / stride + 1
+                ((input - kernel) / stride).saturating_add(1)
             }
         }
     }
@@ -27,6 +28,18 @@ fn err(node: usize, reason: impl Into<String>) -> DnnError {
         node,
         reason: reason.into(),
     }
+}
+
+fn want_stride(node: usize, stride: usize, what: &str) -> Result<()> {
+    if stride == 0 {
+        Err(err(node, format!("{what} has stride 0")))
+    } else {
+        Ok(())
+    }
+}
+
+fn overflow(node: usize, what: &str) -> DnnError {
+    err(node, format!("{what} overflows"))
 }
 
 fn want_rank(node: usize, s: &Shape, rank: usize, what: &str) -> Result<()> {
@@ -42,8 +55,9 @@ fn want_rank(node: usize, s: &Shape, rank: usize, what: &str) -> Result<()> {
 
 /// Infer the output shape of every node in topological order.
 ///
-/// Returns one shape per node, indexed by [`crate::NodeId`].
-pub fn infer_shapes(graph: &Graph) -> Result<Vec<Shape>> {
+/// Returns one shape per node, indexed by [`crate::NodeId`]. Weights are
+/// not read, so any weight storage will do.
+pub fn infer_shapes<W>(graph: &Graph<W>) -> Result<Vec<Shape>> {
     let mut shapes: Vec<Shape> = Vec::with_capacity(graph.nodes.len());
     for (id, node) in graph.nodes.iter().enumerate() {
         let ins: Vec<&Shape> = node.inputs.iter().map(|&i| &shapes[i]).collect();
@@ -64,6 +78,7 @@ fn infer_node(id: usize, kind: &LayerKind, ins: &[&Shape]) -> Result<Shape> {
         } => {
             let s = ins[0];
             want_rank(id, s, 4, "conv2d")?;
+            want_stride(id, *stride, "conv2d")?;
             let (h, w, _c) = s.hwc().expect("rank 4");
             let oh = conv_out_dim(h, *kernel, *stride, *padding);
             let ow = conv_out_dim(w, *kernel, *stride, *padding);
@@ -79,6 +94,7 @@ fn infer_node(id: usize, kind: &LayerKind, ins: &[&Shape]) -> Result<Shape> {
         } => {
             let s = ins[0];
             want_rank(id, s, 4, "depthwise_conv2d")?;
+            want_stride(id, *stride, "depthwise_conv2d")?;
             let (h, w, c) = s.hwc().expect("rank 4");
             let oh = conv_out_dim(h, *kernel, *stride, *padding);
             let ow = conv_out_dim(w, *kernel, *stride, *padding);
@@ -95,7 +111,11 @@ fn infer_node(id: usize, kind: &LayerKind, ins: &[&Shape]) -> Result<Shape> {
             let s = ins[0];
             want_rank(id, s, 4, "transpose_conv2d")?;
             let (h, w, _) = s.hwc().expect("rank 4");
-            Ok(Shape::nhwc(s.batch(), h * stride, w * stride, *out_channels))
+            let up = |x: usize| {
+                x.checked_mul(*stride)
+                    .ok_or_else(|| overflow(id, "transpose_conv2d extent"))
+            };
+            Ok(Shape::nhwc(s.batch(), up(h)?, up(w)?, *out_channels))
         }
         LayerKind::Dense { units } => {
             let s = ins[0];
@@ -117,6 +137,7 @@ fn infer_node(id: usize, kind: &LayerKind, ins: &[&Shape]) -> Result<Shape> {
         } => {
             let s = ins[0];
             want_rank(id, s, 4, "pool")?;
+            want_stride(id, *stride, "pool")?;
             let (h, w, c) = s.hwc().expect("rank 4");
             let oh = conv_out_dim(h, *kernel, *stride, *padding);
             let ow = conv_out_dim(w, *kernel, *stride, *padding);
@@ -139,6 +160,9 @@ fn infer_node(id: usize, kind: &LayerKind, ins: &[&Shape]) -> Result<Shape> {
         }
         LayerKind::Concat => {
             let first = ins[0];
+            if first.rank() == 0 {
+                return Err(err(id, "concat expects rank >= 1 inputs"));
+            }
             let mut channels = 0usize;
             for s in ins {
                 if s.rank() != first.rank() || s.0[..s.rank() - 1] != first.0[..first.rank() - 1] {
@@ -147,7 +171,9 @@ fn infer_node(id: usize, kind: &LayerKind, ins: &[&Shape]) -> Result<Shape> {
                         format!("concat mismatch: {s} vs {first} (all dims but last must agree)"),
                     ));
                 }
-                channels += s.channels();
+                channels = channels
+                    .checked_add(s.channels())
+                    .ok_or_else(|| overflow(id, "concat channel count"))?;
             }
             let mut d = first.0.clone();
             *d.last_mut().expect("non-empty") = channels;
@@ -155,14 +181,17 @@ fn infer_node(id: usize, kind: &LayerKind, ins: &[&Shape]) -> Result<Shape> {
         }
         LayerKind::Reshape { dims } => {
             let s = ins[0];
-            let want: usize = dims.iter().product();
-            if want != s.elems_per_sample() {
+            let want = checked_product(dims).ok_or_else(|| overflow(id, "reshape target"))?;
+            let have = match s.0.split_first() {
+                None => 0,
+                Some((_, per_sample)) => {
+                    checked_product(per_sample).ok_or_else(|| overflow(id, "reshape input"))?
+                }
+            };
+            if want != have {
                 return Err(err(
                     id,
-                    format!(
-                        "reshape target {want} elems != input {} elems",
-                        s.elems_per_sample()
-                    ),
+                    format!("reshape target {want} elems != input {have} elems"),
                 ));
             }
             let mut d = vec![s.batch()];
@@ -176,12 +205,14 @@ fn infer_node(id: usize, kind: &LayerKind, ins: &[&Shape]) -> Result<Shape> {
         }
         LayerKind::Slice { begin, len } => {
             let s = ins[0];
-            if begin + len > s.channels() {
+            let end = begin
+                .checked_add(*len)
+                .ok_or_else(|| overflow(id, "slice end"))?;
+            if end > s.channels() || s.rank() == 0 {
                 return Err(err(
                     id,
                     format!(
-                        "slice [{begin}, {}) out of range for {} channels",
-                        begin + len,
+                        "slice [{begin}, {end}) out of range for {} channels",
                         s.channels()
                     ),
                 ));
@@ -194,7 +225,12 @@ fn infer_node(id: usize, kind: &LayerKind, ins: &[&Shape]) -> Result<Shape> {
             let s = ins[0];
             want_rank(id, s, 4, "pad")?;
             let (h, w, c) = s.hwc().expect("rank 4");
-            Ok(Shape::nhwc(s.batch(), h + 2 * pad, w + 2 * pad, c))
+            let grow = |x: usize| {
+                pad.checked_mul(2)
+                    .and_then(|p| x.checked_add(p))
+                    .ok_or_else(|| overflow(id, "pad extent"))
+            };
+            Ok(Shape::nhwc(s.batch(), grow(h)?, grow(w)?, c))
         }
         LayerKind::Quantize(_) | LayerKind::Dequantize(_) => Ok(ins[0].clone()),
         LayerKind::Embedding { dim, .. } => {
@@ -348,6 +384,105 @@ mod tests {
         let shapes = infer_shapes(&g).unwrap();
         assert_eq!(shapes[1], Shape::nhwc(1, 4, 4, 3));
         assert_eq!(shapes[2], Shape::nhwc(1, 6, 6, 3));
+    }
+
+    #[test]
+    fn hostile_extents_are_shape_errors_not_panics() {
+        let w = || Some(WeightData::F32(vec![0.0; 3]));
+        let cases: Vec<(&str, Shape, LayerKind)> = vec![
+            (
+                "conv stride 0",
+                Shape::nhwc(1, 4, 4, 3),
+                LayerKind::Conv2d {
+                    out_channels: 1,
+                    kernel: 1,
+                    stride: 0,
+                    padding: Padding::Same,
+                },
+            ),
+            (
+                "depthwise stride 0",
+                Shape::nhwc(1, 4, 4, 3),
+                LayerKind::DepthwiseConv2d {
+                    kernel: 1,
+                    stride: 0,
+                    padding: Padding::Valid,
+                },
+            ),
+            (
+                "pool stride 0",
+                Shape::nhwc(1, 4, 4, 3),
+                LayerKind::Pool {
+                    kind: PoolKind::Max,
+                    kernel: 2,
+                    stride: 0,
+                    padding: Padding::Valid,
+                },
+            ),
+            (
+                "transpose conv extent",
+                Shape::nhwc(1, 4, 4, 3),
+                LayerKind::TransposeConv2d {
+                    out_channels: 1,
+                    kernel: 2,
+                    stride: usize::MAX,
+                },
+            ),
+            (
+                "pad extent",
+                Shape::nhwc(1, 4, 4, 3),
+                LayerKind::Pad {
+                    pad: usize::MAX / 2 + 1,
+                },
+            ),
+            (
+                "slice end",
+                Shape::vec2(1, 4),
+                LayerKind::Slice {
+                    begin: usize::MAX,
+                    len: 2,
+                },
+            ),
+            (
+                "slice of a rank-0 tensor",
+                Shape(vec![]),
+                LayerKind::Slice { begin: 0, len: 0 },
+            ),
+            (
+                "reshape target",
+                Shape::vec2(1, 4),
+                LayerKind::Reshape {
+                    dims: vec![1 << 33, 1 << 33],
+                },
+            ),
+            (
+                "reshape input",
+                Shape(vec![1, 1 << 33, 1 << 33]),
+                LayerKind::Reshape { dims: vec![4] },
+            ),
+        ];
+        for (what, shape, kind) in cases {
+            let mut b = GraphBuilder::new("t");
+            let i = b.input("in", shape, DType::F32);
+            let weights = if kind.has_weights() { w() } else { None };
+            let n = b.layer("n", kind, &[i], weights, None);
+            let g = b.finish(vec![n]).unwrap();
+            assert!(
+                matches!(infer_shapes(&g), Err(DnnError::Shape { node: 1, .. })),
+                "{what}: {:?}",
+                infer_shapes(&g)
+            );
+        }
+        // Concat slices off the last axis, which a rank-0 input lacks.
+        let mut b = GraphBuilder::new("t");
+        let x = b.input("x", Shape(vec![]), DType::F32);
+        let y = b.input("y", Shape(vec![]), DType::F32);
+        let c = b.op("cat", LayerKind::Concat, &[x, y]);
+        let g = b.finish(vec![c]).unwrap();
+        assert!(matches!(
+            infer_shapes(&g),
+            Err(DnnError::Shape { node: 2, .. })
+        ));
     }
 
     #[test]

@@ -74,6 +74,15 @@ impl Shape {
         self.0.iter().product()
     }
 
+    /// [`Shape::elems`], or `None` when it or the per-sample count
+    /// overflows `usize` (extents read from a model file can be anything).
+    pub(crate) fn checked_elems(&self) -> Option<usize> {
+        match self.0.split_first() {
+            None => Some(1),
+            Some((&batch, per_sample)) => checked_product(per_sample)?.checked_mul(batch),
+        }
+    }
+
     /// Element count excluding the batch dimension.
     pub fn elems_per_sample(&self) -> usize {
         if self.0.is_empty() {
@@ -136,6 +145,11 @@ impl From<Vec<usize>> for Shape {
     fn from(v: Vec<usize>) -> Self {
         Shape(v)
     }
+}
+
+/// Product of `dims`, or `None` when it overflows `usize`.
+pub(crate) fn checked_product(dims: &[usize]) -> Option<usize> {
+    dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d))
 }
 
 /// Affine quantisation parameters: `real = scale * (q - zero_point)`.
@@ -259,6 +273,79 @@ impl WeightData {
                 .count(),
         };
         near as f64 / self.len() as f64
+    }
+}
+
+/// What validation, shape inference and tracing read of a weight payload:
+/// its element count and storage dtype, never its values. A graph stores
+/// weights as any `Weights` type ([`WeightData`] owned, [`WeightBytes`]
+/// borrowed from the model file).
+pub trait Weights {
+    /// Number of scalar weights stored.
+    fn len(&self) -> usize;
+
+    /// True when no weights are stored.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The storage dtype of the payload.
+    fn dtype(&self) -> DType;
+}
+
+impl Weights for WeightData {
+    fn len(&self) -> usize {
+        WeightData::len(self)
+    }
+
+    fn dtype(&self) -> DType {
+        WeightData::dtype(self)
+    }
+}
+
+/// A weight payload read in place from serialised model bytes, the way a
+/// phone's interpreter reads a FlatBuffer's tensors.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WeightBytes<'a> {
+    /// Full-precision weights as little-endian f32 words.
+    F32(&'a [[u8; 4]]),
+    /// int8 affine-quantised weights, one byte each.
+    I8 {
+        /// Quantised values.
+        data: &'a [u8],
+        /// Quantisation parameters shared by the whole tensor.
+        params: QuantParams,
+    },
+}
+
+impl WeightBytes<'_> {
+    /// Copy the payload out into an owned [`WeightData`].
+    pub fn materialise(&self) -> WeightData {
+        match *self {
+            WeightBytes::F32(words) => {
+                WeightData::F32(words.iter().map(|&w| f32::from_le_bytes(w)).collect())
+            }
+            WeightBytes::I8 { data, params } => WeightData::I8 {
+                data: data.iter().map(|&b| b as i8).collect(),
+                params,
+            },
+        }
+    }
+}
+
+impl Weights for WeightBytes<'_> {
+    fn len(&self) -> usize {
+        match self {
+            WeightBytes::F32(words) => words.len(),
+            WeightBytes::I8 { data, .. } => data.len(),
+        }
+    }
+
+    fn dtype(&self) -> DType {
+        match self {
+            WeightBytes::F32(_) => DType::F32,
+            WeightBytes::I8 { .. } => DType::I8,
+        }
     }
 }
 

@@ -9,11 +9,16 @@
 //! of the paper). The trace also records per-layer memory traffic, which the
 //! SoC roofline model uses to decide whether a layer is compute- or
 //! memory-bound.
+//!
+//! The trace reads only each weight payload's length and dtype, so it runs
+//! on any [`Weights`] storage. Its counts are products of extents read from
+//! a model file, so they are computed with checked arithmetic: a count that
+//! overflows `u64` is an error naming the node.
 
 use crate::graph::{Graph, LayerKind};
 use crate::shape::infer_shapes;
-use crate::tensor::Shape;
-use crate::Result;
+use crate::tensor::{Shape, Weights};
+use crate::{DnnError, Result};
 
 /// Per-layer accounting record.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,12 +115,12 @@ pub fn rebatch(trace: &TraceReport, batch: usize) -> TraceReport {
 }
 
 /// Run the trace for batch size 1.
-pub fn trace_graph(graph: &Graph) -> Result<TraceReport> {
+pub fn trace_graph<W: Weights>(graph: &Graph<W>) -> Result<TraceReport> {
     trace_graph_batched(graph, 1)
 }
 
 /// Run the trace with every input rebatched to `batch` samples.
-pub fn trace_graph_batched(graph: &Graph, batch: usize) -> Result<TraceReport> {
+pub fn trace_graph_batched<W: Weights>(graph: &Graph<W>, batch: usize) -> Result<TraceReport> {
     let mut shapes = infer_shapes(graph)?;
     if batch != 1 {
         for s in &mut shapes {
@@ -123,29 +128,44 @@ pub fn trace_graph_batched(graph: &Graph, batch: usize) -> Result<TraceReport> {
         }
     }
     let mut layers = Vec::with_capacity(graph.nodes.len());
+    let (mut total_macs, mut total_flops, mut total_params) = (0u64, 0u64, 0u64);
     let mut peak = 0u64;
     // Scratch for the per-node input-shape views, reused across nodes so
     // the trace (which the analysis pool runs once per unique model) does
     // not allocate per layer.
     let mut in_shapes: Vec<&Shape> = Vec::new();
     for (id, node) in graph.nodes.iter().enumerate() {
+        let overflow = |what: &str| DnnError::Shape {
+            node: id,
+            reason: format!("{what} overflows u64"),
+        };
         let out = &shapes[id];
-        peak = peak.max(out.elems() as u64);
+        let out_elems = elems(out).ok_or_else(|| overflow("output element count"))?;
+        peak = peak.max(out_elems);
         if matches!(node.kind, LayerKind::Input { .. }) {
             continue;
         }
         in_shapes.clear();
         in_shapes.extend(node.inputs.iter().map(|&i| &shapes[i]));
-        let (macs, flops) = layer_ops(&node.kind, &in_shapes, out);
+        let (macs, flops) = layer_ops(&node.kind, &in_shapes, out_elems)
+            .ok_or_else(|| overflow("operation count"))?;
         let params = node.weights.as_ref().map_or(0, |w| w.len() as u64)
             + node.bias.as_ref().map_or(0, |b| b.len() as u64);
-        let weight_bytes: u64 = node
+        // Bounded by the payloads' own sizes, unlike the activation bytes.
+        let weight_bytes = node
             .weights
             .as_ref()
-            .map_or(0, |w| (w.len() * w.dtype().size_bytes()) as u64)
-            + node.bias.as_ref().map_or(0, |b| (b.len() * 4) as u64);
-        let in_bytes: u64 = in_shapes.iter().map(|s| s.elems() as u64 * 4).sum();
-        let out_bytes = out.elems() as u64 * 4;
+            .map_or(0, |w| w.len() as u64 * w.dtype().size_bytes() as u64)
+            + node.bias.as_ref().map_or(0, |b| b.len() as u64 * 4);
+        let (bytes_read, bytes_written) =
+            traffic(weight_bytes, &in_shapes, out_elems).ok_or_else(|| overflow("byte count"))?;
+        total_macs = total_macs
+            .checked_add(macs)
+            .ok_or_else(|| overflow("total MAC count"))?;
+        total_flops = total_flops
+            .checked_add(flops)
+            .ok_or_else(|| overflow("total FLOP count"))?;
+        total_params += params;
         layers.push(LayerTrace {
             node: id,
             name: node.name.clone(),
@@ -154,14 +174,11 @@ pub fn trace_graph_batched(graph: &Graph, batch: usize) -> Result<TraceReport> {
             macs,
             flops,
             params,
-            bytes_read: weight_bytes + in_bytes,
-            bytes_written: out_bytes,
+            bytes_read,
+            bytes_written,
             weight_bytes,
         });
     }
-    let total_macs = layers.iter().map(|l| l.macs).sum();
-    let total_flops = layers.iter().map(|l| l.flops).sum();
-    let total_params = layers.iter().map(|l| l.params).sum();
     Ok(TraceReport {
         layers,
         total_macs,
@@ -171,72 +188,91 @@ pub fn trace_graph_batched(graph: &Graph, batch: usize) -> Result<TraceReport> {
     })
 }
 
-/// (MACs, FLOPs) for one layer application.
-fn layer_ops(kind: &LayerKind, ins: &[&Shape], out: &Shape) -> (u64, u64) {
-    let out_elems = out.elems() as u64;
+/// `(bytes_read, bytes_written)` of a layer, `None` when either or their
+/// sum (which the roofline adds up) overflows `u64`.
+fn traffic(weight_bytes: u64, ins: &[&Shape], out_elems: u64) -> Option<(u64, u64)> {
+    let in_bytes = ins
+        .iter()
+        .try_fold(0u64, |acc, s| acc.checked_add(elems(s)?.checked_mul(4)?))?;
+    let read = weight_bytes.checked_add(in_bytes)?;
+    let written = out_elems.checked_mul(4)?;
+    read.checked_add(written)?;
+    Some((read, written))
+}
+
+/// A shape's element count as `u64`, `None` on overflow.
+fn elems(s: &Shape) -> Option<u64> {
+    s.checked_elems().map(|n| n as u64)
+}
+
+/// Product of `factors`, `None` on overflow.
+fn product(factors: &[u64]) -> Option<u64> {
+    factors.iter().try_fold(1u64, |acc, &f| acc.checked_mul(f))
+}
+
+/// (MACs, FLOPs) for one layer application producing `out_elems`
+/// elements, `None` when a count overflows `u64`.
+fn layer_ops(kind: &LayerKind, ins: &[&Shape], out_elems: u64) -> Option<(u64, u64)> {
+    let mac_layer = |macs: u64| Some((macs, macs.checked_mul(2)?));
     match kind {
-        LayerKind::Input { .. } => (0, 0),
+        LayerKind::Input { .. } => Some((0, 0)),
         LayerKind::Conv2d { kernel, .. } => {
             let cin = ins[0].channels() as u64;
-            let macs = out_elems * cin * (*kernel as u64) * (*kernel as u64);
-            (macs, 2 * macs)
+            let k = *kernel as u64;
+            mac_layer(product(&[out_elems, cin, k, k])?)
         }
         LayerKind::DepthwiseConv2d { kernel, .. } => {
-            let macs = out_elems * (*kernel as u64) * (*kernel as u64);
-            (macs, 2 * macs)
+            let k = *kernel as u64;
+            mac_layer(product(&[out_elems, k, k])?)
         }
         LayerKind::TransposeConv2d { kernel, .. } => {
             let cin = ins[0].channels() as u64;
+            let k = *kernel as u64;
             // Each output element accumulates k*k*cin contributions on
             // average divided by stride^2 overlap; we use the dense bound.
-            let macs = out_elems * cin * (*kernel as u64) * (*kernel as u64);
-            (macs, 2 * macs)
+            mac_layer(product(&[out_elems, cin, k, k])?)
         }
         LayerKind::Dense { units } => {
             let cin = ins[0].channels() as u64;
             let rows = out_elems / (*units as u64).max(1);
-            let macs = rows * cin * *units as u64;
-            (macs, 2 * macs)
+            mac_layer(product(&[rows, cin, *units as u64])?)
         }
-        LayerKind::Activation(_) => (0, out_elems),
-        LayerKind::Softmax => (0, 5 * out_elems),
-        LayerKind::BatchNorm => (0, 2 * out_elems),
-        LayerKind::L2Norm => (0, 3 * out_elems),
+        LayerKind::Activation(_) => Some((0, out_elems)),
+        LayerKind::Softmax => Some((0, out_elems.checked_mul(5)?)),
+        LayerKind::BatchNorm => Some((0, out_elems.checked_mul(2)?)),
+        LayerKind::L2Norm => Some((0, out_elems.checked_mul(3)?)),
         LayerKind::Pool { kernel, .. } => {
-            (0, out_elems * (*kernel as u64) * (*kernel as u64))
+            let k = *kernel as u64;
+            Some((0, product(&[out_elems, k, k])?))
         }
-        LayerKind::GlobalPool(_) => (0, ins[0].elems() as u64),
-        LayerKind::Binary(_) => (0, out_elems),
-        LayerKind::Concat | LayerKind::Reshape { .. } | LayerKind::Slice { .. } => (0, 0),
+        LayerKind::GlobalPool(_) | LayerKind::MeanTime => Some((0, elems(ins[0])?)),
+        LayerKind::Binary(_) => Some((0, out_elems)),
+        LayerKind::Concat | LayerKind::Reshape { .. } | LayerKind::Slice { .. } => Some((0, 0)),
         LayerKind::Resize { mode, .. } => {
             let per = match mode {
                 crate::graph::ResizeMode::Nearest => 1,
                 crate::graph::ResizeMode::Bilinear => 7,
             };
-            (0, per * out_elems)
+            Some((0, out_elems.checked_mul(per)?))
         }
-        LayerKind::Pad { .. } => (0, 0),
-        LayerKind::Quantize(_) | LayerKind::Dequantize(_) => (0, 2 * out_elems),
-        LayerKind::Embedding { .. } => (0, 0),
-        LayerKind::Lstm { units } => {
-            let s = ins[0];
-            let (t, cin) = (s.dim(1) as u64, s.channels() as u64);
-            let n = s.batch() as u64;
-            let u = *units as u64;
-            // 4 gates, each a dense over [input ++ hidden].
-            let macs = n * t * 4 * (cin + u) * u;
-            (macs, 2 * macs + n * t * 9 * u)
-        }
-        LayerKind::Gru { units } => {
-            let s = ins[0];
-            let (t, cin) = (s.dim(1) as u64, s.channels() as u64);
-            let n = s.batch() as u64;
-            let u = *units as u64;
-            let macs = n * t * 3 * (cin + u) * u;
-            (macs, 2 * macs + n * t * 7 * u)
-        }
-        LayerKind::MeanTime => (0, ins[0].elems() as u64),
+        LayerKind::Pad { .. } => Some((0, 0)),
+        LayerKind::Quantize(_) | LayerKind::Dequantize(_) => Some((0, out_elems.checked_mul(2)?)),
+        LayerKind::Embedding { .. } => Some((0, 0)),
+        LayerKind::Lstm { units } => recurrent_ops(ins[0], *units as u64, 4, 9),
+        LayerKind::Gru { units } => recurrent_ops(ins[0], *units as u64, 3, 7),
     }
+}
+
+/// A recurrent layer over `[n, t, cin]`: `gates` dense products over
+/// `[input ++ hidden]` per step, plus `pointwise` element ops per unit.
+fn recurrent_ops(s: &Shape, u: u64, gates: u64, pointwise: u64) -> Option<(u64, u64)> {
+    let (t, cin) = (s.dim(1) as u64, s.channels() as u64);
+    let n = s.batch() as u64;
+    let macs = product(&[n, t, gates, cin.checked_add(u)?, u])?;
+    let flops = macs
+        .checked_mul(2)?
+        .checked_add(product(&[n, t, pointwise, u])?)?;
+    Some((macs, flops))
 }
 
 #[cfg(test)]
@@ -350,6 +386,38 @@ mod tests {
         assert_eq!(r4.total_flops, 4 * r1.total_flops);
         assert_eq!(r4.total_params, r1.total_params);
         assert_eq!(r4.peak_activation_elems, 4 * r1.peak_activation_elems);
+    }
+
+    #[test]
+    fn overflowing_counts_are_shape_errors_naming_the_node() {
+        let mut b = GraphBuilder::new("t");
+        let i = b.input("in", Shape::nhwc(1, 8, 8, 3), DType::F32);
+        let c = b.layer(
+            "c",
+            LayerKind::Conv2d {
+                out_channels: 4,
+                kernel: 3,
+                stride: 1,
+                padding: Padding::Same,
+            },
+            &[i],
+            w(3 * 3 * 3 * 4),
+            None,
+        );
+        let g = b.finish(vec![c]).unwrap();
+        // Rebatching multiplies every element count: the input's first.
+        let err = trace_graph_batched(&g, 1 << 62).unwrap_err();
+        assert!(
+            matches!(&err, crate::DnnError::Shape { node: 0, reason } if reason.contains("overflows")),
+            "{err}"
+        );
+        // 2^54 samples fit every element count, but not the MACs.
+        let err = trace_graph_batched(&g, 1 << 54).unwrap_err();
+        assert!(
+            matches!(&err, crate::DnnError::Shape { node: 1, reason } if reason.contains("operation count")),
+            "{err}"
+        );
+        assert!(trace_graph_batched(&g, 1 << 20).is_ok());
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::job::{JobResult, JobSpec};
 use crate::{HarnessError, Result};
 use gaugenn_dnn::exec::Executor;
 use gaugenn_dnn::trace::trace_graph_batched;
+use gaugenn_dnn::{Graph, WeightBytes};
 use gaugenn_power::monsoon::PowerMonitor;
 use gaugenn_power::{measure_model, PowerError};
 use gaugenn_soc::thermal::ThermalState;
@@ -99,12 +100,17 @@ impl DeviceAgent {
             .open_local(&model_path)
             .ok_or_else(|| HarnessError::Device(format!("model not pushed: {model_path}")))?;
         // The device runs whatever bytes it was given — so it must parse
-        // and validate them like a real interpreter would, in place.
-        let graph = decode_model(&job.model_file, &model_bytes)?;
+        // and validate them like a real interpreter would, in place: the
+        // weights stay in the pushed bytes, and the trace reads only their
+        // lengths and dtypes.
+        let files = [(job.model_file.clone(), model_bytes.as_slice())];
+        let graph = decode_model(&files)?;
         let trace = trace_graph_batched(&graph, job.batch)
             .map_err(|e| HarnessError::Device(e.to_string()))?;
 
         if job.verify_outputs {
+            // Only a real forward pass reads weight values.
+            let graph = graph.materialise();
             let ex = Executor::new(&graph).map_err(|e| HarnessError::Device(e.to_string()))?;
             let out = ex
                 .run_random(job.batch, self.noise_seed)
@@ -161,12 +167,13 @@ impl DeviceAgent {
     }
 }
 
-/// Decode pushed model bytes via signature validation (the device-side
-/// interpreter rejects what it cannot load).
-fn decode_model(file_name: &str, bytes: &[u8]) -> Result<gaugenn_dnn::Graph> {
+/// Decode the pushed model file `(name, bytes)` in place, after signature
+/// validation (the device-side interpreter rejects what it cannot load).
+fn decode_model<'a>(file: &'a [(String, &[u8]); 1]) -> Result<Graph<WeightBytes<'a>>> {
+    let [(file_name, bytes)] = file;
     let validated = gaugenn_modelfmt::validate(file_name, bytes)
         .ok_or_else(|| HarnessError::Device(format!("'{file_name}' failed validation")))?;
-    gaugenn_modelfmt::decode(validated.framework, &[(file_name.to_string(), bytes)])
+    gaugenn_modelfmt::decode_in_place(validated.framework, file)
         .map_err(|e| HarnessError::Device(e.to_string()))
 }
 
@@ -227,6 +234,32 @@ mod tests {
         let mut agent = agent0;
         let job = JobSpec::new(3, model, Backend::Cpu(ThreadConfig::unpinned(4)));
         assert!(agent.execute(&job).is_err());
+    }
+
+    #[test]
+    fn overflowing_batch_is_a_device_error() {
+        let mut agent = DeviceAgent::new(device("Q845").unwrap());
+        let model = push_model(&agent, Task::MovementTracking, 6);
+        let batch = 1usize << 62;
+        for verify_outputs in [false, true] {
+            let job = JobSpec {
+                batch,
+                verify_outputs,
+                ..JobSpec::new(6, model.clone(), Backend::Cpu(ThreadConfig::unpinned(4)))
+            };
+            let err = agent.execute(&job).unwrap_err();
+            assert!(
+                matches!(&err, HarnessError::Device(r) if r.contains("overflows")),
+                "{err}"
+            );
+        }
+        // The owned decode's trace fails the same way.
+        let bytes = agent
+            .endpoint
+            .read_local(&format!("{MODEL_DIR}/{model}"))
+            .unwrap();
+        let owned = gaugenn_modelfmt::decode(Framework::TfLite, &[(model, bytes)]).unwrap();
+        assert!(trace_graph_batched(&owned, batch).is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::graphcodec::{decode_graph, encode_graph};
 use crate::minipb::{PbReader, PbValue, PbWriter};
 use crate::{FmtError, Framework, ModelArtifact, Result};
-use gaugenn_dnn::Graph;
+use gaugenn_dnn::{Graph, WeightBytes};
 
 const F_MAGIC: u32 = 1;
 const F_BODY: u32 = 2;
@@ -49,7 +49,8 @@ pub fn encode(graph: &Graph) -> Result<ModelArtifact> {
 /// Decode from the file set; the `.caffemodel` part is authoritative and
 /// the `.prototxt`, when present, is cross-checked for layer-count
 /// agreement (a mismatched pair is how you catch mixed-up app assets).
-pub fn decode<B: AsRef<[u8]>>(files: &[(String, B)]) -> Result<Graph> {
+/// Weights are borrowed from the `.caffemodel` bytes.
+pub fn decode<B: AsRef<[u8]>>(files: &[(String, B)]) -> Result<Graph<WeightBytes<'_>>> {
     let model = files
         .iter()
         .find(|(n, _)| n.ends_with(".caffemodel"))
@@ -113,7 +114,7 @@ mod tests {
         assert_eq!(art.files.len(), 2);
         assert!(probe_caffemodel(&art.files[0].1));
         assert!(probe_prototxt(&art.files[1].1));
-        assert_eq!(decode(&art.files).unwrap(), m.graph);
+        assert_eq!(decode(&art.files).unwrap().materialise(), m.graph);
     }
 
     #[test]
@@ -121,7 +122,7 @@ mod tests {
         let m = build_for_task(Task::ContourDetection, 15, SizeClass::Small, true);
         let art = encode(&m.graph).unwrap();
         let only_model = vec![art.files[0].clone()];
-        assert_eq!(decode(&only_model).unwrap(), m.graph);
+        assert_eq!(decode(&only_model).unwrap().materialise(), m.graph);
     }
 
     #[test]

@@ -9,11 +9,15 @@
 //! Byte-stability matters: §4.5's uniqueness analysis md5-checksums the
 //! serialised model and per-layer weights, so encoding must be a pure
 //! function of the graph.
+//!
+//! [`decode_graph`] is the one parser of the body. It leaves every weight
+//! payload where it lies, as [`WeightBytes`]; a caller that reads weight
+//! values copies them out with [`Graph::materialise`].
 
 use crate::minipb::{unpack_floats, unpack_varints, PbReader, PbWriter};
 use crate::{FmtError, Result};
 use gaugenn_dnn::graph::{ActKind, BinOp, Graph, LayerKind, Node, Padding, PoolKind, ResizeMode};
-use gaugenn_dnn::tensor::{DType, QuantParams, Shape, WeightData};
+use gaugenn_dnn::tensor::{DType, QuantParams, Shape, WeightBytes, WeightData};
 
 // Node message fields.
 const F_NAME: u32 = 1;
@@ -68,8 +72,9 @@ pub fn encode_graph(graph: &Graph) -> Vec<u8> {
     g.finish()
 }
 
-/// Decode the canonical body back into a graph, validating it.
-pub fn decode_graph(bytes: &[u8]) -> Result<Graph> {
+/// Decode the canonical body back into a graph, validating it. Weight
+/// payloads are borrowed from `bytes`, not copied.
+pub fn decode_graph(bytes: &[u8]) -> Result<Graph<WeightBytes<'_>>> {
     let mut r = PbReader::new(bytes);
     let mut name = String::new();
     let mut nodes = Vec::new();
@@ -97,7 +102,7 @@ pub fn decode_graph(bytes: &[u8]) -> Result<Graph> {
     Ok(graph)
 }
 
-fn decode_node(bytes: &[u8]) -> Result<Node> {
+fn decode_node(bytes: &[u8]) -> Result<Node<WeightBytes<'_>>> {
     let mut r = PbReader::new(bytes);
     let mut name = String::new();
     let mut kind_id = None;
@@ -153,27 +158,35 @@ fn encode_weights(w: &WeightData) -> PbWriter {
     m
 }
 
-fn decode_weights(bytes: &[u8]) -> Result<WeightData> {
+fn decode_weights(bytes: &[u8]) -> Result<WeightBytes<'_>> {
     let mut r = PbReader::new(bytes);
     let mut dtype = 0u64;
-    let mut f32s = Vec::new();
-    let mut i8s = Vec::new();
+    let mut f32s: &[[u8; 4]] = &[];
+    let mut i8s: &[u8] = &[];
     let mut scale = 1.0f32;
     let mut zero = 0i32;
     while !r.at_end() {
         let (field, value) = r.next_field()?;
         match field {
             W_DTYPE => dtype = value.as_u64()?,
-            W_F32 => f32s = unpack_floats(value.as_bytes()?)?,
-            W_I8 => i8s = value.as_bytes()?.iter().map(|&b| b as i8).collect(),
+            W_F32 => {
+                let (words, rest) = value.as_bytes()?.as_chunks::<4>();
+                if !rest.is_empty() {
+                    return Err(FmtError::Wire(
+                        "packed float array not multiple of 4".into(),
+                    ));
+                }
+                f32s = words;
+            }
+            W_I8 => i8s = value.as_bytes()?,
             W_SCALE => scale = value.as_f32()?,
             W_ZERO => zero = unzigzag(value.as_u64()?) as i32,
             _ => return Err(FmtError::Wire(format!("unknown weight field {field}"))),
         }
     }
     match dtype {
-        0 => Ok(WeightData::F32(f32s)),
-        1 => Ok(WeightData::I8 {
+        0 => Ok(WeightBytes::F32(f32s)),
+        1 => Ok(WeightBytes::I8 {
             data: i8s,
             params: QuantParams {
                 scale,
@@ -526,7 +539,7 @@ mod tests {
             let m = build_for_task(task, 500 + i as u64, SizeClass::Small, true);
             let bytes = encode_graph(&m.graph);
             let back = decode_graph(&bytes).unwrap_or_else(|e| panic!("{task:?}: {e}"));
-            assert_eq!(back, m.graph, "{task:?}");
+            assert_eq!(back.materialise(), m.graph, "{task:?}");
         }
     }
 
@@ -536,7 +549,7 @@ mod tests {
         let m = build_for_task(Task::KeywordDetection, 1, SizeClass::Small, true);
         let q = apply(&m.graph, QuantMode::Full);
         let bytes = encode_graph(&q);
-        let back = decode_graph(&bytes).unwrap();
+        let back = decode_graph(&bytes).unwrap().materialise();
         assert_eq!(back, q);
         assert!(back.has_int8_weights());
         assert!(back.has_quant_layers());

@@ -19,7 +19,9 @@
 //! * [`validate()`] — signature validation: extension pre-filter + binary
 //!   probe, exactly the two-stage funnel of §3.1.
 //! * per-framework codecs: [`tflite`], [`caffe`], [`ncnn`], [`tf`],
-//!   [`snpe`], [`onnx`].
+//!   [`snpe`], [`onnx`], each an envelope step around the one graph-body
+//!   parser; [`decode_in_place`] leaves the weights in the file's bytes,
+//!   [`decode()`] copies them out once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,6 +40,8 @@ pub mod validate;
 
 pub use formats::Framework;
 pub use validate::{validate, validate_candidates, Validated};
+
+use gaugenn_dnn::{Graph, WeightBytes};
 
 /// Errors from model encoding/decoding.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,16 +121,25 @@ pub fn encode(graph: &gaugenn_dnn::Graph, framework: Framework) -> Result<ModelA
     }
 }
 
-/// Decode a framework container back into a graph.
+/// Decode a framework container back into a graph that owns its weights:
+/// [`decode_in_place`] plus one [`Graph::materialise`], for callers that
+/// read weight values.
+pub fn decode<B: AsRef<[u8]>>(framework: Framework, files: &[(String, B)]) -> Result<Graph> {
+    decode_in_place(framework, files).map(Graph::materialise)
+}
+
+/// Decode a framework container where its bytes lie: every check of
+/// [`decode`] runs, but each weight payload stays borrowed from `files`
+/// (only its length and dtype are read). Validation, shape inference and
+/// tracing take the result as it is.
 ///
-/// For split formats, `files` must carry all parts (any order). The bytes
-/// are decoded where they lie: any `AsRef<[u8]>` container works, so a
-/// caller holding borrowed or shared bytes need not copy them into a
-/// `Vec` first.
-pub fn decode<B: AsRef<[u8]>>(
+/// For split formats, `files` must carry all parts (any order). Any
+/// `AsRef<[u8]>` container works, so a caller holding borrowed or shared
+/// bytes need not copy them into a `Vec` first.
+pub fn decode_in_place<B: AsRef<[u8]>>(
     framework: Framework,
     files: &[(String, B)],
-) -> Result<gaugenn_dnn::Graph> {
+) -> Result<Graph<WeightBytes<'_>>> {
     match framework {
         Framework::TfLite => tflite::decode(primary_bytes(files)?),
         Framework::Caffe => caffe::decode(files),

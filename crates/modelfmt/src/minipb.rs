@@ -240,7 +240,7 @@ impl<'a> PbReader<'a> {
             }
             WireType::Len => {
                 let len = self.varint_raw()? as usize;
-                if self.pos + len > self.buf.len() {
+                if len > self.buf.len() - self.pos {
                     return Err(FmtError::Wire("truncated length-delimited field".into()));
                 }
                 let b = &self.buf[self.pos..self.pos + len];

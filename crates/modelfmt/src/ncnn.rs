@@ -4,7 +4,7 @@
 
 use crate::graphcodec::{decode_graph, encode_graph};
 use crate::{FmtError, Framework, ModelArtifact, Result};
-use gaugenn_dnn::Graph;
+use gaugenn_dnn::{Graph, WeightBytes};
 
 /// The real ncnn param-file magic.
 pub const PARAM_MAGIC: &str = "7767517";
@@ -50,7 +50,8 @@ pub fn encode(graph: &Graph) -> Result<ModelArtifact> {
 
 /// Decode from the file set; the `.bin` part is authoritative, the
 /// `.param` part is validated for magic and layer-count agreement.
-pub fn decode<B: AsRef<[u8]>>(files: &[(String, B)]) -> Result<Graph> {
+/// Weights are borrowed from the `.bin` bytes.
+pub fn decode<B: AsRef<[u8]>>(files: &[(String, B)]) -> Result<Graph<WeightBytes<'_>>> {
     let bin = files
         .iter()
         .find(|(n, _)| n.ends_with(".bin"))
@@ -107,7 +108,7 @@ mod tests {
         let art = encode(&m.graph).unwrap();
         assert!(probe_param(&art.files[0].1));
         assert!(probe_bin(&art.files[1].1));
-        assert_eq!(decode(&art.files).unwrap(), m.graph);
+        assert_eq!(decode(&art.files).unwrap().materialise(), m.graph);
     }
 
     #[test]
@@ -133,7 +134,7 @@ mod tests {
         let m = build_for_task(Task::CrashDetection, 3, SizeClass::Small, true);
         let art = encode(&m.graph).unwrap();
         let only_bin = vec![art.files[1].clone()];
-        assert_eq!(decode(&only_bin).unwrap(), m.graph);
+        assert_eq!(decode(&only_bin).unwrap().materialise(), m.graph);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::graphcodec::{decode_graph, encode_graph};
 use crate::minipb::{PbReader, PbValue, PbWriter};
 use crate::{FmtError, Framework, ModelArtifact, Result};
-use gaugenn_dnn::Graph;
+use gaugenn_dnn::{Graph, WeightBytes};
 
 const F_IR_VERSION: u32 = 1;
 const F_PRODUCER: u32 = 2;
@@ -25,8 +25,8 @@ pub fn encode(graph: &Graph) -> Result<ModelArtifact> {
     })
 }
 
-/// Decode a `.onnx` file.
-pub fn decode(bytes: &[u8]) -> Result<Graph> {
+/// Decode a `.onnx` file, borrowing its weights.
+pub fn decode(bytes: &[u8]) -> Result<Graph<WeightBytes<'_>>> {
     decode_graph(parse_envelope(bytes)?)
 }
 
@@ -77,7 +77,7 @@ mod tests {
         let m = build_for_task(Task::PoseEstimation, 6, SizeClass::Small, true);
         let art = encode(&m.graph).unwrap();
         assert!(probe(art.primary()));
-        assert_eq!(decode(art.primary()).unwrap(), m.graph);
+        assert_eq!(decode(art.primary()).unwrap().materialise(), m.graph);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::graphcodec::{decode_graph, encode_graph};
 use crate::{FmtError, Framework, ModelArtifact, Result};
-use gaugenn_dnn::Graph;
+use gaugenn_dnn::{Graph, WeightBytes};
 
 /// DLC magic bytes.
 pub const MAGIC: &[u8; 4] = b"DLC1";
@@ -20,8 +20,8 @@ pub fn encode(graph: &Graph) -> Result<ModelArtifact> {
     })
 }
 
-/// Decode a `.dlc` file.
-pub fn decode(bytes: &[u8]) -> Result<Graph> {
+/// Decode a `.dlc` file, borrowing its weights.
+pub fn decode(bytes: &[u8]) -> Result<Graph<WeightBytes<'_>>> {
     if bytes.len() < 8 || &bytes[..4] != MAGIC {
         return Err(FmtError::Malformed {
             framework: Framework::Snpe,
@@ -47,7 +47,7 @@ mod tests {
         let m = build_for_task(Task::ObjectDetection, 11, SizeClass::Small, true);
         let art = encode(&m.graph).unwrap();
         assert!(probe(art.primary()));
-        assert_eq!(decode(art.primary()).unwrap(), m.graph);
+        assert_eq!(decode(art.primary()).unwrap().materialise(), m.graph);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::graphcodec::{decode_graph, encode_graph};
 use crate::minipb::{PbReader, PbValue, PbWriter};
 use crate::{FmtError, Framework, ModelArtifact, Result};
-use gaugenn_dnn::Graph;
+use gaugenn_dnn::{Graph, WeightBytes};
 
 const F_VERSION: u32 = 1;
 const F_GRAPH: u32 = 2;
@@ -26,8 +26,8 @@ pub fn encode(graph: &Graph) -> Result<ModelArtifact> {
     })
 }
 
-/// Decode a TensorFlow `.pb` file.
-pub fn decode(bytes: &[u8]) -> Result<Graph> {
+/// Decode a TensorFlow `.pb` file, borrowing its weights.
+pub fn decode(bytes: &[u8]) -> Result<Graph<WeightBytes<'_>>> {
     let body = parse_envelope(bytes)?;
     decode_graph(body)
 }
@@ -77,7 +77,7 @@ mod tests {
         let m = build_for_task(Task::ImageClassification, 8, SizeClass::Small, true);
         let art = encode(&m.graph).unwrap();
         assert!(probe(art.primary()));
-        assert_eq!(decode(art.primary()).unwrap(), m.graph);
+        assert_eq!(decode(art.primary()).unwrap().materialise(), m.graph);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::graphcodec::{decode_graph, encode_graph};
 use crate::miniflat;
 use crate::{Framework, ModelArtifact, Result};
-use gaugenn_dnn::Graph;
+use gaugenn_dnn::{Graph, WeightBytes};
 
 /// The TFLite FlatBuffer file identifier.
 pub const IDENT: &[u8; 4] = b"TFL3";
@@ -21,8 +21,8 @@ pub fn encode(graph: &Graph) -> Result<ModelArtifact> {
     })
 }
 
-/// Decode a `.tflite` file.
-pub fn decode(bytes: &[u8]) -> Result<Graph> {
+/// Decode a `.tflite` file, borrowing its weights.
+pub fn decode(bytes: &[u8]) -> Result<Graph<WeightBytes<'_>>> {
     let (_version, body) = miniflat::unwrap(bytes, IDENT)?;
     decode_graph(body)
 }
@@ -44,7 +44,7 @@ mod tests {
         let art = encode(&m.graph).unwrap();
         assert!(art.files[0].0.ends_with(".tflite"));
         assert!(probe(art.primary()));
-        let back = decode(art.primary()).unwrap();
+        let back = decode(art.primary()).unwrap().materialise();
         assert_eq!(back, m.graph);
     }
 

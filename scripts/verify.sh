@@ -2,7 +2,8 @@
 # Tier-1 verification: build + full test suite (see ROADMAP.md; the
 # root manifest's default-members make both cover every workspace
 # crate) plus the perfbench lockfile and build gates, the concurrency suite
-# re-run single-threaded, the pinned device-campaign digest, a
+# re-run single-threaded, the pinned device-campaign digest, the pinned
+# graph-codec mutation sweep, a
 # double-repro persistent-cache determinism check, the crash-recovery
 # matrix (its uninterrupted run must match the pinned tiny report
 # byte-for-byte; SIGKILL at each registered crash point, then --resume
@@ -85,6 +86,12 @@ verify() {
     # name so the latency/power/thermal figures cannot move unnoticed.
     run_pinned "$mode" campaign_results_are_pinned \
         --test harness_integration || return 1
+    # The graph-codec mutation sweep: every truncation, a fixed seed and
+    # budget of bit flips and every inflated length varint of one model
+    # per codec must decode the same in place as owned, without a panic,
+    # and trace the same at batch 1-8. Pinned by name.
+    run_pinned "$mode" in_place_and_owned_decodes_agree_under_mutation \
+        -p gaugenn-modelfmt --test in_place_decode || return 1
     # Persistent-cache determinism: three back-to-back repro runs against
     # a fresh cache directory must emit byte-identical stdout, and the
     # second must actually attach to the first's persisted analyses. The

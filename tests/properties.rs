@@ -230,7 +230,7 @@ proptest! {
         use gaugenn::modelfmt::graphcodec::{decode_graph, encode_graph};
         let task = Task::ALL[task_idx];
         let g = build_for_task(task, seed, SizeClass::Small, seed % 2 == 0).graph;
-        let back = decode_graph(&encode_graph(&g)).unwrap();
+        let back = decode_graph(&encode_graph(&g)).unwrap().materialise();
         prop_assert_eq!(back, g);
     }
 
