@@ -14,10 +14,10 @@
 //! * **Bounded.** The handoff holds at most a constant few apps; a
 //!   producer that gets further ahead waits. So only a few containers
 //!   are alive at a time, however large the corpus.
-//! * **Shared bytes.** Found models take their bytes from one content
-//!   table: every instance of one content holds the first sighting's
-//!   allocation and md5, so each distinct model is copied and
-//!   checksummed once.
+//! * **One content table.** Found models take their bytes, md5 and
+//!   analysis from one content table: every instance of one content
+//!   holds the first sighting's allocation, checksum and analysis, so
+//!   each distinct model is copied, checksummed and analysed once.
 //!
 //! Every app arrives tagged with its corpus sequence number, and the
 //! merge walks apps (and their models) in that order, so the produced
@@ -25,27 +25,25 @@
 //! the sequential run at any worker count and any arrival order** —
 //! which worker takes which app moves wall-clock, never content.
 //!
-//! # The content-addressed cache
+//! # The content-addressed analysis
 //!
 //! The paper's dataset is heavily duplicated — most model instances are
 //! byte-identical copies shipped by many apps — so the expensive work
 //! (graph decode, [`trace_graph`], [`classify_graph`], [`inspect`],
-//! [`layer_checksums`]) is keyed by the cheap [`model_checksum`] over the
-//! raw bytes. The [`ModelCache`] is a sharded map (per-shard mutex, so
-//! workers hashing different models never contend on one lock) of
-//! compute-once slots: the first worker to claim a checksum computes the
-//! full analysis under the slot's own lock while later instances block on
-//! that slot and then attach to the finished result. Failed decodes are
-//! cached too — an obfuscated model shipped by 40 apps is probed once,
-//! not 40 times — while still charging one `failed_candidates` count per
-//! instance, exactly as the sequential loop did.
+//! [`layer_checksums`]) runs once per distinct content: each entry of
+//! the content table holds a compute-once cell. The first worker to ask
+//! for an entry's analysis computes it while later instances wait on the
+//! cell and then share the finished result. Failed decodes are kept too
+//! — an obfuscated model shipped by 40 apps is probed once, not 40 times
+//! — while still charging one `failed_candidates` count per instance,
+//! exactly as the sequential loop did.
 //!
-//! With [`AnalysisConfig::cache_dir`] set the cache is additionally
-//! backed by a persistent [`CacheStore`]: the first claimant of a
-//! checksum consults the on-disk store before computing, so the second
-//! snapshot of a two-snapshot `repro` run (or a whole later invocation
-//! pointed at the same directory) attaches to the first snapshot's
-//! finished analyses. Persistent hits are tracked separately
+//! With [`AnalysisConfig::cache_dir`] set the table is additionally
+//! backed by a persistent [`CacheStore`]: the first caller for a content
+//! consults the on-disk store under its checksum before computing, so
+//! the second snapshot of a two-snapshot `repro` run (or a whole later
+//! invocation pointed at the same directory) attaches to the first
+//! snapshot's finished analyses. Persistent hits are tracked separately
 //! ([`AnalysisStats::persistent_hits`]) and deliberately do **not**
 //! perturb `cache_hits`/`cache_misses` — those appear in the
 //! deterministic report render, which must stay byte-identical between
@@ -55,13 +53,12 @@
 //!
 //! * which worker takes which app is a race for the handoff, and does
 //!   not matter: results are keyed by corpus sequence number;
-//! * the content table and the cache only memoise pure functions of the
-//!   model bytes, so the
-//!   race for who computes a checksum first never changes *what* is
-//!   computed;
-//! * cache hit/miss totals are interleaving-independent (misses = unique
-//!   checksums, hits = instances − misses) because slots are claimed
-//!   exactly once under the shard lock;
+//! * the content table only memoises pure functions of the model bytes,
+//!   so the race for who computes a content first never changes *what*
+//!   is computed;
+//! * cache hit/miss totals are interleaving-independent (misses = cells
+//!   filled = unique checksums, hits = instances − misses) because each
+//!   content has one entry and each entry's cell is filled once;
 //! * the merge assembles everything in corpus order, so first-sighting
 //!   order — and with it model numbering, Table 2 counts and the Fig. 6
 //!   composition — matches the sequential loop bit for bit.
@@ -87,7 +84,6 @@ use gaugenn_playstore::crawler::{AppMeta, CrawledApp};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -106,8 +102,9 @@ pub struct AnalysisConfig {
     /// Unread: nothing in the analysis is seeded. Kept so existing
     /// struct literals that set it still build.
     pub sched_seed: u64,
-    /// Directory backing the [`ModelCache`] persistently across runs
-    /// (see [`CacheStore`]). `None` keeps the cache in-memory only.
+    /// Directory backing the content table's analyses persistently
+    /// across runs (see [`CacheStore`]). `None` keeps them in memory
+    /// only.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -161,135 +158,8 @@ pub enum AnalyzeFailure {
     Trace(String),
 }
 
-/// A cache lookup result: the shared analysis, or the memoised failure.
+/// One content's analysis: the shared result, or the memoised failure.
 pub type ModelOutcome = std::result::Result<Arc<ModelAnalysis>, AnalyzeFailure>;
-
-/// Number of independently locked cache shards.
-const CACHE_SHARDS: usize = 16;
-
-/// One compute-once slot: the first claimant computes under the slot
-/// lock; later claimants block on it and read the finished outcome.
-struct Slot(Mutex<Option<ModelOutcome>>);
-
-/// Sharded, content-addressed, compute-once cache over model checksums,
-/// optionally backed by a persistent [`CacheStore`].
-///
-/// Counter atomics use `SeqCst`: the totals feed the rendered report,
-/// and gaugelint's `relaxed-ordering-in-report` rule bans `Relaxed`
-/// near report state so a future refactor cannot quietly weaken them.
-pub struct ModelCache {
-    shards: Vec<Mutex<BTreeMap<String, Arc<Slot>>>>,
-    store: Option<Arc<CacheStore>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    persistent_hits: AtomicU64,
-    persistent_stores: AtomicU64,
-}
-
-impl Default for ModelCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ModelCache {
-    /// Empty in-memory cache.
-    pub fn new() -> ModelCache {
-        Self::with_store(None)
-    }
-
-    /// Empty cache, consulting (and writing back to) `store` when set.
-    pub fn with_store(store: Option<Arc<CacheStore>>) -> ModelCache {
-        ModelCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(BTreeMap::new()))
-                .collect(),
-            store,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            persistent_hits: AtomicU64::new(0),
-            persistent_stores: AtomicU64::new(0),
-        }
-    }
-
-    /// Shard index for a checksum (FNV-1a over the hex string).
-    fn shard_of(checksum: &str) -> usize {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in checksum.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        (h % CACHE_SHARDS as u64) as usize
-    }
-
-    /// Return the cached outcome for `checksum`, or run `compute` exactly
-    /// once across all workers and cache its result. Counts a miss for
-    /// the claimant and a hit for everyone else, so the totals are a pure
-    /// function of the corpus, not of thread interleaving.
-    pub fn get_or_compute(
-        &self,
-        checksum: &str,
-        compute: impl FnOnce() -> ModelOutcome,
-    ) -> ModelOutcome {
-        let slot = {
-            let mut map = self.shards[Self::shard_of(checksum)]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            match map.get(checksum) {
-                Some(slot) => {
-                    self.hits.fetch_add(1, Ordering::SeqCst);
-                    slot.clone()
-                }
-                None => {
-                    self.misses.fetch_add(1, Ordering::SeqCst);
-                    let slot = Arc::new(Slot(Mutex::new(None)));
-                    map.insert(checksum.to_string(), slot.clone());
-                    slot
-                }
-            }
-        };
-        let mut guard = slot.0.lock().unwrap_or_else(|e| e.into_inner());
-        if guard.is_none() {
-            // First claimant: try the persistent store before paying the
-            // full compute. A persistent hit still counted as an
-            // in-memory *miss* above — disk state must never change the
-            // hit/miss totals that reach the deterministic report.
-            let outcome = match self.store.as_ref().and_then(|s| s.load(checksum)) {
-                Some(found) => {
-                    self.persistent_hits.fetch_add(1, Ordering::SeqCst);
-                    found
-                }
-                None => {
-                    let computed = compute();
-                    if let Some(store) = &self.store {
-                        store.save(checksum, &computed);
-                        self.persistent_stores.fetch_add(1, Ordering::SeqCst);
-                    }
-                    computed
-                }
-            };
-            *guard = Some(outcome);
-        }
-        guard.as_ref().expect("slot filled above").clone()
-    }
-
-    /// `(hits, misses)` so far.
-    pub fn counters(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::SeqCst),
-            self.misses.load(Ordering::SeqCst),
-        )
-    }
-
-    /// `(persistent hits, persistent write-backs)` so far. Zero unless
-    /// the cache was built over a [`CacheStore`].
-    pub fn persistent_counters(&self) -> (u64, u64) {
-        (
-            self.persistent_hits.load(Ordering::SeqCst),
-            self.persistent_stores.load(Ordering::SeqCst),
-        )
-    }
-}
 
 /// Merged counters and wall-clock stage timings for one analysis run.
 ///
@@ -304,9 +174,11 @@ pub struct AnalysisStats {
     pub apps: usize,
     /// Model instances that went through the checksum funnel.
     pub instances: u64,
-    /// Cache hits (instances that attached to an already-claimed slot).
+    /// Cache hits: instances whose content another instance analysed
+    /// (`instances − cache_misses`).
     pub cache_hits: u64,
-    /// Cache misses (unique checksums, decodable or not).
+    /// Cache misses: analyses the content table filled in, one per
+    /// unique checksum, decodable or not.
     pub cache_misses: u64,
     /// Unique models that decoded and traced successfully.
     pub unique_analysed: u64,
@@ -444,12 +316,6 @@ struct AnalysedApp {
     outcomes: Vec<(String, ModelOutcome)>,
 }
 
-/// What the workers share besides the handoff.
-struct Shared {
-    table: ContentTable,
-    cache: ModelCache,
-}
-
 /// The analysis pool. See the module docs for the determinism contract.
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisPool {
@@ -503,10 +369,7 @@ impl AnalysisPool {
     {
         let workers = self.config.workers.max(1);
         let store = self.config.cache_dir.as_deref().map(CacheStore::open);
-        let shared = Shared {
-            table: ContentTable::new(),
-            cache: ModelCache::with_store(store.clone()),
-        };
+        let table = ContentTable::new(store.clone());
         let (tx, rx) = mpsc::sync_channel::<(u64, A)>(HANDOFF_APPS);
         // Only the workers hold the receiving end, so once every worker
         // is gone (finished or panicked) the feed stops blocking and
@@ -518,7 +381,7 @@ impl AnalysisPool {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let rx = Arc::clone(&rx);
-                    let shared = &shared;
+                    let table = &table;
                     scope.spawn(move || {
                         let mut t = StageTimers::default();
                         let mut done = Vec::new();
@@ -527,7 +390,7 @@ impl AnalysisPool {
                             let Ok((seq, app)) = next else {
                                 break;
                             };
-                            done.push((seq, analyse_app(app, shared, &mut t)));
+                            done.push((seq, analyse_app(app, table, &mut t)));
                         }
                         (done, t)
                     })
@@ -561,10 +424,9 @@ impl AnalysisPool {
         analysed.sort_by_key(|(seq, _)| *seq);
         let mut out = merge(analysed, workers)?;
 
-        let (cache_hits, cache_misses) = shared.cache.counters();
-        let (persistent_hits, persistent_stores) = shared.cache.persistent_counters();
+        let (cache_misses, persistent_hits, persistent_stores) = table.counters();
         let s = &mut out.stats;
-        s.cache_hits = cache_hits;
+        s.cache_hits = s.instances - cache_misses;
         s.cache_misses = cache_misses;
         s.persistent_hits = persistent_hits;
         s.persistent_stores = persistent_stores;
@@ -584,22 +446,22 @@ impl AnalysisPool {
 }
 
 /// Extract one app, drop its containers, and analyse each model found:
-/// the model's bytes and checksum come from the content table, its
-/// analysis from the cache.
+/// the model's bytes, checksum and analysis all come from the content
+/// table.
 fn analyse_app<A: Borrow<CrawledApp>>(
     app: A,
-    shared: &Shared,
+    table: &ContentTable,
     t: &mut StageTimers,
 ) -> Result<AnalysedApp> {
     let meta = app.borrow().meta.clone();
-    let mut checksums = Vec::new();
+    let mut contents = Vec::new();
     let mut in_table = Duration::default();
     let t0 = Instant::now(); // gaugelint: deterministic-via(clock) — stage timers are diagnostics, never rendered into the deterministic report
     let extraction = extract_with(app.borrow(), &mut |files| {
         let t1 = Instant::now(); // gaugelint: deterministic-via(clock) — stage timers are diagnostics, never rendered into the deterministic report
-        let (bytes, checksum) = shared.table.share(files);
+        let (bytes, content) = table.share(files);
         in_table += t1.elapsed();
-        checksums.push(checksum);
+        contents.push(content);
         bytes
     });
     t.extract += t0.elapsed().saturating_sub(in_table);
@@ -612,13 +474,12 @@ fn analyse_app<A: Borrow<CrawledApp>>(
     let outcomes = extraction
         .models
         .iter()
-        .zip(checksums)
-        .map(|(found, checksum)| {
-            let outcome = shared.cache.get_or_compute(&checksum, || {
-                analyse_model(found.framework, &found.files, t)
-            });
+        .zip(contents)
+        .map(|(found, content)| {
+            let outcome =
+                table.analysis(&content, || analyse_model(found.framework, &found.files, t));
             crashpoint::hit(CrashPoint::ModelAnalysis);
-            (checksum, outcome)
+            (content.checksum().to_string(), outcome)
         })
         .collect();
     Ok(AnalysedApp {
@@ -909,30 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn compute_once_under_contention() {
-        use std::sync::atomic::AtomicUsize;
-        let cache = ModelCache::new();
-        let computed = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for i in 0..100 {
-                        let key = format!("checksum-{}", i % 10);
-                        let _ = cache.get_or_compute(&key, || {
-                            computed.fetch_add(1, Ordering::SeqCst);
-                            Err(AnalyzeFailure::Undecodable)
-                        });
-                    }
-                });
-            }
-        });
-        assert_eq!(computed.load(Ordering::SeqCst), 10, "one compute per key");
-        let (hits, misses) = cache.counters();
-        assert_eq!(misses, 10);
-        assert_eq!(hits, 800 - 10);
-    }
-
-    #[test]
     fn persistent_cache_attaches_second_run() {
         let apps = crawl_tiny();
         let dir = std::env::temp_dir().join(format!("gaugenn-warm-cache-{}", std::process::id()));
@@ -945,10 +782,16 @@ mod tests {
         let cold = AnalysisPool::new(cfg(2)).analyse(&apps).unwrap();
         assert_eq!(cold.stats.persistent_hits, 0, "{:?}", cold.stats);
         assert!(cold.stats.persistent_stores > 0, "{:?}", cold.stats);
+        // The cold pool offers every content it analysed to the store.
+        assert_eq!(cold.stats.persistent_stores, cold.stats.cache_misses);
         // A second pool over the same directory attaches to the first
-        // run's analyses, even at a different worker count.
+        // run's analyses, even at a different worker count: every
+        // content loads from disk and nothing is stored again.
         let warm = AnalysisPool::new(cfg(4)).analyse(&apps).unwrap();
         assert!(warm.stats.persistent_hits > 0, "{:?}", warm.stats);
+        assert_eq!(warm.stats.persistent_hits, cold.stats.cache_misses);
+        assert_eq!(warm.stats.persistent_hits, cold.stats.persistent_stores);
+        assert_eq!(warm.stats.persistent_stores, 0, "{:?}", warm.stats);
         assert!(warm.stats.persistent_hit_rate() > 0.0);
         // Disk state must not leak into the deterministic counters or
         // the merged content.

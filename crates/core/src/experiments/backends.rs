@@ -1,7 +1,7 @@
 //! System-level and hardware-specific optimisation experiments:
 //! Figs. 11–14 (§6.2–§6.3).
 
-use crate::pipeline::PipelineReport;
+use crate::pipeline::{ModelRecord, PipelineReport};
 use crate::report::TextTable;
 use crate::Result;
 use gaugenn_analysis::stats::{self, Ecdf};
@@ -10,7 +10,7 @@ use gaugenn_modelfmt::Framework;
 use gaugenn_power::monsoon::PowerMonitor;
 use gaugenn_power::measure_inference;
 use gaugenn_soc::sched::ThreadConfig;
-use gaugenn_soc::spec::{device, phones};
+use gaugenn_soc::spec::{device, phones, DeviceSpec};
 use gaugenn_soc::thermal::ThermalState;
 use gaugenn_soc::{Backend, SnpeTarget};
 
@@ -36,6 +36,12 @@ pub fn fig11(report: &PipelineReport) -> Fig11 {
     let batches = vec![2usize, 5, 10, 25];
     let cool = ThermalState::cool();
     let devices = phones();
+    // A model's latency at one (device, batch); `None` when its trace
+    // overflows at that batch or the device cannot run it.
+    let estimate = |m: &ModelRecord, d: &DeviceSpec, b: usize| {
+        let tr = rebatch(&m.trace, b).ok()?;
+        gaugenn_soc::estimate_latency(d, cpu4(), &tr, &cool).ok()
+    };
     // Common subset: models that succeed at every (device, batch).
     let tflite: Vec<_> = report
         .models
@@ -46,8 +52,7 @@ pub fn fig11(report: &PipelineReport) -> Fig11 {
     'model: for m in &tflite {
         for d in &devices {
             for &b in &batches {
-                let tr = rebatch(&m.trace, b);
-                if gaugenn_soc::estimate_latency(d, cpu4(), &tr, &cool).is_err() {
+                if estimate(m, d, b).is_none() {
                     continue 'model;
                 }
             }
@@ -59,8 +64,7 @@ pub fn fig11(report: &PipelineReport) -> Fig11 {
         for &b in &batches {
             let mut tputs = Vec::new();
             for m in &common {
-                let tr = rebatch(&m.trace, b);
-                if let Ok(lat) = gaugenn_soc::estimate_latency(d, cpu4(), &tr, &cool) {
+                if let Some(lat) = estimate(m, d, b) {
                     tputs.push(b as f64 / (lat.total_ms / 1e3));
                 }
             }

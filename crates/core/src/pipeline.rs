@@ -38,17 +38,14 @@ pub struct PipelineConfig {
     pub snapshot: Snapshot,
     /// Corpus seed (must match across snapshots of one study).
     pub seed: u64,
-    /// Crawl worker threads. 1 (the default) crawls sequentially; more
-    /// run a sharded [`CrawlPool`] whose merged corpus is byte-identical
-    /// to the sequential crawl at any worker count.
+    /// Crawl worker threads of the [`CrawlPool`] (default 1, clamped to
+    /// a minimum of 1). Its merged corpus, drop-outs and calm-store
+    /// counters are byte-identical at any worker count.
     pub workers: usize,
     /// Run the store under a seeded fault plan (None = clean store).
     /// Transient faults are absorbed by the crawler's retries; permanent
     /// routes surface as download drop-outs in the Table 2 accounting.
     pub chaos: Option<FaultPlanConfig>,
-    /// Re-crawl a sample with an old device profile and compare APKs
-    /// (§4.2's device-specific-distribution probe).
-    pub probe_device_profiles: bool,
     /// Offline-analysis worker threads. 1 (the default) analyses
     /// sequentially; more take the streamed apps in parallel. The
     /// [`AnalysisPool`]'s merged report is byte-identical to the
@@ -76,15 +73,15 @@ pub struct PipelineConfig {
     /// the index is still built (and lands in the report) but stays
     /// in-memory.
     pub index_dir: Option<PathBuf>,
-    /// Which serving loop the store runs (default epoll). A pooled
-    /// crawl (`workers > 1`) drives its lanes on whatever the store's
-    /// endpoint is — epoll over TCP, the sim reactor in process — so
-    /// both runs are event-driven end to end. Never changes report
-    /// content: the report is byte-identical either way.
+    /// Which serving loop the store runs (default epoll). The crawl
+    /// drives its lanes on whatever the store's endpoint is — epoll over
+    /// TCP, the sim reactor in process — so both runs are event-driven
+    /// end to end. Never changes report content: the report is
+    /// byte-identical either way.
     pub reactor: ReactorMode,
-    /// Store connections each crawl worker multiplexes (pooled crawls
-    /// only; clamped to a minimum of 1). One worker thread drives all
-    /// of them as non-blocking lanes. Never changes report content.
+    /// Store connections each crawl worker multiplexes (clamped to a
+    /// minimum of 1). One worker thread drives all of them as
+    /// non-blocking lanes. Never changes report content.
     pub connections_per_worker: usize,
 }
 
@@ -112,7 +109,6 @@ impl PipelineConfig {
             seed,
             workers: 1,
             chaos: None,
-            probe_device_profiles: true,
             analysis_workers: 1,
             analysis_cache_dir: None,
             journal_dir: None,
@@ -152,7 +148,7 @@ pub struct PipelineConfigBuilder {
 }
 
 impl PipelineConfigBuilder {
-    /// Crawl worker threads (1 = sequential).
+    /// Crawl worker threads.
     pub fn workers(mut self, workers: usize) -> PipelineConfigBuilder {
         self.config.workers = workers;
         self
@@ -161,12 +157,6 @@ impl PipelineConfigBuilder {
     /// Run the store under a seeded fault plan.
     pub fn chaos(mut self, chaos: FaultPlanConfig) -> PipelineConfigBuilder {
         self.config.chaos = Some(chaos);
-        self
-    }
-
-    /// Enable/disable the §4.2 device-profile probe.
-    pub fn probe_device_profiles(mut self, probe: bool) -> PipelineConfigBuilder {
-        self.config.probe_device_profiles = probe;
         self
     }
 
@@ -201,15 +191,14 @@ impl PipelineConfigBuilder {
     }
 
     /// Pin the store's serving loop (epoll or sim) instead of the epoll
-    /// default. A pooled crawl runs its client connections on the same
+    /// default. The crawl runs its client connections on the same
     /// substrate.
     pub fn reactor(mut self, mode: ReactorMode) -> PipelineConfigBuilder {
         self.config.reactor = mode;
         self
     }
 
-    /// Store connections each crawl worker multiplexes (pooled crawls
-    /// only).
+    /// Store connections each crawl worker multiplexes.
     pub fn connections_per_worker(mut self, connections: usize) -> PipelineConfigBuilder {
         self.config.connections_per_worker = connections;
         self
@@ -286,10 +275,11 @@ pub struct PipelineReport {
     pub composition: LayerComposition,
     /// Per-app download failures with their failing stage.
     pub dropouts: Vec<DropOut>,
-    /// Crawl resilience counters (merged across workers when pooled).
+    /// Crawl resilience counters, merged across the crawl workers.
     pub crawl_stats: CrawlStats,
-    /// Fleet-wide admission counters (None for sequential crawls, which
-    /// run without an admission controller).
+    /// Fleet-wide admission counters of the live crawl (None when the
+    /// whole crawl was replayed from the run journal, which admits no
+    /// request).
     pub admission: Option<AdmissionStats>,
     /// Crawl workers used.
     pub workers: usize,
@@ -353,8 +343,8 @@ impl PipelineReport {
         t
     }
 
-    /// One-line crawl resilience summary (pool stats included when the
-    /// crawl ran sharded).
+    /// One-line crawl resilience summary (admission counters included
+    /// unless the crawl was replayed).
     pub fn crawl_summary(&self) -> String {
         let s = &self.crawl_stats;
         let mut line = format!(
@@ -530,7 +520,7 @@ impl Pipeline {
         });
         let crawl_replayed = replayed_crawl.is_some();
         let journaled_probe = run_journal.as_ref().and_then(|j| j.probe());
-        let resume_cache = run_journal
+        let resume = run_journal
             .as_ref()
             .map(|j| Arc::new(j.resume_apps()))
             .filter(|r| !r.is_empty());
@@ -540,12 +530,10 @@ impl Pipeline {
                 entry(&mut j.lock().unwrap_or_else(|e| e.into_inner()));
             }
         };
-        let probe_sample = (journaled_probe.is_none() && self.config.probe_device_profiles)
-            .then(ProbeSample::default);
+        let probe_sample = ProbeSample::default();
 
         // Offline stage: the analysis pool takes every app the crawl
-        // hands on while the crawl is still running (1 worker reproduces
-        // the old sequential loop through the same code path).
+        // hands on while the crawl is still running.
         let pool = AnalysisPool::new(AnalysisConfig {
             workers: self.config.analysis_workers,
             cache_dir: self.config.analysis_cache_dir.clone(),
@@ -555,21 +543,20 @@ impl Pipeline {
             pool.stream(|feed| {
                 let sink = |seq: u64, app: CrawledApp| {
                     record(&|j| j.record_app(seq, &app));
-                    if let Some(sample) = &probe_sample {
-                        sample.offer(seq, &app);
+                    if journaled_probe.is_none() {
+                        probe_sample.offer(seq, &app);
                     }
                     feed(seq, app);
                 };
                 let (outcome, admission, workers) =
-                    self.crawl(&server, replayed_crawl, resume_cache, &sink)?;
+                    self.crawl(&server, replayed_crawl, resume, &sink)?;
                 // After the post-crawl boundary a resumed run never
                 // re-crawls; the workers may still be analysing.
                 record(&|j| j.record_crawl_done(&outcome.dropouts, &outcome.stats));
                 crashpoint::hit(CrashPoint::PostCrawl);
-                let invariant = match (journaled_probe, probe_sample) {
-                    (Some(verdict), _) => verdict,
-                    (None, Some(sample)) => Some(self.probe(&server, sample)?),
-                    (None, None) => None,
+                let invariant = match journaled_probe {
+                    Some(verdict) => verdict,
+                    None => Some(self.probe(&server, probe_sample)?),
                 };
                 record(&|j| j.record_probe(invariant));
                 Ok((outcome, admission, workers, invariant))
@@ -655,9 +642,11 @@ impl Pipeline {
         })
     }
 
-    /// Crawl the store, or replay the journaled crawl, handing every app
-    /// to `sink` as it lands. Returns the outcome (its `apps` empty), the
-    /// fleet's admission counters when pooled, and the crawl workers used.
+    /// Crawl the store through the [`CrawlPool`], or replay the journaled
+    /// crawl, handing every app to `sink` as it lands. Journaled apps in
+    /// `resume` skip the network. Returns the outcome (its `apps` empty),
+    /// the fleet's admission counters unless replayed, and the crawl
+    /// workers used.
     fn crawl(
         &self,
         server: &StoreServer,
@@ -674,25 +663,17 @@ impl Pipeline {
                 dropouts,
                 stats,
             };
-            return Ok((outcome, None, self.config.workers));
+            return Ok((outcome, None, self.config.workers.max(1)));
         }
-        if self.config.workers > 1 {
-            let pooled = CrawlPool::new(CrawlPoolConfig {
-                workers: self.config.workers,
-                sched_seed: self.config.seed,
-                resume,
-                connections_per_worker: self.config.connections_per_worker,
-                ..CrawlPoolConfig::default()
-            })
-            .crawl_into(&server.endpoint(), sink)?;
-            return Ok((pooled.outcome, Some(pooled.admission), pooled.workers));
-        }
-        let mut builder = Crawler::builder_at(server.endpoint());
-        if let Some(resume) = resume {
-            builder = builder.resume_cache(resume);
-        }
-        let outcome = builder.build()?.crawl_into(&mut |seq, app| sink(seq, app))?;
-        Ok((outcome, None, 1))
+        let pooled = CrawlPool::new(CrawlPoolConfig {
+            workers: self.config.workers,
+            sched_seed: self.config.seed,
+            resume,
+            connections_per_worker: self.config.connections_per_worker,
+            ..CrawlPoolConfig::default()
+        })
+        .crawl_into(&server.endpoint(), sink)?;
+        Ok((pooled.outcome, Some(pooled.admission), pooled.workers))
     }
 
     /// §4.2 probe: re-download the sample's APKs with a
@@ -791,7 +772,6 @@ mod tests {
         let corpus = generate(CorpusScale::Tiny, Snapshot::Y2021, 7);
         let victim = corpus.apps[0].package.clone();
         let cfg = PipelineConfig::builder(CorpusScale::Tiny, Snapshot::Y2021, 7)
-            .probe_device_profiles(false) // the victim may be in the probe sample
             .chaos(gaugenn_playstore::chaos::FaultPlanConfig {
                 fault_permille: 0,
                 permanent_routes: vec![format!("/apk/{victim}")],
@@ -810,24 +790,29 @@ mod tests {
     }
 
     #[test]
-    fn pooled_pipeline_matches_sequential() {
-        let sequential = run_tiny();
-        let cfg = PipelineConfig::builder(CorpusScale::Tiny, Snapshot::Y2021, 7)
-            .workers(4)
-            .build();
-        let pooled = Pipeline::new(cfg).run().unwrap();
-        assert_eq!(pooled.workers, 4);
-        assert_eq!(pooled.dataset, sequential.dataset);
-        let sums_p: Vec<&str> = pooled.models.iter().map(|m| m.checksum.as_str()).collect();
-        let sums_s: Vec<&str> = sequential
-            .models
-            .iter()
-            .map(|m| m.checksum.as_str())
-            .collect();
-        assert_eq!(sums_p, sums_s, "same models in the same order");
-        let adm = pooled.admission.expect("pooled runs carry admission stats");
-        assert_eq!(adm.admitted, pooled.crawl_stats.requests);
-        assert!(sequential.admission.is_none());
+    fn crawl_worker_count_does_not_change_the_report() {
+        // Every crawl runs through the pool, so on a calm store the crawl
+        // counters, the admission totals and everything rendered are the
+        // same at one worker as at four.
+        let one = run_tiny();
+        assert_eq!(one.workers, 1);
+        let sums = |r: &PipelineReport| -> Vec<String> {
+            r.models.iter().map(|m| m.checksum.clone()).collect()
+        };
+        for workers in [2usize, 4] {
+            let cfg = PipelineConfig::builder(CorpusScale::Tiny, Snapshot::Y2021, 7)
+                .workers(workers)
+                .build();
+            let pooled = Pipeline::new(cfg).run().unwrap();
+            assert_eq!(pooled.workers, workers);
+            assert_eq!(pooled.dataset, one.dataset, "{workers} workers");
+            assert_eq!(sums(&pooled), sums(&one), "same models in the same order");
+            assert_eq!(pooled.render_text(), one.render_text(), "{workers} workers");
+            assert_eq!(pooled.crawl_stats, one.crawl_stats, "{workers} workers");
+            assert_eq!(pooled.admission, one.admission, "{workers} workers");
+        }
+        let adm = one.admission.expect("a live crawl carries admission stats");
+        assert_eq!(adm.admitted, one.crawl_stats.requests);
     }
 
     #[test]

@@ -197,9 +197,9 @@ fn stale_generation_journal_is_discarded_not_replayed() {
     let resumed = Pipeline::new(other).run().expect("stale journal must not error");
     assert!(!resumed.crawl_replayed, "stale journal must not replay");
     assert_eq!(resumed.crawl_stats.journal_restores, 0);
-    let mut fresh = PipelineConfig::tiny(Snapshot::Y2021, SEED + 1);
-    fresh.probe_device_profiles = true;
-    let fresh = Pipeline::new(fresh).run().unwrap();
+    let fresh = Pipeline::new(PipelineConfig::tiny(Snapshot::Y2021, SEED + 1))
+        .run()
+        .unwrap();
     assert_eq!(resumed.render_text(), fresh.render_text());
     let _ = fs::remove_dir_all(&dir);
 }

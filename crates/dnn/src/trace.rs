@@ -87,31 +87,78 @@ impl TraceReport {
 /// activation traffic scale linearly with batch while weight traffic does
 /// not. The runtime experiments use this so unique-model records can drop
 /// their (weight-heavy) graphs after offline analysis.
-pub fn rebatch(trace: &TraceReport, batch: usize) -> TraceReport {
+///
+/// The counts are scaled with checked arithmetic: where
+/// [`trace_graph_batched`] at the same batch fails because a count
+/// overflows `u64`, so does this.
+pub fn rebatch(trace: &TraceReport, batch: usize) -> Result<TraceReport> {
     let b = batch as u64;
-    let layers: Vec<LayerTrace> = trace
-        .layers
-        .iter()
-        .map(|l| LayerTrace {
+    let mut layers = Vec::with_capacity(trace.layers.len());
+    let (mut total_macs, mut total_flops) = (0u64, 0u64);
+    for l in &trace.layers {
+        let overflow = |what: &str| DnnError::Shape {
+            node: l.node,
+            reason: format!("{what} overflows u64"),
+        };
+        let (macs, flops) = l
+            .macs
+            .checked_mul(b)
+            .zip(l.flops.checked_mul(b))
+            .ok_or_else(|| overflow("operation count"))?;
+        // A layer's output and the inputs it reads are in its bytes, so
+        // this also covers every element count the batched trace checks.
+        let (bytes_read, bytes_written) =
+            rebatched_traffic(l, b).ok_or_else(|| overflow("byte count"))?;
+        total_macs = total_macs
+            .checked_add(macs)
+            .ok_or_else(|| overflow("total MAC count"))?;
+        total_flops = total_flops
+            .checked_add(flops)
+            .ok_or_else(|| overflow("total FLOP count"))?;
+        layers.push(LayerTrace {
             node: l.node,
             name: l.name.clone(),
             family: l.family,
             out_shape: l.out_shape.with_batch(batch),
-            macs: l.macs * b,
-            flops: l.flops * b,
+            macs,
+            flops,
             params: l.params,
-            bytes_read: l.weight_bytes + (l.bytes_read - l.weight_bytes) * b,
-            bytes_written: l.bytes_written * b,
+            bytes_read,
+            bytes_written,
             weight_bytes: l.weight_bytes,
-        })
-        .collect();
-    TraceReport {
-        total_macs: layers.iter().map(|l| l.macs).sum(),
-        total_flops: layers.iter().map(|l| l.flops).sum(),
-        total_params: trace.total_params,
-        peak_activation_elems: trace.peak_activation_elems * b,
-        layers,
+        });
     }
+    // Only an input no layer reads can overflow here. The trace keeps no
+    // input nodes, so the error names node 0.
+    let peak_activation_elems =
+        trace
+            .peak_activation_elems
+            .checked_mul(b)
+            .ok_or_else(|| DnnError::Shape {
+                node: 0,
+                reason: "peak activation element count overflows u64".into(),
+            })?;
+    Ok(TraceReport {
+        layers,
+        total_macs,
+        total_flops,
+        total_params: trace.total_params,
+        peak_activation_elems,
+    })
+}
+
+/// A batch-1 layer's `(bytes_read, bytes_written)` at `b` samples: the
+/// activation bytes scale and the weight bytes do not. `None` when
+/// either or their sum overflows `u64`, as in [`traffic`].
+fn rebatched_traffic(l: &LayerTrace, b: u64) -> Option<(u64, u64)> {
+    let read = l
+        .bytes_read
+        .checked_sub(l.weight_bytes)?
+        .checked_mul(b)?
+        .checked_add(l.weight_bytes)?;
+    let written = l.bytes_written.checked_mul(b)?;
+    read.checked_add(written)?;
+    Some((read, written))
 }
 
 /// Run the trace for batch size 1.
@@ -429,10 +476,43 @@ mod tests {
             let t1 = trace_graph(&g).unwrap();
             for batch in [2usize, 5, 25] {
                 let direct = trace_graph_batched(&g, batch).unwrap();
-                let scaled = rebatch(&t1, batch);
+                let scaled = rebatch(&t1, batch).unwrap();
                 assert_eq!(scaled, direct, "{task:?} batch {batch}");
             }
         }
+    }
+
+    #[test]
+    fn rebatch_overflow_is_an_error_not_a_panic() {
+        // A valid batch-1 trace (6.9e18 FLOPs) whose FLOPs overflow `u64`
+        // at batch 8: both the batched trace and the rescaled one fail.
+        let mut b = GraphBuilder::new("t");
+        let i = b.input("in", Shape::nhwc(1, 1 << 20, 1 << 20, 3), DType::F32);
+        let c = b.layer(
+            "c",
+            LayerKind::Conv2d {
+                out_channels: 4,
+                kernel: 1 << 9,
+                stride: 1,
+                padding: Padding::Same,
+            },
+            &[i],
+            w((1 << 9) * (1 << 9) * 3 * 4),
+            None,
+        );
+        let g = b.finish(vec![c]).unwrap();
+        let t1 = trace_graph(&g).unwrap();
+        assert!(t1.total_flops > 6_900_000_000_000_000_000);
+        assert!(trace_graph_batched(&g, 8).is_err());
+        let err = rebatch(&t1, 8).unwrap_err();
+        assert!(
+            matches!(&err, crate::DnnError::Shape { node: 1, reason } if reason.contains("operation count overflows")),
+            "{err}"
+        );
+        assert_eq!(
+            rebatch(&t1, 2).unwrap(),
+            trace_graph_batched(&g, 2).unwrap()
+        );
     }
 
     #[test]

@@ -15,8 +15,13 @@
 //! full [`Crawler::crawl_all`] sweep returns a [`CrawlOutcome`] that
 //! records permanently-failing apps as structured drop-outs — the
 //! paper's Table 2 accounting — instead of aborting the sweep on the
-//! first bad app. [`Crawler::crawl_into`] is the same sweep handing each
-//! app on as it lands, tagged with its [`corpus_seq`].
+//! first bad app.
+//!
+//! The study's crawl runs through [`crate::pool::CrawlPool`], whose
+//! non-blocking lanes share this crawler's request state machine. The
+//! blocking crawler serves the pool's bootstrap, the §4.2 device-profile
+//! probe and [`crate::query::QueryClient`], and its [`Crawler::crawl_all`]
+//! walk is the reference the lanes are tested against.
 //!
 //! Large downloads survive truncation without starting over: a cut
 //! mid-body keeps the received prefix and the retry asks for the
@@ -657,7 +662,6 @@ pub struct CrawlerBuilder {
     read_timeout: Duration,
     connection_id: u64,
     admission: Option<Arc<AdmissionController>>,
-    resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
 }
 
 impl CrawlerBuilder {
@@ -670,7 +674,6 @@ impl CrawlerBuilder {
             read_timeout: Duration::from_secs(2),
             connection_id: 0,
             admission: None,
-            resume: None,
         }
     }
 
@@ -708,16 +711,6 @@ impl CrawlerBuilder {
         self
     }
 
-    /// Resume cache: apps a replayed crash journal already holds, keyed
-    /// by package. A listed package found here is served from the cache
-    /// — no metadata, APK, OBB or bundle requests — and counted in
-    /// [`CrawlStats::journal_restores`]. The corpus order is unchanged
-    /// because the listing itself still drives iteration.
-    pub fn resume_cache(mut self, cache: Arc<BTreeMap<String, CrawledApp>>) -> CrawlerBuilder {
-        self.resume = Some(cache);
-        self
-    }
-
     /// Dial the store and hand back a ready crawler.
     pub fn build(self) -> Result<Crawler> {
         let mut c = Crawler {
@@ -728,7 +721,6 @@ impl CrawlerBuilder {
             read_timeout: self.read_timeout,
             connection_id: self.connection_id,
             admission: self.admission,
-            resume: self.resume,
             conn: None,
             stats: CrawlStats::default(),
         };
@@ -747,7 +739,6 @@ pub struct Crawler {
     read_timeout: Duration,
     connection_id: u64,
     admission: Option<Arc<AdmissionController>>,
-    resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
     conn: Option<Conn>,
     stats: CrawlStats,
 }
@@ -918,11 +909,6 @@ impl Crawler {
         &mut self,
         package: &str,
     ) -> std::result::Result<CrawledApp, (CrawlStage, StoreError)> {
-        if let Some(app) = self.resume.as_ref().and_then(|r| r.get(package)) {
-            let app = app.clone();
-            self.stats.journal_restores += 1;
-            return Ok(app);
-        }
         let meta = self
             .app_meta(package)
             .map_err(|e| (CrawlStage::Meta, e))?;
@@ -961,18 +947,6 @@ impl Crawler {
     /// Failures become [`DropOut`] records, not errors.
     pub fn crawl_category(&mut self, category: &str) -> (Vec<CrawledApp>, Vec<DropOut>) {
         let mut apps = Vec::new();
-        let dropouts = self.crawl_category_into(category, &mut |_, app| apps.push(app));
-        (apps, dropouts)
-    }
-
-    /// [`Crawler::crawl_category`] handing each app to `sink`, with its
-    /// position in the listing, as soon as it is downloaded. Returns the
-    /// category's drop-outs.
-    fn crawl_category_into(
-        &mut self,
-        category: &str,
-        sink: &mut dyn FnMut(usize, CrawledApp),
-    ) -> Vec<DropOut> {
         let mut dropouts = Vec::new();
         let pkgs = match self.list_category(category) {
             Ok(p) => p,
@@ -982,12 +956,12 @@ impl Crawler {
                     stage: CrawlStage::Listing,
                     error: e.to_string(),
                 });
-                return dropouts;
+                return (apps, dropouts);
             }
         };
-        for (position, pkg) in pkgs.into_iter().enumerate() {
+        for pkg in pkgs {
             match self.crawl_app_staged(&pkg) {
-                Ok(app) => sink(position, app),
+                Ok(app) => apps.push(app),
                 Err((stage, e)) => dropouts.push(DropOut {
                     package: pkg,
                     stage,
@@ -995,7 +969,7 @@ impl Crawler {
                 }),
             }
         }
-        dropouts
+        (apps, dropouts)
     }
 
     /// Full store sweep: every category, every listed app. Apps (and
@@ -1004,26 +978,14 @@ impl Crawler {
     /// to enumerate the categories themselves is fatal.
     pub fn crawl_all(&mut self) -> Result<CrawlOutcome> {
         let mut apps = Vec::new();
-        let mut outcome = self.crawl_into(&mut |_, app| apps.push(app))?;
-        outcome.apps = apps;
-        Ok(outcome)
-    }
-
-    /// [`Crawler::crawl_all`] that hands each app to `sink` with its
-    /// [`corpus_seq`] as soon as it is downloaded, instead of collecting
-    /// the corpus: the returned outcome's `apps` is empty. The sink sees
-    /// apps in corpus order.
-    pub fn crawl_into(&mut self, sink: &mut dyn FnMut(u64, CrawledApp)) -> Result<CrawlOutcome> {
         let mut dropouts = Vec::new();
-        for (index, cat) in self.categories()?.iter().enumerate() {
-            dropouts.extend(
-                self.crawl_category_into(cat, &mut |position, app| {
-                    sink(corpus_seq(index, position), app)
-                }),
-            );
+        for cat in self.categories()? {
+            let (landed, lost) = self.crawl_category(&cat);
+            apps.extend(landed);
+            dropouts.extend(lost);
         }
         Ok(CrawlOutcome {
-            apps: Vec::new(),
+            apps,
             dropouts,
             stats: self.stats.clone(),
         })
@@ -1032,9 +994,8 @@ impl Crawler {
 
 /// An app's place in corpus order: its category's index in the store's
 /// category list, then its position in that category's listing, packed
-/// into one sortable number. Sequential and pooled crawls assign every
-/// app the same sequence number, so sorting by it rebuilds the
-/// sequential walk's order at any worker count.
+/// into one sortable number. Sorting a pooled crawl's apps by it rebuilds
+/// [`Crawler::crawl_all`]'s order at any worker count.
 pub fn corpus_seq(category: usize, position: usize) -> u64 {
     ((category as u64) << 32) | position as u64
 }

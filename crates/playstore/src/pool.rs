@@ -78,8 +78,11 @@ pub struct CrawlPoolConfig {
     /// seed. Ignored on TCP endpoints.
     pub sched_seed: u64,
     /// Resume cache shared by every worker: apps a replayed crash
-    /// journal already holds (see
-    /// [`crate::crawler::CrawlerBuilder::resume_cache`]).
+    /// journal already holds, keyed by package. A listed package found
+    /// here is served from the cache — no metadata, APK, OBB or bundle
+    /// requests — and counted in [`CrawlStats::journal_restores`]. The
+    /// corpus order is unchanged because the listing still drives
+    /// iteration.
     pub resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
     /// Connections each worker multiplexes (clamped to a minimum of 1):
     /// one worker thread drives them all concurrently as non-blocking

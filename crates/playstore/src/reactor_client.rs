@@ -182,10 +182,11 @@ enum CrawlJobState {
 /// A crawl plan for one lane: walk the assigned categories exactly the
 /// way [`crate::crawler::Crawler::crawl_category`] does — page the
 /// listing to the 500 cap, then metadata → APK → OBB → bundle per listed
-/// app, resume-cache hits served without network requests, permanent
-/// failures recorded as [`DropOut`]s — but expressed as a pull-driven
-/// job so the request sequence (and therefore every counter and fault
-/// draw) is identical to the blocking walk on the same connection id.
+/// app, permanent failures recorded as [`DropOut`]s — but expressed as a
+/// pull-driven job so the request sequence (and therefore every counter
+/// and fault draw) is identical to the blocking walk on the same
+/// connection id. Beyond the blocking walk, a resumed crawl's journaled
+/// apps are served from the resume cache without network requests.
 /// Each finished app goes straight to the sink.
 pub(crate) struct CrawlLaneJob<'a> {
     /// `(global plan index, category name)` in crawl order.

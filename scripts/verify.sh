@@ -116,6 +116,15 @@ verify() {
         grep "persistent cache:" "$cache_dir.err2" >&2
         return 1
     fi
+    # On the warm run every unique of both snapshots loads from disk and
+    # nothing is stored again: the content table consults the store
+    # before it computes.
+    warm_lines=$(grep -c "^  analysis: .*/ 0 stored (100\.0% of uniques warm)$" "$cache_dir.err2")
+    if [ "$warm_lines" != "2" ]; then
+        echo "verify: warm repro run did not load every unique from the persistent cache" >&2
+        grep "analysis:" "$cache_dir.err2" >&2
+        return 1
+    fi
     log_after_2=$(wc -c <"$cache_dir/cache.gnjl") || return 1
     GAUGENN_CACHE_DIR="$cache_dir" run_cargo "$mode" run --release -q \
         -p gaugenn-bench --bin repro -- --scale tiny --seed 1402 --workers 2 --analysis-workers 2 \

@@ -256,9 +256,20 @@ proptest! {
         use gaugenn::dnn::zoo::{build_for_task, SizeClass};
         let task = Task::ALL[(seed % 23) as usize];
         let g = build_for_task(task, seed, SizeClass::Small, true).graph;
+        let t1 = trace_graph(&g).unwrap();
         let direct = trace_graph_batched(&g, batch).unwrap();
-        let scaled = rebatch(&trace_graph(&g).unwrap(), batch);
+        let scaled = rebatch(&t1, batch).unwrap();
         prop_assert_eq!(direct, scaled);
+        // Past where the counts overflow `u64`, both fail together, and
+        // where both succeed they agree.
+        for huge in [1usize << 30, 1 << 40, 1 << 50, 1 << 62] {
+            let direct = trace_graph_batched(&g, huge);
+            let scaled = rebatch(&t1, huge);
+            prop_assert_eq!(direct.is_ok(), scaled.is_ok(), "{:?} batch {}", task, huge);
+            if let (Ok(direct), Ok(scaled)) = (direct, scaled) {
+                prop_assert_eq!(direct, scaled);
+            }
+        }
     }
 }
 
@@ -326,8 +337,8 @@ proptest! {
         let d = device("S21").unwrap();
         let cool = ThermalState::cool();
         let cpu = Backend::Cpu(ThreadConfig::unpinned(4));
-        let small = gaugenn::soc::estimate_latency(&d, cpu, &rebatch(&t, b1), &cool).unwrap();
-        let big = gaugenn::soc::estimate_latency(&d, cpu, &rebatch(&t, b1 + extra), &cool).unwrap();
+        let small = gaugenn::soc::estimate_latency(&d, cpu, &rebatch(&t, b1).unwrap(), &cool).unwrap();
+        let big = gaugenn::soc::estimate_latency(&d, cpu, &rebatch(&t, b1 + extra).unwrap(), &cool).unwrap();
         prop_assert!(big.total_ms >= small.total_ms);
         // …but throughput must not collapse: the bigger batch processes
         // more samples per unit time than a linear slowdown would imply.
