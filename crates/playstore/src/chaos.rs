@@ -7,7 +7,8 @@
 //! consults once per request. The plan decides, purely from
 //! `(seed ⊕ connection id, route, per-(connection, route) attempt
 //! number)`, whether to serve the request cleanly or to inject one of
-//! five fault kinds:
+//! five fault kinds (a permanent route faults on every attempt, and its
+//! kind is drawn without the connection id; see [`FaultPlan::decide`]):
 //!
 //! * connection reset (close before any byte of the response),
 //! * truncated response (a prefix of the frame, then close),
@@ -180,11 +181,15 @@ impl FaultPlan {
         self.state.lock().injected
     }
 
-    /// Decide the fate of one request. Deterministic in
-    /// `(seed ⊕ mix(connection), route, attempt#)`, where the attempt
-    /// number counts prior requests *from the same connection* to the
-    /// same route (query strings ignored, so every page of a category and
-    /// every range-resumed retry of an APK share one schedule).
+    /// Decide the fate of one request, from the route and its attempt
+    /// number, which counts prior requests *from the same connection* to
+    /// the same route (query strings ignored, so every page of a category
+    /// and every range-resumed retry of an APK share one schedule). A
+    /// permanent route's action is drawn from `(seed, route, attempt#)`
+    /// alone, so a route that fails for good fails the same way on any
+    /// connection and the drop-out ledger's error text does not depend
+    /// on which worker walked it. Transient faults draw from
+    /// `(seed ⊕ mix(connection), route, attempt#)`.
     pub fn decide(&self, connection_id: u64, route: &Route) -> FaultAction {
         let key = route.fault_key();
         let mut st = self.state.lock();
@@ -195,8 +200,7 @@ impl FaultPlan {
             *a += 1;
             n
         };
-        let conn_seed = self.cfg.seed ^ splitmix64(connection_id);
-        let h = splitmix64(conn_seed ^ hash_str(&key) ^ (attempt as u64).wrapping_mul(0xA5A5));
+        let draw = hash_str(&key) ^ (attempt as u64).wrapping_mul(0xA5A5);
         if self
             .cfg
             .permanent_routes
@@ -204,8 +208,9 @@ impl FaultPlan {
             .any(|r| key.contains(r.as_str()))
         {
             st.injected += 1;
-            return self.action_for(h);
+            return self.action_for(splitmix64(self.cfg.seed ^ draw));
         }
+        let h = splitmix64(self.cfg.seed ^ splitmix64(connection_id) ^ draw);
         if attempt >= self.cfg.max_faults_per_route {
             return FaultAction::None;
         }
@@ -352,11 +357,12 @@ mod tests {
             permanent_routes: vec!["/apk/com.doomed".into()],
             ..FaultPlanConfig::default()
         });
-        for conn in 0..2 {
-            for _ in 0..5 {
-                assert_ne!(p.decide(conn, &apk("com.doomed")), FaultAction::None);
-            }
-        }
+        let actions = |conn| -> Vec<FaultAction> {
+            (0..5).map(|_| p.decide(conn, &apk("com.doomed"))).collect()
+        };
+        let first = actions(0);
+        assert!(first.iter().all(|a| *a != FaultAction::None), "{first:?}");
+        assert_eq!(actions(1), first, "the same faults on every connection");
         assert_eq!(p.decide(0, &apk("com.fine")), FaultAction::None);
         assert_eq!(p.injected(), 10);
     }

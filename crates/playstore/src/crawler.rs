@@ -216,6 +216,18 @@ pub struct DropOut {
     pub error: String,
 }
 
+impl DropOut {
+    /// The drop-out of a category whose listing failed after every
+    /// retry: `category:<name>` at [`CrawlStage::Listing`].
+    pub fn listing(category: &str, error: &StoreError) -> DropOut {
+        DropOut {
+            package: format!("category:{category}"),
+            stage: CrawlStage::Listing,
+            error: error.to_string(),
+        }
+    }
+}
+
 /// Everything a full store sweep produced: the corpus plus the drop-out
 /// ledger and the resilience counters.
 #[derive(Debug, Clone, PartialEq)]
@@ -601,12 +613,16 @@ impl RequestSm {
                 received,
                 expected_len,
             }) => {
-                // Mid-body cut: the stream is desynced either way.
+                // Mid-body cut: the stream is desynced either way. An
+                // echoed range means this body is the suffix from that
+                // offset, and its length counts only the suffix.
+                let resumed_at = self.range_start.filter(|&start| {
+                    headers.iter().any(|(k, v)| {
+                        k == RANGE_START_HEADER && v.parse::<usize>().ok() == Some(start)
+                    })
+                });
                 if self.resumable && status == 200 && !received.is_empty() {
-                    let echoed = headers.iter().any(|(k, v)| {
-                        k == RANGE_START_HEADER && v.parse::<usize>().ok() == self.range_start
-                    });
-                    if self.range_start.is_some() && echoed {
+                    if resumed_at.is_some() {
                         // The suffix continues our prefix.
                         self.prefix.reserve_exact(received.len());
                         self.prefix.extend_from_slice(&received);
@@ -618,8 +634,9 @@ impl RequestSm {
                 }
                 (
                     StoreError::Protocol(format!(
-                        "response truncated mid-body ({} of {expected_len} bytes held)",
-                        self.prefix.len()
+                        "response truncated mid-body ({} of {} bytes held)",
+                        self.prefix.len(),
+                        resumed_at.unwrap_or(0) + expected_len
                     )),
                     true,
                 )
@@ -943,27 +960,17 @@ impl Crawler {
         })
     }
 
-    /// Crawl one category end to end: the listing plus every listed app.
-    /// Failures become [`DropOut`] records, not errors.
-    pub fn crawl_category(&mut self, category: &str) -> (Vec<CrawledApp>, Vec<DropOut>) {
+    /// Crawl listed apps end to end, in listing order: metadata, APK,
+    /// OBB and bundle per package. Failures become [`DropOut`] records,
+    /// not errors.
+    pub fn crawl_listed(&mut self, packages: &[String]) -> (Vec<CrawledApp>, Vec<DropOut>) {
         let mut apps = Vec::new();
         let mut dropouts = Vec::new();
-        let pkgs = match self.list_category(category) {
-            Ok(p) => p,
-            Err(e) => {
-                dropouts.push(DropOut {
-                    package: format!("category:{category}"),
-                    stage: CrawlStage::Listing,
-                    error: e.to_string(),
-                });
-                return (apps, dropouts);
-            }
-        };
-        for pkg in pkgs {
-            match self.crawl_app_staged(&pkg) {
+        for pkg in packages {
+            match self.crawl_app_staged(pkg) {
                 Ok(app) => apps.push(app),
                 Err((stage, e)) => dropouts.push(DropOut {
-                    package: pkg,
+                    package: pkg.clone(),
                     stage,
                     error: e.to_string(),
                 }),
@@ -972,17 +979,22 @@ impl Crawler {
         (apps, dropouts)
     }
 
-    /// Full store sweep: every category, every listed app. Apps (and
-    /// category listings) that keep failing after retries become
-    /// [`DropOut`] records instead of aborting the sweep; only a failure
-    /// to enumerate the categories themselves is fatal.
+    /// Full store sweep: each category's listing, then its listed apps.
+    /// Apps (and category listings) that keep failing after retries
+    /// become [`DropOut`] records instead of aborting the sweep; only a
+    /// failure to enumerate the categories themselves is fatal.
     pub fn crawl_all(&mut self) -> Result<CrawlOutcome> {
         let mut apps = Vec::new();
         let mut dropouts = Vec::new();
         for cat in self.categories()? {
-            let (landed, lost) = self.crawl_category(&cat);
-            apps.extend(landed);
-            dropouts.extend(lost);
+            match self.list_category(&cat) {
+                Ok(packages) => {
+                    let (landed, lost) = self.crawl_listed(&packages);
+                    apps.extend(landed);
+                    dropouts.extend(lost);
+                }
+                Err(e) => dropouts.push(DropOut::listing(&cat, &e)),
+            }
         }
         Ok(CrawlOutcome {
             apps,
@@ -1181,6 +1193,42 @@ mod tests {
             c.stats()
         );
         assert_eq!(got.capacity(), got.len(), "stitched body carries no slack");
+    }
+
+    #[test]
+    fn a_resumed_truncation_counts_the_whole_body() {
+        // A cut at 30 of 100 bytes, then a resume echoed at 30 whose
+        // Content-Length (70) covers only the suffix, cut after 20: the
+        // error counts 50 held of the whole body's 100.
+        let route = Route::Apk {
+            package: "com.x".into(),
+        };
+        let mut sm = RequestSm::new(&route, true, 4);
+        let mut stats = CrawlStats::default();
+        let mut cut = |headers: Vec<(String, String)>, received: usize, expected_len: usize| {
+            sm.begin_attempt(&RetryPolicy::default(), 0, &mut stats)
+                .unwrap();
+            assert!(matches!(
+                sm.admit(None, &mut stats),
+                AdmitVerdict::Proceed { .. }
+            ));
+            let outcome = ReadOutcome::Truncated {
+                status: 200,
+                headers,
+                received: vec![7; received],
+                expected_len,
+            };
+            assert!(matches!(
+                sm.absorb(Ok(outcome), None, &mut stats),
+                AttemptVerdict::Retry { invalidate: true }
+            ));
+            sm.last.as_ref().unwrap().to_string()
+        };
+        let first = cut(Vec::new(), 30, 100);
+        assert!(first.ends_with("(30 of 100 bytes held)"), "{first}");
+        let echoed = vec![(RANGE_START_HEADER.to_string(), "30".to_string())];
+        let second = cut(echoed, 20, 70);
+        assert!(second.ends_with("(50 of 100 bytes held)"), "{second}");
     }
 
     #[test]

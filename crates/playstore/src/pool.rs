@@ -11,9 +11,13 @@
 //! the least-loaded worker, so one heavy category never straggles
 //! whatever shard its index happens to fall in.
 //!
-//! Category sizes come from a bootstrap probe: a synchronous [`Crawler`]
-//! on connection 0 lists each category once and uses the listed app
-//! count as the catalog size estimate.
+//! The plan is the bootstrap's listing: a synchronous [`Crawler`] on
+//! connection 0 lists each category once, the listed app count sizes the
+//! category for the scheduler, and the listing itself moves to the one
+//! lane that walks the category, so lanes fetch only metadata, APK, OBB
+//! and bundle. A category whose listing fails after every retry is its
+//! listing drop-out and goes to no worker — the policy of
+//! [`Crawler::crawl_all`], whose requests a pooled crawl issues exactly.
 //!
 //! All workers share one [`AdmissionController`]: the fleet collectively
 //! respects a single store-wide rate limit, and a sustained 429/503 storm
@@ -51,7 +55,7 @@
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats};
 use crate::crawler::{
-    AppSink, CrawlOutcome, CrawlStats, CrawledApp, Crawler, CrawlerConfig, RetryPolicy,
+    AppSink, CrawlOutcome, CrawlStats, CrawledApp, Crawler, CrawlerConfig, DropOut, RetryPolicy,
 };
 use crate::net::Endpoint;
 use crate::reactor_client::{drive_lanes, CrawlLaneJob, LaneOpts, LaneShard, LaneSpec};
@@ -113,10 +117,11 @@ pub struct WorkerReport {
     /// Worker index (0-based).
     pub worker: usize,
     /// First connection id in the worker's lane block (`w·C + 1` for
-    /// `C = connections_per_worker`; the bootstrap category fetch uses
-    /// connection 0). Lane `j` announces `w·C + j + 1`.
+    /// `C = connections_per_worker`; the bootstrap's category list and
+    /// listings use connection 0). Lane `j` announces `w·C + j + 1`.
     pub connection_id: u64,
-    /// Categories in this worker's shard.
+    /// Categories in this worker's shard. A category whose listing
+    /// failed is in no worker's shard.
     pub categories: usize,
     /// Apps the worker crawled successfully.
     pub apps: usize,
@@ -135,10 +140,11 @@ pub struct WorkerReport {
 /// Everything a pooled sweep produced.
 #[derive(Debug, Clone)]
 pub struct PoolOutcome {
-    /// Merged corpus + drop-out ledger + summed stats, in deterministic
-    /// category-index order — byte-identical to what the same seed
-    /// produces at any worker count and connection fan-out while the
-    /// breaker stays closed.
+    /// Merged corpus + drop-out ledger + summed stats (the bootstrap's
+    /// included), in deterministic category-index order — byte-identical
+    /// to what the same seed produces at any worker count and connection
+    /// fan-out while the breaker stays closed, and on a calm store equal
+    /// to [`Crawler::crawl_all`]'s whole outcome.
     pub outcome: CrawlOutcome,
     /// Per-worker diagnostics, in worker order.
     pub per_worker: Vec<WorkerReport>,
@@ -158,14 +164,21 @@ pub struct PoolOutcome {
 /// the most connections it held in flight at once.
 type WorkerYield = (Vec<LaneShard>, CrawlStats, usize);
 
+/// One lane's work: `(global plan index, listed packages)` per category,
+/// in ascending index order.
+type LaneWork = Vec<(usize, Vec<String>)>;
+
 /// Split one worker's shard across its connections round-robin (lane `j`
 /// takes positions `j, j+C, …`), preserving ascending category-index
 /// order within each lane so every lane walks its categories the way a
 /// dedicated synchronous [`Crawler`] would.
-fn lane_split(shard: &[usize], lanes: usize) -> Vec<Vec<usize>> {
+fn lane_split(
+    shard: impl IntoIterator<Item = (usize, Vec<String>)>,
+    lanes: usize,
+) -> Vec<LaneWork> {
     let mut out = vec![Vec::new(); lanes];
-    for (pos, &idx) in shard.iter().enumerate() {
-        out[pos % lanes].push(idx);
+    for (pos, unit) in shard.into_iter().enumerate() {
+        out[pos % lanes].push(unit);
     }
     out
 }
@@ -176,25 +189,19 @@ fn crawl_shard(
     endpoint: &Endpoint,
     config: &CrawlPoolConfig,
     admission: &Arc<AdmissionController>,
-    categories: &[String],
     w: usize,
-    lanes: &[Vec<usize>],
+    lanes: Vec<LaneWork>,
     sink: AppSink<'_>,
 ) -> Result<WorkerYield> {
     let conns = lanes.len();
     let specs: Vec<LaneSpec<CrawlLaneJob>> = lanes
-        .iter()
+        .into_iter()
         .enumerate()
         .filter(|(_, lane)| !lane.is_empty())
         .map(|(j, lane)| LaneSpec {
             connection_id: (w * conns + j) as u64 + 1,
             retry: config.retry.clone(),
-            job: CrawlLaneJob::new(
-                lane.iter().map(|&i| (i, categories[i].clone())).collect(),
-                config.crawler.page_size,
-                config.resume.clone(),
-                sink,
-            ),
+            job: CrawlLaneJob::new(lane, config.resume.clone(), sink),
         })
         .collect();
     let opts = LaneOpts {
@@ -213,24 +220,6 @@ fn crawl_shard(
     Ok((shards, stats, report.peak_in_flight))
 }
 
-/// Size estimates for the category units: a listing probe on the
-/// bootstrap connection counting each category's apps. A probe failure
-/// estimates 1 — the worker assigned the category will record the real
-/// drop-out itself.
-fn size_units(bootstrap: &mut Crawler, categories: &[String]) -> Vec<WorkUnit> {
-    categories
-        .iter()
-        .enumerate()
-        .map(|(index, cat)| WorkUnit {
-            index,
-            size: bootstrap
-                .list_category(cat)
-                .map(|apps| apps.len() as u64)
-                .unwrap_or(1),
-        })
-        .collect()
-}
-
 /// The sharded pool. See the module docs for the determinism contract.
 #[derive(Debug, Clone, Default)]
 pub struct CrawlPool {
@@ -245,11 +234,10 @@ impl CrawlPool {
 
     /// Sweep the whole store at `addr` with the configured worker fleet.
     ///
-    /// Connection 0 bootstraps the category list and probes each
-    /// category's listing for a catalog size estimate; worker k then
-    /// crawls the categories the scheduler assigned to shard k on its
-    /// lanes, connections `k·C + 1 … k·C + C` for
-    /// `C = connections_per_worker`.
+    /// Connection 0 bootstraps the category list and lists each
+    /// category; worker k then walks the listed apps of the categories
+    /// the scheduler assigned to shard k on its lanes, connections
+    /// `k·C + 1 … k·C + C` for `C = connections_per_worker`.
     pub fn crawl(&self, addr: SocketAddr) -> Result<PoolOutcome> {
         self.crawl_at(&Endpoint::Tcp(addr))
     }
@@ -289,25 +277,52 @@ impl CrawlPool {
             .connection_id(0)
             .admission(admission.clone())
             .build()?;
-        let categories = bootstrap.categories()?;
-        let units = size_units(&mut bootstrap, &categories);
+        // Each listing sizes its category for the plan and then moves to
+        // the lane that walks it; a failed one is the category's shard.
+        let mut listings = Vec::new();
+        let mut units = Vec::new();
+        let mut shards: Vec<LaneShard> = Vec::new();
+        for (index, category) in bootstrap.categories()?.iter().enumerate() {
+            match bootstrap.list_category(category) {
+                Ok(packages) => {
+                    units.push(WorkUnit {
+                        index,
+                        size: packages.len() as u64,
+                    });
+                    listings.push(packages);
+                }
+                Err(e) => {
+                    shards.push(LaneShard {
+                        index,
+                        apps: 0,
+                        bytes: 0,
+                        dropouts: vec![DropOut::listing(category, &e)],
+                    });
+                    listings.push(Vec::new());
+                }
+            }
+        }
         let bootstrap_stats = bootstrap.stats().clone();
         drop(bootstrap);
 
-        let plan = assign(&units, workers);
+        let work: Vec<Vec<LaneWork>> = assign(&units, workers)
+            .into_iter()
+            .map(|shard| {
+                let listed = shard
+                    .into_iter()
+                    .map(|i| (i, std::mem::take(&mut listings[i])));
+                lane_split(listed, conns)
+            })
+            .collect();
 
         let mut results: Vec<Result<WorkerYield>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = plan
-                .iter()
+            let handles: Vec<_> = work
+                .into_iter()
                 .enumerate()
-                .map(|(w, shard)| {
-                    let lanes = lane_split(shard, conns);
+                .map(|(w, lanes)| {
                     let admission = &admission;
-                    let categories = &categories[..];
                     let config = &self.config;
-                    scope.spawn(move || {
-                        crawl_shard(endpoint, config, admission, categories, w, &lanes, sink)
-                    })
+                    scope.spawn(move || crawl_shard(endpoint, config, admission, w, lanes, sink))
                 })
                 .collect();
             handles
@@ -328,7 +343,6 @@ impl CrawlPool {
         // category-index order for the corpus itself.
         let mut per_worker = Vec::with_capacity(workers);
         let mut merged_stats = bootstrap_stats;
-        let mut all_shards: Vec<LaneShard> = Vec::with_capacity(categories.len());
         let mut peak_in_flight = 0usize;
         for (w, res) in results.drain(..).enumerate() {
             let (worker_shards, stats, worker_peak) = res?;
@@ -343,11 +357,11 @@ impl CrawlPool {
                 stats: stats.clone(),
             });
             merged_stats.merge(&stats);
-            all_shards.extend(worker_shards);
+            shards.extend(worker_shards);
         }
-        all_shards.sort_by_key(|s| s.index);
+        shards.sort_by_key(|s| s.index);
 
-        let dropouts = all_shards.into_iter().flat_map(|s| s.dropouts).collect();
+        let dropouts = shards.into_iter().flat_map(|s| s.dropouts).collect();
 
         Ok(PoolOutcome {
             outcome: CrawlOutcome {
@@ -382,21 +396,32 @@ mod tests {
 
     #[test]
     fn pool_matches_sequential_crawl() {
+        // The pool lists each category once and walks what it listed, so
+        // on a calm store it issues exactly the blocking walk's requests:
+        // the whole outcome, counters included, equals `crawl_all`'s.
         let server = start_tiny();
         let mut seq = Crawler::builder(server.addr()).build().unwrap();
         let sequential = seq.crawl_all().unwrap();
+        // The category list, 68 listing pages and 105 app requests.
+        assert_eq!(sequential.stats.requests, 174);
         let categories = seq.categories().unwrap().len();
 
-        let pooled = CrawlPool::new(with_workers(4)).crawl(server.addr()).unwrap();
-
-        assert_eq!(pooled.workers, 4);
-        assert_eq!(pooled.outcome.apps, sequential.apps, "same corpus, same order");
-        assert_eq!(pooled.outcome.dropouts, sequential.dropouts);
-        assert_eq!(pooled.per_worker.len(), 4);
-        let shard_apps: usize = pooled.per_worker.iter().map(|w| w.apps).sum();
-        assert_eq!(shard_apps, pooled.outcome.apps.len());
-        let covered: usize = pooled.per_worker.iter().map(|w| w.categories).sum();
-        assert_eq!(covered, categories, "every category crawled once");
+        for workers in [1, 4, 8] {
+            let pooled = CrawlPool::new(with_workers(workers))
+                .crawl(server.addr())
+                .unwrap();
+            assert_eq!(pooled.workers, workers);
+            assert_eq!(pooled.outcome.stats, sequential.stats, "{workers}");
+            assert_eq!(pooled.outcome.dropouts, sequential.dropouts);
+            // The whole outcome; not `assert_eq!`, whose message would
+            // print every APK byte.
+            assert!(pooled.outcome == sequential, "{workers}: corpus diverged");
+            assert_eq!(pooled.per_worker.len(), workers);
+            let shard_apps: usize = pooled.per_worker.iter().map(|w| w.apps).sum();
+            assert_eq!(shard_apps, pooled.outcome.apps.len());
+            let covered: usize = pooled.per_worker.iter().map(|w| w.categories).sum();
+            assert_eq!(covered, categories, "every category crawled once");
+        }
     }
 
     #[test]

@@ -34,9 +34,9 @@
 
 use crate::admission::AdmissionController;
 use crate::crawler::{
-    corpus_seq, obb_entry, parse_app_meta, parse_listing, request_headers, verify_body_crc,
-    AdmitVerdict, AppMeta, AppSink, AttemptVerdict, CrawlStage, CrawlStats, CrawledApp,
-    CrawlerConfig, DropOut, RequestSm, RetryPolicy,
+    corpus_seq, obb_entry, parse_app_meta, request_headers, verify_body_crc, AdmitVerdict, AppMeta,
+    AppSink, AttemptVerdict, CrawlStage, CrawlStats, CrawledApp, CrawlerConfig, DropOut, RequestSm,
+    RetryPolicy,
 };
 use crate::net::{Endpoint, SimClientHandle};
 use crate::reactor::raw_fd;
@@ -46,7 +46,7 @@ use crate::proto::{
 use crate::route::Route;
 use crate::{Result, StoreError};
 use mio::{Events, Interest, Parker, Reactor, TimerWheel, Token};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::sync::Arc;
 use std::time::Duration;
@@ -127,21 +127,17 @@ pub(crate) struct LaneShard {
     pub(crate) apps: usize,
     /// Container bytes (APK + OBB + bundle) of those apps.
     pub(crate) bytes: u64,
-    /// Apps (or the listing itself) that failed permanently.
+    /// Listed apps that failed permanently, or, for a category the pool's
+    /// bootstrap could not list, that listing's one drop-out.
     pub(crate) dropouts: Vec<DropOut>,
 }
 
-/// Where a [`CrawlLaneJob`] is in its category walk. `Await*` variants
-/// mark an outstanding request (only [`LaneJob::on_result`] may run);
-/// the rest are actions [`LaneJob::next_request`] steps through.
+/// Where a [`CrawlLaneJob`] is in its walk. `Await*` variants mark an
+/// outstanding request (only [`LaneJob::on_result`] may run); the rest
+/// are actions [`LaneJob::next_request`] steps through.
 enum CrawlJobState {
-    /// Open the next assigned category (or finish).
-    NextCategory,
-    /// Emit the next listing page request.
-    PageReady,
-    /// A listing page is outstanding.
-    AwaitListing,
-    /// Advance to the next listed package (cache-check, then metadata).
+    /// Advance to the next listed package (cache-check, then metadata),
+    /// closing the open category once its listing is walked.
     NextApp,
     /// A metadata request is outstanding.
     AwaitMeta,
@@ -179,29 +175,24 @@ enum CrawlJobState {
     Done,
 }
 
-/// A crawl plan for one lane: walk the assigned categories exactly the
-/// way [`crate::crawler::Crawler::crawl_category`] does — page the
-/// listing to the 500 cap, then metadata → APK → OBB → bundle per listed
-/// app, permanent failures recorded as [`DropOut`]s — but expressed as a
-/// pull-driven job so the request sequence (and therefore every counter
-/// and fault draw) is identical to the blocking walk on the same
-/// connection id. Beyond the blocking walk, a resumed crawl's journaled
-/// apps are served from the resume cache without network requests.
-/// Each finished app goes straight to the sink.
+/// A crawl plan for one lane: walk the listed apps of the assigned
+/// categories exactly the way [`crate::crawler::Crawler::crawl_listed`]
+/// does — metadata → APK → OBB → bundle per listed app, permanent
+/// failures recorded as [`DropOut`]s — but expressed as a pull-driven
+/// job so the request sequence (and therefore every counter and fault
+/// draw) is identical to the blocking walk on the same connection id.
+/// The listings come from the pool's bootstrap, so a lane never pages
+/// one. Beyond the blocking walk, a resumed crawl's journaled apps are
+/// served from the resume cache without network requests. Each finished
+/// app goes straight to the sink.
 pub(crate) struct CrawlLaneJob<'a> {
-    /// `(global plan index, category name)` in crawl order.
-    cats: Vec<(usize, String)>,
-    page_size: usize,
+    /// `(global plan index, listed packages)` of the categories still to
+    /// walk, in crawl order; the front one is open.
+    cats: VecDeque<(usize, Vec<String>)>,
     resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
     sink: AppSink<'a>,
     state: CrawlJobState,
-    /// Cursor into `cats`: the open category.
-    ci: usize,
-    /// Listing accumulator for the category being paged.
-    listing: Vec<String>,
-    listing_start: usize,
-    /// Packages of the open category, and the cursor into them.
-    pkgs: Vec<String>,
+    /// Cursor into the open category's packages.
     pi: usize,
     /// The open category's app count, bytes and drop-outs, pushed as
     /// its shard when the walk leaves it.
@@ -213,21 +204,15 @@ pub(crate) struct CrawlLaneJob<'a> {
 
 impl<'a> CrawlLaneJob<'a> {
     pub(crate) fn new(
-        cats: Vec<(usize, String)>,
-        page_size: usize,
+        cats: Vec<(usize, Vec<String>)>,
         resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
         sink: AppSink<'a>,
     ) -> CrawlLaneJob<'a> {
         CrawlLaneJob {
-            cats,
-            page_size,
+            cats: cats.into(),
             resume,
             sink,
-            state: CrawlJobState::NextCategory,
-            ci: 0,
-            listing: Vec::new(),
-            listing_start: 0,
-            pkgs: Vec::new(),
+            state: CrawlJobState::NextApp,
             pi: 0,
             apps: 0,
             bytes: 0,
@@ -241,33 +226,17 @@ impl<'a> CrawlLaneJob<'a> {
         self.shards
     }
 
-    fn category(&self) -> &str {
-        &self.cats[self.ci].1
-    }
-
-    /// Leave the open category: push its shard and move on to the next.
-    fn close_category(&mut self) {
-        self.shards.push(LaneShard {
-            index: self.cats[self.ci].0,
-            apps: std::mem::take(&mut self.apps),
-            bytes: std::mem::take(&mut self.bytes),
-            dropouts: std::mem::take(&mut self.dropouts),
-        });
-        self.ci += 1;
-        self.state = CrawlJobState::NextCategory;
-    }
-
     fn finish_app(&mut self, app: CrawledApp) {
         self.apps += 1;
         self.bytes += app.bytes();
-        (self.sink)(corpus_seq(self.cats[self.ci].0, self.pi), app);
+        (self.sink)(corpus_seq(self.cats[0].0, self.pi), app);
         self.pi += 1;
         self.state = CrawlJobState::NextApp;
     }
 
     fn app_dropout(&mut self, stage: CrawlStage, error: &StoreError) {
         self.dropouts.push(DropOut {
-            package: self.pkgs[self.pi].clone(),
+            package: self.cats[0].1[self.pi].clone(),
             stage,
             error: error.to_string(),
         });
@@ -280,30 +249,26 @@ impl LaneJob for CrawlLaneJob<'_> {
     fn next_request(&mut self, stats: &mut CrawlStats) -> Option<(Route, bool)> {
         loop {
             match std::mem::replace(&mut self.state, CrawlJobState::Done) {
-                CrawlJobState::NextCategory => {
-                    if self.ci == self.cats.len() {
+                CrawlJobState::NextApp => {
+                    let Some((index, pkgs)) = self.cats.front() else {
                         self.state = CrawlJobState::Done;
                         return None;
-                    }
-                    self.listing.clear();
-                    self.listing_start = 0;
-                    self.state = CrawlJobState::PageReady;
-                }
-                CrawlJobState::PageReady => {
-                    let route = Route::Category {
-                        name: self.category().to_string(),
-                        start: self.listing_start,
-                        count: self.page_size,
                     };
-                    self.state = CrawlJobState::AwaitListing;
-                    return Some((route, false));
-                }
-                CrawlJobState::NextApp => {
-                    if self.pi == self.pkgs.len() {
-                        self.close_category();
+                    if self.pi == pkgs.len() {
+                        // Leave the walked category: push its shard and
+                        // drop its listing.
+                        self.shards.push(LaneShard {
+                            index: *index,
+                            apps: std::mem::take(&mut self.apps),
+                            bytes: std::mem::take(&mut self.bytes),
+                            dropouts: std::mem::take(&mut self.dropouts),
+                        });
+                        self.cats.pop_front();
+                        self.pi = 0;
+                        self.state = CrawlJobState::NextApp;
                         continue;
                     }
-                    let pkg = self.pkgs[self.pi].clone();
+                    let pkg = pkgs[self.pi].clone();
                     if let Some(app) = self.resume.as_ref().and_then(|r| r.get(&pkg)) {
                         let app = app.clone();
                         stats.journal_restores += 1;
@@ -345,35 +310,6 @@ impl LaneJob for CrawlLaneJob<'_> {
 
     fn on_result(&mut self, result: Result<Response>) {
         match std::mem::replace(&mut self.state, CrawlJobState::Done) {
-            CrawlJobState::AwaitListing => match result {
-                Ok(resp) => {
-                    let page = parse_listing(&resp.text());
-                    if page.is_empty() {
-                        self.pkgs = std::mem::take(&mut self.listing);
-                        self.pi = 0;
-                        self.state = CrawlJobState::NextApp;
-                        return;
-                    }
-                    self.listing_start += page.len();
-                    self.listing.extend(page);
-                    if self.listing.len() >= crate::server::MAX_PER_CATEGORY {
-                        self.listing.truncate(crate::server::MAX_PER_CATEGORY);
-                        self.pkgs = std::mem::take(&mut self.listing);
-                        self.pi = 0;
-                        self.state = CrawlJobState::NextApp;
-                    } else {
-                        self.state = CrawlJobState::PageReady;
-                    }
-                }
-                Err(e) => {
-                    self.dropouts.push(DropOut {
-                        package: format!("category:{}", self.category()),
-                        stage: CrawlStage::Listing,
-                        error: e.to_string(),
-                    });
-                    self.close_category();
-                }
-            },
             CrawlJobState::AwaitMeta => match result {
                 Ok(resp) => match parse_app_meta(&resp.text()) {
                     Ok(meta) => self.state = CrawlJobState::PendingApk { meta },
@@ -1247,24 +1183,30 @@ mod tests {
     }
 
     /// The crawl job on a lane must replay the blocking walk exactly:
-    /// same apps, same dropouts, same counters, calm or chaotic.
+    /// same apps, same dropouts, same counters, calm or chaotic. A
+    /// connection-0 lister hands both the same listings, as the pool's
+    /// bootstrap hands them to its lanes.
     fn assert_lane_matches_blocking(chaos: Option<FaultPlanConfig>) {
         let plan = chaos.clone().map(FaultPlan::new);
         let server = sim_server(plan);
-        let cats = Crawler::builder_at(server.endpoint())
+        let mut lister = Crawler::builder_at(server.endpoint())
             .connection_id(0)
             .build()
-            .unwrap()
-            .categories()
             .unwrap();
-        let assigned: Vec<(usize, String)> = cats.iter().cloned().enumerate().collect();
+        let listed: Vec<(usize, Vec<String>)> = lister
+            .categories()
+            .unwrap()
+            .iter()
+            .map(|cat| lister.list_category(cat).unwrap())
+            .enumerate()
+            .collect();
 
         let landed = std::sync::Mutex::new(Vec::new());
         let sink = |seq: u64, app: CrawledApp| landed.lock().unwrap().push((seq, app));
         let specs = vec![LaneSpec {
             connection_id: 1,
             retry: RetryPolicy::default(),
-            job: CrawlLaneJob::new(assigned, CrawlerConfig::default().page_size, None, &sink),
+            job: CrawlLaneJob::new(listed.clone(), None, &sink),
         }];
         let (mut outcomes, _) =
             drive_lanes(&server.endpoint(), specs, &LaneOpts::default(), None).unwrap();
@@ -1280,8 +1222,8 @@ mod tests {
             .unwrap();
         let mut want_apps = Vec::new();
         let mut want_drops = Vec::new();
-        for cat in &cats {
-            let (a, d) = blocking.crawl_category(cat);
+        for (_, packages) in &listed {
+            let (a, d) = blocking.crawl_listed(packages);
             want_apps.extend(a);
             want_drops.extend(d);
         }

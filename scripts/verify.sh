@@ -3,6 +3,7 @@
 # root manifest's default-members make both cover every workspace
 # crate) plus the perfbench lockfile and build gates, the concurrency suite
 # re-run single-threaded, the pinned device-campaign digest, the pinned
+# pooled-crawl-equals-blocking-walk drop-out test, the pinned
 # graph-codec mutation sweep, a
 # double-repro persistent-cache determinism check, the crash-recovery
 # matrix (its uninterrupted run must match the pinned tiny report
@@ -81,6 +82,13 @@ verify() {
     # rename fails loudly instead of silently skipping the gate.
     run_pinned "$mode" analysis_worker_count_never_changes_the_report \
         --test concurrency || return 1
+    # A pooled crawl is the blocking walk: with permanent APK, metadata
+    # and listing faults, the pool at 1, 4 and 8 workers lands crawl_all's
+    # apps, drop-out ledger (error text included), requests, retries and
+    # reconnects. Pinned by name; the package is named because
+    # gaugenn-core has a failure_injection target too.
+    run_pinned "$mode" permanent_failures_surface_as_staged_dropouts \
+        -p gaugenn --test failure_injection || return 1
     # The device campaign digest: every (device, job) result of the
     # Small pool's single-file TFLite models on Q845 and Q888, pinned by
     # name so the latency/power/thermal figures cannot move unnoticed.

@@ -4,7 +4,7 @@
 
 use gaugenn::playstore::chaos::{FaultPlan, FaultPlanConfig};
 use gaugenn::playstore::corpus::{generate, CorpusScale, Snapshot};
-use gaugenn::playstore::crawler::{CrawlOutcome, Crawler};
+use gaugenn::playstore::crawler::{CrawlOutcome, Crawler, DropOut};
 use gaugenn::playstore::pool::{CrawlPool, CrawlPoolConfig};
 use gaugenn::playstore::server::{ServerOptions, StoreServer};
 use gaugenn::playstore::{AdmissionConfig, AdmissionController, ReactorMode};
@@ -134,17 +134,18 @@ fn one_lane_pool_matches_two_blocking_crawlers() {
     // The synchronous `Crawler` is the reference the pool's lanes are
     // held to. A one-worker, one-connection pool issues exactly what
     // two crawlers sharing one admission controller would: connection 0
-    // fetches the categories and lists each one (the size probe), then
-    // connection 1 crawls them in index order. The whole outcome — apps,
-    // drop-outs and merged stats — must agree on both endpoints, calm
-    // and chaotic, and through a storm that opens the breaker: with a
-    // failure threshold of 2 the chaos plan's transient statuses trip it,
-    // so rejected attempts run the lanes' breaker path.
+    // fetches the categories and lists each one (a failed listing is the
+    // category's drop-out), then connection 1 walks the listed apps in
+    // index order. The whole outcome — apps, drop-outs and merged stats
+    // — must agree on both endpoints, calm and chaotic, and through a
+    // storm that opens the breaker: with a failure threshold of 1 the
+    // chaos plan's transient statuses trip it, so rejected attempts run
+    // the lanes' breaker path.
     for sim in [false, true] {
         for (chaos, storm) in [(false, false), (true, false), (true, true)] {
             let mut admission = AdmissionConfig::default();
             if storm {
-                admission.failure_threshold = 2;
+                admission.failure_threshold = 1;
             }
             let pooled = CrawlPool::new(CrawlPoolConfig {
                 workers: 1,
@@ -163,19 +164,30 @@ fn one_lane_pool_matches_two_blocking_crawlers() {
                     .build()
                     .unwrap()
             };
-            let mut prober = crawler(0);
-            let categories = prober.categories().unwrap();
-            for cat in &categories {
-                let _ = prober.list_category(cat);
-            }
+            let mut lister = crawler(0);
+            let listings: Vec<_> = lister
+                .categories()
+                .unwrap()
+                .iter()
+                .map(|cat| {
+                    lister
+                        .list_category(cat)
+                        .map_err(|e| DropOut::listing(cat, &e))
+                })
+                .collect();
             let mut walker = crawler(1);
             let (mut apps, mut dropouts) = (Vec::new(), Vec::new());
-            for cat in &categories {
-                let (a, d) = walker.crawl_category(cat);
-                apps.extend(a);
-                dropouts.extend(d);
+            for listing in listings {
+                match listing {
+                    Ok(packages) => {
+                        let (a, d) = walker.crawl_listed(&packages);
+                        apps.extend(a);
+                        dropouts.extend(d);
+                    }
+                    Err(dropout) => dropouts.push(dropout),
+                }
             }
-            let mut stats = prober.stats().clone();
+            let mut stats = lister.stats().clone();
             stats.merge(walker.stats());
             let reference = CrawlOutcome {
                 apps,

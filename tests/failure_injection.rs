@@ -5,9 +5,11 @@
 use gaugenn::apk::apk::ApkBuilder;
 use gaugenn::apk::zip::{ZipArchive, ZipWriter};
 use gaugenn::core::extract::extract_app;
+use gaugenn::playstore::categories::CATEGORIES;
 use gaugenn::playstore::chaos::{FaultKind, FaultPlan, FaultPlanConfig};
 use gaugenn::playstore::corpus::{generate, CorpusScale, Snapshot};
-use gaugenn::playstore::crawler::{AppMeta, CrawlStage, CrawledApp, Crawler};
+use gaugenn::playstore::crawler::{AppMeta, CrawlOutcome, CrawlStage, CrawledApp, Crawler};
+use gaugenn::playstore::pool::{CrawlPool, CrawlPoolConfig};
 use gaugenn::playstore::server::StoreServer;
 use std::io::Write;
 use std::net::TcpListener;
@@ -193,25 +195,41 @@ fn chaos_crawl_recovers_every_transient_app_deterministically() {
 
 #[test]
 fn permanent_failures_surface_as_staged_dropouts() {
+    // Permanent faults on one APK, one metadata fetch and one category
+    // listing become staged drop-outs. A pooled crawl is the blocking
+    // walk: at 1, 4 and 8 workers it lands the same apps and the same
+    // ledger, error text included, with the same request, retry and
+    // reconnect counts as `crawl_all`. Backoff totals may differ, since
+    // retry jitter is keyed on the connection.
     let corpus = generate(CorpusScale::Tiny, Snapshot::Y2021, 7);
     let apk_victim = corpus.apps[0].package.clone();
     let meta_victim = corpus.apps[1].package.clone();
-    let server = StoreServer::start_with_chaos(
-        corpus,
-        FaultPlan::new(FaultPlanConfig {
-            fault_permille: 0,
-            permanent_routes: vec![
-                format!("/apk/{apk_victim}"),
-                format!("/app/{meta_victim}"),
-            ],
-            ..FaultPlanConfig::default()
-        }),
-    )
-    .unwrap();
+    let unlisted = corpus
+        .apps
+        .iter()
+        .filter(|a| CATEGORIES[a.category].name == "finance")
+        .count();
+    let store = || {
+        StoreServer::start_with_chaos(
+            corpus.clone(),
+            FaultPlan::new(FaultPlanConfig {
+                fault_permille: 0,
+                permanent_routes: vec![
+                    format!("/apk/{apk_victim}"),
+                    format!("/app/{meta_victim}"),
+                    "/category/finance".into(),
+                ],
+                ..FaultPlanConfig::default()
+            }),
+        )
+        .unwrap()
+    };
+    let server = store();
     let mut crawler = Crawler::builder(server.addr()).build().unwrap();
     let outcome = crawler.crawl_all().unwrap();
-    assert_eq!(outcome.apps.len(), 50);
-    assert_eq!(outcome.dropouts.len(), 2, "{:?}", outcome.dropouts);
+    assert!(unlisted > 0);
+    assert_eq!(outcome.apps.len(), 50 - unlisted);
+    assert_eq!(outcome.dropouts.len(), 3, "{:?}", outcome.dropouts);
     let stage_of = |pkg: &str| {
         outcome
             .dropouts
@@ -221,6 +239,21 @@ fn permanent_failures_surface_as_staged_dropouts() {
     };
     assert_eq!(stage_of(&apk_victim), Some(CrawlStage::Apk));
     assert_eq!(stage_of(&meta_victim), Some(CrawlStage::Meta));
+    assert_eq!(stage_of("category:finance"), Some(CrawlStage::Listing));
+
+    let counters = |o: &CrawlOutcome| (o.stats.requests, o.stats.retries, o.stats.reconnects);
+    for workers in [1, 4, 8] {
+        let pooled = CrawlPool::new(CrawlPoolConfig {
+            workers,
+            ..CrawlPoolConfig::default()
+        })
+        .crawl(store().addr())
+        .unwrap()
+        .outcome;
+        assert_eq!(pooled.dropouts, outcome.dropouts, "{workers}");
+        assert_eq!(counters(&pooled), counters(&outcome), "{workers}");
+        assert!(pooled.apps == outcome.apps, "{workers}: corpus diverged");
+    }
 }
 
 #[test]
