@@ -45,7 +45,7 @@ use gaugenn_modelfmt::Framework;
 use gaugenn_playstore::categories::CATEGORIES;
 use gaugenn_playstore::chaos::{FaultKind, FaultPlan, FaultPlanConfig};
 use gaugenn_playstore::corpus::{generate, CorpusScale, Snapshot};
-use gaugenn_playstore::crawler::{CrawlStats, RetryPolicy};
+use gaugenn_playstore::crawler::RetryPolicy;
 use gaugenn_playstore::net::Endpoint;
 use gaugenn_playstore::proto::Response;
 use gaugenn_playstore::route::Route;
@@ -213,7 +213,7 @@ struct TimedJob {
 }
 
 impl LaneJob for TimedJob {
-    fn next_request(&mut self, _stats: &mut CrawlStats) -> Option<(Route, bool)> {
+    fn next_request(&mut self) -> Option<(Route, bool)> {
         if self.failed.is_some() {
             return None;
         }

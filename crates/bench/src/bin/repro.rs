@@ -28,11 +28,13 @@
 //! apps as the crawl lands them; stdout is invariant in both.
 //!
 //! Set `GAUGENN_JOURNAL_DIR=<dir>` to journal completed work units
-//! (crawled apps, the end-of-crawl marker, the probe verdict) as they
-//! finish; after a crash — induced or real — re-run with `--resume` to
-//! skip the journaled work and still print byte-identical stdout
-//! (DESIGN.md §12). `GAUGENN_CRASH=<point>[:n]` arms a deterministic
-//! kill point for the crash-recovery matrix in `verify.sh`.
+//! (crawled apps, the crawl's counters and end-of-crawl marker, the
+//! probe verdict) as they finish; after a crash — induced or real —
+//! re-run with `--resume`: a snapshot whose crawl finished replays it
+//! from the journal, counters included, one whose crawl did not is
+//! crawled again, and stdout is byte-identical either way (DESIGN.md
+//! §12). `GAUGENN_CRASH=<point>[:n]` arms a deterministic SIGKILL for the
+//! crash-recovery matrix in `verify.sh`.
 //!
 //! Set `GAUGENN_INDEX_DIR=<dir>` to accumulate both snapshots into the
 //! persistent corpus index (`corpus.gnix`) that `StoreServer` answers

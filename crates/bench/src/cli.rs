@@ -1,7 +1,7 @@
 //! Shared flag parser for the bench binaries.
 //!
-//! Every bin (`repro`, `poolbench`, `analyzebench`, `crashbench`,
-//! `querybench`) shares one flag grammar:
+//! Every bin (`repro`, `poolbench`, `analyzebench`, `querybench`) shares
+//! one flag grammar:
 //!
 //! ```text
 //! --scale tiny|small|paper   corpus scale
@@ -30,9 +30,6 @@ pub struct ArgSpec {
     pub bin: &'static str,
     /// One-line description printed at the top of `--help`.
     pub about: &'static str,
-    /// Default corpus scale (`crashbench` defaults to Tiny, the rest to
-    /// Small).
-    pub default_scale: CorpusScale,
     /// Default corpus seed.
     pub default_seed: u64,
     /// Default worker count, when the bin takes `--workers`.
@@ -53,12 +50,11 @@ pub struct ArgSpec {
 }
 
 impl ArgSpec {
-    /// Baseline spec: Small scale, seed 1402, no optional flags.
+    /// Baseline spec: seed 1402, no optional flags.
     pub const fn new(bin: &'static str, about: &'static str) -> Self {
         ArgSpec {
             bin,
             about,
-            default_scale: CorpusScale::Small,
             default_seed: 1402,
             default_workers: 4,
             takes_workers: false,
@@ -108,7 +104,7 @@ pub struct Parsed {
 /// [`help`] and exit 2.
 pub fn parse(spec: &ArgSpec, argv: &[String]) -> Result<Parsed, String> {
     let mut args = BenchArgs {
-        scale: spec.default_scale,
+        scale: CorpusScale::Small,
         seed: spec.default_seed,
         workers: spec.default_workers,
         analysis_workers: 0,
@@ -183,14 +179,7 @@ pub fn help(spec: &ArgSpec) -> String {
     let mut out = String::new();
     out.push_str(&format!("{} — {}\n\n", spec.bin, spec.about));
     out.push_str(&format!("usage: {} [flags]\n\n", spec.bin));
-    out.push_str(&format!(
-        "  --scale tiny|small|paper  corpus scale (default {})\n",
-        match spec.default_scale {
-            CorpusScale::Tiny => "tiny",
-            CorpusScale::Small => "small",
-            CorpusScale::Paper => "paper",
-        }
-    ));
+    out.push_str("  --scale tiny|small|paper  corpus scale (default small)\n");
     out.push_str(&format!(
         "  --seed N                  corpus seed (default {})\n",
         spec.default_seed

@@ -3,12 +3,13 @@
 //! replays on `--resume`.
 //!
 //! The [`Journal`] is `core`'s one durable record format. Two logs are
-//! built on it: the [`RunJournal`] records a run's completed crawl units
-//! keyed by the run configuration, so a resumed run skips straight past
-//! them and, because every rendered byte derives from journaled or
-//! recomputed-identical state, produces **byte-identical stdout** to an
-//! uninterrupted run; the [`crate::cachestore::CacheStore`] records model
-//! analyses keyed by content checksum, so a later run attaches to them.
+//! built on it: the [`RunJournal`] records a run's crawl keyed by the run
+//! configuration, so a resumed run whose crawl finished replays it whole
+//! (corpus, drop-outs and counters) and, because every rendered byte
+//! derives from journaled or recomputed-identical state, produces
+//! **byte-identical stdout** to an uninterrupted run; the
+//! [`crate::cachestore::CacheStore`] records model analyses keyed by
+//! content checksum, so a later run attaches to them.
 //!
 //! # On-disk format
 //!
@@ -32,8 +33,10 @@
 //! "redo that work", never "error" and never divergent output.
 
 use gaugenn_apk::crc32::crc32;
-use gaugenn_playstore::crawler::{AppMeta, CrawlStage, CrawlStats, CrawledApp, DropOut};
-use std::collections::{BTreeMap, BTreeSet};
+use gaugenn_playstore::admission::AdmissionStats;
+use gaugenn_playstore::crawler::{
+    AppMeta, CrawlOutcome, CrawlStage, CrawlStats, CrawledApp, DropOut,
+};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -44,8 +47,9 @@ const MAGIC: &[u8; 4] = b"GNJL";
 /// stale and are discarded instead of misparsed. Version 2: app
 /// sequence numbers are corpus sequence numbers
 /// ([`gaugenn_playstore::crawler::corpus_seq`]), recorded in arrival
-/// order, not merged positions.
-const VERSION: u32 = 2;
+/// order, not merged positions. Version 3: the crawl-done record lost its
+/// journal-restores counter, and an admission record precedes it.
+const VERSION: u32 = 3;
 /// Header length in bytes.
 pub(crate) const HEADER_LEN: usize = 16;
 /// Per-record frame (length and crc) in bytes.
@@ -314,81 +318,92 @@ fn splitmix64(mut z: u64) -> u64 {
 const TAG_APP: u8 = 1;
 const TAG_CRAWL_DONE: u8 = 2;
 const TAG_PROBE: u8 = 3;
+const TAG_ADMISSION: u8 = 4;
 
-/// The pipeline's typed view of one run's journal: replayed state from
-/// a previous (killed) attempt plus append methods for this attempt's
-/// completed units. Recorded apps are written to the file, not kept:
-/// only replayed apps hold their container bytes in memory.
+/// The pipeline's typed view of one run's journal: the finished crawl a
+/// previous (killed) attempt left, replayed, plus append methods for
+/// this attempt's completed units. Recorded apps are written to the
+/// file, not kept: only replayed apps hold their container bytes in
+/// memory, until [`RunJournal::take_replayed_crawl`] hands them over.
+///
+/// One resume rule: a journal holding its crawl-done record replays the
+/// whole crawl; any other journal is restarted empty, and the snapshot
+/// is crawled again.
 #[derive(Debug)]
 pub struct RunJournal {
     journal: Journal,
-    /// Replayed apps by package, with their corpus sequence number.
-    apps: BTreeMap<String, (u64, CrawledApp)>,
-    /// Every package already in the journal file, replayed or recorded.
-    recorded: BTreeSet<String>,
-    /// Replayed end-of-crawl marker: the full drop-out ledger and stats.
-    crawl_done: Option<(Vec<DropOut>, CrawlStats)>,
-    /// Replayed probe verdict (`None` = not journaled).
+    /// The replayed finished crawl: its corpus in sequence order with the
+    /// drop-out ledger and counters, and the fleet's admission counters
+    /// (`None` in a journal that holds none).
+    crawl: Option<(CrawlOutcome, Option<AdmissionStats>)>,
+    /// Whether the file holds its crawl-done record, replayed or
+    /// recorded. A finished crawl takes no more crawl records.
+    finished: bool,
+    /// Replayed or recorded probe verdict (`None` = not journaled).
     probe: Option<Option<bool>>,
 }
 
 impl RunJournal {
-    /// Open `dir/file`, replaying prior records when `resume` is set.
+    /// Open `dir/file`. With `resume` set, a journal holding its
+    /// crawl-done record replays the whole crawl and any probe verdict;
+    /// any other journal, one whose attempt died mid-crawl, is restarted
+    /// empty, so the run crawls the snapshot again and no package is
+    /// journaled twice. Without `resume` the file starts fresh.
     pub fn open(dir: &Path, file: &str, run_key: u64, resume: bool) -> RunJournal {
-        let (journal, raw) = Journal::open(&dir.join(file), run_key, resume);
-        let mut apps = BTreeMap::new();
-        let mut crawl_done = None;
-        let mut probe = None;
+        let (mut journal, raw) = Journal::open(&dir.join(file), run_key, resume);
+        let replayed_any = !raw.is_empty();
+        let mut apps = Vec::new();
+        let (mut admission, mut crawl_done, mut probe) = (None, None, None);
         for payload in raw {
             // An undecodable record body (future tag, short fields) is
             // skipped, not fatal — same miss-not-error stance as the
             // cache store.
             match decode_entry(&payload) {
-                Some(Entry::App(seq, app)) => {
-                    apps.insert(app.meta.package.clone(), (seq, app));
-                }
-                Some(Entry::CrawlDone(dropouts, stats)) => {
-                    crawl_done = Some((dropouts, stats));
-                }
+                Some(Entry::App(seq, app)) => apps.push((seq, app)),
+                Some(Entry::Admission(stats)) => admission = Some(stats),
+                Some(Entry::CrawlDone(dropouts, stats)) => crawl_done = Some((dropouts, stats)),
                 Some(Entry::Probe(v)) => probe = Some(v),
                 None => {}
             }
         }
+        let crawl = crawl_done.map(|(dropouts, stats)| {
+            apps.sort_by_key(|&(seq, _)| seq);
+            let apps = apps.into_iter().map(|(_, app)| app).collect();
+            (CrawlOutcome { apps, dropouts, stats }, admission)
+        });
+        // An unfinished crawl is crawled again from an empty file. A
+        // failed restart leaves the old records in place: go inert rather
+        // than append this attempt's apps after them.
+        if crawl.is_none() && replayed_any && !journal.replace(std::iter::empty()) {
+            journal.file = None;
+        }
         RunJournal {
             journal,
-            recorded: apps.keys().cloned().collect(),
-            apps,
-            crawl_done,
-            probe,
+            finished: crawl.is_some(),
+            // Only a finished crawl's probe verdict stands.
+            probe: crawl.as_ref().and(probe),
+            crawl,
         }
-    }
-
-    /// Packages already journaled, with their payloads — handed to the
-    /// crawler as a resume cache so listed-again apps skip the network.
-    pub fn resume_apps(&self) -> BTreeMap<String, CrawledApp> {
-        self.apps
-            .iter()
-            .map(|(k, (_, app))| (k.clone(), app.clone()))
-            .collect()
     }
 
     /// Number of replayed app records.
     pub fn replayed_app_count(&self) -> usize {
-        self.apps.len()
+        self.crawl.as_ref().map_or(0, |(outcome, _)| outcome.apps.len())
     }
 
-    /// Replayed end-of-crawl marker, when the previous attempt got that
-    /// far: the whole crawl can then be served from the journal.
-    pub fn crawl_done(&self) -> Option<&(Vec<DropOut>, CrawlStats)> {
-        self.crawl_done.as_ref()
+    /// Hand over the replayed finished crawl, if the previous attempt
+    /// finished it: the whole crawl can then be served from the journal,
+    /// counters included. The journal keeps no copy, so the replayed
+    /// app count and corpus read empty afterwards.
+    pub fn take_replayed_crawl(&mut self) -> Option<(CrawlOutcome, Option<AdmissionStats>)> {
+        self.crawl.take()
     }
 
     /// The replayed corpus in its original (sequence) order.
     pub fn apps_in_order(&self) -> Vec<CrawledApp> {
-        let mut seq: Vec<(&u64, &CrawledApp)> =
-            self.apps.values().map(|(s, a)| (s, a)).collect();
-        seq.sort_by_key(|(s, _)| **s);
-        seq.into_iter().map(|(_, a)| a.clone()).collect()
+        self.crawl
+            .as_ref()
+            .map_or_else(Vec::new, |(outcome, _)| outcome.apps.clone())
     }
 
     /// Replayed probe verdict.
@@ -396,24 +411,31 @@ impl RunJournal {
         self.probe
     }
 
-    /// Journal one crawled app under its corpus sequence number `seq`
-    /// (skipping packages already in the file). Apps may arrive in any
-    /// order; replay sorts them by `seq`. Only the package name is kept.
+    /// Journal one crawled app under its corpus sequence number `seq`.
+    /// Apps may arrive in any order; replay sorts them by `seq`. The app
+    /// goes to the file only. A finished crawl records no more apps: a
+    /// replayed crawl's apps are already in the file.
     pub fn record_app(&mut self, seq: u64, app: &CrawledApp) {
-        if self.recorded.contains(&app.meta.package) {
-            return;
+        if !self.finished {
+            self.journal.append(&encode_app(seq, app));
         }
-        self.journal.append(&encode_app(seq, app));
-        self.recorded.insert(app.meta.package.clone());
+    }
+
+    /// Journal the crawl fleet's admission counters. The pipeline records
+    /// them just before the end-of-crawl marker, so a replayed crawl
+    /// reports the counters the live one did.
+    pub fn record_admission(&mut self, stats: &AdmissionStats) {
+        if !self.finished {
+            self.journal.append(&encode_admission(stats));
+        }
     }
 
     /// Journal the end-of-crawl marker.
     pub fn record_crawl_done(&mut self, dropouts: &[DropOut], stats: &CrawlStats) {
-        if self.crawl_done.is_some() {
-            return;
+        if !self.finished {
+            self.journal.append(&encode_crawl_done(dropouts, stats));
+            self.finished = true;
         }
-        self.journal.append(&encode_crawl_done(dropouts, stats));
-        self.crawl_done = Some((dropouts.to_vec(), stats.clone()));
     }
 
     /// Journal the device-profile probe verdict.
@@ -438,6 +460,7 @@ impl RunJournal {
 
 enum Entry {
     App(u64, CrawledApp),
+    Admission(AdmissionStats),
     CrawlDone(Vec<DropOut>, CrawlStats),
     Probe(Option<bool>),
 }
@@ -508,7 +531,21 @@ fn encode_crawl_done(dropouts: &[DropOut], stats: &CrawlStats) -> Vec<u8> {
         stats.throttled,
         stats.throttle_ms_total,
         stats.breaker_rejections,
-        stats.journal_restores,
+    ] {
+        put_u64(&mut out, v);
+    }
+    out
+}
+
+fn encode_admission(stats: &AdmissionStats) -> Vec<u8> {
+    let mut out = vec![TAG_ADMISSION];
+    for v in [
+        stats.admitted,
+        stats.throttled,
+        stats.throttle_ms_total,
+        stats.rejections,
+        stats.breaker_opens,
+        stats.breaker_closes,
     ] {
         put_u64(&mut out, v);
     }
@@ -588,9 +625,19 @@ fn decode_crawl_done(r: &mut Reader<'_>) -> Option<(Vec<DropOut>, CrawlStats)> {
             throttled: r.u64()?,
             throttle_ms_total: r.u64()?,
             breaker_rejections: r.u64()?,
-            journal_restores: r.u64()?,
         },
     ))
+}
+
+fn decode_admission(r: &mut Reader<'_>) -> Option<AdmissionStats> {
+    Some(AdmissionStats {
+        admitted: r.u64()?,
+        throttled: r.u64()?,
+        throttle_ms_total: r.u64()?,
+        rejections: r.u64()?,
+        breaker_opens: r.u64()?,
+        breaker_closes: r.u64()?,
+    })
 }
 
 fn decode_entry(payload: &[u8]) -> Option<Entry> {
@@ -600,6 +647,7 @@ fn decode_entry(payload: &[u8]) -> Option<Entry> {
             let (seq, app) = decode_app(&mut r)?;
             Entry::App(seq, app)
         }
+        TAG_ADMISSION => Entry::Admission(decode_admission(&mut r)?),
         TAG_CRAWL_DONE => {
             let (d, s) = decode_crawl_done(&mut r)?;
             Entry::CrawlDone(d, s)
@@ -659,8 +707,28 @@ mod tests {
             throttled: 9,
             throttle_ms_total: 90,
             breaker_rejections: 0,
-            journal_restores: 0,
         }
+    }
+
+    fn sample_admission() -> AdmissionStats {
+        AdmissionStats {
+            admitted: 100,
+            throttled: 9,
+            throttle_ms_total: 90,
+            rejections: 3,
+            breaker_opens: 2,
+            breaker_closes: 1,
+        }
+    }
+
+    /// Journal `apps` as one finished crawl with no drop-outs.
+    fn finished_crawl(dir: &Path, key: u64, apps: &[CrawledApp]) -> RunJournal {
+        let mut j = RunJournal::open(dir, "run.gnjl", key, false);
+        for (seq, app) in apps.iter().enumerate() {
+            j.record_app(seq as u64, app);
+        }
+        j.record_crawl_done(&[], &sample_stats());
+        j
     }
 
     #[test]
@@ -668,46 +736,85 @@ mod tests {
         let dir = tmp("roundtrip");
         let key = run_key("tiny", "y2020", 7);
         let mut j = RunJournal::open(&dir, "run.gnjl", key, false);
-        j.record_app(0, &sample_app("com.a", 1));
+        // Out of sequence order: replay sorts by sequence number.
         j.record_app(1, &sample_app("com.b", 2));
+        j.record_app(0, &sample_app("com.a", 1));
         let dropouts = vec![DropOut {
             package: "com.fail".into(),
             stage: CrawlStage::Apk,
             error: "transient: io".into(),
         }];
+        j.record_admission(&sample_admission());
         j.record_crawl_done(&dropouts, &sample_stats());
         j.record_probe(Some(true));
         drop(j);
 
-        let j = RunJournal::open(&dir, "run.gnjl", key, true);
+        let mut j = RunJournal::open(&dir, "run.gnjl", key, true);
         assert_eq!(j.replayed_app_count(), 2);
         let apps = j.apps_in_order();
         assert_eq!(apps[0], sample_app("com.a", 1));
         assert_eq!(apps[1], sample_app("com.b", 2));
-        let (d, s) = j.crawl_done().expect("crawl done replays");
-        assert_eq!(*d, dropouts);
-        assert_eq!(*s, sample_stats());
+        let (outcome, admission) = j.take_replayed_crawl().expect("crawl done replays");
+        assert!(outcome.apps == apps);
+        assert_eq!(outcome.dropouts, dropouts);
+        assert_eq!(outcome.stats, sample_stats());
+        assert_eq!(admission, Some(sample_admission()));
         assert_eq!(j.probe(), Some(Some(true)));
+        assert_eq!(j.replayed_app_count(), 0, "handed over, not copied");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn recording_keeps_package_names_not_containers() {
-        let dir = tmp("names");
+    fn a_finished_crawl_records_no_more_apps() {
+        let dir = tmp("finished");
         let key = run_key("tiny", "y2021", 7);
         let mut j = RunJournal::open(&dir, "run.gnjl", key, false);
         j.record_app(0, &sample_app("com.a", 1));
         assert_eq!(j.replayed_app_count(), 0, "recorded, not replayed");
         assert!(j.apps_in_order().is_empty());
+        j.record_admission(&sample_admission());
+        j.record_crawl_done(&[], &sample_stats());
+        assert!(j.take_replayed_crawl().is_none(), "recorded, not replayed");
         let len = fs::metadata(j.path()).unwrap().len();
-        j.record_app(0, &sample_app("com.a", 1));
-        assert_eq!(fs::metadata(j.path()).unwrap().len(), len, "recorded twice");
+        j.record_app(1, &sample_app("com.b", 2));
+        j.record_admission(&sample_admission());
+        j.record_crawl_done(&[], &sample_stats());
+        assert_eq!(fs::metadata(j.path()).unwrap().len(), len, "recorded after done");
         drop(j);
-        // A replayed package counts as already in the file.
+        // A replayed crawl's apps are already in the file.
         let mut j = RunJournal::open(&dir, "run.gnjl", key, true);
         assert_eq!(j.replayed_app_count(), 1);
         j.record_app(0, &sample_app("com.a", 1));
+        j.record_crawl_done(&[], &sample_stats());
         assert_eq!(fs::metadata(j.path()).unwrap().len(), len, "replayed");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unfinished_crawl_restarts_the_journal_empty() {
+        let dir = tmp("unfinished");
+        let key = run_key("tiny", "y2021", 7);
+        let mut j = RunJournal::open(&dir, "run.gnjl", key, false);
+        j.record_app(0, &sample_app("com.a", 1));
+        j.record_app(1, &sample_app("com.b", 2));
+        j.record_admission(&sample_admission());
+        drop(j);
+
+        // No crawl-done record: nothing replays and the file is restarted.
+        let mut j = RunJournal::open(&dir, "run.gnjl", key, true);
+        assert_eq!(j.replayed_app_count(), 0);
+        assert!(j.take_replayed_crawl().is_none());
+        assert_eq!(fs::metadata(j.path()).unwrap().len(), HEADER_LEN as u64);
+        // The crawl journaled again replays once, each app once.
+        j.record_app(1, &sample_app("com.b", 2));
+        j.record_app(0, &sample_app("com.a", 1));
+        j.record_crawl_done(&[], &sample_stats());
+        drop(j);
+        let mut j = RunJournal::open(&dir, "run.gnjl", key, true);
+        let want = [sample_app("com.a", 1), sample_app("com.b", 2)];
+        assert!(j.apps_in_order() == want);
+        let (_, admission) = j.take_replayed_crawl().expect("finished");
+        assert_eq!(admission, None, "the discarded record stays discarded");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -715,9 +822,7 @@ mod tests {
     fn fresh_open_discards_previous_records() {
         let dir = tmp("fresh");
         let key = run_key("tiny", "y2020", 7);
-        let mut j = RunJournal::open(&dir, "run.gnjl", key, false);
-        j.record_app(0, &sample_app("com.a", 1));
-        drop(j);
+        drop(finished_crawl(&dir, key, &[sample_app("com.a", 1)]));
         let j = RunJournal::open(&dir, "run.gnjl", key, false);
         assert_eq!(j.replayed_app_count(), 0);
         let _ = fs::remove_dir_all(&dir);
@@ -727,14 +832,12 @@ mod tests {
     fn stale_run_key_replays_nothing() {
         let dir = tmp("stale");
         let key = run_key("tiny", "y2020", 7);
-        let mut j = RunJournal::open(&dir, "run.gnjl", key, false);
-        j.record_app(0, &sample_app("com.a", 1));
-        drop(j);
+        drop(finished_crawl(&dir, key, &[sample_app("com.a", 1)]));
         // Same path, different configuration: a stale-generation journal.
         let other = run_key("tiny", "y2021", 7);
-        let j = RunJournal::open(&dir, "run.gnjl", other, true);
+        let mut j = RunJournal::open(&dir, "run.gnjl", other, true);
         assert_eq!(j.replayed_app_count(), 0);
-        assert!(j.crawl_done().is_none());
+        assert!(j.take_replayed_crawl().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -742,44 +845,46 @@ mod tests {
     fn torn_tail_is_truncated_and_appendable() {
         let dir = tmp("torn");
         let key = run_key("small", "y2021", 3);
-        let mut j = RunJournal::open(&dir, "run.gnjl", key, false);
-        j.record_app(0, &sample_app("com.a", 1));
-        j.record_app(1, &sample_app("com.b", 2));
+        let apps = [sample_app("com.a", 1), sample_app("com.b", 2)];
+        let mut j = finished_crawl(&dir, key, &apps);
+        j.record_probe(Some(true));
         let path = j.path().to_path_buf();
         drop(j);
         let raw = fs::read(&path).unwrap();
-        fs::write(&path, &raw[..raw.len() - 9]).unwrap();
+        fs::write(&path, &raw[..raw.len() - 2]).unwrap();
 
         let mut j = RunJournal::open(&dir, "run.gnjl", key, true);
-        assert_eq!(j.replayed_app_count(), 1, "torn record drops, prefix survives");
+        assert_eq!(j.replayed_app_count(), 2, "the torn probe drops, the crawl survives");
+        assert_eq!(j.probe(), None);
         // The journal stays appendable after truncation and the re-added
         // record replays on the next open.
-        j.record_app(1, &sample_app("com.b", 2));
+        j.record_probe(Some(false));
         drop(j);
         let j = RunJournal::open(&dir, "run.gnjl", key, true);
         assert_eq!(j.replayed_app_count(), 2);
+        assert_eq!(j.probe(), Some(Some(false)));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn bit_flip_stops_replay_at_last_good_record() {
         let dir = tmp("flip");
+        let path = dir.join("log.gnjl");
         let key = run_key("small", "y2021", 3);
-        let mut j = RunJournal::open(&dir, "run.gnjl", key, false);
-        j.record_app(0, &sample_app("com.a", 1));
-        j.record_app(1, &sample_app("com.b", 2));
-        j.record_app(2, &sample_app("com.c", 3));
-        let path = j.path().to_path_buf();
+        let records: [&[u8]; 3] = [b"first", b"second", b"third"];
+        let (mut j, _) = Journal::open(&path, key, false);
+        for r in records {
+            j.append(r);
+        }
         drop(j);
         let mut raw = fs::read(&path).unwrap();
         // Flip a byte inside the second record's payload.
-        let second_start = HEADER_LEN + 8 + encode_app(0, &sample_app("com.a", 1)).len();
-        raw[second_start + 20] ^= 0x01;
+        let second = HEADER_LEN + 2 * FRAME_LEN + records[0].len();
+        raw[second + 2] ^= 0x01;
         fs::write(&path, &raw).unwrap();
 
-        let j = RunJournal::open(&dir, "run.gnjl", key, true);
-        assert_eq!(j.replayed_app_count(), 1, "replay ends before the flipped record");
-        assert_eq!(j.apps_in_order()[0], sample_app("com.a", 1));
+        let (_, replayed) = Journal::open(&path, key, true);
+        assert_eq!(replayed, records[..1], "replay ends before the flipped record");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -819,8 +924,7 @@ mod tests {
     fn truncated_header_replays_nothing_and_reinitialises() {
         let dir = tmp("header");
         let key = run_key("tiny", "y2020", 1);
-        let mut j = RunJournal::open(&dir, "run.gnjl", key, false);
-        j.record_app(0, &sample_app("com.a", 1));
+        let j = finished_crawl(&dir, key, &[sample_app("com.a", 1)]);
         let path = j.path().to_path_buf();
         drop(j);
         let raw = fs::read(&path).unwrap();
@@ -830,6 +934,7 @@ mod tests {
         assert_eq!(j.replayed_app_count(), 0);
         // And the reinitialised file journals normally again.
         j.record_app(0, &sample_app("com.a", 1));
+        j.record_crawl_done(&[], &sample_stats());
         drop(j);
         let j = RunJournal::open(&dir, "run.gnjl", key, true);
         assert_eq!(j.replayed_app_count(), 1);

@@ -57,12 +57,14 @@ pub struct PipelineConfig {
     pub analysis_cache_dir: Option<PathBuf>,
     /// Directory for the run journal (one crc-guarded checkpoint file
     /// per snapshot). When set, completed work units — crawled apps, the
-    /// end-of-crawl marker, the probe verdict — are journaled as they
-    /// finish, so a killed run can be resumed. See `DESIGN.md` §12.
+    /// crawl's admission counters and end-of-crawl marker, the probe
+    /// verdict — are journaled as they finish, so a killed run can be
+    /// resumed. See `DESIGN.md` §12.
     pub journal_dir: Option<PathBuf>,
-    /// Replay a surviving journal instead of starting fresh: journaled
-    /// apps skip the network, a journaled end-of-crawl marker skips the
-    /// whole crawl, a journaled probe verdict skips the probe. Output is
+    /// Replay a surviving journal instead of starting fresh: a journaled
+    /// end-of-crawl marker replays the whole crawl, counters included,
+    /// and a journaled probe verdict skips the probe; a journal without
+    /// the marker is discarded and the snapshot crawled again. Output is
     /// byte-identical to an uninterrupted run either way.
     pub resume: bool,
     /// Directory for the persistent corpus index (`corpus.gnix`). When
@@ -277,9 +279,9 @@ pub struct PipelineReport {
     pub dropouts: Vec<DropOut>,
     /// Crawl resilience counters, merged across the crawl workers.
     pub crawl_stats: CrawlStats,
-    /// Fleet-wide admission counters of the live crawl (None when the
-    /// whole crawl was replayed from the run journal, which admits no
-    /// request).
+    /// Fleet-wide admission counters of the crawl, live or replayed
+    /// from the run journal (None only when a replayed journal holds no
+    /// admission record).
     pub admission: Option<AdmissionStats>,
     /// Crawl workers used.
     pub workers: usize,
@@ -344,7 +346,7 @@ impl PipelineReport {
     }
 
     /// One-line crawl resilience summary (admission counters included
-    /// unless the crawl was replayed).
+    /// when the report has them).
     pub fn crawl_summary(&self) -> String {
         let s = &self.crawl_stats;
         let mut line = format!(
@@ -499,9 +501,10 @@ impl Pipeline {
         )?;
         // Journaled checkpoints (DESIGN.md §12): every crawled app becomes
         // durable before extraction consumes it, so a killed run resumed
-        // over the same journal directory skips the journaled work and
-        // still renders byte-identical output.
-        let run_journal = self.config.journal_dir.as_ref().map(|dir| {
+        // over the same journal directory replays a finished crawl, or
+        // crawls an unfinished one again, and renders byte-identical
+        // output either way.
+        let mut run_journal = self.config.journal_dir.as_ref().map(|dir| {
             let key = journal::run_key(
                 &format!("{:?}", self.config.scale),
                 self.config.snapshot.label(),
@@ -511,19 +514,11 @@ impl Pipeline {
             RunJournal::open(dir, &file, key, self.config.resume)
         });
         // The previous attempt finished its crawl: the corpus, the
-        // drop-out ledger and the stats all replay from the journal
+        // drop-out ledger and the counters all replay from the journal
         // without touching the store.
-        let replayed_crawl = run_journal.as_ref().and_then(|j| {
-            j.crawl_done()
-                .cloned()
-                .map(|(dropouts, stats)| (j.apps_in_order(), dropouts, stats))
-        });
+        let replayed_crawl = run_journal.as_mut().and_then(RunJournal::take_replayed_crawl);
         let crawl_replayed = replayed_crawl.is_some();
         let journaled_probe = run_journal.as_ref().and_then(|j| j.probe());
-        let resume = run_journal
-            .as_ref()
-            .map(|j| Arc::new(j.resume_apps()))
-            .filter(|r| !r.is_empty());
         let journal = run_journal.map(Mutex::new);
         let record = |entry: &dyn Fn(&mut RunJournal)| {
             if let Some(j) = &journal {
@@ -548,11 +543,15 @@ impl Pipeline {
                     }
                     feed(seq, app);
                 };
-                let (outcome, admission, workers) =
-                    self.crawl(&server, replayed_crawl, resume, &sink)?;
+                let (outcome, admission, workers) = self.crawl(&server, replayed_crawl, &sink)?;
                 // After the post-crawl boundary a resumed run never
                 // re-crawls; the workers may still be analysing.
-                record(&|j| j.record_crawl_done(&outcome.dropouts, &outcome.stats));
+                record(&|j| {
+                    if let Some(stats) = &admission {
+                        j.record_admission(stats);
+                    }
+                    j.record_crawl_done(&outcome.dropouts, &outcome.stats);
+                });
                 crashpoint::hit(CrashPoint::PostCrawl);
                 let invariant = match journaled_probe {
                     Some(verdict) => verdict,
@@ -561,9 +560,6 @@ impl Pipeline {
                 record(&|j| j.record_probe(invariant));
                 Ok((outcome, admission, workers, invariant))
             })?;
-        // Nothing is journaled after the probe; a resumed run's replayed
-        // apps go with the journal.
-        drop(journal);
         let CrawlOutcome {
             dropouts,
             stats: crawl_stats,
@@ -643,32 +639,24 @@ impl Pipeline {
     }
 
     /// Crawl the store through the [`CrawlPool`], or replay the journaled
-    /// crawl, handing every app to `sink` as it lands. Journaled apps in
-    /// `resume` skip the network. Returns the outcome (its `apps` empty),
-    /// the fleet's admission counters unless replayed, and the crawl
+    /// crawl, handing every app to `sink` as it lands. Returns the outcome
+    /// (its `apps` empty), the fleet's admission counters, and the crawl
     /// workers used.
     fn crawl(
         &self,
         server: &StoreServer,
-        replayed: Option<(Vec<CrawledApp>, Vec<DropOut>, CrawlStats)>,
-        resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
+        replayed: Option<(CrawlOutcome, Option<AdmissionStats>)>,
         sink: AppSink<'_>,
     ) -> Result<(CrawlOutcome, Option<AdmissionStats>, usize)> {
-        if let Some((apps, dropouts, stats)) = replayed {
-            for (seq, app) in apps.into_iter().enumerate() {
+        if let Some((mut outcome, admission)) = replayed {
+            for (seq, app) in std::mem::take(&mut outcome.apps).into_iter().enumerate() {
                 sink(seq as u64, app);
             }
-            let outcome = CrawlOutcome {
-                apps: Vec::new(),
-                dropouts,
-                stats,
-            };
-            return Ok((outcome, None, self.config.workers.max(1)));
+            return Ok((outcome, admission, self.config.workers.max(1)));
         }
         let pooled = CrawlPool::new(CrawlPoolConfig {
             workers: self.config.workers,
             sched_seed: self.config.seed,
-            resume,
             connections_per_worker: self.config.connections_per_worker,
             ..CrawlPoolConfig::default()
         })
@@ -936,20 +924,22 @@ mod tests {
         let first = Pipeline::new(builder.clone().build()).run().unwrap();
         assert_eq!(first.render_text(), baseline.render_text());
 
-        // The resumed run replays corpus + drop-outs + probe from the
-        // journal — no store traffic shows up in its (replayed) stats —
-        // and still renders byte-identically.
+        // The resumed run replays corpus + drop-outs + counters + probe
+        // from the journal — it sends the store no request — and still
+        // renders byte-identically, its crawl summary included.
         let resumed = Pipeline::new(builder.resume(true).build()).run().unwrap();
         assert!(resumed.crawl_replayed, "the whole crawl comes off disk");
         assert!(!first.crawl_replayed);
         assert_eq!(resumed.render_text(), baseline.render_text());
         assert_eq!(resumed.crawl_stats, first.crawl_stats, "stats replay verbatim");
+        assert_eq!(resumed.admission, first.admission, "admission replays verbatim");
+        assert_eq!(resumed.crawl_summary(), first.crawl_summary());
         assert_eq!(resumed.dataset, first.dataset);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn torn_journal_resumes_partially_and_restores_apps_from_disk() {
+    fn an_unfinished_crawl_is_crawled_again_on_resume() {
         let dir = journal_tmp("torn");
         let baseline = run_tiny();
         let builder = PipelineConfig::builder(CorpusScale::Tiny, Snapshot::Y2021, 7)
@@ -964,17 +954,22 @@ mod tests {
         let raw = std::fs::read(&path).unwrap();
         std::fs::write(&path, &raw[..raw.len() * 6 / 10]).unwrap();
 
-        let resumed = Pipeline::new(builder.resume(true).build()).run().unwrap();
+        // The journaled apps are discarded and the whole snapshot is
+        // crawled again, so the counters are the uninterrupted run's.
+        let resume = builder.resume(true).build();
+        let resumed = Pipeline::new(resume.clone()).run().unwrap();
+        assert!(!resumed.crawl_replayed, "an unfinished crawl never replays");
         assert_eq!(resumed.render_text(), baseline.render_text());
-        assert!(
-            resumed.crawl_stats.journal_restores > 0,
-            "journaled apps must skip the network: {:?}",
-            resumed.crawl_stats
-        );
-        assert!(
-            (resumed.crawl_stats.journal_restores as usize) < resumed.dataset.total_apps,
-            "the torn tail must be re-crawled"
-        );
+        assert_eq!(resumed.crawl_stats, baseline.crawl_stats);
+        assert_eq!(resumed.admission, baseline.admission);
+        assert_eq!(resumed.crawl_summary(), baseline.crawl_summary());
+
+        // The re-crawl journaled each app once: the next resume replays
+        // exactly the corpus.
+        let replayed = Pipeline::new(resume).run().unwrap();
+        assert!(replayed.crawl_replayed);
+        assert_eq!(replayed.render_text(), baseline.render_text());
+        assert_eq!(replayed.crawl_summary(), baseline.crawl_summary());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -986,7 +981,7 @@ mod tests {
         Pipeline::new(builder.clone().build()).run().unwrap();
         // resume stays false: the journal restarts and nothing replays.
         let again = Pipeline::new(builder.build()).run().unwrap();
-        assert_eq!(again.crawl_stats.journal_restores, 0);
+        assert!(!again.crawl_replayed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,10 +7,15 @@
 //! [`crash_child_runner`] test into the workload: a journaled,
 //! persistently-cached tiny pipeline (or a journaled campaign) whose
 //! crash point is armed through the `GAUGENN_CRASH` environment the
-//! [`gaugenn_core::crashpoint`] layer reads. `CrashMode::Kill` delivers
-//! a genuine `SIGKILL` — no destructors, no flushing — so everything the
+//! [`gaugenn_core::crashpoint`] layer reads. A fired point delivers a
+//! genuine `SIGKILL` — no destructors, no flushing — so everything the
 //! journal and cache store claim about torn tails is exercised against
-//! the real failure mode, not a polite unwind.
+//! the real failure mode.
+//!
+//! A pipeline child reports what `repro` prints of a snapshot: the
+//! rendered report and the crawl and admission counters behind its
+//! `crawl:` line, so a resume that replays or re-crawls with different
+//! counters diverges here too.
 
 use gaugenn_core::pipeline::{Pipeline, PipelineConfig, PipelineReport};
 use gaugenn_playstore::corpus::Snapshot;
@@ -65,7 +70,17 @@ fn pipeline_child() {
     cfg.analysis_cache_dir = Some(dir.join("cache"));
     cfg.resume = std::env::var("GAUGENN_CHILD_RESUME").is_ok();
     let report = Pipeline::new(cfg).run().expect("child pipeline");
-    fs::write(dir.join("report.txt"), report.render_text()).expect("write report");
+    fs::write(dir.join("report.txt"), child_report(&report)).expect("write report");
+}
+
+/// The render plus the counters the `crawl:` summary prints.
+fn child_report(report: &PipelineReport) -> String {
+    format!(
+        "{}{:?}\n{:?}\n",
+        report.render_text(),
+        report.crawl_stats,
+        report.admission
+    )
 }
 
 /// Spawn the child runner with the given extra env; returns its exit
@@ -75,7 +90,6 @@ fn spawn_child(mode: &str, dir: &Path, envs: &[(&str, String)]) -> std::process:
     let mut cmd = Command::new(exe);
     cmd.args(["crash_child_runner", "--exact", "--nocapture"])
         .env_remove("GAUGENN_CRASH")
-        .env_remove("GAUGENN_CRASH_MODE")
         .env("GAUGENN_CRASH_CHILD", mode)
         .env("GAUGENN_CHILD_DIR", dir)
         .stdout(std::process::Stdio::null())
@@ -91,11 +105,13 @@ fn killed_by_sigkill(status: std::process::ExitStatus) -> bool {
     status.signal() == Some(9)
 }
 
-/// The uninterrupted single-worker run every resumed child must match.
-fn baseline() -> PipelineReport {
-    Pipeline::new(PipelineConfig::tiny(Snapshot::Y2021, SEED))
+/// What the uninterrupted single-worker run reports; every resumed
+/// child must match it.
+fn baseline() -> String {
+    let report = Pipeline::new(PipelineConfig::tiny(Snapshot::Y2021, SEED))
         .run()
-        .expect("baseline")
+        .expect("baseline");
+    child_report(&report)
 }
 
 /// The tentpole matrix: SIGKILL at four registered points, at three
@@ -105,9 +121,10 @@ fn baseline() -> PipelineReport {
 /// mid-analysis.
 #[test]
 fn sigkill_matrix_resume_is_byte_identical() {
-    // render_text is worker-invariant by contract, so one reference
-    // serves the whole matrix (other tests pin the contract).
-    let reference = baseline().render_text();
+    // render_text and the calm crawl and admission counters are
+    // worker-invariant by contract, so one reference serves the whole
+    // matrix (other tests pin the contract).
+    let reference = baseline();
     let combos: [(usize, usize); 3] = [(1, 1), (4, 2), (2, 4)];
     let points: [(&str, u64); 4] = [
         ("post-crawl", 1),
@@ -125,7 +142,6 @@ fn sigkill_matrix_resume_is_byte_identical() {
             ];
             let mut armed = shape.to_vec();
             armed.push(("GAUGENN_CRASH", format!("{point}:{nth}")));
-            armed.push(("GAUGENN_CRASH_MODE", "kill".to_string()));
             let status = spawn_child("pipeline", &dir, &armed);
             assert!(
                 killed_by_sigkill(status),
@@ -151,17 +167,15 @@ fn sigkill_matrix_resume_is_byte_identical() {
 }
 
 /// Pipeline-level journal corruption: flip a bit in the journal a killed
-/// run left behind — resume must degrade to "replay from the last good
-/// record", never error, never diverge.
+/// run left behind — resume must degrade (replay stops at the last good
+/// record, and a journal without its crawl-done record is crawled
+/// again), never error, never diverge.
 #[test]
 fn corrupted_journal_never_errors_and_never_diverges() {
-    let reference = baseline().render_text();
+    let reference = baseline();
     let dir = scratch("corrupt");
     fs::create_dir_all(&dir).unwrap();
-    let armed = [
-        ("GAUGENN_CRASH", "model-analysis:2".to_string()),
-        ("GAUGENN_CRASH_MODE", "kill".to_string()),
-    ];
+    let armed = [("GAUGENN_CRASH", "model-analysis:2".to_string())];
     let status = spawn_child("pipeline", &dir, &armed);
     assert!(killed_by_sigkill(status));
 
@@ -196,11 +210,10 @@ fn stale_generation_journal_is_discarded_not_replayed() {
     other.resume = true;
     let resumed = Pipeline::new(other).run().expect("stale journal must not error");
     assert!(!resumed.crawl_replayed, "stale journal must not replay");
-    assert_eq!(resumed.crawl_stats.journal_restores, 0);
     let fresh = Pipeline::new(PipelineConfig::tiny(Snapshot::Y2021, SEED + 1))
         .run()
         .unwrap();
-    assert_eq!(resumed.render_text(), fresh.render_text());
+    assert_eq!(child_report(&resumed), child_report(&fresh));
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -281,10 +294,7 @@ fn campaign_child() {
 fn sigkill_at_job_commit_then_resume_covers_each_pair_once() {
     let dir = scratch("job-commit");
     fs::create_dir_all(&dir).unwrap();
-    let armed = [
-        ("GAUGENN_CRASH", "job-commit:2".to_string()),
-        ("GAUGENN_CRASH_MODE", "kill".to_string()),
-    ];
+    let armed = [("GAUGENN_CRASH", "job-commit:2".to_string())];
     let status = spawn_child("campaign", &dir, &armed);
     assert!(killed_by_sigkill(status), "campaign child must die, got {status:?}");
     let ledger = dir.join("commits.log");

@@ -146,10 +146,6 @@ pub struct CrawlStats {
     pub throttle_ms_total: u64,
     /// Attempts rejected outright by an open circuit breaker.
     pub breaker_rejections: u64,
-    /// Apps served from a resume cache (a replayed crash journal)
-    /// instead of the network — unit-level resume, the journal analogue
-    /// of `range_resumes`.
-    pub journal_restores: u64,
 }
 
 impl CrawlStats {
@@ -163,7 +159,6 @@ impl CrawlStats {
         self.throttled += other.throttled;
         self.throttle_ms_total += other.throttle_ms_total;
         self.breaker_rejections += other.breaker_rejections;
-        self.journal_restores += other.journal_restores;
     }
 }
 

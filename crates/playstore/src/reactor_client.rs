@@ -46,7 +46,7 @@ use crate::proto::{
 use crate::route::Route;
 use crate::{Result, StoreError};
 use mio::{Events, Interest, Parker, Reactor, TimerWheel, Token};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
 use std::time::Duration;
@@ -73,7 +73,7 @@ pub trait LaneJob {
     /// The next route to fetch, with its resumability flag (`true` keeps
     /// truncated prefixes and range-resumes them — the large binary
     /// payloads). `None` ends the lane.
-    fn next_request(&mut self, stats: &mut CrawlStats) -> Option<(Route, bool)>;
+    fn next_request(&mut self) -> Option<(Route, bool)>;
 
     /// Deliver the outcome of the most recently issued request.
     fn on_result(&mut self, result: Result<Response>);
@@ -105,7 +105,7 @@ impl RouteListJob {
 }
 
 impl LaneJob for RouteListJob {
-    fn next_request(&mut self, _stats: &mut CrawlStats) -> Option<(Route, bool)> {
+    fn next_request(&mut self) -> Option<(Route, bool)> {
         let r = self.routes.get(self.next).cloned()?;
         self.next += 1;
         Some(r)
@@ -136,7 +136,7 @@ pub(crate) struct LaneShard {
 /// outstanding request (only [`LaneJob::on_result`] may run); the rest
 /// are actions [`LaneJob::next_request`] steps through.
 enum CrawlJobState {
-    /// Advance to the next listed package (cache-check, then metadata),
+    /// Advance to the next listed package (its metadata request),
     /// closing the open category once its listing is walked.
     NextApp,
     /// A metadata request is outstanding.
@@ -182,14 +182,11 @@ enum CrawlJobState {
 /// job so the request sequence (and therefore every counter and fault
 /// draw) is identical to the blocking walk on the same connection id.
 /// The listings come from the pool's bootstrap, so a lane never pages
-/// one. Beyond the blocking walk, a resumed crawl's journaled apps are
-/// served from the resume cache without network requests. Each finished
-/// app goes straight to the sink.
+/// one. Each finished app goes straight to the sink.
 pub(crate) struct CrawlLaneJob<'a> {
     /// `(global plan index, listed packages)` of the categories still to
     /// walk, in crawl order; the front one is open.
     cats: VecDeque<(usize, Vec<String>)>,
-    resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
     sink: AppSink<'a>,
     state: CrawlJobState,
     /// Cursor into the open category's packages.
@@ -203,14 +200,9 @@ pub(crate) struct CrawlLaneJob<'a> {
 }
 
 impl<'a> CrawlLaneJob<'a> {
-    pub(crate) fn new(
-        cats: Vec<(usize, Vec<String>)>,
-        resume: Option<Arc<BTreeMap<String, CrawledApp>>>,
-        sink: AppSink<'a>,
-    ) -> CrawlLaneJob<'a> {
+    pub(crate) fn new(cats: Vec<(usize, Vec<String>)>, sink: AppSink<'a>) -> CrawlLaneJob<'a> {
         CrawlLaneJob {
             cats: cats.into(),
-            resume,
             sink,
             state: CrawlJobState::NextApp,
             pi: 0,
@@ -246,7 +238,7 @@ impl<'a> CrawlLaneJob<'a> {
 }
 
 impl LaneJob for CrawlLaneJob<'_> {
-    fn next_request(&mut self, stats: &mut CrawlStats) -> Option<(Route, bool)> {
+    fn next_request(&mut self) -> Option<(Route, bool)> {
         loop {
             match std::mem::replace(&mut self.state, CrawlJobState::Done) {
                 CrawlJobState::NextApp => {
@@ -269,12 +261,6 @@ impl LaneJob for CrawlLaneJob<'_> {
                         continue;
                     }
                     let pkg = pkgs[self.pi].clone();
-                    if let Some(app) = self.resume.as_ref().and_then(|r| r.get(&pkg)) {
-                        let app = app.clone();
-                        stats.journal_restores += 1;
-                        self.finish_app(app);
-                        continue;
-                    }
                     self.state = CrawlJobState::AwaitMeta;
                     return Some((Route::App { package: pkg }, false));
                 }
@@ -830,7 +816,7 @@ fn pump_lane<J: LaneJob>(
 ) {
     loop {
         state = match state {
-            LaneState::Idle(io) => match lane.job.next_request(&mut lane.stats) {
+            LaneState::Idle(io) => match lane.job.next_request() {
                 Some((route, resumable)) => {
                     let sm = RequestSm::new(&route, resumable, lane.retry.max_attempts);
                     attempt(lane, ctx, token, sm, io)
@@ -1206,7 +1192,7 @@ mod tests {
         let specs = vec![LaneSpec {
             connection_id: 1,
             retry: RetryPolicy::default(),
-            job: CrawlLaneJob::new(listed.clone(), None, &sink),
+            job: CrawlLaneJob::new(listed.clone(), &sink),
         }];
         let (mut outcomes, _) =
             drive_lanes(&server.endpoint(), specs, &LaneOpts::default(), None).unwrap();

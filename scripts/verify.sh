@@ -7,8 +7,9 @@
 # graph-codec mutation sweep, a
 # double-repro persistent-cache determinism check, the crash-recovery
 # matrix (its uninterrupted run must match the pinned tiny report
-# byte-for-byte; SIGKILL at each registered crash point, then --resume
-# must reproduce stdout byte-for-byte), a cache
+# byte-for-byte; SIGKILL at each pipeline crash point, in both
+# snapshots' pipelines, then --resume must reproduce stdout
+# byte-for-byte), a cache
 # compaction-under-pressure check (bounded, byte-stable, and the second
 # run still hits the cache), the query-serving determinism gate
 # (querybench streams must be byte-identical at every connection
@@ -154,10 +155,13 @@ verify() {
     # by name so a rename cannot silently skip the gate.
     run_pinned "$mode" sigkill_matrix_resume_is_byte_identical \
         -p gaugenn-core --test failure_injection || return 1
-    # Repro-level crash matrix: kill the real repro binary at four
-    # registered points, then --resume must reproduce the uninterrupted
-    # run's stdout byte-for-byte (exit 137 = SIGKILL is the expected
-    # "failure" of the armed run).
+    # Repro-level crash matrix: kill the real repro binary at each
+    # registered pipeline point, then --resume must reproduce the
+    # uninterrupted run's stdout byte-for-byte (exit 137 = SIGKILL is the
+    # expected "failure" of the armed run). The Feb 2020 pipeline extracts
+    # 46 apps, analyses 8 instances and saves 5 cache entries, so the
+    # first four points kill inside it and the last four inside the Apr
+    # 2021 pipeline, whose `crawl:` line goes to stdout.
     crash_dir="target/verify-crash.$$"
     rm -rf "$crash_dir"
     mkdir -p "$crash_dir"
@@ -172,9 +176,10 @@ verify() {
         diff results/repro_tiny_1402.txt "$crash_dir/baseline.out" | head -40 >&2
         return 1
     fi
-    for point in post-crawl:1 app-extract:3 model-analysis:2 cache-append:2; do
+    for point in post-crawl:1 app-extract:3 model-analysis:2 cache-append:2 \
+        post-crawl:2 app-extract:60 model-analysis:16 cache-append:7; do
         rm -rf "$crash_dir/journal" "$crash_dir/cache"
-        GAUGENN_CRASH="$point" GAUGENN_CRASH_MODE=kill \
+        GAUGENN_CRASH="$point" \
             GAUGENN_JOURNAL_DIR="$crash_dir/journal" GAUGENN_CACHE_DIR="$crash_dir/cache" \
             run_cargo "$mode" run --release -q -p gaugenn-bench --bin repro \
             -- --scale tiny --seed 1402 --workers 2 --analysis-workers 2 >/dev/null 2>&1
